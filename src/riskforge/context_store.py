@@ -10,23 +10,37 @@ from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable, Optional, Sequence
 
 from .errors import KeyAbsent, StorageFailure, UnknownKey
-from .tokens import estimate_payload_tokens, estimate_tokens  # noqa: F401  (re-export)
+from .grounding import parse_identifiers
+from .tokens import canonical_json, estimate_tokens
 
 
 @dataclass(frozen=True)
 class ContextEntry:
+    """One immutable revision. The payload's canonical text (made by
+    append_entry) and the framework identifiers cited in it are derived at
+    most once per entry and shared by every reader."""
+
     key: str
     agent_id: str
     revision: int
     created_at: str
     payload: Any
     token_estimate: int
+
+    @cached_property
+    def canonical_text(self) -> str:
+        return canonical_json(self.payload)
+
+    @cached_property
+    def cited_identifiers(self) -> list[dict]:
+        return parse_identifiers(self.canonical_text)
 
     def to_json(self) -> dict:
         return {
@@ -97,6 +111,7 @@ class ContextStore:
         if key not in self._registered:
             raise UnknownKey(f"entry kind {key!r} is not registered "
                              f"(registered: {self._registered})")
+        text = canonical_json(payload)
         with self._lock:
             history = self._history.setdefault(key, [])
             entry = ContextEntry(
@@ -105,8 +120,9 @@ class ContextStore:
                 revision=len(history) + 1,
                 created_at=datetime.now(timezone.utc).isoformat(),
                 payload=payload,
-                token_estimate=estimate_payload_tokens(payload),
+                token_estimate=estimate_tokens(text),
             )
+            entry.__dict__["canonical_text"] = text  # prime the cached property
             self._write_log(entry)
             history.append(entry)
         return entry

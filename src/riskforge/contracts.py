@@ -5,9 +5,9 @@ it writes, its prompt template file, its output schema file, and an
 optional grounding query. Prompt assembly injects the serialized read
 entries, the retrieved framework excerpts verbatim, and a citation policy
 restricting the agent to those excerpts. Output validation extracts the
-first balanced JSON object from the raw text (models wrap output in
-prose) and checks it against the role's schema; schema failures trigger a
-bounded re-prompt with the violation list attached.
+first JSON object from the raw text (models wrap output in prose) and
+checks it against the role's schema; schema failures trigger a bounded
+re-prompt with the violation list attached.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ import jsonschema
 from .context_store import ContextEntry, ContextSnapshot, ContextStore
 from .errors import AgentFailed, MissingContextKey, Unparseable
 from .gateway import RETRY_MARKER, CompletionRequest, ModelConfig
-from .grounding import Corpus, FrameworkExcerpt, parse_identifiers
-from .tokens import canonical_json
+from .grounding import Corpus, FrameworkExcerpt
 
 ROLES = (
     "risk_intake",
@@ -42,6 +41,16 @@ ENTRY_KINDS = (
     "risk_register",
     "recommendations",
     "report",
+)
+
+# The execution plan: stages run in order, the roles inside a stage run
+# concurrently. Every role reads only keys written by earlier stages.
+STAGES: tuple[tuple[str, ...], ...] = (
+    ("risk_intake",),
+    ("threat_modeling", "control_assessment"),
+    ("risk_scoring",),
+    ("mitigation",),
+    ("report_synthesis",),
 )
 
 MAX_ATTEMPTS = 3  # initial attempt plus two validation re-prompts
@@ -121,41 +130,22 @@ class ValidationOutcome:
     attempt: int
 
 
-def extract_json_object(raw: str) -> dict:
-    """Return the first balanced top-level JSON object embedded in raw text.
+_DECODER = json.JSONDecoder()
 
-    Brace matching respects string literals and escapes, so prose around
-    the object (or braces inside strings) does not break extraction.
+
+def extract_json_object(raw: str) -> dict:
+    """Return the first JSON object embedded in raw text.
+
+    Decoding starts at each "{" in turn, so prose around the object (or
+    braces inside its strings) does not break extraction; a candidate that
+    does not decode moves the search to the next "{".
     """
     start = raw.find("{")
     while start != -1:
-        depth = 0
-        in_string = False
-        escaped = False
-        for i in range(start, len(raw)):
-            ch = raw[i]
-            if in_string:
-                if escaped:
-                    escaped = False
-                elif ch == "\\":
-                    escaped = True
-                elif ch == '"':
-                    in_string = False
-            elif ch == '"':
-                in_string = True
-            elif ch == "{":
-                depth += 1
-            elif ch == "}":
-                depth -= 1
-                if depth == 0:
-                    try:
-                        doc = json.loads(raw[start:i + 1])
-                    except json.JSONDecodeError:
-                        break
-                    if isinstance(doc, dict):
-                        return doc
-                    break
-        start = raw.find("{", start + 1)
+        try:
+            return _DECODER.raw_decode(raw, start)[0]
+        except json.JSONDecodeError:
+            start = raw.find("{", start + 1)
     raise Unparseable("no balanced JSON object found in output")
 
 
@@ -237,7 +227,7 @@ class ContractSet:
             for key in contract.reads:
                 entry = snapshot.get(key)
                 parts.append(f"--- {key} (revision {entry.revision}) ---")
-                parts.append(canonical_json(entry.payload))
+                parts.append(entry.canonical_text)
         else:
             parts.append("(no prior context for this role)")
         parts.append("")
@@ -280,11 +270,18 @@ class ContractSet:
             entry = snapshot.get(key)
             if entry is None:
                 continue
-            for item in parse_identifiers(canonical_json(entry.payload)):
+            for item in entry.cited_identifiers:
                 hit = corpus.lookup(item["framework"], item["identifier"])
                 if hit is not None:
                     excerpts[(hit.framework, hit.identifier)] = hit
         return sorted(excerpts.values(), key=lambda e: (e.framework, e.identifier))
+
+    def build_prompt(self, role: str, snapshot: ContextSnapshot,
+                     corpus: Optional[Corpus],
+                     extra: Optional[dict[str, str]] = None) -> str:
+        """The role's full prompt over a snapshot: grounding, then assembly."""
+        grounding = self.gather_grounding(role, snapshot, corpus)
+        return self.assemble_prompt(role, snapshot, grounding, extra=extra)
 
     # -- output validation -------------------------------------------------
 
@@ -293,9 +290,17 @@ class ContractSet:
         """Parse and schema-check raw model output. Raises Unparseable when
         no balanced object exists; schema violations are reported in the
         outcome, not raised."""
-        contract = self.contract(role)
+        return self._validate(self.contract(role).schema_name, raw, attempt)
+
+    def validate_single_output(self, raw: str,
+                               attempt: int = 1) -> tuple[ValidationOutcome, dict]:
+        """Validate the combined 3/3/3 document from a single-agent run."""
+        return self._validate("single_agent.json", raw, attempt)
+
+    def _validate(self, schema_name: str, raw: str,
+                  attempt: int) -> tuple[ValidationOutcome, dict]:
         doc = extract_json_object(raw)
-        validator = jsonschema.Draft202012Validator(self.schema(contract.schema_name))
+        validator = jsonschema.Draft202012Validator(self.schema(schema_name))
         violations = tuple(sorted(
             (error.json_path, error.message)
             for error in validator.iter_errors(doc)
@@ -305,16 +310,12 @@ class ContractSet:
 
     # -- agent execution ---------------------------------------------------
 
-    def run_agent(self, role: str, store: ContextStore, gateway,
-                  corpus: Optional[Corpus], config: ModelConfig,
-                  extra: Optional[dict[str, str]] = None) -> tuple[ContextEntry, int]:
-        """Assemble, complete, validate, retry, append. Returns the appended
-        entry and the number of attempts used."""
+    def run_agent(self, role: str, prompt: str, store: ContextStore, gateway,
+                  config: ModelConfig) -> tuple[ContextEntry, int]:
+        """Complete, validate, retry, append, starting from a prompt made by
+        build_prompt. Returns the appended entry and the number of attempts
+        used."""
         contract = self.contract(role)
-        snapshot = store.snapshot()
-        grounding = self.gather_grounding(role, snapshot, corpus)
-        prompt = self.assemble_prompt(role, snapshot, grounding, extra=extra)
-
         last_violations: tuple[tuple[str, str], ...] = ()
         for attempt in range(1, MAX_ATTEMPTS + 1):
             result = gateway.complete(CompletionRequest(role=role, prompt=prompt, config=config))
@@ -336,18 +337,6 @@ class ContractSet:
             )
         raise AgentFailed(role, last_violations)
 
-    def validate_single_output(self, raw: str,
-                               attempt: int = 1) -> tuple[ValidationOutcome, dict]:
-        """Validate the combined 3/3/3 document from a single-agent run."""
-        doc = extract_json_object(raw)
-        validator = jsonschema.Draft202012Validator(self.schema("single_agent.json"))
-        violations = tuple(sorted(
-            (error.json_path, error.message)
-            for error in validator.iter_errors(doc)
-        ))
-        return ValidationOutcome(valid=not violations, violations=violations,
-                                 attempt=attempt), doc
-
     def combined_task_text(self, questionnaire_json: str) -> str:
         """Concatenated task instructions of all six roles, for the
         single-agent ablation baseline."""
@@ -361,13 +350,11 @@ class ContractSet:
 
 def check_contract_dag() -> None:
     """Sanity check: writes are unique and every read is produced upstream
-    of its reader in the staged plan."""
+    of its reader in STAGES."""
     writes = [c.writes for c in CONTRACTS.values()]
     assert len(writes) == len(set(writes)), "duplicate writes across contracts"
     produced: set[str] = set()
-    stages = [["risk_intake"], ["threat_modeling", "control_assessment"],
-              ["risk_scoring"], ["mitigation"], ["report_synthesis"]]
-    for stage in stages:
+    for stage in STAGES:
         for role in stage:
             for key in CONTRACTS[role].reads:
                 assert key in produced, f"{role} reads {key} before it is produced"

@@ -18,9 +18,10 @@ from .errors import DuplicateIdentifier, MalformedCorpus
 
 # Identifier grammars. NIST CSF: two uppercase letters, dot, two or three
 # uppercase letters, hyphen, one or two digits. CIS: literal prefix plus a
-# number with optional .sub component.
-NIST_CSF_RE = re.compile(r"(?<![A-Z0-9.])[A-Z]{2}\.[A-Z]{2,3}-\d{1,2}(?!\d)")
-CIS_RE = re.compile(r"(?<![A-Za-z])CIS Control (\d+(?:\.\d+)?)(?![\d.])")
+# number with optional .sub component. Each lookbehind follows the first
+# character, so the regex engine can scan for that character first.
+NIST_CSF_RE = re.compile(r"[A-Z](?<![A-Z0-9.][A-Z])[A-Z]\.[A-Z]{2,3}-\d{1,2}(?!\d)")
+CIS_RE = re.compile(r"C(?<![A-Za-z]C)IS Control (\d+(?:\.\d+)?)(?![\d.])")
 CIS_NUMBER_RE = re.compile(r"\d+(?:\.\d+)?")
 
 # Small fixed function-word list; determinism matters more than linguistic

@@ -1,10 +1,11 @@
 """Pipeline execution: staged DAG, budget enforcement, run records.
 
 Five stages with one parallel pair (threat modeling and control
-assessment both read only the intake profile). Before every stage the
-prospective prompt is assembled exactly and checked against the context
-window; the paper-observed failure mode is context accumulation outpacing
-the window mid-pipeline, so the check runs per stage, not just once.
+assessment both read only the intake profile). Before every stage each
+role's prompt is assembled once, checked against the context window and
+handed to the agent as is; the paper-observed failure mode is context
+accumulation outpacing the window mid-pipeline, so the check runs per
+stage, not just once.
 Failures never escape execute_pipeline: they are captured in the
 RunRecord so ablation sweeps can count them.
 """
@@ -24,22 +25,14 @@ from typing import Optional
 import jsonschema
 
 from .context_store import ContextEntry, ContextSnapshot, ContextStore
-from .contracts import ENTRY_KINDS, ROLES, ContractSet
+from .contracts import ENTRY_KINDS, MAX_ATTEMPTS, STAGES, ContractSet
 from .errors import (AgentFailed, ContextOverflow, ProfileInvalid, ProviderError,
                      ProviderUnreachable, StorageFailure, Unparseable)
-from .gateway import CompletionRequest, ModelConfig
+from .gateway import RETRY_MARKER, CompletionRequest, ModelConfig
 from .grounding import Corpus
 from .risk_model import normalize_title
 from .tokens import canonical_json, estimate_tokens
 from . import report as report_mod
-
-STAGES: list[list[str]] = [
-    ["risk_intake"],
-    ["threat_modeling", "control_assessment"],
-    ["risk_scoring"],
-    ["mitigation"],
-    ["report_synthesis"],
-]
 
 SINGLE_AGENT_ROLE = "single_agent"
 
@@ -211,33 +204,34 @@ def execute_pipeline(profile: dict, config: ModelConfig, mode: str, gateway,
         completed=False,
     )
 
+    report_entry: Optional[ContextEntry] = None
     start = time.perf_counter()
     try:
-        if mode == "multi_agent":
-            _run_multi(profile, config, gateway, corpus, contracts, store)
-        else:
-            _run_single(profile, config, gateway, corpus, contracts, store)
-        record.completed = True
-    except _StageFailure as failure:
-        record.failed_stage = failure.role
-        record.failure_kind = failure.kind
-    record.wall_seconds = time.perf_counter() - start
+        try:
+            if mode == "multi_agent":
+                _run_multi(profile, config, gateway, corpus, contracts, store)
+            else:
+                _run_single(profile, config, gateway, corpus, contracts, store)
+            record.completed = True
+        except _StageFailure as failure:
+            record.failed_stage = failure.role
+            record.failure_kind = failure.kind
+        record.wall_seconds = time.perf_counter() - start
 
-    report_entry: Optional[ContextEntry] = None
-    if record.completed:
-        report_entry = store.read_latest("report")
-        record.structural_ok, record.unique_threat_titles = _structure_check(store, mode)
-        if run_dir is not None:
-            _write_outputs(store, corpus, config, mode, record, run_dir)
-    store.close()
+        if record.completed:
+            report_entry = store.read_latest("report")
+            record.structural_ok, record.unique_threat_titles = _structure_check(store, mode)
+            if run_dir is not None:
+                _write_outputs(store, corpus, config, mode, record, run_dir)
+    finally:
+        store.close()
     return record, report_entry
 
 
-def _run_role(contracts: ContractSet, role: str, store: ContextStore, gateway,
-              corpus: Optional[Corpus], config: ModelConfig,
-              extra: Optional[dict] = None) -> None:
+def _run_role(contracts: ContractSet, role: str, prompt: str, store: ContextStore,
+              gateway, config: ModelConfig) -> None:
     try:
-        contracts.run_agent(role, store, gateway, corpus, config, extra=extra)
+        contracts.run_agent(role, prompt, store, gateway, config)
     except Exception as exc:  # classified below; unexpected kinds re-raise
         raise _classify(role, exc)
 
@@ -247,26 +241,23 @@ def _run_multi(profile: dict, config: ModelConfig, gateway, corpus,
     questionnaire = {"questionnaire": canonical_json(profile)}
     for stage in STAGES:
         snapshot = store.snapshot()
+        prompts = {}
         for role in stage:
             extra = questionnaire if role == "risk_intake" else None
-            grounding = contracts.gather_grounding(role, snapshot, corpus)
-            prompt = contracts.assemble_prompt(role, snapshot, grounding, extra=extra)
+            prompt = contracts.build_prompt(role, snapshot, corpus, extra=extra)
             decision = enforce_budget(snapshot, role, config, estimate_tokens(prompt))
             if not decision.ok:
                 raise _StageFailure(role, "context_overflow", ContextOverflow(
                     role, decision.prompt_tokens, decision.reserved_output_tokens,
                     decision.context_window_tokens))
+            prompts[role] = prompt
         if len(stage) == 1:
-            role = stage[0]
-            extra = questionnaire if role == "risk_intake" else None
-            _run_role(contracts, role, store, gateway, corpus, config, extra=extra)
+            _run_role(contracts, stage[0], prompts[stage[0]], store, gateway, config)
         else:
             with ThreadPoolExecutor(max_workers=len(stage)) as pool:
-                futures = {
-                    pool.submit(_run_role, contracts, role, store, gateway,
-                                corpus, config): role
-                    for role in stage
-                }
+                futures = [pool.submit(_run_role, contracts, role, prompt, store,
+                                       gateway, config)
+                           for role, prompt in prompts.items()]
                 failure = None
                 for future in futures:
                     try:
@@ -316,9 +307,6 @@ def _single_prompt(profile: dict, contracts: ContractSet,
 
 def _run_single(profile: dict, config: ModelConfig, gateway, corpus,
                 contracts: ContractSet, store: ContextStore) -> None:
-    from .contracts import MAX_ATTEMPTS
-    from .gateway import RETRY_MARKER
-
     prompt = _single_prompt(profile, contracts, corpus)
     decision = enforce_budget(None, SINGLE_AGENT_ROLE, config, estimate_tokens(prompt))
     if not decision.ok:

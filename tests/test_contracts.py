@@ -181,10 +181,14 @@ def seeded_store():
     return store
 
 
+def run_threat_modeling(contracts, store, gateway):
+    prompt = contracts.build_prompt("threat_modeling", store.snapshot(), None)
+    return contracts.run_agent("threat_modeling", prompt, store, gateway, make_config())
+
+
 def test_run_agent_appends_to_declared_key(cross_contracts, seeded_store, tmp_path):
     gateway = scripted(tmp_path, {"default": [valid_threats()]})
-    entry, attempts = cross_contracts.run_agent(
-        "threat_modeling", seeded_store, gateway, None, make_config())
+    entry, attempts = run_threat_modeling(cross_contracts, seeded_store, gateway)
     assert attempts == 1
     assert entry.key == "threat_model"
     assert entry.agent_id == "threat_modeling"
@@ -198,8 +202,7 @@ def test_run_agent_retries_once_then_succeeds(cross_contracts, seeded_store, tmp
         "default": [json.dumps(valid_threats(2))],   # cardinality violation
         "on_retry": [valid_threats(3)],
     })
-    entry, attempts = cross_contracts.run_agent(
-        "threat_modeling", seeded_store, gateway, None, make_config())
+    entry, attempts = run_threat_modeling(cross_contracts, seeded_store, gateway)
     assert attempts == 2
     assert len(entry.payload["threats"]) == 3
 
@@ -210,16 +213,14 @@ def test_run_agent_recovers_from_unparseable_output(cross_contracts, seeded_stor
         "default": ["I am not JSON at all"],
         "on_retry": [valid_threats(3)],
     })
-    _, attempts = cross_contracts.run_agent(
-        "threat_modeling", seeded_store, gateway, None, make_config())
+    _, attempts = run_threat_modeling(cross_contracts, seeded_store, gateway)
     assert attempts == 2
 
 
 def test_run_agent_fails_after_max_attempts(cross_contracts, seeded_store, tmp_path):
     gateway = scripted(tmp_path, {"default": [json.dumps(valid_threats(1))]})
     with pytest.raises(AgentFailed) as exc:
-        cross_contracts.run_agent("threat_modeling", seeded_store, gateway,
-                                  None, make_config())
+        run_threat_modeling(cross_contracts, seeded_store, gateway)
     assert exc.value.role == "threat_modeling"
     assert exc.value.violations
     assert MAX_ATTEMPTS == 3
@@ -241,8 +242,7 @@ def test_retry_prompt_carries_violation_details(cross_contracts, seeded_store,
         "default": [json.dumps(valid_threats(2))],
         "on_retry": [valid_threats(3)],
     }), encoding="utf-8")
-    cross_contracts.run_agent("threat_modeling", seeded_store, gateway,
-                              None, make_config())
+    run_threat_modeling(cross_contracts, seeded_store, gateway)
     assert len(prompts) == 2
     assert "$.threats" in prompts[1]
     assert prompts[1].startswith(prompts[0])

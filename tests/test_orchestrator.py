@@ -1,14 +1,16 @@
 """Pipeline orchestration: staging, budget enforcement, run records."""
 
 import json
+import shutil
 import threading
 import time
 
 import pytest
 
+from riskforge import orchestrator
 from riskforge.context_store import ContextStore
 from riskforge.contracts import DATA_DIR, ENTRY_KINDS
-from riskforge.errors import ProfileInvalid
+from riskforge.errors import NoScriptForRole, ProfileInvalid
 from riskforge.gateway import ModelConfig, StubGateway
 from riskforge.orchestrator import (RunRecord, enforce_budget, execute_pipeline,
                                     load_ledger, record_run)
@@ -188,6 +190,29 @@ def test_invalid_questionnaire_raises_before_any_stage(case_contracts, corpus,
     with pytest.raises(ProfileInvalid):
         execute_pipeline({"profile_id": "x"}, config(), "multi_agent",
                          specific_gateway, corpus, case_contracts)
+
+
+def test_session_log_closed_when_an_unclassified_error_escapes(
+        health_profile, case_contracts, corpus, tmp_path, monkeypatch):
+    closed = []
+
+    class TrackedStore(ContextStore):
+        def close(self):
+            closed.append(self._log_path)
+            super().close()
+
+    monkeypatch.setattr(orchestrator, "ContextStore", TrackedStore)
+    scripts = tmp_path / "scripts"
+    scripts.mkdir()
+    # only the intake script: stage 2 raises NoScriptForRole, which is not
+    # a classified stage failure and so escapes execute_pipeline
+    shutil.copy(STUB / "specific" / "risk_intake.json", scripts)
+    with pytest.raises(NoScriptForRole):
+        execute_pipeline(health_profile, config(), "multi_agent", StubGateway(scripts),
+                         corpus, case_contracts, out_dir=tmp_path / "out")
+    assert len(closed) == 1 and closed[0].name == "session.jsonl"
+    session = closed[0].read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["key"] for line in session] == ["org_profile"]
 
 
 def test_unknown_mode_rejected(health_profile, case_contracts, corpus,
