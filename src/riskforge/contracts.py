@@ -8,17 +8,19 @@ restricting the agent to those excerpts. Output validation extracts the
 first JSON object from the raw text (models wrap output in prose) and
 checks it against the role's schema; schema failures trigger a bounded
 re-prompt with the violation list attached.
+
+Each schema is compiled once per ContractSet into a plain predicate
+(compile_schema) that answers "valid" for the common case; jsonschema is
+imported and run only for a rejected document, to produce the violation
+list.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Optional
-
-import jsonschema
+from typing import Any, Callable, NoReturn, Optional
 
 from .context_store import ContextEntry, ContextSnapshot, ContextStore
 from .errors import AgentFailed, MissingContextKey, Unparseable
@@ -54,6 +56,8 @@ STAGES: tuple[tuple[str, ...], ...] = (
 )
 
 MAX_ATTEMPTS = 3  # initial attempt plus two validation re-prompts
+
+QUESTIONNAIRE_SCHEMA = "questionnaire.json"
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -149,6 +153,223 @@ def extract_json_object(raw: str) -> dict:
     raise Unparseable("no balanced JSON object found in output")
 
 
+# -- compiled schema check ---------------------------------------------------
+
+Acceptor = Callable[[Any], bool]
+
+_ANNOTATIONS = frozenset({"$schema", "$defs", "title"})
+_ANY_TYPE_KEYWORDS = frozenset({"type", "enum", "$ref"})
+# Keywords that constrain one type, allowed only beside that "type".
+_TYPE_KEYWORDS = {
+    "object": frozenset({"properties", "required", "additionalProperties"}),
+    "array": frozenset({"items", "minItems", "maxItems"}),
+    "string": frozenset({"minLength"}),
+    "integer": frozenset({"minimum", "maximum"}),
+    "number": frozenset({"minimum", "maximum"}),
+    "boolean": frozenset(),
+    "null": frozenset(),
+}
+_DEF_PREFIX = "#/$defs/"
+
+
+def _accept_any(instance: Any) -> bool:
+    return True
+
+
+def _is_integer(x: Any) -> bool:
+    if isinstance(x, int):
+        return not isinstance(x, bool)
+    return isinstance(x, float) and x.is_integer()
+
+
+def _is_number(x: Any) -> bool:
+    # Narrower than jsonschema's numbers.Number: a Decimal is rejected,
+    # which costs only the slow path.
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _all_of(checks: list[Acceptor]) -> Acceptor:
+    if not checks:
+        return _accept_any
+    if len(checks) == 1:
+        return checks[0]
+
+    def check(x):
+        for each in checks:
+            if not each(x):
+                return False
+        return True
+    return check
+
+
+class _SchemaCompiler:
+    def __init__(self, schema: Any, source: str):
+        self.source = source
+        self.defs = schema.get("$defs", {}) if isinstance(schema, dict) else {}
+        if not isinstance(self.defs, dict):
+            self.fail("#/$defs", "$defs must be an object")
+        self.refs: dict[str, Optional[Acceptor]] = {}
+
+    def fail(self, pointer: str, problem: str) -> NoReturn:
+        raise ValueError(f"{self.source}: {problem} at {pointer}")
+
+    def node(self, schema: Any, pointer: str) -> Acceptor:
+        if not isinstance(schema, dict):
+            self.fail(pointer, f"unsupported schema form {schema!r} (objects only)")
+        declared = schema.get("type")
+        if declared is not None and (not isinstance(declared, str)
+                                     or declared not in _TYPE_KEYWORDS):
+            self.fail(pointer, f"unsupported type {declared!r}")
+        allowed = _ANNOTATIONS | _ANY_TYPE_KEYWORDS | _TYPE_KEYWORDS.get(declared, frozenset())
+        for keyword in schema:
+            if keyword not in allowed:
+                self.fail(pointer, f"unsupported keyword {keyword!r} beside type {declared!r}")
+        checks = []
+        if declared in ("integer", "number"):
+            checks.append(self.numeric(schema, pointer, declared))
+        elif declared is not None:
+            checks.append(getattr(self, declared)(schema, pointer))
+        if "enum" in schema:
+            checks.append(self.enum(schema["enum"], pointer + "/enum"))
+        if "$ref" in schema:
+            checks.append(self.ref(schema["$ref"], pointer + "/$ref"))
+        return _all_of(checks)
+
+    def ref(self, target: Any, pointer: str) -> Acceptor:
+        name = None
+        if isinstance(target, str) and target.startswith(_DEF_PREFIX):
+            name = target[len(_DEF_PREFIX):]
+        if not name or any(c in name for c in "/~%") or name not in self.defs:
+            self.fail(pointer, f"unsupported $ref {target!r} (only #/$defs/<name> "
+                               f"of this schema)")
+        if name not in self.refs:
+            self.refs[name] = None  # in progress: a recursive ref binds at call time
+            self.refs[name] = self.node(self.defs[name], _DEF_PREFIX + name)
+        compiled = self.refs[name]
+        if compiled is None:
+            return lambda x: self.refs[name](x)
+        return compiled
+
+    def count(self, schema: dict, keyword: str, pointer: str) -> Optional[int]:
+        if keyword not in schema:
+            return None
+        value = schema[keyword]
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            self.fail(pointer, f"{keyword} must be a non-negative integer")
+        return value
+
+    def object(self, schema: dict, pointer: str) -> Acceptor:
+        properties = schema.get("properties", {})
+        required = schema.get("required", [])
+        if not isinstance(properties, dict):
+            self.fail(pointer, "properties must be an object")
+        if not isinstance(required, list) or not all(isinstance(k, str) for k in required):
+            self.fail(pointer, "required must be a list of strings")
+        closed = "additionalProperties" in schema
+        if closed and schema["additionalProperties"] is not False:
+            self.fail(pointer, "unsupported additionalProperties (only false)")
+        checks = {key: self.node(sub, f"{pointer}/properties/{key}")
+                  for key, sub in properties.items()}
+        required = frozenset(required)
+        known = frozenset(properties)
+
+        def check(x):
+            if not isinstance(x, dict) or not x.keys() >= required:
+                return False
+            if closed and not known.issuperset(x):
+                return False
+            for key, value in x.items():
+                sub = checks.get(key)
+                if sub is not None and not sub(value):
+                    return False
+            return True
+        return check
+
+    def array(self, schema: dict, pointer: str) -> Acceptor:
+        low = self.count(schema, "minItems", pointer) or 0
+        high = self.count(schema, "maxItems", pointer)
+        item = self.node(schema["items"], pointer + "/items") if "items" in schema else None
+
+        def check(x):
+            if not isinstance(x, list) or len(x) < low:
+                return False
+            if high is not None and len(x) > high:
+                return False
+            return item is None or all(map(item, x))
+        return check
+
+    def string(self, schema: dict, pointer: str) -> Acceptor:
+        low = self.count(schema, "minLength", pointer) or 0
+        return lambda x: isinstance(x, str) and len(x) >= low
+
+    def boolean(self, schema: dict, pointer: str) -> Acceptor:
+        return lambda x: isinstance(x, bool)
+
+    def null(self, schema: dict, pointer: str) -> Acceptor:
+        return lambda x: x is None
+
+    def numeric(self, schema: dict, pointer: str, declared: str) -> Acceptor:
+        is_type = _is_integer if declared == "integer" else _is_number
+        for keyword in ("minimum", "maximum"):
+            if keyword in schema and not _is_number(schema[keyword]):
+                self.fail(pointer, f"{keyword} must be a number")
+        low, high = schema.get("minimum"), schema.get("maximum")
+
+        def check(x):
+            # "x < low", not "x >= low": NaN passes, as in jsonschema
+            if not is_type(x):
+                return False
+            return not ((low is not None and x < low) or (high is not None and x > high))
+        return check
+
+    def enum(self, values: Any, pointer: str) -> Acceptor:
+        if not isinstance(values, list):
+            self.fail(pointer, "enum must be a list")
+        strings, numbers, bools, null = set(), set(), set(), False
+        for value in values:
+            if isinstance(value, str):
+                strings.add(value)
+            elif isinstance(value, bool):
+                bools.add(value)
+            elif _is_number(value):
+                numbers.add(value)
+            elif value is None:
+                null = True
+            else:
+                self.fail(pointer, f"unsupported enum value {value!r} (scalars only)")
+
+        def check(x):
+            # A bool never equals a number here, and 30 equals 30.0.
+            if isinstance(x, str):
+                return x in strings
+            if isinstance(x, bool):
+                return x in bools
+            if _is_number(x):
+                return x in numbers
+            return null and x is None
+        return check
+
+
+def compile_schema(schema: dict, source: str) -> Acceptor:
+    """Compile a JSON Schema into a predicate, accepts(doc) -> bool.
+
+    accepts(doc) implies that jsonschema's Draft 2020-12 validation finds
+    no error in doc; a rejection may be false (a Python value that is no
+    JSON type), which only costs the caller a jsonschema run. Comparisons
+    follow jsonschema: a bool is never an integer or a number, 1.0 is an
+    integer, an enum never matches a bool against a number, and minimum
+    and maximum reject only on < and >, so NaN and infinities fare as
+    there. Supported keywords: type, properties, required,
+    additionalProperties false, items, minItems, maxItems, minLength,
+    minimum, maximum, enum, a local $ref to #/$defs/..., and the
+    annotations $schema, $defs and title; each type-specific keyword must
+    sit beside its "type". Anything else raises ValueError naming the
+    keyword and source, so a schema is never checked less than jsonschema
+    would check it.
+    """
+    return _SchemaCompiler(schema, source).node(schema, "#")
+
+
 class ContractSet:
     """Contracts plus their loaded templates and schemas.
 
@@ -168,6 +389,7 @@ class ContractSet:
         self.schemas_dir = Path(schemas_dir or DATA_DIR / "schemas")
         self._templates: dict[str, str] = {}
         self._schemas: dict[str, dict] = {}
+        self._acceptors: dict[str, Acceptor] = {}
 
     def contract(self, role: str) -> AgentContract:
         if role not in CONTRACTS:
@@ -186,9 +408,9 @@ class ContractSet:
         return self._schemas[name]
 
     def _apply_mode(self, name: str, schema: dict) -> dict:
+        """Adjust a freshly parsed schema in place for case_study mode."""
         if self.schema_mode == "cross_sector":
             return schema
-        schema = copy.deepcopy(schema)
         props = schema.get("properties", {})
         bounds = {"threats": (3, 5), "risks": (3, 10), "recommendations": (3, 10)}
         for field, (lo, hi) in bounds.items():
@@ -197,8 +419,12 @@ class ContractSet:
                 props[field]["maxItems"] = hi
         return schema
 
-    def questionnaire_schema(self) -> dict:
-        return self.schema("questionnaire.json")
+    def acceptor(self, name: str) -> Acceptor:
+        """The named schema compiled by compile_schema, once per ContractSet."""
+        if name not in self._acceptors:
+            self._acceptors[name] = compile_schema(self.schema(name),
+                                                   str(self.schemas_dir / name))
+        return self._acceptors[name]
 
     # -- prompt assembly ---------------------------------------------------
 
@@ -300,11 +526,15 @@ class ContractSet:
     def _validate(self, schema_name: str, raw: str,
                   attempt: int) -> tuple[ValidationOutcome, dict]:
         doc = extract_json_object(raw)
-        validator = jsonschema.Draft202012Validator(self.schema(schema_name))
-        violations = tuple(sorted(
-            (error.json_path, error.message)
-            for error in validator.iter_errors(doc)
-        ))
+        violations: tuple[tuple[str, str], ...] = ()
+        if not self.acceptor(schema_name)(doc):
+            import jsonschema  # only a rejection needs explaining
+
+            validator = jsonschema.Draft202012Validator(self.schema(schema_name))
+            violations = tuple(sorted(
+                (error.json_path, error.message)
+                for error in validator.iter_errors(doc)
+            ))
         return ValidationOutcome(valid=not violations, violations=violations,
                                  attempt=attempt), doc
 

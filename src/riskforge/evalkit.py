@@ -312,7 +312,9 @@ def run_ablation(profiles: list[dict], models: list[ModelSpec], runs_per_cell: i
                  mode: str, ledger_path: Path, contracts, corpus,
                  stub_root: Path, workers: int = 1) -> int:
     """Execute profiles x models x seeds, appending RunRecords to the
-    ledger. Triples already present are skipped, so reruns resume."""
+    ledger. Cells already present for this mode are skipped, so reruns
+    resume. Window and schema mode are not on the record and so not in
+    the resume key."""
     from concurrent.futures import ThreadPoolExecutor
 
     from .gateway import ModelConfig, StubGateway
@@ -322,19 +324,25 @@ def run_ablation(profiles: list[dict], models: list[ModelSpec], runs_per_cell: i
     done = set()
     if ledger_path.exists():
         for record in load_ledger(ledger_path):
-            done.add((record.profile_id, record.model_id, record.seed))
+            done.add((record.profile_id, record.model_id, record.seed, record.mode))
 
     cells = []
     for profile in profiles:
         for spec in models:
             for seed in range(runs_per_cell):
-                if (profile["profile_id"], spec.label, seed) not in done:
+                if (profile["profile_id"], spec.label, seed, mode) not in done:
                     cells.append((profile, spec, seed))
+
+    # One gateway per spec, so each stub script is parsed once per sweep.
+    # Two workers loading the same script at once both parse it; either
+    # copy serves, since the stub only reads it.
+    gateways = {spec: StubGateway(Path(stub_root) / spec.script,
+                                  sleep_seconds=spec.sleep_seconds)
+                for spec in models}
 
     def run_cell(cell):
         profile, spec, seed = cell
-        gateway = StubGateway(Path(stub_root) / spec.script,
-                              sleep_seconds=spec.sleep_seconds)
+        gateway = gateways[spec]
         config = ModelConfig(model_id=spec.label,
                              context_window_tokens=spec.context_window_tokens,
                              seed=seed)

@@ -12,12 +12,13 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Optional
-
-import requests
+from typing import TYPE_CHECKING, Any, Optional
 
 from .errors import ContextOverflow, NoScriptForRole, ProviderError, ProviderUnreachable
 from .tokens import estimate_tokens, prompt_hash
+
+if TYPE_CHECKING:
+    import requests
 
 # Marker appended to re-prompts after a validation failure. The stub keys
 # its "on_retry" response pool off this string.
@@ -143,6 +144,8 @@ class HttpGateway:
         self.backoff_seconds = backoff_seconds
 
     def _post(self, path: str, body: dict) -> requests.Response:
+        import requests  # only the HTTP provider needs it; keeps CLI start-up lean
+
         url = self.base_url + path
         last_exc: Optional[Exception] = None
         for attempt in range(self.retries + 1):

@@ -22,10 +22,9 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
 
-import jsonschema
-
 from .context_store import ContextEntry, ContextSnapshot, ContextStore
-from .contracts import ENTRY_KINDS, MAX_ATTEMPTS, STAGES, ContractSet
+from .contracts import (ENTRY_KINDS, MAX_ATTEMPTS, QUESTIONNAIRE_SCHEMA, STAGES,
+                        ContractSet)
 from .errors import (AgentFailed, ContextOverflow, ProfileInvalid, ProviderError,
                      ProviderUnreachable, StorageFailure, Unparseable)
 from .gateway import RETRY_MARKER, CompletionRequest, ModelConfig
@@ -182,10 +181,14 @@ def execute_pipeline(profile: dict, config: ModelConfig, mode: str, gateway,
     stage executes; every other failure lands in the record."""
     if mode not in ("multi_agent", "single_agent"):
         raise ValueError(f"unknown mode {mode!r}")
-    try:
-        jsonschema.Draft202012Validator(contracts.questionnaire_schema()).validate(profile)
-    except jsonschema.ValidationError as exc:
-        raise ProfileInvalid(f"questionnaire invalid: {exc.message}") from exc
+    if not contracts.acceptor(QUESTIONNAIRE_SCHEMA)(profile):
+        import jsonschema  # only a rejection needs explaining
+
+        try:
+            jsonschema.Draft202012Validator(
+                contracts.schema(QUESTIONNAIRE_SCHEMA)).validate(profile)
+        except jsonschema.ValidationError as exc:
+            raise ProfileInvalid(f"questionnaire invalid: {exc.message}") from exc
 
     run_id = _new_run_id()
     run_dir = None

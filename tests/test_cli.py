@@ -1,10 +1,15 @@
 """CLI verbs: assess, eval, ablate, index-corpus."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import riskforge
 from riskforge.cli import main
 from riskforge.contracts import DATA_DIR
 
@@ -154,3 +159,26 @@ def test_ablate_requires_profiles(runner, tmp_path):
         "ablate", "--profiles", str(empty), "--out", str(tmp_path / "l.jsonl")])
     assert result.exit_code != 0
     assert "no profile JSON files" in result.output
+
+
+def test_cli_import_leaves_jsonschema_and_requests_unloaded(tmp_path):
+    """A CLI start-up never pays for jsonschema or requests, and neither does
+    a run whose outputs all pass the compiled schema check."""
+    code = (
+        "import sys\n"
+        "from riskforge.cli import main\n"
+        "unwanted = ('jsonschema', 'requests')\n"
+        "print(sorted(m for m in unwanted if m in sys.modules))\n"
+        f"main(['assess', '--profile', {str(PROFILE)!r}, '--out', {str(tmp_path)!r}],\n"
+        "     standalone_mode=False)\n"
+        "print(sorted(m for m in unwanted if m in sys.modules))\n"
+    )
+    src = str(Path(riskforge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    lines = done.stdout.splitlines()
+    assert lines[0] == "[]"
+    assert json.loads("\n".join(lines[1:-1]))["completed"] is True
+    assert lines[-1] == "[]"

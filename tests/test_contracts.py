@@ -246,6 +246,25 @@ def test_retry_prompt_carries_violation_details(cross_contracts, seeded_store,
     assert len(prompts) == 2
     assert "$.threats" in prompts[1]
     assert prompts[1].startswith(prompts[0])
+    threats = ", ".join(
+        f"{{'title': 'Threat {i}', 'actor': 'a', 'vector': 'v', 'rationale': 'r'}}"
+        for i in range(2))
+    assert prompts[1][len(prompts[0]):] == (
+        "\n\n=== PREVIOUS OUTPUT FAILED VALIDATION ===\n"
+        "Your previous output did not satisfy the schema:\n"
+        f"- $.threats: [{threats}] is too short\n"
+        "Emit a corrected JSON object.")
+
+
+def test_violations_are_sorted_path_message_pairs(cross_contracts):
+    doc = valid_threats(2)
+    doc["threats"][1].update(actor="", x=1)
+    outcome, _ = cross_contracts.validate_output("threat_modeling", json.dumps(doc))
+    assert outcome.violations[1:] == (
+        ("$.threats[1]", "Additional properties are not allowed ('x' was unexpected)"),
+        ("$.threats[1].actor", "'' should be non-empty"),
+    )
+    assert outcome.violations[0] == ("$.threats", f"{doc['threats']!r} is too short")
 
 
 # -- combined single-agent pieces -------------------------------------------

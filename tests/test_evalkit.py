@@ -2,7 +2,9 @@
 
 import json
 import random
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +15,8 @@ from riskforge.evalkit import (AliasMap, ModelSpec, PractitionerAnnotation,
                                load_annotations, run_ablation,
                                severity_agreement, structural_stability,
                                title_variability)
-from riskforge.orchestrator import RunRecord, load_ledger
+from riskforge.gateway import ModelConfig, StubGateway
+from riskforge.orchestrator import RunRecord, execute_pipeline, load_ledger
 from riskforge.risk_model import RiskItem
 
 FIXTURES = DATA_DIR / "fixtures"
@@ -247,6 +250,60 @@ def test_ablation_runs_and_resumes(profiles, corpus, model_specs, tmp_path):
     assert run_ablation(list(profiles.values()), model_specs, 2,
                         "single_agent", ledger, contracts, corpus,
                         DATA_DIR / "stub") == 10
+
+
+def test_resume_key_includes_mode(profiles, corpus, model_specs, tmp_path):
+    ledger = tmp_path / "ledger.jsonl"
+    contracts = ContractSet(schema_mode="cross_sector")
+
+    def sweep(mode):
+        return run_ablation(list(profiles.values()), model_specs, 1, mode, ledger,
+                            contracts, corpus, DATA_DIR / "stub")
+
+    assert sweep("single_agent") == 10
+    assert sweep("multi_agent") == 10
+    assert sweep("multi_agent") == 0
+    assert Counter(r.mode for r in load_ledger(ledger)) == {
+        "single_agent": 10, "multi_agent": 10}
+
+
+def test_sweep_parses_each_stub_script_once_per_spec(profiles, corpus, model_specs,
+                                                     tmp_path, monkeypatch):
+    contracts = ContractSet(schema_mode="cross_sector")
+    stub_root = DATA_DIR / "stub"
+
+    def comparable(record):
+        doc = record.to_json()
+        del doc["run_id"], doc["wall_seconds"]
+        return doc
+
+    # the sweep's cells run one by one, each with a gateway of its own
+    expected = []
+    for profile in profiles.values():
+        for spec in model_specs:
+            for seed in range(2):
+                config = ModelConfig(model_id=spec.label, seed=seed,
+                                     context_window_tokens=spec.context_window_tokens)
+                record, _ = execute_pipeline(profile, config, "single_agent",
+                                             StubGateway(stub_root / spec.script),
+                                             corpus, contracts)
+                expected.append(comparable(record))
+
+    loads = []
+    read_text = Path.read_text
+
+    def counting_read_text(path, *args, **kwargs):
+        if stub_root in path.parents:
+            loads.append(path)
+        return read_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counting_read_text)
+    ledger = tmp_path / "ledger.jsonl"
+    assert run_ablation(list(profiles.values()), model_specs, 2, "single_agent",
+                        ledger, contracts, corpus, stub_root) == 20
+    assert sorted(loads) == sorted(stub_root / spec.script / "single_agent.json"
+                                   for spec in model_specs)
+    assert [comparable(r) for r in load_ledger(ledger)] == expected
 
 
 def test_multi_agent_ablation_at_4096_never_completes(profiles, corpus,

@@ -192,6 +192,31 @@ def test_invalid_questionnaire_raises_before_any_stage(case_contracts, corpus,
                          specific_gateway, corpus, case_contracts)
 
 
+@pytest.mark.parametrize("edit, message", [
+    ({"industry": None}, "'industry' is a required property"),
+    ({"employee_count": True}, "True is not of type 'integer'"),
+    ({"employee_count": 0}, "0 is less than the minimum of 1"),
+    ({"extra": 1}, "Additional properties are not allowed ('extra' was unexpected)"),
+    ({"systems": ["a", 3]}, "3 is not of type 'string'"),
+])
+def test_invalid_questionnaire_message_names_the_first_violation(
+        health_profile, case_contracts, corpus, specific_gateway, edit, message):
+    profile = {**health_profile, **edit}
+    profile = {key: value for key, value in profile.items() if value is not None}
+    with pytest.raises(ProfileInvalid) as exc:
+        execute_pipeline(profile, config(), "multi_agent", specific_gateway, corpus,
+                         case_contracts)
+    assert str(exc.value) == f"questionnaire invalid: {message}"
+
+
+def test_integral_float_questionnaire_counts_are_accepted(health_profile, case_contracts,
+                                                         corpus, specific_gateway):
+    profile = {**health_profile, "self_rated_maturity": 10.0}
+    record, _ = execute_pipeline(profile, config(), "multi_agent", specific_gateway,
+                                 corpus, case_contracts)
+    assert record.completed
+
+
 def test_session_log_closed_when_an_unclassified_error_escapes(
         health_profile, case_contracts, corpus, tmp_path, monkeypatch):
     closed = []
