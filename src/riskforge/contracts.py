@@ -6,8 +6,9 @@ optional grounding query. Prompt assembly injects the serialized read
 entries, the retrieved framework excerpts verbatim, and a citation policy
 restricting the agent to those excerpts. Output validation extracts the
 first JSON object from the raw text (models wrap output in prose) and
-checks it against the role's schema; schema failures trigger a bounded
-re-prompt with the violation list attached.
+checks it against the role's schema; schema failures, and output the
+provider reports as truncated, trigger a bounded re-prompt with the
+violation list attached.
 
 Each schema is compiled once per ContractSet into a plain predicate
 (compile_schema) that answers "valid" for the common case; jsonschema is
@@ -45,7 +46,7 @@ ENTRY_KINDS = (
     "report",
 )
 
-# The execution plan: stages run in order, the roles inside a stage run
+# The execution plan: stages run in order, the roles inside a stage may run
 # concurrently. Every role reads only keys written by earlier stages.
 STAGES: tuple[tuple[str, ...], ...] = (
     ("risk_intake",),
@@ -58,6 +59,11 @@ STAGES: tuple[tuple[str, ...], ...] = (
 MAX_ATTEMPTS = 3  # initial attempt plus two validation re-prompts
 
 QUESTIONNAIRE_SCHEMA = "questionnaire.json"
+SINGLE_AGENT_SCHEMA = "single_agent.json"
+
+# The violation reported for an output the provider cut off: a prefix can
+# still hold a schema-valid object, so it is never validated.
+TRUNCATED_VIOLATION = ("$", "output truncated by the provider")
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -521,7 +527,7 @@ class ContractSet:
     def validate_single_output(self, raw: str,
                                attempt: int = 1) -> tuple[ValidationOutcome, dict]:
         """Validate the combined 3/3/3 document from a single-agent run."""
-        return self._validate("single_agent.json", raw, attempt)
+        return self._validate(SINGLE_AGENT_SCHEMA, raw, attempt)
 
     def _validate(self, schema_name: str, raw: str,
                   attempt: int) -> tuple[ValidationOutcome, dict]:
@@ -549,16 +555,17 @@ class ContractSet:
         last_violations: tuple[tuple[str, str], ...] = ()
         for attempt in range(1, MAX_ATTEMPTS + 1):
             result = gateway.complete(CompletionRequest(role=role, prompt=prompt, config=config))
-            try:
-                outcome, doc = self.validate_output(role, result.text, attempt=attempt)
-            except Unparseable as exc:
-                outcome = ValidationOutcome(
-                    valid=False, violations=(("$", str(exc)),), attempt=attempt)
-                doc = None
-            if outcome.valid:
-                entry = store.append_entry(contract.writes, role, doc)
-                return entry, attempt
-            last_violations = outcome.violations
+            if result.truncated:
+                last_violations = (TRUNCATED_VIOLATION,)
+            else:
+                try:
+                    outcome, doc = self.validate_output(role, result.text, attempt=attempt)
+                    last_violations = outcome.violations
+                except Unparseable as exc:
+                    last_violations = (("$", str(exc)),)
+                if not last_violations:
+                    entry = store.append_entry(contract.writes, role, doc)
+                    return entry, attempt
             violation_lines = "\n".join(f"- {path}: {msg}" for path, msg in last_violations)
             prompt = (
                 f"{prompt}\n\n=== {RETRY_MARKER} ===\n"

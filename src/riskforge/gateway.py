@@ -4,6 +4,10 @@ Both providers share the same contract: an overflow check happens before
 any provider activity, latency brackets only the provider call itself,
 and the stub is a pure function of (role, canonical prompt, seed) so runs
 replay byte-identically.
+
+A provider's waits_on_io attribute says whether its calls spend their
+time waiting on I/O (with the interpreter lock released), which is when
+the orchestrator runs the roles of one stage on threads.
 """
 
 from __future__ import annotations
@@ -86,6 +90,12 @@ class StubGateway:
         self.sleep_seconds = sleep_seconds
         self._scripts: dict[str, dict] = {}
 
+    @property
+    def waits_on_io(self) -> bool:
+        """True when a call sleeps, releasing the interpreter lock the way a
+        network wait does; otherwise a call is pure Python computation."""
+        return self.sleep_seconds > 0
+
     def _script_for(self, role: str) -> dict:
         if role not in self._scripts:
             path = self.script_dir / f"{role}.json"
@@ -142,6 +152,11 @@ class HttpGateway:
         self.timeout = timeout
         self.retries = retries
         self.backoff_seconds = backoff_seconds
+
+    @property
+    def waits_on_io(self) -> bool:
+        """Always True: every call waits on the model server."""
+        return True
 
     def _post(self, path: str, body: dict) -> requests.Response:
         import requests  # only the HTTP provider needs it; keeps CLI start-up lean

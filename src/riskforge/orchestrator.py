@@ -6,6 +6,15 @@ role's prompt is assembled once, checked against the context window and
 handed to the agent as is; the paper-observed failure mode is context
 accumulation outpacing the window mid-pipeline, so the check runs per
 stage, not just once.
+
+The pair overlaps only when the gateway's waits_on_io says its calls
+wait on I/O (a model server, or a stub with simulated latency): then each
+role runs on its own executor thread. A call that is pure Python
+computation, such as the stub's without a sleep, would only hand the
+interpreter lock back and forth, so those roles run one after another on
+the calling thread, in stage order. Either way every role of the stage
+runs, prompts come from the snapshot taken before the stage, and the
+first failure in stage order is reported.
 Failures never escape execute_pipeline: they are captured in the
 RunRecord so ablation sweeps can count them.
 """
@@ -13,8 +22,8 @@ RunRecord so ablation sweeps can count them.
 from __future__ import annotations
 
 import json
+import os
 import secrets
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -23,8 +32,8 @@ from pathlib import Path
 from typing import Optional
 
 from .context_store import ContextEntry, ContextSnapshot, ContextStore
-from .contracts import (ENTRY_KINDS, MAX_ATTEMPTS, QUESTIONNAIRE_SCHEMA, STAGES,
-                        ContractSet)
+from .contracts import (ENTRY_KINDS, MAX_ATTEMPTS, QUESTIONNAIRE_SCHEMA, ROLES,
+                        SINGLE_AGENT_SCHEMA, STAGES, TRUNCATED_VIOLATION, ContractSet)
 from .errors import (AgentFailed, ContextOverflow, ProfileInvalid, ProviderError,
                      ProviderUnreachable, StorageFailure, Unparseable)
 from .gateway import RETRY_MARKER, CompletionRequest, ModelConfig
@@ -34,8 +43,6 @@ from .tokens import canonical_json, estimate_tokens
 from . import report as report_mod
 
 SINGLE_AGENT_ROLE = "single_agent"
-
-_LEDGER_LOCK = threading.Lock()
 
 
 @dataclass
@@ -117,16 +124,23 @@ def enforce_budget(snapshot: Optional[ContextSnapshot], role: str,
 
 
 def record_run(record: RunRecord, path: Path) -> None:
-    """Append one record to the run ledger as a single JSON line."""
+    """Append one record to the run ledger as a single JSON line, written by
+    one write() on an O_APPEND descriptor, so lines from concurrent threads
+    or processes never interleave."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    line = json.dumps(record.to_json(), ensure_ascii=False) + "\n"
+    line = (json.dumps(record.to_json(), ensure_ascii=False) + "\n").encode("utf-8")
     try:
-        with _LEDGER_LOCK:
-            with open(path, "a", encoding="utf-8") as fh:
-                fh.write(line)
+        fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+        try:
+            written = os.write(fd, line)
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise StorageFailure(f"cannot append to run ledger {path}: {exc}") from exc
+    if written != len(line):
+        raise StorageFailure(f"short write to run ledger {path}: "
+                             f"{written} of {len(line)} bytes")
 
 
 def load_ledger(path: Path) -> list[RunRecord]:
@@ -152,14 +166,16 @@ class _StageFailure(Exception):
         super().__init__(f"stage {role} failed ({kind}): {cause}")
 
 
-def _classify(role: str, exc: Exception) -> _StageFailure:
+def _classify(role: str, exc: Exception) -> Exception:
+    """The stage failure exc stands for, or exc itself when it is of no
+    classified kind (it then escapes execute_pipeline)."""
     if isinstance(exc, ContextOverflow):
         return _StageFailure(role, "context_overflow", exc)
     if isinstance(exc, AgentFailed):
         return _StageFailure(role, "agent_failed", exc)
     if isinstance(exc, (ProviderError, ProviderUnreachable)):
         return _StageFailure(role, "provider_error", exc)
-    raise exc
+    return exc
 
 
 def _dedupe_titles(titles: list[str]) -> list[str]:
@@ -177,8 +193,11 @@ def execute_pipeline(profile: dict, config: ModelConfig, mode: str, gateway,
                      corpus: Optional[Corpus], contracts: ContractSet,
                      out_dir: Optional[Path] = None) -> tuple[RunRecord, Optional[ContextEntry]]:
     """Run one assessment. Returns the run record and, when the run
-    completed, the final report entry. Raises ProfileInvalid before any
-    stage executes; every other failure lands in the record."""
+    completed, the final report entry. Before any stage executes or any
+    file is written, raises ProfileInvalid for an invalid questionnaire
+    and ValueError for an unknown mode or for a schema the mode validates
+    against that compile_schema does not support; every other failure
+    lands in the record."""
     if mode not in ("multi_agent", "single_agent"):
         raise ValueError(f"unknown mode {mode!r}")
     if not contracts.acceptor(QUESTIONNAIRE_SCHEMA)(profile):
@@ -189,6 +208,10 @@ def execute_pipeline(profile: dict, config: ModelConfig, mode: str, gateway,
                 contracts.schema(QUESTIONNAIRE_SCHEMA)).validate(profile)
         except jsonschema.ValidationError as exc:
             raise ProfileInvalid(f"questionnaire invalid: {exc.message}") from exc
+    schemas = ([contracts.contract(role).schema_name for role in ROLES]
+               if mode == "multi_agent" else [SINGLE_AGENT_SCHEMA])
+    for name in schemas:
+        contracts.acceptor(name)  # compiled now, so an unsupported schema fails first
 
     run_id = _new_run_id()
     run_dir = None
@@ -232,16 +255,21 @@ def execute_pipeline(profile: dict, config: ModelConfig, mode: str, gateway,
 
 
 def _run_role(contracts: ContractSet, role: str, prompt: str, store: ContextStore,
-              gateway, config: ModelConfig) -> None:
+              gateway, config: ModelConfig) -> Optional[Exception]:
+    """Run one agent; return its failure, classified where possible, instead
+    of raising it, so the other roles of the stage still run."""
     try:
         contracts.run_agent(role, prompt, store, gateway, config)
-    except Exception as exc:  # classified below; unexpected kinds re-raise
-        raise _classify(role, exc)
+    except Exception as exc:  # re-raised by _run_multi once the stage is over
+        return _classify(role, exc)
+    return None
 
 
 def _run_multi(profile: dict, config: ModelConfig, gateway, corpus,
                contracts: ContractSet, store: ContextStore) -> None:
     questionnaire = {"questionnaire": canonical_json(profile)}
+    # A gateway that does not say is assumed to wait on I/O.
+    threaded = getattr(gateway, "waits_on_io", True)
     for stage in STAGES:
         snapshot = store.snapshot()
         prompts = {}
@@ -254,22 +282,20 @@ def _run_multi(profile: dict, config: ModelConfig, gateway, corpus,
                     role, decision.prompt_tokens, decision.reserved_output_tokens,
                     decision.context_window_tokens))
             prompts[role] = prompt
-        if len(stage) == 1:
-            _run_role(contracts, stage[0], prompts[stage[0]], store, gateway, config)
-        else:
+        if threaded and len(stage) > 1:
             with ThreadPoolExecutor(max_workers=len(stage)) as pool:
                 futures = [pool.submit(_run_role, contracts, role, prompt, store,
                                        gateway, config)
                            for role, prompt in prompts.items()]
-                failure = None
-                for future in futures:
-                    try:
-                        future.result()
-                    except _StageFailure as exc:
-                        if failure is None:
-                            failure = exc
-                if failure is not None:
-                    raise failure
+            outcomes = [future.result() for future in futures]
+        else:
+            outcomes = [_run_role(contracts, role, prompt, store, gateway, config)
+                        for role, prompt in prompts.items()]
+        failures = [failure for failure in outcomes if failure is not None]
+        if failures:
+            # an unclassified error outranks a stage failure: it escapes the run
+            raise next((f for f in failures if not isinstance(f, _StageFailure)),
+                       failures[0])
 
 
 def _single_prompt(profile: dict, contracts: ContractSet,
@@ -324,15 +350,18 @@ def _run_single(profile: dict, config: ModelConfig, gateway, corpus,
                 role=SINGLE_AGENT_ROLE, prompt=prompt, config=config))
         except Exception as exc:
             raise _classify(SINGLE_AGENT_ROLE, exc)
-        try:
-            outcome, doc = contracts.validate_single_output(result.text, attempt=attempt)
-        except Unparseable:
-            outcome, doc = None, None
-        if outcome is not None and outcome.valid:
-            store.append_entry("report", SINGLE_AGENT_ROLE, doc)
-            return
-        last_violations = outcome.violations if outcome is not None else (
-            ("$", "no parseable JSON object"),)
+        if result.truncated:
+            last_violations = (TRUNCATED_VIOLATION,)
+        else:
+            try:
+                outcome, doc = contracts.validate_single_output(result.text,
+                                                                attempt=attempt)
+                last_violations = outcome.violations
+            except Unparseable:
+                last_violations = (("$", "no parseable JSON object"),)
+            if not last_violations:
+                store.append_entry("report", SINGLE_AGENT_ROLE, doc)
+                return
         violation_lines = "\n".join(f"- {p}: {m}" for p, m in last_violations)
         prompt = (f"{prompt}\n\n=== {RETRY_MARKER} ===\n"
                   f"Your previous output did not satisfy the schema:\n{violation_lines}\n"

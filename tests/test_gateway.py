@@ -122,6 +122,12 @@ def test_stub_result_metadata(script_dir):
     assert result.latency_seconds >= 0
 
 
+def test_waits_on_io_follows_the_provider(script_dir):
+    assert StubGateway(script_dir).waits_on_io is False
+    assert StubGateway(script_dir, sleep_seconds=0.5).waits_on_io is True
+    assert HttpGateway("http://127.0.0.1:9").waits_on_io is True
+
+
 # -- HTTP gateway ------------------------------------------------------------
 
 class _Handler(BaseHTTPRequestHandler):

@@ -1,16 +1,25 @@
 """Pipeline orchestration: staging, budget enforcement, run records."""
 
+import dataclasses
+import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 import threading
 import time
+from collections import defaultdict
+from pathlib import Path
 
 import pytest
 
+import riskforge
 from riskforge import orchestrator
 from riskforge.context_store import ContextStore
-from riskforge.contracts import DATA_DIR, ENTRY_KINDS
-from riskforge.errors import NoScriptForRole, ProfileInvalid
+from riskforge.contracts import (DATA_DIR, ENTRY_KINDS, MAX_ATTEMPTS, STAGES,
+                                 ContractSet)
+from riskforge.errors import NoScriptForRole, ProfileInvalid, StorageFailure
 from riskforge.gateway import ModelConfig, StubGateway
 from riskforge.orchestrator import (RunRecord, enforce_budget, execute_pipeline,
                                     load_ledger, record_run)
@@ -35,6 +44,35 @@ class RecordingGateway(StubGateway):
         result = super().complete(request)
         with self._lock:
             self.calls.append((request.role, start, time.perf_counter()))
+        return result
+
+
+class UnsaidGateway:
+    """A third-party gateway: delegates to another one and has no
+    waits_on_io attribute."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def complete(self, request):
+        return self.inner.complete(request)
+
+
+class TruncatingGateway:
+    """Delegates to a stub; the first `truncate` calls for `role` come back
+    marked truncated, their text untouched."""
+
+    def __init__(self, inner, role, truncate):
+        self.inner = inner
+        self.role = role
+        self.truncate = truncate
+        self.prompts = defaultdict(list)
+
+    def complete(self, request):
+        self.prompts[request.role].append(request.prompt)
+        result = self.inner.complete(request)
+        if request.role == self.role and len(self.prompts[self.role]) <= self.truncate:
+            return dataclasses.replace(result, truncated=True)
         return result
 
 
@@ -97,6 +135,55 @@ def test_concurrent_ledger_appends_one_line_each(tmp_path):
     assert len(lines) == n
     ids = {json.loads(line)["run_id"] for line in lines}
     assert len(ids) == n
+
+
+_APPENDER = """
+import sys
+from riskforge.orchestrator import RunRecord, record_run
+path, worker, count, width = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), int(sys.argv[4])
+for i in range(count):
+    record_run(RunRecord(run_id=f"w{worker}-r{i}", profile_id="p", model_id="m",
+                         mode="multi_agent", seed=i, completed=True,
+                         unique_threat_titles=[str(worker) * width, str(i) * width]),
+               path)
+"""
+
+
+def test_concurrent_processes_append_whole_lines(tmp_path):
+    ledger = tmp_path / "ledger.jsonl"
+    workers, count, width = 4, 25, io.DEFAULT_BUFFER_SIZE
+    src = str(Path(riskforge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    procs = [subprocess.Popen([sys.executable, "-c", _APPENDER, str(ledger), str(w),
+                               str(count), str(width)], env=env)
+             for w in range(workers)]
+    for proc in procs:
+        assert proc.wait(timeout=60) == 0
+    lines = ledger.read_bytes().split(b"\n")
+    assert lines.pop() == b""
+    assert len(lines) == workers * count
+    assert all(len(line) > io.DEFAULT_BUFFER_SIZE for line in lines)
+    records = [json.loads(line) for line in lines]
+    assert {r["run_id"] for r in records} == {f"w{w}-r{i}" for w in range(workers)
+                                              for i in range(count)}
+
+
+def test_ledger_short_write_is_a_storage_failure(tmp_path, monkeypatch):
+    real_write = os.write
+    monkeypatch.setattr(orchestrator.os, "write", lambda fd, data: real_write(fd, data[:5]))
+    with pytest.raises(StorageFailure, match="short write"):
+        record_run(RunRecord(run_id="r", profile_id="p", model_id="m",
+                             mode="multi_agent", seed=0, completed=True),
+                   tmp_path / "ledger.jsonl")
+
+
+def test_unwritable_ledger_is_a_storage_failure(tmp_path):
+    (tmp_path / "ledger.jsonl").mkdir()
+    with pytest.raises(StorageFailure):
+        record_run(RunRecord(run_id="r", profile_id="p", model_id="m",
+                             mode="multi_agent", seed=0, completed=True),
+                   tmp_path / "ledger.jsonl")
 
 
 # -- pipeline execution ------------------------------------------------------
@@ -240,6 +327,51 @@ def test_session_log_closed_when_an_unclassified_error_escapes(
     assert [json.loads(line)["key"] for line in session] == ["org_profile"]
 
 
+@pytest.mark.parametrize("mode, schema", [("multi_agent", "threat_model.json"),
+                                          ("single_agent", "single_agent.json")])
+def test_unsupported_schema_fails_before_the_run_starts(health_profile, corpus,
+                                                        specific_gateway, tmp_path,
+                                                        mode, schema):
+    schemas = tmp_path / "schemas"
+    shutil.copytree(DATA_DIR / "schemas", schemas)
+    doc = json.loads((schemas / schema).read_text(encoding="utf-8"))
+    doc["description"] = "an annotation compile_schema does not support"
+    (schemas / schema).write_text(json.dumps(doc), encoding="utf-8")
+    contracts = ContractSet(schemas_dir=schemas, schema_mode="case_study")
+    with pytest.raises(ValueError, match="unsupported keyword 'description'"):
+        execute_pipeline(health_profile, config(), mode, specific_gateway, corpus,
+                         contracts, out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("mode, role", [("multi_agent", "threat_modeling"),
+                                        ("single_agent", "single_agent")])
+def test_truncated_output_is_retried(profiles, cross_contracts, corpus, mode, role):
+    gateway = TruncatingGateway(StubGateway(STUB / "specific"), role, truncate=1)
+    record, _ = execute_pipeline(profiles["saas_25"], config(), mode, gateway, corpus,
+                                 cross_contracts)
+    assert record.completed
+    first, retry = gateway.prompts[role]
+    assert retry == (first + "\n\n=== PREVIOUS OUTPUT FAILED VALIDATION ===\n"
+                     "Your previous output did not satisfy the schema:\n"
+                     "- $: output truncated by the provider\n"
+                     "Emit a corrected JSON object.")
+
+
+@pytest.mark.parametrize("mode, role", [("multi_agent", "threat_modeling"),
+                                        ("single_agent", "single_agent")])
+def test_output_truncated_on_every_attempt_fails_the_agent(profiles, cross_contracts,
+                                                           corpus, mode, role):
+    gateway = TruncatingGateway(StubGateway(STUB / "specific"), role,
+                                truncate=MAX_ATTEMPTS)
+    record, report = execute_pipeline(profiles["saas_25"], config(), mode, gateway,
+                                      corpus, cross_contracts)
+    assert not record.completed
+    assert (record.failed_stage, record.failure_kind) == (role, "agent_failed")
+    assert len(gateway.prompts[role]) == MAX_ATTEMPTS
+    assert report is None
+
+
 def test_unknown_mode_rejected(health_profile, case_contracts, corpus,
                                specific_gateway):
     with pytest.raises(ValueError):
@@ -264,10 +396,12 @@ def test_call_order_respects_stage_dag(health_profile, case_contracts, corpus):
     assert ended["mitigation"] <= started["report_synthesis"]
 
 
-def test_parallel_stage_overlaps(health_profile, case_contracts, corpus):
+@pytest.mark.parametrize("wrap", [lambda gateway: gateway, UnsaidGateway],
+                         ids=["sleeping_stub", "no_waits_on_io"])
+def test_parallel_stage_overlaps(health_profile, case_contracts, corpus, wrap):
     gateway = RecordingGateway(STUB / "specific", sleep_seconds=0.5)
     record, _ = execute_pipeline(health_profile, config(), "multi_agent",
-                                 gateway, corpus, case_contracts)
+                                 wrap(gateway), corpus, case_contracts)
     assert record.completed
     windows = {role: (start, end) for role, start, end in gateway.calls}
     tm = windows["threat_modeling"]
@@ -278,6 +412,46 @@ def test_parallel_stage_overlaps(health_profile, case_contracts, corpus):
     assert stage2_wall < 0.9
     # and they genuinely overlap in time
     assert tm[0] < ca[1] and ca[0] < tm[1]
+
+
+def test_stage_roles_run_on_the_calling_thread_when_calls_never_wait(
+        health_profile, case_contracts, corpus, tmp_path):
+    threads = []
+
+    class ThreadRecorder(StubGateway):
+        def complete(self, request):
+            threads.append((request.role, threading.get_ident()))
+            return super().complete(request)
+
+    record, _ = execute_pipeline(health_profile, config(), "multi_agent",
+                                 ThreadRecorder(STUB / "specific"), corpus,
+                                 case_contracts, out_dir=tmp_path)
+    assert record.completed
+    assert [role for role, _ in threads] == [role for stage in STAGES for role in stage]
+    assert {ident for _, ident in threads} == {threading.get_ident()}
+    session = (tmp_path / record.run_id / "session.jsonl").read_text().splitlines()
+    assert [json.loads(line)["key"] for line in session] == [
+        "org_profile", "threat_model", "control_assessment", "risk_register",
+        "recommendations", "report"]
+
+
+@pytest.mark.parametrize("sleep_seconds", [0.0, 0.01], ids=["inline", "threaded"])
+def test_stage_failure_parity(health_profile, case_contracts, corpus, tmp_path,
+                              sleep_seconds):
+    scripts = tmp_path / "scripts"
+    shutil.copytree(STUB / "specific", scripts)
+    # threat_modeling never validates: no threats, and no on_retry pool
+    (scripts / "threat_modeling.json").write_text(
+        json.dumps({"default": [{"threats": []}]}), encoding="utf-8")
+    gateway = StubGateway(scripts, sleep_seconds=sleep_seconds)
+    record, report = execute_pipeline(health_profile, config(), "multi_agent", gateway,
+                                      corpus, case_contracts, out_dir=tmp_path / "out")
+    assert (record.failed_stage, record.failure_kind) == ("threat_modeling",
+                                                          "agent_failed")
+    assert report is None
+    session = (tmp_path / "out" / record.run_id / "session.jsonl").read_text()
+    assert [json.loads(line)["key"] for line in session.splitlines()] == [
+        "org_profile", "control_assessment"]
 
 
 def test_same_seed_runs_are_reproducible(health_profile, case_contracts, corpus,
