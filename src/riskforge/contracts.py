@@ -8,7 +8,8 @@ restricting the agent to those excerpts. Output validation extracts the
 first JSON object from the raw text (models wrap output in prose) and
 checks it against the role's schema; schema failures, and output the
 provider reports as truncated, trigger a bounded re-prompt with the
-violation list attached.
+violation list attached. The single-agent baseline is one more contract,
+SINGLE_AGENT, run by the same loop; it is no part of the six-agent plan.
 
 Each schema is compiled once per ContractSet into a plain predicate
 (compile_schema) that answers "valid" for the common case; jsonschema is
@@ -59,7 +60,7 @@ STAGES: tuple[tuple[str, ...], ...] = (
 MAX_ATTEMPTS = 3  # initial attempt plus two validation re-prompts
 
 QUESTIONNAIRE_SCHEMA = "questionnaire.json"
-SINGLE_AGENT_SCHEMA = "single_agent.json"
+SINGLE_AGENT_ROLE = "single_agent"
 
 # The violation reported for an output the provider cut off: a prefix can
 # still hold a schema-valid object, so it is never validated.
@@ -73,7 +74,7 @@ class AgentContract:
     role: str
     reads: tuple[str, ...]
     writes: str
-    template_name: str
+    template_name: Optional[str]  # None: the orchestrator builds the prompt
     schema_name: str
     grounding_query: Optional[str] = None
     grounding_k: int = 0
@@ -131,6 +132,17 @@ CONTRACTS: dict[str, AgentContract] = {
         schema_name="report.json",
     ),
 }
+
+# The single-agent ablation baseline: one role that writes the whole report
+# in one pass. It is no part of the six-agent plan, so it stays out of
+# CONTRACTS (and so out of ROLES, STAGES and check_contract_dag).
+SINGLE_AGENT = AgentContract(
+    role=SINGLE_AGENT_ROLE,
+    reads=(),
+    writes="report",
+    template_name=None,
+    schema_name="single_agent.json",
+)
 
 
 @dataclass(frozen=True)
@@ -398,6 +410,8 @@ class ContractSet:
         self._acceptors: dict[str, Acceptor] = {}
 
     def contract(self, role: str) -> AgentContract:
+        if role == SINGLE_AGENT_ROLE:
+            return SINGLE_AGENT
         if role not in CONTRACTS:
             raise KeyError(f"unknown agent role {role!r}")
         return CONTRACTS[role]
@@ -522,15 +536,7 @@ class ContractSet:
         """Parse and schema-check raw model output. Raises Unparseable when
         no balanced object exists; schema violations are reported in the
         outcome, not raised."""
-        return self._validate(self.contract(role).schema_name, raw, attempt)
-
-    def validate_single_output(self, raw: str,
-                               attempt: int = 1) -> tuple[ValidationOutcome, dict]:
-        """Validate the combined 3/3/3 document from a single-agent run."""
-        return self._validate(SINGLE_AGENT_SCHEMA, raw, attempt)
-
-    def _validate(self, schema_name: str, raw: str,
-                  attempt: int) -> tuple[ValidationOutcome, dict]:
+        schema_name = self.contract(role).schema_name
         doc = extract_json_object(raw)
         violations: tuple[tuple[str, str], ...] = ()
         if not self.acceptor(schema_name)(doc):
@@ -544,13 +550,18 @@ class ContractSet:
         return ValidationOutcome(valid=not violations, violations=violations,
                                  attempt=attempt), doc
 
+    def validate_single_output(self, raw: str,
+                               attempt: int = 1) -> tuple[ValidationOutcome, dict]:
+        """Validate the combined 3/3/3 document from a single-agent run."""
+        return self.validate_output(SINGLE_AGENT_ROLE, raw, attempt)
+
     # -- agent execution ---------------------------------------------------
 
     def run_agent(self, role: str, prompt: str, store: ContextStore, gateway,
                   config: ModelConfig) -> tuple[ContextEntry, int]:
-        """Complete, validate, retry, append, starting from a prompt made by
-        build_prompt. Returns the appended entry and the number of attempts
-        used."""
+        """Complete, validate, retry, append, starting from the role's full
+        prompt (build_prompt's, or the orchestrator's single-agent prompt).
+        Returns the appended entry and the number of attempts used."""
         contract = self.contract(role)
         last_violations: tuple[tuple[str, str], ...] = ()
         for attempt in range(1, MAX_ATTEMPTS + 1):

@@ -1,11 +1,13 @@
 """Pipeline execution: staged DAG, budget enforcement, run records.
 
-Five stages with one parallel pair (threat modeling and control
-assessment both read only the intake profile). Before every stage each
-role's prompt is assembled once, checked against the context window and
-handed to the agent as is; the paper-observed failure mode is context
-accumulation outpacing the window mid-pipeline, so the check runs per
-stage, not just once.
+Multi-agent mode runs five stages with one parallel pair (threat
+modeling and control assessment both read only the intake profile); the
+single-agent baseline is a plan of one stage with one role. Both run
+through the same stage runner and ContractSet.run_agent. Before every
+stage each role's prompt is assembled once, checked against the context
+window and handed to the agent as is; the paper-observed failure mode is
+context accumulation outpacing the window mid-pipeline, so the check
+runs per stage, not just once.
 
 The pair overlaps only when the gateway's waits_on_io says its calls
 wait on I/O (a model server, or a stub with simulated latency): then each
@@ -15,8 +17,10 @@ interpreter lock back and forth, so those roles run one after another on
 the calling thread, in stage order. Either way every role of the stage
 runs, prompts come from the snapshot taken before the stage, and the
 first failure in stage order is reported.
-Failures never escape execute_pipeline: they are captured in the
-RunRecord so ablation sweeps can count them.
+The three classified failure kinds (context_overflow, agent_failed,
+provider_error) land in the RunRecord so ablation sweeps can count them;
+any other exception propagates out of execute_pipeline once the session
+log is closed.
 """
 
 from __future__ import annotations
@@ -32,17 +36,15 @@ from pathlib import Path
 from typing import Optional
 
 from .context_store import ContextEntry, ContextSnapshot, ContextStore
-from .contracts import (ENTRY_KINDS, MAX_ATTEMPTS, QUESTIONNAIRE_SCHEMA, ROLES,
-                        SINGLE_AGENT_SCHEMA, STAGES, TRUNCATED_VIOLATION, ContractSet)
+from .contracts import (ENTRY_KINDS, QUESTIONNAIRE_SCHEMA, SINGLE_AGENT_ROLE, STAGES,
+                        ContractSet)
 from .errors import (AgentFailed, ContextOverflow, ProfileInvalid, ProviderError,
-                     ProviderUnreachable, StorageFailure, Unparseable)
-from .gateway import RETRY_MARKER, CompletionRequest, ModelConfig
+                     ProviderUnreachable, StorageFailure)
+from .gateway import ModelConfig
 from .grounding import Corpus
 from .risk_model import normalize_title
 from .tokens import canonical_json, estimate_tokens
 from . import report as report_mod
-
-SINGLE_AGENT_ROLE = "single_agent"
 
 
 @dataclass
@@ -196,8 +198,9 @@ def execute_pipeline(profile: dict, config: ModelConfig, mode: str, gateway,
     completed, the final report entry. Before any stage executes or any
     file is written, raises ProfileInvalid for an invalid questionnaire
     and ValueError for an unknown mode or for a schema the mode validates
-    against that compile_schema does not support; every other failure
-    lands in the record."""
+    against that compile_schema does not support. A context overflow, a
+    failed agent or a provider error lands in the record; any other
+    exception propagates once the session log is closed."""
     if mode not in ("multi_agent", "single_agent"):
         raise ValueError(f"unknown mode {mode!r}")
     if not contracts.acceptor(QUESTIONNAIRE_SCHEMA)(profile):
@@ -208,10 +211,11 @@ def execute_pipeline(profile: dict, config: ModelConfig, mode: str, gateway,
                 contracts.schema(QUESTIONNAIRE_SCHEMA)).validate(profile)
         except jsonschema.ValidationError as exc:
             raise ProfileInvalid(f"questionnaire invalid: {exc.message}") from exc
-    schemas = ([contracts.contract(role).schema_name for role in ROLES]
-               if mode == "multi_agent" else [SINGLE_AGENT_SCHEMA])
-    for name in schemas:
-        contracts.acceptor(name)  # compiled now, so an unsupported schema fails first
+    plan, build_prompt = _plan(mode, profile, contracts, corpus)
+    for stage in plan:
+        for role in stage:
+            # compiled now, so an unsupported schema fails first
+            contracts.acceptor(contracts.contract(role).schema_name)
 
     run_id = _new_run_id()
     run_dir = None
@@ -234,10 +238,7 @@ def execute_pipeline(profile: dict, config: ModelConfig, mode: str, gateway,
     start = time.perf_counter()
     try:
         try:
-            if mode == "multi_agent":
-                _run_multi(profile, config, gateway, corpus, contracts, store)
-            else:
-                _run_single(profile, config, gateway, corpus, contracts, store)
+            _run_stages(plan, build_prompt, config, gateway, contracts, store)
             record.completed = True
         except _StageFailure as failure:
             record.failed_stage = failure.role
@@ -260,22 +261,33 @@ def _run_role(contracts: ContractSet, role: str, prompt: str, store: ContextStor
     of raising it, so the other roles of the stage still run."""
     try:
         contracts.run_agent(role, prompt, store, gateway, config)
-    except Exception as exc:  # re-raised by _run_multi once the stage is over
+    except Exception as exc:  # re-raised by _run_stages once the stage is over
         return _classify(role, exc)
     return None
 
 
-def _run_multi(profile: dict, config: ModelConfig, gateway, corpus,
-               contracts: ContractSet, store: ContextStore) -> None:
+def _plan(mode: str, profile: dict, contracts: ContractSet, corpus: Optional[Corpus]):
+    """The mode's stages and its prompt builder, build(role, snapshot)."""
+    if mode == "single_agent":
+        return ((SINGLE_AGENT_ROLE,),), lambda role, snapshot: _single_prompt(
+            profile, contracts, corpus)
     questionnaire = {"questionnaire": canonical_json(profile)}
+
+    def build(role: str, snapshot: ContextSnapshot) -> str:
+        extra = questionnaire if role == "risk_intake" else None
+        return contracts.build_prompt(role, snapshot, corpus, extra=extra)
+    return STAGES, build
+
+
+def _run_stages(plan, build_prompt, config: ModelConfig, gateway,
+                contracts: ContractSet, store: ContextStore) -> None:
     # A gateway that does not say is assumed to wait on I/O.
     threaded = getattr(gateway, "waits_on_io", True)
-    for stage in STAGES:
+    for stage in plan:
         snapshot = store.snapshot()
         prompts = {}
         for role in stage:
-            extra = questionnaire if role == "risk_intake" else None
-            prompt = contracts.build_prompt(role, snapshot, corpus, extra=extra)
+            prompt = build_prompt(role, snapshot)
             decision = enforce_budget(snapshot, role, config, estimate_tokens(prompt))
             if not decision.ok:
                 raise _StageFailure(role, "context_overflow", ContextOverflow(
@@ -300,6 +312,7 @@ def _run_multi(profile: dict, config: ModelConfig, gateway, corpus,
 
 def _single_prompt(profile: dict, contracts: ContractSet,
                    corpus: Optional[Corpus]) -> str:
+    questionnaire = canonical_json(profile)
     grounding = []
     if corpus is not None:
         grounding = corpus.retrieve(
@@ -309,7 +322,7 @@ def _single_prompt(profile: dict, contracts: ContractSet,
         "assessment in a single pass. Work through every stage below in order.",
         "",
         "=== QUESTIONNAIRE ===",
-        canonical_json(profile),
+        questionnaire,
         "",
         "=== FRAMEWORK EXCERPTS ===",
     ]
@@ -326,48 +339,12 @@ def _single_prompt(profile: dict, contracts: ContractSet,
         "the FRAMEWORK EXCERPTS section above.",
         "",
         "=== TASK ===",
-        contracts.combined_task_text(canonical_json(profile)),
+        contracts.combined_task_text(questionnaire),
         "",
         "Respond with a single JSON object with exactly three threats, three "
         "risks, and three recommendations.",
     ]
     return "\n".join(parts)
-
-
-def _run_single(profile: dict, config: ModelConfig, gateway, corpus,
-                contracts: ContractSet, store: ContextStore) -> None:
-    prompt = _single_prompt(profile, contracts, corpus)
-    decision = enforce_budget(None, SINGLE_AGENT_ROLE, config, estimate_tokens(prompt))
-    if not decision.ok:
-        raise _StageFailure(SINGLE_AGENT_ROLE, "context_overflow", ContextOverflow(
-            SINGLE_AGENT_ROLE, decision.prompt_tokens,
-            decision.reserved_output_tokens, decision.context_window_tokens))
-
-    last_violations = ()
-    for attempt in range(1, MAX_ATTEMPTS + 1):
-        try:
-            result = gateway.complete(CompletionRequest(
-                role=SINGLE_AGENT_ROLE, prompt=prompt, config=config))
-        except Exception as exc:
-            raise _classify(SINGLE_AGENT_ROLE, exc)
-        if result.truncated:
-            last_violations = (TRUNCATED_VIOLATION,)
-        else:
-            try:
-                outcome, doc = contracts.validate_single_output(result.text,
-                                                                attempt=attempt)
-                last_violations = outcome.violations
-            except Unparseable:
-                last_violations = (("$", "no parseable JSON object"),)
-            if not last_violations:
-                store.append_entry("report", SINGLE_AGENT_ROLE, doc)
-                return
-        violation_lines = "\n".join(f"- {p}: {m}" for p, m in last_violations)
-        prompt = (f"{prompt}\n\n=== {RETRY_MARKER} ===\n"
-                  f"Your previous output did not satisfy the schema:\n{violation_lines}\n"
-                  f"Emit a corrected JSON object.")
-    raise _StageFailure(SINGLE_AGENT_ROLE, "agent_failed",
-                        AgentFailed(SINGLE_AGENT_ROLE, last_violations))
 
 
 def _structure_check(store: ContextStore, mode: str) -> tuple[bool, list[str]]:

@@ -167,6 +167,7 @@ def http_server():
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
     thread.join()
+    server.server_close()
 
 
 def test_http_generate_wire_format(http_server):

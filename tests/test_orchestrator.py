@@ -76,6 +76,18 @@ class TruncatingGateway:
         return result
 
 
+class ProseGateway(TruncatingGateway):
+    """As TruncatingGateway, but the spoiled calls come back untruncated, as
+    prose with no JSON object in it."""
+
+    def complete(self, request):
+        result = super().complete(request)
+        if result.truncated:
+            return dataclasses.replace(result, truncated=False,
+                                       text="I could not complete this assessment.")
+        return result
+
+
 # -- budget decision ---------------------------------------------------------
 
 def test_budget_deficit_arithmetic():
@@ -259,6 +271,18 @@ def test_single_agent_completes_at_4096(profiles, cross_contracts, corpus,
     assert report.payload == doc
 
 
+def test_single_agent_overflow_is_recorded(profiles, cross_contracts, corpus):
+    # the single-agent prompt is ~2,400 tokens; 1,024 fit beside the reserve
+    gateway = RecordingGateway(STUB / "specific")
+    record, report = execute_pipeline(profiles["saas_25"], config(window=2048),
+                                      "single_agent", gateway, corpus, cross_contracts)
+    assert not record.completed
+    assert (record.failed_stage, record.failure_kind) == ("single_agent",
+                                                         "context_overflow")
+    assert gateway.calls == []
+    assert report is None
+
+
 def test_single_agent_schema_failure_is_recorded(profiles, cross_contracts,
                                                  corpus, tmp_path):
     (tmp_path / "single_agent.json").write_text(
@@ -355,6 +379,20 @@ def test_truncated_output_is_retried(profiles, cross_contracts, corpus, mode, ro
     assert retry == (first + "\n\n=== PREVIOUS OUTPUT FAILED VALIDATION ===\n"
                      "Your previous output did not satisfy the schema:\n"
                      "- $: output truncated by the provider\n"
+                     "Emit a corrected JSON object.")
+
+
+@pytest.mark.parametrize("mode, role", [("multi_agent", "threat_modeling"),
+                                        ("single_agent", "single_agent")])
+def test_unparseable_output_is_retried(profiles, cross_contracts, corpus, mode, role):
+    gateway = ProseGateway(StubGateway(STUB / "specific"), role, truncate=1)
+    record, _ = execute_pipeline(profiles["saas_25"], config(), mode, gateway, corpus,
+                                 cross_contracts)
+    assert record.completed
+    first, retry = gateway.prompts[role]
+    assert retry == (first + "\n\n=== PREVIOUS OUTPUT FAILED VALIDATION ===\n"
+                     "Your previous output did not satisfy the schema:\n"
+                     "- $: no balanced JSON object found in output\n"
                      "Emit a corrected JSON object.")
 
 
