@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Iterable, Optional
 
 from .errors import KeyAbsent, StorageFailure, UnknownKey
 from .grounding import parse_identifiers
@@ -103,10 +103,6 @@ class ContextStore:
             except OSError as exc:
                 raise StorageFailure(f"cannot open session log {self._log_path}: {exc}") from exc
 
-    @property
-    def registered_keys(self) -> list[str]:
-        return list(self._registered)
-
     def append_entry(self, key: str, agent_id: str, payload: Any) -> ContextEntry:
         if key not in self._registered:
             raise UnknownKey(f"entry kind {key!r} is not registered "
@@ -147,13 +143,9 @@ class ContextStore:
         with self._lock:
             return list(self._history.get(key, []))
 
-    def snapshot(self, keys: Optional[Sequence[str]] = None) -> ContextSnapshot:
+    def snapshot(self) -> ContextSnapshot:
         with self._lock:
-            if keys is None:
-                wanted = list(self._history.keys())
-            else:
-                wanted = [k for k in keys if k in self._history]
-            entries = tuple(self._history[k][-1] for k in wanted)
+            entries = tuple(history[-1] for history in self._history.values())
         return ContextSnapshot(entries=entries, total_tokens=sum(e.token_estimate for e in entries))
 
     def close(self) -> None:

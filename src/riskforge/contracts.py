@@ -2,11 +2,13 @@
 
 Each contract declares which context keys the agent reads, the single key
 it writes, its prompt template file, its output schema file, and an
-optional grounding query. Prompt assembly injects the serialized read
-entries, the retrieved framework excerpts verbatim, and a citation policy
-restricting the agent to those excerpts. Output validation extracts the
-first JSON object from the raw text (models wrap output in prose) and
-checks it against the role's schema; schema failures, and output the
+optional grounding query. The reads and writes are the pipeline's one
+dependency graph: ROLES, ENTRY_KINDS and the stage plan STAGES are
+derived from them at import (stage_plan). Prompt assembly injects the
+serialized read entries, the retrieved framework excerpts verbatim, and a
+citation policy restricting the agent to those excerpts. Output
+validation extracts the first JSON object from the raw text (models wrap
+output in prose) and checks it against the role's schema; schema failures, and output the
 provider reports as truncated, trigger a bounded re-prompt with the
 violation list attached. The single-agent baseline is one more contract,
 SINGLE_AGENT, run by the same loop; it is no part of the six-agent plan.
@@ -22,40 +24,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, NoReturn, Optional
+from typing import Any, Callable, Iterable, NoReturn, Optional
 
 from .context_store import ContextEntry, ContextSnapshot, ContextStore
 from .errors import AgentFailed, MissingContextKey, Unparseable
 from .gateway import RETRY_MARKER, CompletionRequest, ModelConfig
 from .grounding import Corpus, FrameworkExcerpt
-
-ROLES = (
-    "risk_intake",
-    "threat_modeling",
-    "control_assessment",
-    "risk_scoring",
-    "mitigation",
-    "report_synthesis",
-)
-
-ENTRY_KINDS = (
-    "org_profile",
-    "threat_model",
-    "control_assessment",
-    "risk_register",
-    "recommendations",
-    "report",
-)
-
-# The execution plan: stages run in order, the roles inside a stage may run
-# concurrently. Every role reads only keys written by earlier stages.
-STAGES: tuple[tuple[str, ...], ...] = (
-    ("risk_intake",),
-    ("threat_modeling", "control_assessment"),
-    ("risk_scoring",),
-    ("mitigation",),
-    ("report_synthesis",),
-)
 
 MAX_ATTEMPTS = 3  # initial attempt plus two validation re-prompts
 
@@ -135,7 +109,7 @@ CONTRACTS: dict[str, AgentContract] = {
 
 # The single-agent ablation baseline: one role that writes the whole report
 # in one pass. It is no part of the six-agent plan, so it stays out of
-# CONTRACTS (and so out of ROLES, STAGES and check_contract_dag).
+# CONTRACTS (and so out of ROLES and STAGES).
 SINGLE_AGENT = AgentContract(
     role=SINGLE_AGENT_ROLE,
     reads=(),
@@ -143,6 +117,45 @@ SINGLE_AGENT = AgentContract(
     template_name=None,
     schema_name="single_agent.json",
 )
+
+
+def stage_plan(contracts: Iterable[AgentContract]) -> tuple[tuple[str, ...], ...]:
+    """Layer contracts into stages by what they read and write.
+
+    Stage n holds every remaining role whose reads were all written by
+    earlier stages, in input order; the roles of one stage read nothing
+    that another of them writes, so they may run concurrently. Raises
+    ValueError when two contracts write the same key, or when no remaining
+    role can run: it reads a key no contract writes, or the reads form a
+    cycle.
+    """
+    remaining = list(contracts)
+    writers: dict[str, str] = {}
+    for contract in remaining:
+        if contract.writes in writers:
+            raise ValueError(f"{writers[contract.writes]} and {contract.role} "
+                             f"both write {contract.writes!r}")
+        writers[contract.writes] = contract.role
+    written: set[str] = set()
+    stages = []
+    while remaining:
+        stage = [c for c in remaining if written.issuperset(c.reads)]
+        if not stage:
+            unmet = "; ".join(f"{c.role} reads {sorted(set(c.reads) - written)}"
+                              for c in remaining)
+            raise ValueError(f"no role can run (a read no contract writes, "
+                             f"or a cycle): {unmet}")
+        stages.append(tuple(c.role for c in stage))
+        written.update(c.writes for c in stage)
+        remaining = [c for c in remaining if c not in stage]
+    return tuple(stages)
+
+
+ROLES = tuple(CONTRACTS)
+ENTRY_KINDS = tuple(c.writes for c in CONTRACTS.values())
+# The execution plan: stages run in order, the roles inside a stage may run
+# concurrently.
+STAGES = stage_plan(CONTRACTS.values())
 
 
 @dataclass(frozen=True)
@@ -594,17 +607,3 @@ class ContractSet:
             task = task.replace("{{questionnaire}}", questionnaire_json)
             blocks.append(f"## Stage: {role}\n{task.strip()}")
         return "\n\n".join(blocks)
-
-
-def check_contract_dag() -> None:
-    """Sanity check: writes are unique and every read is produced upstream
-    of its reader in STAGES."""
-    writes = [c.writes for c in CONTRACTS.values()]
-    assert len(writes) == len(set(writes)), "duplicate writes across contracts"
-    produced: set[str] = set()
-    for stage in STAGES:
-        for role in stage:
-            for key in CONTRACTS[role].reads:
-                assert key in produced, f"{role} reads {key} before it is produced"
-        for role in stage:
-            produced.add(CONTRACTS[role].writes)

@@ -305,7 +305,6 @@ class ModelSpec:
     label: str
     script: str  # stub script name, e.g. "specific" or "generic"
     context_window_tokens: int = 4096
-    sleep_seconds: float = 0.0
 
 
 def run_ablation(profiles: list[dict], models: list[ModelSpec], runs_per_cell: int,
@@ -333,12 +332,11 @@ def run_ablation(profiles: list[dict], models: list[ModelSpec], runs_per_cell: i
                 if (profile["profile_id"], spec.label, seed, mode) not in done:
                     cells.append((profile, spec, seed))
 
-    # One gateway per spec, so each stub script is parsed once per sweep.
-    # Two workers loading the same script at once both parse it; either
-    # copy serves, since the stub only reads it.
-    gateways = {spec: StubGateway(Path(stub_root) / spec.script,
-                                  sleep_seconds=spec.sleep_seconds)
-                for spec in models}
+    # One gateway per spec, so each script a spec uses is parsed once per
+    # sweep (a script shared by every set once per spec). Worker threads
+    # loading the same script at once may each parse it; either copy
+    # serves, since the stub only reads it.
+    gateways = {spec: StubGateway(Path(stub_root) / spec.script) for spec in models}
 
     def run_cell(cell):
         profile, spec, seed = cell

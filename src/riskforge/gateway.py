@@ -76,12 +76,14 @@ def _check_window(request: CompletionRequest) -> None:
 class StubGateway:
     """Deterministic scripted replacement for the model server.
 
-    Scripts live in a directory of JSON files, one per role. Each file
-    holds candidate outputs; selection index = (prompt_hash + seed) mod
-    pool length. Pools can be keyed per questionnaire profile (matched by
-    profile id substring in the prompt) and an "on_retry" pool takes over
-    when the prompt carries the validation-retry marker, which keeps the
-    stub stateless while still letting tests script fail-then-succeed
+    Scripts live in a directory of JSON files, one per role; a role with no
+    file there takes the one in the parent directory, which holds the
+    scripts that every script set shares. Each file holds candidate
+    outputs; selection index = (prompt_hash + seed) mod pool length.
+    Pools can be keyed per questionnaire profile (matched by profile id
+    substring in the prompt) and an "on_retry" pool takes over when the
+    prompt carries the validation-retry marker, which keeps the stub
+    stateless while still letting tests script fail-then-succeed
     sequences.
     """
 
@@ -98,9 +100,13 @@ class StubGateway:
 
     def _script_for(self, role: str) -> dict:
         if role not in self._scripts:
-            path = self.script_dir / f"{role}.json"
-            if not path.is_file():
-                raise NoScriptForRole(f"no stub script for role {role!r} in {self.script_dir}")
+            for directory in (self.script_dir, self.script_dir.parent):
+                path = directory / f"{role}.json"
+                if path.is_file():
+                    break
+            else:
+                raise NoScriptForRole(f"no stub script for role {role!r} in "
+                                      f"{self.script_dir} or {self.script_dir.parent}")
             self._scripts[role] = json.loads(path.read_text(encoding="utf-8"))
         return self._scripts[role]
 
@@ -133,9 +139,6 @@ class StubGateway:
         text = self.stub_complete(request.role, request.prompt, seed)
         latency = time.perf_counter() - start
         return CompletionResult(text=text, latency_seconds=latency, provider="stub")
-
-    def probe_window(self, config: ModelConfig) -> int:
-        return config.context_window_tokens
 
 
 class HttpGateway:
@@ -197,15 +200,6 @@ class HttpGateway:
             text=data["response"],
             latency_seconds=latency,
             provider="http",
-            truncated=bool(data.get("truncated", False)),
+            # Ollama's reply marks output cut off at the limit as done_reason "length"
+            truncated=data.get("done_reason") == "length",
         )
-
-    def probe_window(self, config: ModelConfig) -> int:
-        response = self._post("/api/show", {"model": config.model_id})
-        if response.status_code != 200:
-            raise ProviderError(response.status_code, response.text)
-        data = response.json()
-        reported = data.get("context_window")
-        if isinstance(reported, int) and reported > 0:
-            return reported
-        return config.context_window_tokens

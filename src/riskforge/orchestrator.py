@@ -1,13 +1,14 @@
 """Pipeline execution: staged DAG, budget enforcement, run records.
 
-Multi-agent mode runs five stages with one parallel pair (threat
-modeling and control assessment both read only the intake profile); the
-single-agent baseline is a plan of one stage with one role. Both run
-through the same stage runner and ContractSet.run_agent. Before every
-stage each role's prompt is assembled once, checked against the context
-window and handed to the agent as is; the paper-observed failure mode is
-context accumulation outpacing the window mid-pipeline, so the check
-runs per stage, not just once.
+The stage plan is derived from the contracts' reads and writes by
+contracts.stage_plan: multi-agent mode runs five stages with one parallel
+pair (threat modeling and control assessment both read only the intake
+profile), and the single-agent baseline is a plan of one stage with one
+role. Both run through the same stage runner and ContractSet.run_agent.
+Before every stage each role's prompt is assembled once, checked against
+the context window and handed to the agent as is; the paper-observed
+failure mode is context accumulation outpacing the window mid-pipeline,
+so the check runs per stage, not just once.
 
 The pair overlaps only when the gateway's waits_on_io says its calls
 wait on I/O (a model server, or a stub with simulated latency): then each
@@ -36,8 +37,8 @@ from pathlib import Path
 from typing import Optional
 
 from .context_store import ContextEntry, ContextSnapshot, ContextStore
-from .contracts import (ENTRY_KINDS, QUESTIONNAIRE_SCHEMA, SINGLE_AGENT_ROLE, STAGES,
-                        ContractSet)
+from .contracts import (ENTRY_KINDS, QUESTIONNAIRE_SCHEMA, SINGLE_AGENT, STAGES,
+                        ContractSet, stage_plan)
 from .errors import (AgentFailed, ContextOverflow, ProfileInvalid, ProviderError,
                      ProviderUnreachable, StorageFailure)
 from .gateway import ModelConfig
@@ -269,7 +270,7 @@ def _run_role(contracts: ContractSet, role: str, prompt: str, store: ContextStor
 def _plan(mode: str, profile: dict, contracts: ContractSet, corpus: Optional[Corpus]):
     """The mode's stages and its prompt builder, build(role, snapshot)."""
     if mode == "single_agent":
-        return ((SINGLE_AGENT_ROLE,),), lambda role, snapshot: _single_prompt(
+        return stage_plan([SINGLE_AGENT]), lambda role, snapshot: _single_prompt(
             profile, contracts, corpus)
     questionnaire = {"questionnaire": canonical_json(profile)}
 

@@ -11,14 +11,12 @@ from __future__ import annotations
 from typing import Optional
 
 from .context_store import ContextSnapshot
+from .contracts import ENTRY_KINDS
 from .errors import IncompleteContext
 from .grounding import FrameworkCitation
 from .risk_model import (CSF_FUNCTIONS, ContradictionFlag, RiskItem,
                          check_contradictions, compliance_rollup, derive_severity,
                          normalize_title, rank_risks)
-
-REQUIRED_KEYS = ("org_profile", "threat_model", "control_assessment",
-                 "risk_register", "recommendations", "report")
 
 PHASE_ORDER = (30, 60, 90, "beyond")
 PHASE_LABELS = {30: "Days 0-30", 60: "Days 31-60", 90: "Days 61-90",
@@ -132,7 +130,7 @@ def render_report(snapshot: ContextSnapshot, citations: list[FrameworkCitation],
                   mode: str) -> str:
     """Deterministic Markdown. Run id and wall clock are deliberately left
     out so identical inputs render byte-identically."""
-    for key in REQUIRED_KEYS:
+    for key in ENTRY_KINDS:
         _require(snapshot, key)
 
     profile = _require(snapshot, "org_profile")

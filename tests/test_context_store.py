@@ -109,14 +109,6 @@ def test_snapshot_latest_per_key_and_totals():
     assert snap.total_tokens == sum(e.token_estimate for e in snap.entries)
 
 
-def test_snapshot_key_filter():
-    store = ContextStore(ENTRY_KINDS)
-    store.append_entry("org_profile", "risk_intake", {})
-    store.append_entry("threat_model", "threat_modeling", {})
-    snap = store.snapshot(keys=["threat_model"])
-    assert snap.keys() == ["threat_model"]
-
-
 def test_session_log_lines_have_exact_fields(tmp_path):
     log = tmp_path / "session.jsonl"
     store = ContextStore(ENTRY_KINDS, log_path=log)

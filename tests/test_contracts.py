@@ -3,11 +3,12 @@
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from riskforge.context_store import ContextStore
 from riskforge.contracts import (CONTRACTS, ENTRY_KINDS, MAX_ATTEMPTS, ROLES,
-                                 ContractSet, check_contract_dag,
-                                 extract_json_object)
+                                 SINGLE_AGENT, STAGES, AgentContract, ContractSet,
+                                 extract_json_object, stage_plan)
 from riskforge.errors import AgentFailed, MissingContextKey, Unparseable
 from riskforge.gateway import ModelConfig, StubGateway
 from riskforge.tokens import canonical_json
@@ -296,7 +297,66 @@ def test_validate_single_output_requires_three_of_each(cross_contracts):
 # -- contract wiring ---------------------------------------------------------
 
 def test_contract_dag_is_consistent():
-    check_contract_dag()
+    # the plan, roles and kinds derived from the contracts, as once written by hand
+    assert STAGES == (
+        ("risk_intake",),
+        ("threat_modeling", "control_assessment"),
+        ("risk_scoring",),
+        ("mitigation",),
+        ("report_synthesis",),
+    )
+    assert ROLES == ("risk_intake", "threat_modeling", "control_assessment",
+                     "risk_scoring", "mitigation", "report_synthesis")
+    assert ENTRY_KINDS == ("org_profile", "threat_model", "control_assessment",
+                           "risk_register", "recommendations", "report")
+
+
+def test_single_agent_plan_is_one_stage():
+    assert stage_plan([SINGLE_AGENT]) == (("single_agent",),)
+
+
+def contract(role, reads, writes):
+    return AgentContract(role=role, reads=tuple(reads), writes=writes,
+                         template_name=None, schema_name="x.json")
+
+
+@pytest.mark.parametrize("contracts, problem", [
+    ([contract("a", [], "k"), contract("b", [], "k")], "both write 'k'"),
+    ([contract("a", [], "k"), contract("b", ["absent"], "m")], "b reads ['absent']"),
+    ([contract("a", ["k"], "k")], "a reads ['k']"),
+    ([contract("a", ["m"], "k"), contract("b", ["k"], "m")], "a reads ['m']; b reads ['k']"),
+], ids=["duplicate_write", "unwritten_read", "self_read", "two_role_cycle"])
+def test_stage_plan_rejects(contracts, problem):
+    with pytest.raises(ValueError) as exc:
+        stage_plan(contracts)
+    assert problem in str(exc.value)
+
+
+@st.composite
+def acyclic_contracts(draw):
+    """Up to 8 contracts; the i-th reads only what lower ones write, so the
+    set is acyclic, and it comes in a shuffled order."""
+    contracts = []
+    for i in range(draw(st.integers(1, 8))):
+        reads = draw(st.lists(st.sampled_from(range(i)), unique=True)) if i else []
+        contracts.append(contract(f"r{i}", [f"k{j}" for j in reads], f"k{i}"))
+    return draw(st.permutations(contracts))
+
+
+@given(acyclic_contracts())
+def test_stage_plan_places_each_role_in_its_earliest_stage(contracts):
+    plan = stage_plan(contracts)
+    stage_of = {role: n for n, stage in enumerate(plan) for role in stage}
+    assert sorted(role for stage in plan for role in stage) == sorted(stage_of)
+    assert sorted(stage_of) == sorted(c.role for c in contracts)
+    writer = {c.writes: c.role for c in contracts}
+    position = {c.role: i for i, c in enumerate(contracts)}
+    for c in contracts:
+        earlier = [stage_of[writer[key]] for key in c.reads]
+        assert all(n < stage_of[c.role] for n in earlier)
+        assert stage_of[c.role] == (max(earlier) + 1 if earlier else 0)
+    for stage in plan:
+        assert [position[role] for role in stage] == sorted(position[role] for role in stage)
 
 
 def test_every_role_has_template_and_schema(case_contracts):

@@ -6,6 +6,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from riskforge.contracts import DATA_DIR, SINGLE_AGENT_ROLE, STAGES
 from riskforge.errors import (ContextOverflow, NoScriptForRole, ProviderError,
                               ProviderUnreachable)
 from riskforge.gateway import (RETRY_MARKER, CompletionRequest, HttpGateway,
@@ -90,11 +91,39 @@ def test_dict_candidates_serialized_as_json(tmp_path):
 
 def test_missing_script_and_empty_pool(tmp_path):
     gw = StubGateway(tmp_path)
-    with pytest.raises(NoScriptForRole):
+    with pytest.raises(NoScriptForRole) as exc:
         gw.stub_complete("absent", "p", 0)
+    assert f"in {tmp_path} or {tmp_path.parent}" in str(exc.value)
     gw2 = StubGateway(write_script(tmp_path, "empty", {"default": []}))
     with pytest.raises(NoScriptForRole):
         gw2.stub_complete("empty", "p", 0)
+
+
+def test_script_set_falls_back_to_the_shared_scripts(tmp_path):
+    script_set = tmp_path / "set"
+    script_set.mkdir()
+    write_script(tmp_path, "shared", {"default": ["from parent"]})
+    write_script(tmp_path, "own", {"default": ["from parent"]})
+    write_script(script_set, "own", {"default": ["from set"]})
+    gw = StubGateway(script_set)
+    assert gw.stub_complete("shared", "p", 0) == "from parent"
+    assert gw.stub_complete("own", "p", 0) == "from set"
+
+
+def test_bundled_script_sets_cover_every_role_without_copies():
+    stub_root = DATA_DIR / "stub"
+    models = json.loads((DATA_DIR / "ablation_models.json").read_text(encoding="utf-8"))
+    sets = {"specific"} | {model["script"] for model in models}
+    profile_ids = [path.stem for path in (DATA_DIR / "profiles").glob("*.json")]
+    roles = [role for stage in STAGES for role in stage] + [SINGLE_AGENT_ROLE]
+    for name in sorted(sets):
+        gw = StubGateway(stub_root / name)
+        for role in roles:
+            for profile_id in profile_ids:
+                assert gw.stub_complete(role, profile_id, 0)
+        for path in (stub_root / name).iterdir():
+            shared = stub_root / path.name
+            assert not (shared.is_file() and shared.read_bytes() == path.read_bytes()), path
 
 
 def test_complete_checks_window_before_provider(script_dir):
@@ -107,11 +136,6 @@ def test_complete_checks_window_before_provider(script_dir):
         gw.complete(request)
     assert exc.value.prompt_tokens == 4000
     assert exc.value.context_window_tokens == 4096
-
-
-def test_stub_probe_window_passthrough(script_dir):
-    gw = StubGateway(script_dir)
-    assert gw.probe_window(cfg(context_window_tokens=8192)) == 8192
 
 
 def test_stub_result_metadata(script_dir):
@@ -131,8 +155,11 @@ def test_waits_on_io_follows_the_provider(script_dir):
 # -- HTTP gateway ------------------------------------------------------------
 
 class _Handler(BaseHTTPRequestHandler):
+    """Answers /api/generate in the shape of Ollama's non-streaming reply."""
+
     captured = []
     status = 200
+    done_reason = "stop"
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
@@ -143,10 +170,8 @@ class _Handler(BaseHTTPRequestHandler):
             self.end_headers()
             self.wfile.write(b"boom")
             return
-        if self.path == "/api/generate":
-            payload = {"response": "generated text"}
-        else:
-            payload = {"context_window": 2048}
+        payload = {"response": "generated text", "done": True,
+                   "done_reason": _Handler.done_reason}
         data = json.dumps(payload).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
@@ -161,6 +186,7 @@ class _Handler(BaseHTTPRequestHandler):
 def http_server():
     _Handler.captured = []
     _Handler.status = 200
+    _Handler.done_reason = "stop"
     server = HTTPServer(("127.0.0.1", 0), _Handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -187,12 +213,12 @@ def test_http_generate_wire_format(http_server):
     }
 
 
-def test_http_probe_window(http_server):
+@pytest.mark.parametrize("done_reason, truncated", [("length", True), ("stop", False)])
+def test_http_truncation_follows_done_reason(http_server, done_reason, truncated):
+    _Handler.done_reason = done_reason
     gw = HttpGateway(http_server)
-    assert gw.probe_window(cfg()) == 2048
-    path, body = _Handler.captured[-1]
-    assert path == "/api/show"
-    assert body == {"model": "m"}
+    result = gw.complete(CompletionRequest(role="r", prompt="p", config=cfg()))
+    assert result.truncated is truncated
 
 
 def test_http_non_success_raises_provider_error(http_server):

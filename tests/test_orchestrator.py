@@ -342,7 +342,7 @@ def test_session_log_closed_when_an_unclassified_error_escapes(
     scripts.mkdir()
     # only the intake script: stage 2 raises NoScriptForRole, which is not
     # a classified stage failure and so escapes execute_pipeline
-    shutil.copy(STUB / "specific" / "risk_intake.json", scripts)
+    shutil.copy(STUB / "risk_intake.json", scripts)
     with pytest.raises(NoScriptForRole):
         execute_pipeline(health_profile, config(), "multi_agent", StubGateway(scripts),
                          corpus, case_contracts, out_dir=tmp_path / "out")
@@ -476,8 +476,8 @@ def test_stage_roles_run_on_the_calling_thread_when_calls_never_wait(
 @pytest.mark.parametrize("sleep_seconds", [0.0, 0.01], ids=["inline", "threaded"])
 def test_stage_failure_parity(health_profile, case_contracts, corpus, tmp_path,
                               sleep_seconds):
-    scripts = tmp_path / "scripts"
-    shutil.copytree(STUB / "specific", scripts)
+    shutil.copytree(STUB, tmp_path / "stub")
+    scripts = tmp_path / "stub" / "specific"
     # threat_modeling never validates: no threats, and no on_retry pool
     (scripts / "threat_modeling.json").write_text(
         json.dumps({"default": [{"threats": []}]}), encoding="utf-8")

@@ -181,7 +181,7 @@ def test_rollup_requires_all_five_functions():
 
 def test_case_study_control_rollup():
     import json as _json
-    stub = _json.loads((DATA_DIR / "stub" / "specific" /
+    stub = _json.loads((DATA_DIR / "stub" /
                         "control_assessment.json").read_text())
     rollup = compliance_rollup(stub["profiles"]["health_15"][0])
     assert rollup.status == {

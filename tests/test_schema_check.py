@@ -26,7 +26,7 @@ SCHEMA_NAMES = sorted(path.name for path in (DATA_DIR / "schemas").glob("*.json"
 
 def _script_docs(role: str) -> list:
     docs = []
-    for path in sorted((DATA_DIR / "stub").glob(f"*/{role}.json")):
+    for path in sorted((DATA_DIR / "stub").glob(f"**/{role}.json")):
         script = json.loads(path.read_text(encoding="utf-8"))
         pools = [script.get("default", []), script.get("on_retry", []),
                  *script.get("profiles", {}).values()]
