@@ -138,7 +138,6 @@ def eval_cmd(ledger_path, annotations_path, aliases_path, register_path,
             raise click.ClickException(f"unknown selector key {key!r}")
         selector[key] = value
 
-    records = load_ledger(Path(ledger_path)) if ledger_path else None
     system = annotations = None
     aliases = AliasMap()
     if register_path and annotations_path:
@@ -149,6 +148,7 @@ def eval_cmd(ledger_path, annotations_path, aliases_path, register_path,
             aliases = AliasMap.load(Path(aliases_path))
 
     try:
+        records = load_ledger(Path(ledger_path)) if ledger_path else None
         report = compute_metrics(records=records, system=system,
                                  annotations=annotations, aliases=aliases,
                                  selector=selector or None)

@@ -4,11 +4,14 @@ Every agent reads from and writes to one store per assessment session.
 Entries are never mutated; each append creates the next revision for its
 key. Persistence is a JSON Lines append log, one entry per line, so a
 session can be inspected with standard tools and replayed losslessly.
+The run ledger uses the same format, so append_line and load_records
+serve both logs.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import threading
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -19,6 +22,43 @@ from typing import Any, Iterable, Optional
 from .errors import KeyAbsent, StorageFailure, UnknownKey
 from .grounding import parse_identifiers
 from .tokens import canonical_json, estimate_tokens
+
+
+def append_line(path: Path, doc: dict) -> None:
+    """Append doc to a JSON Lines file as one line, written by one write()
+    on an O_APPEND descriptor that is closed at once: lines from concurrent
+    threads or processes never interleave, and nothing stays open or
+    buffered between appends."""
+    line = (json.dumps(doc, ensure_ascii=False) + "\n").encode("utf-8")
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+        try:
+            written = os.write(fd, line)
+        finally:
+            os.close(fd)
+    except OSError as exc:
+        raise StorageFailure(f"cannot append to {path}: {exc}") from exc
+    if written != len(line):
+        raise StorageFailure(f"short write to {path}: {written} of {len(line)} bytes")
+
+
+def load_records(path: Path, cls: type) -> list:
+    """One cls(**line) per non-blank line of a JSON Lines file. A line that
+    is not UTF-8 JSON, or whose fields do not fit cls, raises StorageFailure
+    naming path:lineno."""
+    records = []
+    # read as bytes and decoded per line, so a line cut inside a multi-byte
+    # character fails as that line (UnicodeDecodeError is a ValueError)
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                records.append(cls(**json.loads(line)))
+            except (ValueError, TypeError) as exc:
+                raise StorageFailure(f"{path}:{lineno}: not a {cls.__name__} record: "
+                                     f"{exc}") from exc
+    return records
 
 
 @dataclass(frozen=True)
@@ -43,25 +83,8 @@ class ContextEntry:
         return parse_identifiers(self.canonical_text)
 
     def to_json(self) -> dict:
-        return {
-            "key": self.key,
-            "agent_id": self.agent_id,
-            "revision": self.revision,
-            "created_at": self.created_at,
-            "payload": self.payload,
-            "token_estimate": self.token_estimate,
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "ContextEntry":
-        return cls(
-            key=doc["key"],
-            agent_id=doc["agent_id"],
-            revision=doc["revision"],
-            created_at=doc["created_at"],
-            payload=doc["payload"],
-            token_estimate=doc["token_estimate"],
-        )
+        # not dataclasses.fields(), whose per-call tuple fills a free list (~0.25 MB RSS)
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
 
 @dataclass(frozen=True)
@@ -87,7 +110,8 @@ class ContextStore:
     Appends are atomic and linearizable per key: the internal lock covers
     revision assignment, the in-memory append, and the log write, so
     concurrent appenders during the parallel stage cannot interleave and
-    readers always see a consistent prefix.
+    readers always see a consistent prefix. Each log write opens, writes
+    and closes the file (append_line), so the store holds no open file.
     """
 
     def __init__(self, registered_keys: Iterable[str], log_path: Optional[Path] = None):
@@ -95,13 +119,13 @@ class ContextStore:
         self._history: dict[str, list[ContextEntry]] = {}
         self._lock = threading.Lock()
         self._log_path = Path(log_path) if log_path is not None else None
-        self._log_file = None
         if self._log_path is not None:
             try:
+                # the log exists from the start, even if nothing is appended
                 self._log_path.parent.mkdir(parents=True, exist_ok=True)
-                self._log_file = open(self._log_path, "a", encoding="utf-8")
+                self._log_path.touch()
             except OSError as exc:
-                raise StorageFailure(f"cannot open session log {self._log_path}: {exc}") from exc
+                raise StorageFailure(f"cannot create session log {self._log_path}: {exc}") from exc
 
     def append_entry(self, key: str, agent_id: str, payload: Any) -> ContextEntry:
         if key not in self._registered:
@@ -119,18 +143,10 @@ class ContextStore:
                 token_estimate=estimate_tokens(text),
             )
             entry.__dict__["canonical_text"] = text  # prime the cached property
-            self._write_log(entry)
+            if self._log_path is not None:
+                append_line(self._log_path, entry.to_json())
             history.append(entry)
         return entry
-
-    def _write_log(self, entry: ContextEntry) -> None:
-        if self._log_file is None:
-            return
-        try:
-            self._log_file.write(json.dumps(entry.to_json(), ensure_ascii=False) + "\n")
-            self._log_file.flush()
-        except OSError as exc:
-            raise StorageFailure(f"cannot append to session log: {exc}") from exc
 
     def read_latest(self, key: str) -> ContextEntry:
         with self._lock:
@@ -148,20 +164,10 @@ class ContextStore:
             entries = tuple(history[-1] for history in self._history.values())
         return ContextSnapshot(entries=entries, total_tokens=sum(e.token_estimate for e in entries))
 
-    def close(self) -> None:
-        if self._log_file is not None:
-            self._log_file.close()
-            self._log_file = None
-
     @classmethod
     def load(cls, log_path: Path, registered_keys: Iterable[str]) -> "ContextStore":
         """Rebuild a store from its session log without re-appending to it."""
         store = cls(registered_keys)
-        with open(log_path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                entry = ContextEntry.from_json(json.loads(line))
-                store._history.setdefault(entry.key, []).append(entry)
+        for entry in load_records(log_path, ContextEntry):
+            store._history.setdefault(entry.key, []).append(entry)
         return store

@@ -162,7 +162,6 @@ STAGES = stage_plan(CONTRACTS.values())
 class ValidationOutcome:
     valid: bool
     violations: tuple[tuple[str, str], ...]  # (document path, message)
-    attempt: int
 
 
 _DECODER = json.JSONDecoder()
@@ -544,8 +543,7 @@ class ContractSet:
 
     # -- output validation -------------------------------------------------
 
-    def validate_output(self, role: str, raw: str,
-                        attempt: int = 1) -> tuple[ValidationOutcome, dict]:
+    def validate_output(self, role: str, raw: str) -> tuple[ValidationOutcome, dict]:
         """Parse and schema-check raw model output. Raises Unparseable when
         no balanced object exists; schema violations are reported in the
         outcome, not raised."""
@@ -560,13 +558,11 @@ class ContractSet:
                 (error.json_path, error.message)
                 for error in validator.iter_errors(doc)
             ))
-        return ValidationOutcome(valid=not violations, violations=violations,
-                                 attempt=attempt), doc
+        return ValidationOutcome(valid=not violations, violations=violations), doc
 
-    def validate_single_output(self, raw: str,
-                               attempt: int = 1) -> tuple[ValidationOutcome, dict]:
+    def validate_single_output(self, raw: str) -> tuple[ValidationOutcome, dict]:
         """Validate the combined 3/3/3 document from a single-agent run."""
-        return self.validate_output(SINGLE_AGENT_ROLE, raw, attempt)
+        return self.validate_output(SINGLE_AGENT_ROLE, raw)
 
     # -- agent execution ---------------------------------------------------
 
@@ -583,7 +579,7 @@ class ContractSet:
                 last_violations = (TRUNCATED_VIOLATION,)
             else:
                 try:
-                    outcome, doc = self.validate_output(role, result.text, attempt=attempt)
+                    outcome, doc = self.validate_output(role, result.text)
                     last_violations = outcome.violations
                 except Unparseable as exc:
                     last_violations = (("$", str(exc)),)

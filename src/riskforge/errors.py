@@ -14,7 +14,8 @@ class KeyAbsent(RiskforgeError):
 
 
 class StorageFailure(RiskforgeError):
-    """The persistence layer could not record an entry."""
+    """The persistence layer could not record an entry, or a recorded line
+    cannot be read back as one."""
 
 
 class ContextOverflow(RiskforgeError):

@@ -20,14 +20,12 @@ runs, prompts come from the snapshot taken before the stage, and the
 first failure in stage order is reported.
 The three classified failure kinds (context_overflow, agent_failed,
 provider_error) land in the RunRecord so ablation sweeps can count them;
-any other exception propagates out of execute_pipeline once the session
-log is closed.
+any other exception propagates out of execute_pipeline.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import secrets
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -36,11 +34,12 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
 
-from .context_store import ContextEntry, ContextSnapshot, ContextStore
+from .context_store import (ContextEntry, ContextSnapshot, ContextStore, append_line,
+                            load_records)
 from .contracts import (ENTRY_KINDS, QUESTIONNAIRE_SCHEMA, SINGLE_AGENT, STAGES,
                         ContractSet, stage_plan)
 from .errors import (AgentFailed, ContextOverflow, ProfileInvalid, ProviderError,
-                     ProviderUnreachable, StorageFailure)
+                     ProviderUnreachable)
 from .gateway import ModelConfig
 from .grounding import Corpus
 from .risk_model import normalize_title
@@ -63,23 +62,8 @@ class RunRecord:
     unique_threat_titles: list[str] = field(default_factory=list)
 
     def to_json(self) -> dict:
-        return {
-            "run_id": self.run_id,
-            "profile_id": self.profile_id,
-            "model_id": self.model_id,
-            "mode": self.mode,
-            "seed": self.seed,
-            "completed": self.completed,
-            "failed_stage": self.failed_stage,
-            "failure_kind": self.failure_kind,
-            "wall_seconds": self.wall_seconds,
-            "structural_ok": self.structural_ok,
-            "unique_threat_titles": self.unique_threat_titles,
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "RunRecord":
-        return cls(**doc)
+        # not dataclasses.fields(), whose per-call tuple fills a free list (~0.25 MB RSS)
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
 
 @dataclass(frozen=True)
@@ -127,33 +111,14 @@ def enforce_budget(snapshot: Optional[ContextSnapshot], role: str,
 
 
 def record_run(record: RunRecord, path: Path) -> None:
-    """Append one record to the run ledger as a single JSON line, written by
-    one write() on an O_APPEND descriptor, so lines from concurrent threads
-    or processes never interleave."""
+    """Append one record to the run ledger as a single JSON line."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    line = (json.dumps(record.to_json(), ensure_ascii=False) + "\n").encode("utf-8")
-    try:
-        fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
-        try:
-            written = os.write(fd, line)
-        finally:
-            os.close(fd)
-    except OSError as exc:
-        raise StorageFailure(f"cannot append to run ledger {path}: {exc}") from exc
-    if written != len(line):
-        raise StorageFailure(f"short write to run ledger {path}: "
-                             f"{written} of {len(line)} bytes")
+    append_line(path, record.to_json())
 
 
 def load_ledger(path: Path) -> list[RunRecord]:
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(RunRecord.from_json(json.loads(line)))
-    return records
+    return load_records(path, RunRecord)
 
 
 def _new_run_id() -> str:
@@ -201,7 +166,7 @@ def execute_pipeline(profile: dict, config: ModelConfig, mode: str, gateway,
     and ValueError for an unknown mode or for a schema the mode validates
     against that compile_schema does not support. A context overflow, a
     failed agent or a provider error lands in the record; any other
-    exception propagates once the session log is closed."""
+    exception propagates."""
     if mode not in ("multi_agent", "single_agent"):
         raise ValueError(f"unknown mode {mode!r}")
     if not contracts.acceptor(QUESTIONNAIRE_SCHEMA)(profile):
@@ -238,21 +203,18 @@ def execute_pipeline(profile: dict, config: ModelConfig, mode: str, gateway,
     report_entry: Optional[ContextEntry] = None
     start = time.perf_counter()
     try:
-        try:
-            _run_stages(plan, build_prompt, config, gateway, contracts, store)
-            record.completed = True
-        except _StageFailure as failure:
-            record.failed_stage = failure.role
-            record.failure_kind = failure.kind
-        record.wall_seconds = time.perf_counter() - start
+        _run_stages(plan, build_prompt, config, gateway, contracts, store)
+        record.completed = True
+    except _StageFailure as failure:
+        record.failed_stage = failure.role
+        record.failure_kind = failure.kind
+    record.wall_seconds = time.perf_counter() - start
 
-        if record.completed:
-            report_entry = store.read_latest("report")
-            record.structural_ok, record.unique_threat_titles = _structure_check(store, mode)
-            if run_dir is not None:
-                _write_outputs(store, corpus, config, mode, record, run_dir)
-    finally:
-        store.close()
+    if record.completed:
+        report_entry = store.read_latest("report")
+        record.structural_ok, record.unique_threat_titles = _structure_check(store, mode)
+        if run_dir is not None:
+            _write_outputs(store, corpus, config, mode, record, run_dir)
     return record, report_entry
 
 
@@ -273,11 +235,8 @@ def _plan(mode: str, profile: dict, contracts: ContractSet, corpus: Optional[Cor
         return stage_plan([SINGLE_AGENT]), lambda role, snapshot: _single_prompt(
             profile, contracts, corpus)
     questionnaire = {"questionnaire": canonical_json(profile)}
-
-    def build(role: str, snapshot: ContextSnapshot) -> str:
-        extra = questionnaire if role == "risk_intake" else None
-        return contracts.build_prompt(role, snapshot, corpus, extra=extra)
-    return STAGES, build
+    return STAGES, lambda role, snapshot: contracts.build_prompt(
+        role, snapshot, corpus, extra=questionnaire)
 
 
 def _run_stages(plan, build_prompt, config: ModelConfig, gateway,

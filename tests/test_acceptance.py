@@ -202,7 +202,6 @@ def test_criterion_8_determinism(health_profile, case_contracts, corpus,
     store.append_entry("org_profile", "risk_intake", {"x": [1, {"y": "z"}]})
     store.append_entry("org_profile", "risk_intake", {"x": 2})
     store.append_entry("report", "report_synthesis", {"exec_summary": "s"})
-    store.close()
     reloaded = ContextStore.load(log, ENTRY_KINDS)
     round_trip_ok = all(reloaded.read_history(key) == store.read_history(key)
                         for key in ENTRY_KINDS)

@@ -12,6 +12,7 @@ from click.testing import CliRunner
 import riskforge
 from riskforge.cli import main
 from riskforge.contracts import DATA_DIR
+from riskforge.orchestrator import RunRecord
 
 FIXTURES = DATA_DIR / "fixtures"
 PROFILE = DATA_DIR / "profiles" / "health_15.json"
@@ -150,6 +151,23 @@ def test_ablate_runs_and_resumes(runner, tmp_path):
     result = runner.invoke(main, args)
     assert result.exit_code == 0
     assert "executed 0 new runs (10 already in ledger)" in result.output
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda line: line[:len(line) // 2],
+    lambda line: json.dumps({k: v for k, v in json.loads(line).items() if k != "seed"}),
+], ids=["torn", "missing_field"])
+@pytest.mark.parametrize("verb", [["eval", "--ledger"], ["ablate", "--out"]],
+                         ids=["eval", "ablate"])
+def test_corrupt_ledger_line_is_a_clean_error(runner, tmp_path, verb, corrupt):
+    line = json.dumps(RunRecord(run_id="r", profile_id="p", model_id="m",
+                                mode="single_agent", seed=0, completed=True).to_json())
+    ledger = tmp_path / "ledger.jsonl"
+    ledger.write_text(f"{line}\n{corrupt(line)}\n", encoding="utf-8")
+    result = runner.invoke(main, verb + [str(ledger)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert f"{ledger}:2: " in result.output
 
 
 def test_ablate_requires_profiles(runner, tmp_path):

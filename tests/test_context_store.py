@@ -1,6 +1,7 @@
 """Context store: append-only versioned entries, JSONL persistence, tokens."""
 
 import json
+import os
 import threading
 
 import pytest
@@ -114,7 +115,6 @@ def test_session_log_lines_have_exact_fields(tmp_path):
     store = ContextStore(ENTRY_KINDS, log_path=log)
     store.append_entry("org_profile", "risk_intake", {"industry": "retail"})
     store.append_entry("threat_model", "threat_modeling", {"threats": []})
-    store.close()
     lines = [json.loads(l) for l in log.read_text().splitlines()]
     assert len(lines) == 2
     for doc in lines:
@@ -128,7 +128,6 @@ def test_log_round_trip_lossless(tmp_path):
     for p in payloads:
         store.append_entry("report", "report_synthesis", p)
     original = store.read_history("report")
-    store.close()
 
     loaded = ContextStore.load(log, ENTRY_KINDS)
     replayed = loaded.read_history("report")
@@ -139,7 +138,17 @@ def test_entry_json_round_trip():
     entry = ContextEntry(key="report", agent_id="a", revision=3,
                          created_at="2026-01-01T00:00:00+00:00",
                          payload={"x": [1, 2]}, token_estimate=4)
-    assert ContextEntry.from_json(entry.to_json()) == entry
+    assert ContextEntry(**entry.to_json()) == entry
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="needs /proc/self/fd to count open descriptors")
+def test_logged_store_holds_no_open_file(tmp_path):
+    before = len(os.listdir("/proc/self/fd"))
+    store = ContextStore(ENTRY_KINDS, log_path=tmp_path / "session.jsonl")
+    store.append_entry("org_profile", "risk_intake", {"a": 1})
+    store.append_entry("org_profile", "risk_intake", {"a": 2})
+    assert len(os.listdir("/proc/self/fd")) == before
 
 
 @given(st.lists(st.dictionaries(st.text(max_size=5),

@@ -15,8 +15,8 @@ from pathlib import Path
 import pytest
 
 import riskforge
-from riskforge import orchestrator
-from riskforge.context_store import ContextStore
+from riskforge import context_store
+from riskforge.context_store import ContextEntry, ContextStore
 from riskforge.contracts import (DATA_DIR, ENTRY_KINDS, MAX_ATTEMPTS, STAGES,
                                  ContractSet)
 from riskforge.errors import NoScriptForRole, ProfileInvalid, StorageFailure
@@ -181,21 +181,76 @@ def test_concurrent_processes_append_whole_lines(tmp_path):
                                               for i in range(count)}
 
 
-def test_ledger_short_write_is_a_storage_failure(tmp_path, monkeypatch):
+def _record(run_id="r"):
+    return RunRecord(run_id=run_id, profile_id="p", model_id="m",
+                     mode="multi_agent", seed=0, completed=True)
+
+
+def _append_run(path):
+    record_run(_record(), path)
+
+
+def _append_entry(path):
+    ContextStore(ENTRY_KINDS, log_path=path).append_entry("org_profile", "risk_intake", {})
+
+
+# both JSON Lines writers: the run ledger and the session log
+writers = pytest.mark.parametrize("append", [_append_run, _append_entry],
+                                  ids=["record_run", "append_entry"])
+
+
+@writers
+def test_short_write_is_a_storage_failure(tmp_path, monkeypatch, append):
     real_write = os.write
-    monkeypatch.setattr(orchestrator.os, "write", lambda fd, data: real_write(fd, data[:5]))
+    monkeypatch.setattr(context_store.os, "write",
+                        lambda fd, data: real_write(fd, data[:5]))
     with pytest.raises(StorageFailure, match="short write"):
-        record_run(RunRecord(run_id="r", profile_id="p", model_id="m",
-                             mode="multi_agent", seed=0, completed=True),
-                   tmp_path / "ledger.jsonl")
+        append(tmp_path / "log.jsonl")
 
 
-def test_unwritable_ledger_is_a_storage_failure(tmp_path):
-    (tmp_path / "ledger.jsonl").mkdir()
+@writers
+def test_unwritable_log_is_a_storage_failure(tmp_path, append):
+    (tmp_path / "log.jsonl").mkdir()
     with pytest.raises(StorageFailure):
-        record_run(RunRecord(run_id="r", profile_id="p", model_id="m",
-                             mode="multi_agent", seed=0, completed=True),
-                   tmp_path / "ledger.jsonl")
+        append(tmp_path / "log.jsonl")
+
+
+def _session_line(revision):
+    return ContextEntry(key="org_profile", agent_id="risk_intake", revision=revision,
+                        created_at="2026-01-01T00:00:00+00:00", payload={},
+                        token_estimate=1).to_json()
+
+
+def _encode(doc):
+    return json.dumps(doc, ensure_ascii=False).encode("utf-8")
+
+
+def _torn(doc):
+    line = _encode(doc)
+    return line[:len(line) // 2]
+
+
+def _torn_in_a_character(doc):
+    line = _encode({**doc, next(iter(doc)): "é"})
+    return line[:line.index("é".encode("utf-8")) + 1]
+
+
+def _missing_field(doc):
+    return _encode(dict(list(doc.items())[1:]))  # the first field has no default
+
+
+@pytest.mark.parametrize("reader, line", [
+    (load_ledger, lambda n: _record(f"r{n}").to_json()),
+    (lambda path: ContextStore.load(path, ENTRY_KINDS), _session_line),
+], ids=["load_ledger", "ContextStore.load"])
+@pytest.mark.parametrize("corrupt", [_torn, _torn_in_a_character, _missing_field],
+                         ids=["torn", "torn_in_a_character", "missing_field"])
+def test_bad_middle_line_is_a_storage_failure_naming_it(tmp_path, reader, line, corrupt):
+    log = tmp_path / "log.jsonl"
+    log.write_bytes(b"\n".join([_encode(line(1)), corrupt(line(2)), _encode(line(3))])
+                    + b"\n")
+    with pytest.raises(StorageFailure, match=r"log\.jsonl:2: "):
+        reader(log)
 
 
 # -- pipeline execution ------------------------------------------------------
@@ -328,16 +383,8 @@ def test_integral_float_questionnaire_counts_are_accepted(health_profile, case_c
     assert record.completed
 
 
-def test_session_log_closed_when_an_unclassified_error_escapes(
-        health_profile, case_contracts, corpus, tmp_path, monkeypatch):
-    closed = []
-
-    class TrackedStore(ContextStore):
-        def close(self):
-            closed.append(self._log_path)
-            super().close()
-
-    monkeypatch.setattr(orchestrator, "ContextStore", TrackedStore)
+def test_session_log_kept_when_an_unclassified_error_escapes(
+        health_profile, case_contracts, corpus, tmp_path):
     scripts = tmp_path / "scripts"
     scripts.mkdir()
     # only the intake script: stage 2 raises NoScriptForRole, which is not
@@ -346,8 +393,8 @@ def test_session_log_closed_when_an_unclassified_error_escapes(
     with pytest.raises(NoScriptForRole):
         execute_pipeline(health_profile, config(), "multi_agent", StubGateway(scripts),
                          corpus, case_contracts, out_dir=tmp_path / "out")
-    assert len(closed) == 1 and closed[0].name == "session.jsonl"
-    session = closed[0].read_text(encoding="utf-8").splitlines()
+    [log] = (tmp_path / "out").glob("*/session.jsonl")
+    session = log.read_text(encoding="utf-8").splitlines()
     assert [json.loads(line)["key"] for line in session] == ["org_profile"]
 
 

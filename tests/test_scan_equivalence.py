@@ -143,7 +143,6 @@ def test_entry_text_and_citations_match_free_functions(appends):
         log = Path(tmp) / "session.jsonl"
         store = ContextStore(ENTRY_KINDS, log_path=log)
         appended = [store.append_entry(key, "agent", payload) for key, payload in appends]
-        store.close()
         loaded = ContextStore.load(log, ENTRY_KINDS)
         reloaded = [entry for key in dict.fromkeys(k for k, _ in appends)
                     for entry in loaded.read_history(key)]
