@@ -19,7 +19,8 @@ from riskforge import context_store
 from riskforge.context_store import ContextEntry, ContextStore
 from riskforge.contracts import (DATA_DIR, ENTRY_KINDS, MAX_ATTEMPTS, STAGES,
                                  ContractSet)
-from riskforge.errors import NoScriptForRole, ProfileInvalid, StorageFailure
+from riskforge.errors import (ContextOverflow, NoScriptForRole, ProfileInvalid,
+                              ProviderError, ProviderUnreachable, StorageFailure)
 from riskforge.gateway import ModelConfig, StubGateway
 from riskforge.orchestrator import (RunRecord, enforce_budget, execute_pipeline,
                                     load_ledger, record_run)
@@ -537,6 +538,61 @@ def test_stage_failure_parity(health_profile, case_contracts, corpus, tmp_path,
     session = (tmp_path / "out" / record.run_id / "session.jsonl").read_text()
     assert [json.loads(line)["key"] for line in session.splitlines()] == [
         "org_profile", "control_assessment"]
+
+
+@pytest.mark.parametrize("sleep_seconds", [0.0, 0.01], ids=["inline", "threaded"])
+def test_first_failure_in_stage_order_is_recorded(health_profile, case_contracts,
+                                                  corpus, tmp_path, sleep_seconds):
+    shutil.copytree(STUB, tmp_path / "stub")
+    # neither stage-2 role ever validates
+    (tmp_path / "stub" / "specific" / "threat_modeling.json").write_text(
+        json.dumps({"default": [{"threats": []}]}), encoding="utf-8")
+    (tmp_path / "stub" / "control_assessment.json").write_text(
+        json.dumps({"default": [{"functions": {}}]}), encoding="utf-8")
+    gateway = StubGateway(tmp_path / "stub" / "specific", sleep_seconds=sleep_seconds)
+    record, report = execute_pipeline(health_profile, config(), "multi_agent", gateway,
+                                      corpus, case_contracts)
+    assert (record.failed_stage, record.failure_kind) == ("threat_modeling",
+                                                          "agent_failed")
+    assert report is None
+
+
+@pytest.mark.parametrize("sleep_seconds", [0.0, 0.01], ids=["inline", "threaded"])
+def test_unclassified_error_outranks_stage_failure(health_profile, case_contracts,
+                                                   corpus, tmp_path, sleep_seconds):
+    shutil.copytree(STUB, tmp_path / "stub")
+    # threat_modeling fails first in stage order; control_assessment then
+    # finds no script, an error of no recorded kind
+    (tmp_path / "stub" / "specific" / "threat_modeling.json").write_text(
+        json.dumps({"default": [{"threats": []}]}), encoding="utf-8")
+    (tmp_path / "stub" / "control_assessment.json").unlink()
+    gateway = StubGateway(tmp_path / "stub" / "specific", sleep_seconds=sleep_seconds)
+    with pytest.raises(NoScriptForRole):
+        execute_pipeline(health_profile, config(), "multi_agent", gateway, corpus,
+                         case_contracts)
+
+
+class RaisingGateway:
+    def __init__(self, error):
+        self.error = error
+        self.waits_on_io = False
+
+    def complete(self, request):
+        raise self.error
+
+
+@pytest.mark.parametrize("error, kind", [
+    (ProviderError(503, "overloaded"), "provider_error"),
+    (ProviderUnreachable("cannot reach the model server"), "provider_error"),
+    (ContextOverflow("risk_intake", 5000, 1024, 4096), "context_overflow"),
+], ids=["ProviderError", "ProviderUnreachable", "ContextOverflow"])
+def test_provider_side_failures_land_in_the_record(health_profile, case_contracts,
+                                                   corpus, error, kind):
+    record, report = execute_pipeline(health_profile, config(), "multi_agent",
+                                      RaisingGateway(error), corpus, case_contracts)
+    assert not record.completed
+    assert (record.failed_stage, record.failure_kind) == ("risk_intake", kind)
+    assert report is None
 
 
 def test_same_seed_runs_are_reproducible(health_profile, case_contracts, corpus,
