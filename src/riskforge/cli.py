@@ -38,6 +38,18 @@ def _resolve_corpus(corpus_path) -> Path:
     return BUNDLED_CORPUS
 
 
+def _read_json(path, what: str, build=None):
+    """The JSON document at path, passed through build when given. A file
+    that cannot be read, is not JSON, or whose document build rejects
+    with KeyError, TypeError or ValueError is a one-line error naming it."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        return build(doc) if build else doc
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise click.ClickException(
+            f"cannot read {what} {path}: {type(exc).__name__}: {exc}")
+
+
 def _load_corpus(corpus_path) -> Corpus:
     path = _resolve_corpus(corpus_path)
     try:
@@ -74,10 +86,7 @@ def main():
 def assess(profile_path, mode, provider, script, model_id, window, seed,
            schema_mode, corpus_path, out_dir):
     """Run one risk assessment against a questionnaire."""
-    try:
-        profile = json.loads(Path(profile_path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise click.ClickException(f"cannot read profile: {exc}")
+    profile = _read_json(profile_path, "profile")
 
     if provider == "stub":
         gateway = StubGateway(STUB_ROOT / script)
@@ -140,14 +149,13 @@ def eval_cmd(ledger_path, annotations_path, aliases_path, register_path,
 
     system = annotations = None
     aliases = AliasMap()
-    if register_path and annotations_path:
-        doc = json.loads(Path(register_path).read_text(encoding="utf-8"))
-        system = [RiskItem.from_dict(r) for r in doc["risks"]]
-        annotations = load_annotations(Path(annotations_path))
-        if aliases_path:
-            aliases = AliasMap.load(Path(aliases_path))
-
     try:
+        if register_path and annotations_path:
+            system = _read_json(register_path, "register", lambda doc: [
+                RiskItem.from_dict(r) for r in doc["risks"]])
+            annotations = load_annotations(Path(annotations_path))
+            if aliases_path:
+                aliases = _read_json(aliases_path, "aliases", AliasMap)
         records = load_ledger(Path(ledger_path)) if ledger_path else None
         report = compute_metrics(records=records, system=system,
                                  annotations=annotations, aliases=aliases,
@@ -179,16 +187,13 @@ def eval_cmd(ledger_path, annotations_path, aliases_path, register_path,
 def ablate(profiles_dir, models_path, runs_per_cell, mode, schema_mode,
            corpus_path, ledger_path, workers):
     """Sweep profiles x models x seeds and append run records to a ledger."""
-    profiles = []
-    for path in sorted(Path(profiles_dir).glob("*.json")):
-        profiles.append(json.loads(path.read_text(encoding="utf-8")))
+    profiles = [_read_json(path, "profile")
+                for path in sorted(Path(profiles_dir).glob("*.json"))]
     if not profiles:
         raise click.ClickException(f"no profile JSON files in {profiles_dir}")
-
-    specs = []
-    for doc in json.loads(Path(models_path).read_text(encoding="utf-8")):
-        specs.append(ModelSpec(label=doc["label"], script=doc["script"],
-                               context_window_tokens=doc.get("window", 4096)))
+    specs = _read_json(models_path, "models", lambda docs: [
+        ModelSpec(label=doc["label"], script=doc["script"],
+                  context_window_tokens=doc.get("window", 4096)) for doc in docs])
 
     corpus = _load_corpus(corpus_path)
     contracts = ContractSet(schema_mode=schema_mode)

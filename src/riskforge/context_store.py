@@ -87,23 +87,6 @@ class ContextEntry:
         return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
 
-@dataclass(frozen=True)
-class ContextSnapshot:
-    """Latest revision per key, in key insertion order."""
-
-    entries: tuple[ContextEntry, ...]
-    total_tokens: int
-
-    def get(self, key: str) -> Optional[ContextEntry]:
-        for entry in self.entries:
-            if entry.key == key:
-                return entry
-        return None
-
-    def keys(self) -> list[str]:
-        return [entry.key for entry in self.entries]
-
-
 class ContextStore:
     """Append-only store over a closed set of registered entry kinds.
 
@@ -159,10 +142,10 @@ class ContextStore:
         with self._lock:
             return list(self._history.get(key, []))
 
-    def snapshot(self) -> ContextSnapshot:
+    def snapshot(self) -> dict[str, ContextEntry]:
+        """The latest revision per key, in key insertion order."""
         with self._lock:
-            entries = tuple(history[-1] for history in self._history.values())
-        return ContextSnapshot(entries=entries, total_tokens=sum(e.token_estimate for e in entries))
+            return {key: history[-1] for key, history in self._history.items()}
 
     @classmethod
     def load(cls, log_path: Path, registered_keys: Iterable[str]) -> "ContextStore":

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, NoReturn, Optional
 
-from .context_store import ContextEntry, ContextSnapshot, ContextStore
+from .context_store import ContextEntry, ContextStore
 from .errors import AgentFailed, MissingContextKey, Unparseable
 from .gateway import RETRY_MARKER, CompletionRequest, ModelConfig
 from .grounding import Corpus, FrameworkExcerpt
@@ -409,13 +409,11 @@ class ContractSet:
     and threats to 3..5.
     """
 
-    def __init__(self, templates_dir: Optional[Path] = None,
-                 schemas_dir: Optional[Path] = None,
+    def __init__(self, schemas_dir: Optional[Path] = None,
                  schema_mode: str = "case_study"):
         if schema_mode not in ("case_study", "cross_sector"):
             raise ValueError(f"unknown schema mode {schema_mode!r}")
         self.schema_mode = schema_mode
-        self.templates_dir = Path(templates_dir or DATA_DIR / "templates")
         self.schemas_dir = Path(schemas_dir or DATA_DIR / "schemas")
         self._templates: dict[str, str] = {}
         self._schemas: dict[str, dict] = {}
@@ -430,7 +428,7 @@ class ContractSet:
 
     def template_text(self, name: str) -> str:
         if name not in self._templates:
-            self._templates[name] = (self.templates_dir / name).read_text(encoding="utf-8")
+            self._templates[name] = (DATA_DIR / "templates" / name).read_text(encoding="utf-8")
         return self._templates[name]
 
     def schema(self, name: str) -> dict:
@@ -460,7 +458,7 @@ class ContractSet:
 
     # -- prompt assembly ---------------------------------------------------
 
-    def assemble_prompt(self, role: str, snapshot: ContextSnapshot,
+    def assemble_prompt(self, role: str, snapshot: dict[str, ContextEntry],
                         grounding: list[FrameworkExcerpt],
                         extra: Optional[dict[str, str]] = None) -> str:
         contract = self.contract(role)
@@ -512,7 +510,7 @@ class ContractSet:
                      "output schema for this role.")
         return "\n".join(parts)
 
-    def gather_grounding(self, role: str, snapshot: ContextSnapshot,
+    def gather_grounding(self, role: str, snapshot: dict[str, ContextEntry],
                          corpus: Optional[Corpus]) -> list[FrameworkExcerpt]:
         """Retrieved excerpts plus carry-forward excerpts for every corpus
         identifier already cited inside the role's read entries, so the
@@ -534,7 +532,7 @@ class ContractSet:
                     excerpts[(hit.framework, hit.identifier)] = hit
         return sorted(excerpts.values(), key=lambda e: (e.framework, e.identifier))
 
-    def build_prompt(self, role: str, snapshot: ContextSnapshot,
+    def build_prompt(self, role: str, snapshot: dict[str, ContextEntry],
                      corpus: Optional[Corpus],
                      extra: Optional[dict[str, str]] = None) -> str:
         """The role's full prompt over a snapshot: grounding, then assembly."""

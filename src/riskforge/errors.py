@@ -18,8 +18,18 @@ class StorageFailure(RiskforgeError):
     cannot be read back as one."""
 
 
-class ContextOverflow(RiskforgeError):
+class StageError(RiskforgeError):
+    """A failure that ends a run without ending the process: the stage
+    runner returns it, and execute_pipeline records kind as the run's
+    failure_kind. Any other error raised in a stage propagates."""
+
+    kind = ""
+
+
+class ContextOverflow(StageError):
     """Prompt plus reserved output tokens exceed the context window."""
+
+    kind = "context_overflow"
 
     def __init__(self, role: str, prompt_tokens: int, reserved_output_tokens: int,
                  context_window_tokens: int):
@@ -35,12 +45,16 @@ class ContextOverflow(RiskforgeError):
         )
 
 
-class ProviderUnreachable(RiskforgeError):
+class ProviderUnreachable(StageError):
     """The model provider could not be reached after retries."""
 
+    kind = "provider_error"
 
-class ProviderError(RiskforgeError):
+
+class ProviderError(StageError):
     """The model provider returned a non-success response."""
+
+    kind = "provider_error"
 
     def __init__(self, status: int, body: str):
         self.status = status
@@ -65,8 +79,10 @@ class Unparseable(RiskforgeError):
     """No balanced JSON object could be extracted from model output."""
 
 
-class AgentFailed(RiskforgeError):
+class AgentFailed(StageError):
     """An agent exhausted its validation retries."""
+
+    kind = "agent_failed"
 
     def __init__(self, role: str, violations):
         self.role = role

@@ -12,13 +12,16 @@ ratio renders as n/a, never as 0 or 1.
 from __future__ import annotations
 
 import json
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Optional
 
+from .context_store import load_records
 from .errors import NoRunsSelected, RiskforgeError
-from .orchestrator import RunRecord
+from .gateway import ModelConfig, StubGateway
+from .orchestrator import RunRecord, execute_pipeline, load_ledger, record_run
 from .risk_model import RiskItem, normalize_title
 
 
@@ -30,24 +33,16 @@ class PractitionerAnnotation:
 
 
 def load_annotations(path: Path) -> list[PractitionerAnnotation]:
-    annotations = []
+    """One annotation per line of a JSON Lines file. A line that is no
+    annotation raises StorageFailure naming path:line; a second annotation
+    by one assessor of one title raises RiskforgeError naming path."""
+    annotations = load_records(path, PractitionerAnnotation)
     seen = set()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            doc = json.loads(line)
-            ann = PractitionerAnnotation(
-                assessor_id=doc["assessor_id"],
-                risk_title=doc["risk_title"],
-                severity=doc["severity"],
-            )
-            key = (ann.assessor_id, normalize_title(ann.risk_title))
-            if key in seen:
-                raise RiskforgeError(f"duplicate annotation for {key}")
-            seen.add(key)
-            annotations.append(ann)
+    for ann in annotations:
+        key = (ann.assessor_id, normalize_title(ann.risk_title))
+        if key in seen:
+            raise RiskforgeError(f"{path}: duplicate annotation for {key}")
+        seen.add(key)
     return annotations
 
 
@@ -314,11 +309,6 @@ def run_ablation(profiles: list[dict], models: list[ModelSpec], runs_per_cell: i
     ledger. Cells already present for this mode are skipped, so reruns
     resume. Window and schema mode are not on the record and so not in
     the resume key."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    from .gateway import ModelConfig, StubGateway
-    from .orchestrator import execute_pipeline, load_ledger, record_run
-
     ledger_path = Path(ledger_path)
     done = set()
     if ledger_path.exists():
@@ -345,7 +335,6 @@ def run_ablation(profiles: list[dict], models: list[ModelSpec], runs_per_cell: i
                              context_window_tokens=spec.context_window_tokens,
                              seed=seed)
         record, _ = execute_pipeline(profile, config, mode, gateway, corpus, contracts)
-        record.model_id = spec.label
         record_run(record, ledger_path)
 
     if workers > 1:

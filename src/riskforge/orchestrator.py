@@ -18,9 +18,10 @@ interpreter lock back and forth, so those roles run one after another on
 the calling thread, in stage order. Either way every role of the stage
 runs, prompts come from the snapshot taken before the stage, and the
 first failure in stage order is reported.
-The three classified failure kinds (context_overflow, agent_failed,
-provider_error) land in the RunRecord so ablation sweeps can count them;
-any other exception propagates out of execute_pipeline.
+A failure that is an errors.StageError (ContextOverflow, AgentFailed,
+ProviderError, ProviderUnreachable) lands in the RunRecord as its kind
+(context_overflow, agent_failed, provider_error), so ablation sweeps can
+count them; any other exception propagates out of execute_pipeline.
 """
 
 from __future__ import annotations
@@ -34,12 +35,10 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
 
-from .context_store import (ContextEntry, ContextSnapshot, ContextStore, append_line,
-                            load_records)
+from .context_store import ContextEntry, ContextStore, append_line, load_records
 from .contracts import (ENTRY_KINDS, QUESTIONNAIRE_SCHEMA, SINGLE_AGENT, STAGES,
                         ContractSet, stage_plan)
-from .errors import (AgentFailed, ContextOverflow, ProfileInvalid, ProviderError,
-                     ProviderUnreachable)
+from .errors import ContextOverflow, ProfileInvalid, StageError
 from .gateway import ModelConfig
 from .grounding import Corpus
 from .risk_model import normalize_title
@@ -56,7 +55,7 @@ class RunRecord:
     seed: int
     completed: bool
     failed_stage: Optional[str] = None
-    failure_kind: Optional[str] = None  # context_overflow | agent_failed | provider_error
+    failure_kind: Optional[str] = None  # a StageError kind
     wall_seconds: float = 0.0
     structural_ok: bool = False
     unique_threat_titles: list[str] = field(default_factory=list)
@@ -88,14 +87,14 @@ class BudgetDecision:
         return detail
 
 
-def enforce_budget(snapshot: Optional[ContextSnapshot], role: str,
+def enforce_budget(snapshot: Optional[dict[str, ContextEntry]], role: str,
                    config: ModelConfig, prompt_tokens: int) -> BudgetDecision:
     """Decide whether a fully assembled prompt fits the context window."""
     deficit = prompt_tokens + config.reserved_output_tokens - config.context_window_tokens
     largest_key = None
     largest_tokens = 0
-    if snapshot is not None and snapshot.entries:
-        largest = max(snapshot.entries, key=lambda e: e.token_estimate)
+    if snapshot:
+        largest = max(snapshot.values(), key=lambda e: e.token_estimate)
         largest_key = largest.key
         largest_tokens = largest.token_estimate
     return BudgetDecision(
@@ -126,26 +125,6 @@ def _new_run_id() -> str:
     return f"{stamp}-{secrets.token_hex(2)}"
 
 
-class _StageFailure(Exception):
-    def __init__(self, role: str, kind: str, cause: Exception):
-        self.role = role
-        self.kind = kind
-        self.cause = cause
-        super().__init__(f"stage {role} failed ({kind}): {cause}")
-
-
-def _classify(role: str, exc: Exception) -> Exception:
-    """The stage failure exc stands for, or exc itself when it is of no
-    classified kind (it then escapes execute_pipeline)."""
-    if isinstance(exc, ContextOverflow):
-        return _StageFailure(role, "context_overflow", exc)
-    if isinstance(exc, AgentFailed):
-        return _StageFailure(role, "agent_failed", exc)
-    if isinstance(exc, (ProviderError, ProviderUnreachable)):
-        return _StageFailure(role, "provider_error", exc)
-    return exc
-
-
 def _dedupe_titles(titles: list[str]) -> list[str]:
     seen = set()
     out = []
@@ -164,9 +143,9 @@ def execute_pipeline(profile: dict, config: ModelConfig, mode: str, gateway,
     completed, the final report entry. Before any stage executes or any
     file is written, raises ProfileInvalid for an invalid questionnaire
     and ValueError for an unknown mode or for a schema the mode validates
-    against that compile_schema does not support. A context overflow, a
-    failed agent or a provider error lands in the record; any other
-    exception propagates."""
+    against that compile_schema does not support. A StageError (a context
+    overflow, a failed agent or a provider error) lands in the record as
+    failed_stage and failure_kind; any other exception propagates."""
     if mode not in ("multi_agent", "single_agent"):
         raise ValueError(f"unknown mode {mode!r}")
     if not contracts.acceptor(QUESTIONNAIRE_SCHEMA)(profile):
@@ -200,33 +179,20 @@ def execute_pipeline(profile: dict, config: ModelConfig, mode: str, gateway,
         completed=False,
     )
 
-    report_entry: Optional[ContextEntry] = None
     start = time.perf_counter()
-    try:
-        _run_stages(plan, build_prompt, config, gateway, contracts, store)
-        record.completed = True
-    except _StageFailure as failure:
-        record.failed_stage = failure.role
-        record.failure_kind = failure.kind
+    failure = _run_stages(plan, build_prompt, config, gateway, contracts, store)
     record.wall_seconds = time.perf_counter() - start
+    if failure is not None:
+        record.failed_stage, error = failure
+        record.failure_kind = error.kind
+        return record, None
 
-    if record.completed:
-        report_entry = store.read_latest("report")
-        record.structural_ok, record.unique_threat_titles = _structure_check(store, mode)
-        if run_dir is not None:
-            _write_outputs(store, corpus, config, mode, record, run_dir)
-    return record, report_entry
-
-
-def _run_role(contracts: ContractSet, role: str, prompt: str, store: ContextStore,
-              gateway, config: ModelConfig) -> Optional[Exception]:
-    """Run one agent; return its failure, classified where possible, instead
-    of raising it, so the other roles of the stage still run."""
-    try:
-        contracts.run_agent(role, prompt, store, gateway, config)
-    except Exception as exc:  # re-raised by _run_stages once the stage is over
-        return _classify(role, exc)
-    return None
+    record.completed = True
+    snapshot = store.snapshot()
+    record.structural_ok, record.unique_threat_titles = _structure_check(snapshot, mode)
+    if run_dir is not None:
+        _write_outputs(snapshot, corpus, config, mode, record, run_dir)
+    return record, snapshot["report"]
 
 
 def _plan(mode: str, profile: dict, contracts: ContractSet, corpus: Optional[Corpus]):
@@ -240,7 +206,12 @@ def _plan(mode: str, profile: dict, contracts: ContractSet, corpus: Optional[Cor
 
 
 def _run_stages(plan, build_prompt, config: ModelConfig, gateway,
-                contracts: ContractSet, store: ContextStore) -> None:
+                contracts: ContractSet,
+                store: ContextStore) -> Optional[tuple[str, StageError]]:
+    """Run the plan's stages in order. Returns None when all complete, else
+    the first failure in stage order as (role, error). Every role of a
+    stage runs; an error that is no StageError is raised once the stage is
+    over, ahead of any StageError."""
     # A gateway that does not say is assumed to wait on I/O.
     threaded = getattr(gateway, "waits_on_io", True)
     for stage in plan:
@@ -250,24 +221,30 @@ def _run_stages(plan, build_prompt, config: ModelConfig, gateway,
             prompt = build_prompt(role, snapshot)
             decision = enforce_budget(snapshot, role, config, estimate_tokens(prompt))
             if not decision.ok:
-                raise _StageFailure(role, "context_overflow", ContextOverflow(
+                return role, ContextOverflow(
                     role, decision.prompt_tokens, decision.reserved_output_tokens,
-                    decision.context_window_tokens))
+                    decision.context_window_tokens)
             prompts[role] = prompt
+
+        def run(role: str) -> Optional[Exception]:
+            try:
+                contracts.run_agent(role, prompts[role], store, gateway, config)
+            except Exception as exc:  # returned, so the stage's other roles still run
+                return exc
+            return None
+
         if threaded and len(stage) > 1:
             with ThreadPoolExecutor(max_workers=len(stage)) as pool:
-                futures = [pool.submit(_run_role, contracts, role, prompt, store,
-                                       gateway, config)
-                           for role, prompt in prompts.items()]
-            outcomes = [future.result() for future in futures]
+                errors = list(pool.map(run, prompts))
         else:
-            outcomes = [_run_role(contracts, role, prompt, store, gateway, config)
-                        for role, prompt in prompts.items()]
-        failures = [failure for failure in outcomes if failure is not None]
+            errors = [run(role) for role in prompts]
+        failures = [(role, exc) for role, exc in zip(prompts, errors) if exc is not None]
+        for _, exc in failures:
+            if not isinstance(exc, StageError):
+                raise exc
         if failures:
-            # an unclassified error outranks a stage failure: it escapes the run
-            raise next((f for f in failures if not isinstance(f, _StageFailure)),
-                       failures[0])
+            return failures[0]
+    return None
 
 
 def _single_prompt(profile: dict, contracts: ContractSet,
@@ -307,40 +284,37 @@ def _single_prompt(profile: dict, contracts: ContractSet,
     return "\n".join(parts)
 
 
-def _structure_check(store: ContextStore, mode: str) -> tuple[bool, list[str]]:
+def _structure_check(snapshot: dict[str, ContextEntry],
+                     mode: str) -> tuple[bool, list[str]]:
     """The 3/3/3 structural stability check plus threat title collection."""
     if mode == "single_agent":
-        doc = store.read_latest("report").payload
+        doc = snapshot["report"].payload
         threats = doc.get("threats", [])
         risks = doc.get("risks", [])
         recs = doc.get("recommendations", [])
     else:
-        threats = store.read_latest("threat_model").payload.get("threats", [])
-        risks = store.read_latest("risk_register").payload.get("risks", [])
-        recs = store.read_latest("recommendations").payload.get("recommendations", [])
+        threats = snapshot["threat_model"].payload.get("threats", [])
+        risks = snapshot["risk_register"].payload.get("risks", [])
+        recs = snapshot["recommendations"].payload.get("recommendations", [])
     titles = _dedupe_titles([t.get("title", "") for t in threats])
     structural_ok = len(threats) == 3 and len(risks) == 3 and len(recs) == 3
     return structural_ok, titles
 
 
-def _write_outputs(store: ContextStore, corpus: Optional[Corpus],
+def _write_outputs(snapshot: dict[str, ContextEntry], corpus: Optional[Corpus],
                    config: ModelConfig, mode: str, record: RunRecord,
                    run_dir: Path) -> None:
     if mode == "single_agent":
-        doc = store.read_latest("report").payload
-        (run_dir / "report.json").write_text(
-            json.dumps(doc, indent=2, ensure_ascii=False, sort_keys=True) + "\n",
-            encoding="utf-8")
-        return
-    snapshot = store.snapshot()
-    citations = []
-    if corpus is not None:
-        citations = corpus.verify_citations(report_mod.citation_source_text(snapshot))
-    flags = report_mod.contradiction_flags(snapshot)
-    markdown = report_mod.render_report(snapshot, citations, flags,
-                                        model_id=config.model_id, mode=mode)
-    (run_dir / "report.md").write_text(markdown, encoding="utf-8")
-    doc = report_mod.report_document(snapshot, citations, flags, record)
+        doc = snapshot["report"].payload
+    else:
+        citations = []
+        if corpus is not None:
+            citations = corpus.verify_citations(report_mod.citation_source_text(snapshot))
+        flags = report_mod.contradiction_flags(snapshot)
+        markdown = report_mod.render_report(snapshot, citations, flags,
+                                            model_id=config.model_id, mode=mode)
+        (run_dir / "report.md").write_text(markdown, encoding="utf-8")
+        doc = report_mod.report_document(snapshot, citations, flags, record)
     (run_dir / "report.json").write_text(
         json.dumps(doc, indent=2, ensure_ascii=False, sort_keys=True) + "\n",
         encoding="utf-8")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .context_store import ContextSnapshot
+from .context_store import ContextEntry
 from .contracts import ENTRY_KINDS
 from .errors import IncompleteContext
 from .grounding import FrameworkCitation
@@ -23,24 +23,24 @@ PHASE_LABELS = {30: "Days 0-30", 60: "Days 31-60", 90: "Days 61-90",
                 "beyond": "Beyond 90 days"}
 
 
-def _require(snapshot: ContextSnapshot, key: str) -> dict:
+def _require(snapshot: dict[str, ContextEntry], key: str) -> dict:
     entry = snapshot.get(key)
     if entry is None:
         raise IncompleteContext(key)
     return entry.payload
 
 
-def register_items(snapshot: ContextSnapshot) -> list[RiskItem]:
+def register_items(snapshot: dict[str, ContextEntry]) -> list[RiskItem]:
     doc = _require(snapshot, "risk_register")
     return [RiskItem.from_dict(r) for r in doc.get("risks", [])]
 
 
-def contradiction_flags(snapshot: ContextSnapshot) -> list[ContradictionFlag]:
+def contradiction_flags(snapshot: dict[str, ContextEntry]) -> list[ContradictionFlag]:
     return check_contradictions(register_items(snapshot),
                                 _require(snapshot, "recommendations"))
 
 
-def citation_source_text(snapshot: ContextSnapshot) -> str:
+def citation_source_text(snapshot: dict[str, ContextEntry]) -> str:
     """All free text a model could have salted with framework citations."""
     parts = []
     for risk in _require(snapshot, "risk_register").get("risks", []):
@@ -78,7 +78,7 @@ def summarize_roadmap(recommendations: dict,
     return grouped
 
 
-def report_document(snapshot: ContextSnapshot, citations: list[FrameworkCitation],
+def report_document(snapshot: dict[str, ContextEntry], citations: list[FrameworkCitation],
                     flags: list[ContradictionFlag], record=None) -> dict:
     """Machine-readable companion mirroring the rendered report."""
     register = register_items(snapshot)
@@ -125,7 +125,7 @@ def report_document(snapshot: ContextSnapshot, citations: list[FrameworkCitation
     return doc
 
 
-def render_report(snapshot: ContextSnapshot, citations: list[FrameworkCitation],
+def render_report(snapshot: dict[str, ContextEntry], citations: list[FrameworkCitation],
                   flags: list[ContradictionFlag], *, model_id: str,
                   mode: str) -> str:
     """Deterministic Markdown. Run id and wall clock are deliberately left

@@ -170,6 +170,39 @@ def test_corrupt_ledger_line_is_a_clean_error(runner, tmp_path, verb, corrupt):
     assert f"{ledger}:2: " in result.output
 
 
+REGISTER = str(FIXTURES / "case_study_register.json")
+ANNOTATIONS = str(FIXTURES / "annotations.jsonl")
+ANNOTATION = '{"assessor_id": "a1", "risk_title": "Phishing", "severity": "High"}\n'
+
+
+@pytest.mark.parametrize("name, text, args", [
+    ("register.json", '{"risks": [',
+     ["eval", "--register", "{file}", "--annotations", ANNOTATIONS]),
+    ("annotations.jsonl", ANNOTATION * 2,
+     ["eval", "--register", REGISTER, "--annotations", "{file}"]),
+    ("annotations.jsonl", ANNOTATION + ANNOTATION[:20],
+     ["eval", "--register", REGISTER, "--annotations", "{file}"]),
+    ("aliases.json", '[["a", "b", "c"]]',
+     ["eval", "--register", REGISTER, "--annotations", ANNOTATIONS, "--aliases", "{file}"]),
+    ("profiles/bad.json", '{"profile_id": ',
+     ["ablate", "--profiles", "{dir}", "--out", "{ledger}"]),
+    ("models.json", '[{"label": "x"}]',
+     ["ablate", "--models", "{file}", "--out", "{ledger}"]),
+], ids=["register_torn", "annotations_duplicate", "annotations_torn",
+        "aliases_triple", "profile_torn", "models_no_script"])
+def test_bad_input_file_is_a_one_line_error(runner, tmp_path, name, text, args):
+    path = tmp_path / name
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(text, encoding="utf-8")
+    result = runner.invoke(main, [arg.format(file=path, dir=path.parent,
+                                             ledger=tmp_path / "ledger.jsonl")
+                                  for arg in args])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert str(path) in result.output
+    assert "Traceback" not in result.output
+
+
 def test_ablate_requires_profiles(runner, tmp_path):
     empty = tmp_path / "profiles"
     empty.mkdir()

@@ -195,7 +195,7 @@ def test_run_agent_appends_to_declared_key(cross_contracts, seeded_store, tmp_pa
     assert entry.agent_id == "threat_modeling"
     assert seeded_store.read_latest("threat_model").payload == valid_threats()
     # nothing else was written
-    assert seeded_store.snapshot().keys() == ["org_profile", "threat_model"]
+    assert list(seeded_store.snapshot()) == ["org_profile", "threat_model"]
 
 
 def test_run_agent_retries_once_then_succeeds(cross_contracts, seeded_store, tmp_path):
@@ -226,7 +226,7 @@ def test_run_agent_fails_after_max_attempts(cross_contracts, seeded_store, tmp_p
     assert exc.value.violations
     assert MAX_ATTEMPTS == 3
     # the failed agent wrote nothing
-    assert seeded_store.snapshot().keys() == ["org_profile"]
+    assert list(seeded_store.snapshot()) == ["org_profile"]
 
 
 def test_retry_prompt_carries_violation_details(cross_contracts, seeded_store,
