@@ -17,12 +17,12 @@ from pathlib import Path
 import click
 
 from .contracts import DATA_DIR, ContractSet
-from .errors import RiskforgeError
+from .errors import ProfileInvalid, RiskforgeError
 from .evalkit import (AliasMap, ModelSpec, compute_metrics, load_annotations,
                       run_ablation)
 from .gateway import HttpGateway, ModelConfig, StubGateway
 from .grounding import Corpus
-from .orchestrator import execute_pipeline, load_ledger, record_run
+from .orchestrator import check_profile, execute_pipeline, load_ledger, record_run
 from .risk_model import RiskItem
 
 BUNDLED_CORPUS = DATA_DIR / "corpus" / "mini_csf.jsonl"
@@ -41,11 +41,12 @@ def _resolve_corpus(corpus_path) -> Path:
 def _read_json(path, what: str, build=None):
     """The JSON document at path, passed through build when given. A file
     that cannot be read, is not JSON, or whose document build rejects
-    with KeyError, TypeError or ValueError is a one-line error naming it."""
+    (KeyError, TypeError, ValueError, ProfileInvalid) is a one-line error
+    naming it."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
         return build(doc) if build else doc
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, ProfileInvalid) as exc:
         raise click.ClickException(
             f"cannot read {what} {path}: {type(exc).__name__}: {exc}")
 
@@ -99,7 +100,10 @@ def assess(profile_path, mode, provider, script, model_id, window, seed,
 
     corpus = _load_corpus(corpus_path)
     contracts = ContractSet(schema_mode=schema_mode)
-    config = ModelConfig(model_id=model_id, context_window_tokens=window, seed=seed)
+    try:
+        config = ModelConfig(model_id=model_id, context_window_tokens=window, seed=seed)
+    except ValueError as exc:
+        raise click.ClickException(f"--window {window}: {exc}")
     run_mode = "multi_agent" if mode == "multi" else "single_agent"
 
     try:
@@ -187,7 +191,8 @@ def eval_cmd(ledger_path, annotations_path, aliases_path, register_path,
 def ablate(profiles_dir, models_path, runs_per_cell, mode, schema_mode,
            corpus_path, ledger_path, workers):
     """Sweep profiles x models x seeds and append run records to a ledger."""
-    profiles = [_read_json(path, "profile")
+    contracts = ContractSet(schema_mode=schema_mode)
+    profiles = [_read_json(path, "profile", lambda doc: check_profile(doc, contracts))
                 for path in sorted(Path(profiles_dir).glob("*.json"))]
     if not profiles:
         raise click.ClickException(f"no profile JSON files in {profiles_dir}")
@@ -196,7 +201,6 @@ def ablate(profiles_dir, models_path, runs_per_cell, mode, schema_mode,
                   context_window_tokens=doc.get("window", 4096)) for doc in docs])
 
     corpus = _load_corpus(corpus_path)
-    contracts = ContractSet(schema_mode=schema_mode)
     run_mode = "multi_agent" if mode == "multi" else "single_agent"
     try:
         executed = run_ablation(profiles, specs, runs_per_cell, run_mode,

@@ -511,12 +511,10 @@ class ContractSet:
         return "\n".join(parts)
 
     def gather_grounding(self, role: str, snapshot: dict[str, ContextEntry],
-                         corpus: Optional[Corpus]) -> list[FrameworkExcerpt]:
+                         corpus: Corpus) -> list[FrameworkExcerpt]:
         """Retrieved excerpts plus carry-forward excerpts for every corpus
         identifier already cited inside the role's read entries, so the
         citation policy stays satisfiable as citations flow downstream."""
-        if corpus is None:
-            return []
         contract = self.contract(role)
         excerpts: dict[tuple[str, str], FrameworkExcerpt] = {}
         if contract.grounding_query and contract.grounding_k > 0:
@@ -533,7 +531,7 @@ class ContractSet:
         return sorted(excerpts.values(), key=lambda e: (e.framework, e.identifier))
 
     def build_prompt(self, role: str, snapshot: dict[str, ContextEntry],
-                     corpus: Optional[Corpus],
+                     corpus: Corpus,
                      extra: Optional[dict[str, str]] = None) -> str:
         """The role's full prompt over a snapshot: grounding, then assembly."""
         grounding = self.gather_grounding(role, snapshot, corpus)

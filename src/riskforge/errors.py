@@ -104,7 +104,7 @@ class DuplicateIdentifier(RiskforgeError):
 
 
 class IncompleteContext(RiskforgeError):
-    """Report rendering was attempted before all entry kinds existed."""
+    """The final report was derived before all entry kinds existed."""
 
     def __init__(self, key: str):
         self.key = key

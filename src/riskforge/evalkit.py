@@ -21,7 +21,8 @@ from typing import Iterable, Optional
 from .context_store import load_records
 from .errors import NoRunsSelected, RiskforgeError
 from .gateway import ModelConfig, StubGateway
-from .orchestrator import RunRecord, execute_pipeline, load_ledger, record_run
+from .orchestrator import (RunRecord, check_profile, execute_pipeline, load_ledger,
+                           record_run)
 from .risk_model import RiskItem, normalize_title
 
 
@@ -30,6 +31,11 @@ class PractitionerAnnotation:
     assessor_id: str
     risk_title: str
     severity: str  # Low | Medium | High
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not isinstance(value, str):
+                raise TypeError(f"{name} must be a string, not {type(value).__name__}")
 
 
 def load_annotations(path: Path) -> list[PractitionerAnnotation]:
@@ -301,14 +307,20 @@ class ModelSpec:
     script: str  # stub script name, e.g. "specific" or "generic"
     context_window_tokens: int = 4096
 
+    def __post_init__(self):
+        # raises ValueError for a window the reserved output tokens fill
+        ModelConfig(model_id=self.label, context_window_tokens=self.context_window_tokens)
+
 
 def run_ablation(profiles: list[dict], models: list[ModelSpec], runs_per_cell: int,
                  mode: str, ledger_path: Path, contracts, corpus,
                  stub_root: Path, workers: int = 1) -> int:
     """Execute profiles x models x seeds, appending RunRecords to the
     ledger. Cells already present for this mode are skipped, so reruns
-    resume. Window and schema mode are not on the record and so not in
-    the resume key."""
+    resume; an invalid profile raises ProfileInvalid before any cell. Window
+    and schema mode are not on the record and so not in the resume key."""
+    for profile in profiles:
+        check_profile(profile, contracts)
     ledger_path = Path(ledger_path)
     done = set()
     if ledger_path.exists():

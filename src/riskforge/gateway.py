@@ -39,7 +39,8 @@ class ModelConfig:
 
     def __post_init__(self):
         if not self.reserved_output_tokens < self.context_window_tokens:
-            raise ValueError("reserved_output_tokens must be < context_window_tokens")
+            raise ValueError(f"reserved_output_tokens ({self.reserved_output_tokens}) must "
+                             f"be < context_window_tokens ({self.context_window_tokens})")
 
 
 @dataclass

@@ -136,8 +136,22 @@ def _dedupe_titles(titles: list[str]) -> list[str]:
     return out
 
 
+def check_profile(profile: dict, contracts: ContractSet) -> dict:
+    """Return profile if it is a valid questionnaire, else raise
+    ProfileInvalid naming the first violation."""
+    if not contracts.acceptor(QUESTIONNAIRE_SCHEMA)(profile):
+        import jsonschema  # only a rejection needs explaining
+
+        try:
+            jsonschema.Draft202012Validator(
+                contracts.schema(QUESTIONNAIRE_SCHEMA)).validate(profile)
+        except jsonschema.ValidationError as exc:
+            raise ProfileInvalid(f"questionnaire invalid: {exc.message}") from exc
+    return profile
+
+
 def execute_pipeline(profile: dict, config: ModelConfig, mode: str, gateway,
-                     corpus: Optional[Corpus], contracts: ContractSet,
+                     corpus: Corpus, contracts: ContractSet,
                      out_dir: Optional[Path] = None) -> tuple[RunRecord, Optional[ContextEntry]]:
     """Run one assessment. Returns the run record and, when the run
     completed, the final report entry. Before any stage executes or any
@@ -148,14 +162,7 @@ def execute_pipeline(profile: dict, config: ModelConfig, mode: str, gateway,
     failed_stage and failure_kind; any other exception propagates."""
     if mode not in ("multi_agent", "single_agent"):
         raise ValueError(f"unknown mode {mode!r}")
-    if not contracts.acceptor(QUESTIONNAIRE_SCHEMA)(profile):
-        import jsonschema  # only a rejection needs explaining
-
-        try:
-            jsonschema.Draft202012Validator(
-                contracts.schema(QUESTIONNAIRE_SCHEMA)).validate(profile)
-        except jsonschema.ValidationError as exc:
-            raise ProfileInvalid(f"questionnaire invalid: {exc.message}") from exc
+    check_profile(profile, contracts)
     plan, build_prompt = _plan(mode, profile, contracts, corpus)
     for stage in plan:
         for role in stage:
@@ -191,11 +198,11 @@ def execute_pipeline(profile: dict, config: ModelConfig, mode: str, gateway,
     snapshot = store.snapshot()
     record.structural_ok, record.unique_threat_titles = _structure_check(snapshot, mode)
     if run_dir is not None:
-        _write_outputs(snapshot, corpus, config, mode, record, run_dir)
+        _write_outputs(snapshot, corpus, record, run_dir)
     return record, snapshot["report"]
 
 
-def _plan(mode: str, profile: dict, contracts: ContractSet, corpus: Optional[Corpus]):
+def _plan(mode: str, profile: dict, contracts: ContractSet, corpus: Corpus):
     """The mode's stages and its prompt builder, build(role, snapshot)."""
     if mode == "single_agent":
         return stage_plan([SINGLE_AGENT]), lambda role, snapshot: _single_prompt(
@@ -247,13 +254,10 @@ def _run_stages(plan, build_prompt, config: ModelConfig, gateway,
     return None
 
 
-def _single_prompt(profile: dict, contracts: ContractSet,
-                   corpus: Optional[Corpus]) -> str:
+def _single_prompt(profile: dict, contracts: ContractSet, corpus: Corpus) -> str:
     questionnaire = canonical_json(profile)
-    grounding = []
-    if corpus is not None:
-        grounding = corpus.retrieve(
-            "access control authentication policy incident response monitoring", 4)
+    grounding = corpus.retrieve(
+        "access control authentication policy incident response monitoring", 4)
     parts = [
         "You are a security analyst performing a complete cybersecurity risk "
         "assessment in a single pass. Work through every stage below in order.",
@@ -301,20 +305,13 @@ def _structure_check(snapshot: dict[str, ContextEntry],
     return structural_ok, titles
 
 
-def _write_outputs(snapshot: dict[str, ContextEntry], corpus: Optional[Corpus],
-                   config: ModelConfig, mode: str, record: RunRecord,
-                   run_dir: Path) -> None:
-    if mode == "single_agent":
+def _write_outputs(snapshot: dict[str, ContextEntry], corpus: Corpus,
+                   record: RunRecord, run_dir: Path) -> None:
+    if record.mode == "single_agent":
         doc = snapshot["report"].payload
     else:
-        citations = []
-        if corpus is not None:
-            citations = corpus.verify_citations(report_mod.citation_source_text(snapshot))
-        flags = report_mod.contradiction_flags(snapshot)
-        markdown = report_mod.render_report(snapshot, citations, flags,
-                                            model_id=config.model_id, mode=mode)
-        (run_dir / "report.md").write_text(markdown, encoding="utf-8")
-        doc = report_mod.report_document(snapshot, citations, flags, record)
+        doc = report_mod.report_document(snapshot, corpus, record)
+        (run_dir / "report.md").write_text(report_mod.render_report(doc), encoding="utf-8")
     (run_dir / "report.json").write_text(
         json.dumps(doc, indent=2, ensure_ascii=False, sort_keys=True) + "\n",
         encoding="utf-8")

@@ -1,68 +1,64 @@
-"""Final assessment document assembly.
+"""Final assessment document: derived once, rendered from the document.
 
-Markdown only, rendered deterministically from the post-synthesis context
-snapshot: identical inputs produce byte-identical output, which is what
-the golden-file tests pin. Unverified citations and contradiction flags
-always surface; nothing is silently dropped.
+report_document derives the assessment from the post-synthesis context
+snapshot; report.json is that document, and render_report formats it as
+deterministic Markdown, so report.md re-renders from report.json byte for
+byte. Unverified citations and contradiction flags always surface.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING
 
 from .context_store import ContextEntry
 from .contracts import ENTRY_KINDS
 from .errors import IncompleteContext
-from .grounding import FrameworkCitation
+from .grounding import Corpus
 from .risk_model import (CSF_FUNCTIONS, ContradictionFlag, RiskItem,
-                         check_contradictions, compliance_rollup, derive_severity,
-                         normalize_title, rank_risks)
+                         check_contradictions, compliance_rollup, normalize_title,
+                         rank_risks)
 
-PHASE_ORDER = (30, 60, 90, "beyond")
+if TYPE_CHECKING:
+    from .orchestrator import RunRecord
+
 PHASE_LABELS = {30: "Days 0-30", 60: "Days 31-60", 90: "Days 61-90",
                 "beyond": "Beyond 90 days"}
 
 
-def _require(snapshot: dict[str, ContextEntry], key: str) -> dict:
-    entry = snapshot.get(key)
-    if entry is None:
-        raise IncompleteContext(key)
-    return entry.payload
-
-
 def register_items(snapshot: dict[str, ContextEntry]) -> list[RiskItem]:
-    doc = _require(snapshot, "risk_register")
-    return [RiskItem.from_dict(r) for r in doc.get("risks", [])]
+    return [RiskItem.from_dict(r) for r in snapshot["risk_register"].payload.get("risks", [])]
 
 
 def contradiction_flags(snapshot: dict[str, ContextEntry]) -> list[ContradictionFlag]:
     return check_contradictions(register_items(snapshot),
-                                _require(snapshot, "recommendations"))
+                                snapshot["recommendations"].payload)
 
 
 def citation_source_text(snapshot: dict[str, ContextEntry]) -> str:
     """All free text a model could have salted with framework citations."""
     parts = []
-    for risk in _require(snapshot, "risk_register").get("risks", []):
+    for risk in snapshot["risk_register"].payload.get("risks", []):
         parts.append(risk.get("reasoning", ""))
-    for findings in _require(snapshot, "control_assessment").get("functions", {}).values():
+    for findings in snapshot["control_assessment"].payload.get("functions", {}).values():
         for finding in findings:
             parts.append(finding.get("finding", ""))
-    for rec in _require(snapshot, "recommendations").get("recommendations", []):
+    for rec in snapshot["recommendations"].payload.get("recommendations", []):
         parts.append(rec.get("action", ""))
-    parts.append(_require(snapshot, "report").get("exec_summary", ""))
+    parts.append(snapshot["report"].payload.get("exec_summary", ""))
     return "\n".join(parts)
 
 
-def summarize_roadmap(recommendations: dict,
-                      register: Optional[list[RiskItem]] = None) -> list[tuple[str, list[dict]]]:
+def summarize_roadmap(recommendations: list[dict],
+                      risks: list[dict]) -> list[tuple[str, list[dict]]]:
     """Group recommendations by phase bucket ascending; within a bucket,
-    order by the highest linked risk severity, then action text."""
-    severity_of = {}
-    for risk in register or []:
-        severity_of[normalize_title(risk.title)] = risk.severity.value
-    buckets: dict = {phase: [] for phase in PHASE_ORDER}
-    for rec in recommendations.get("recommendations", []):
+    order by the highest linked risk severity (a title shared by several
+    risks counts at the highest), then action text."""
+    severity_of: dict[str, int] = {}
+    for risk in risks:
+        norm = normalize_title(risk["title"])
+        severity_of[norm] = max(severity_of.get(norm, 0), risk["severity_value"])
+    buckets: dict = {phase: [] for phase in PHASE_LABELS}
+    for rec in recommendations:
         buckets[rec["phase_days"]].append(rec)
 
     def max_severity(rec: dict) -> int:
@@ -71,22 +67,24 @@ def summarize_roadmap(recommendations: dict,
         return max(linked, default=0)
 
     grouped = []
-    for phase in PHASE_ORDER:
+    for phase, label in PHASE_LABELS.items():
         members = sorted(buckets[phase], key=lambda r: (-max_severity(r), r["action"]))
         if members:
-            grouped.append((PHASE_LABELS[phase], members))
+            grouped.append((label, members))
     return grouped
 
 
-def report_document(snapshot: dict[str, ContextEntry], citations: list[FrameworkCitation],
-                    flags: list[ContradictionFlag], record=None) -> dict:
-    """Machine-readable companion mirroring the rendered report."""
-    register = register_items(snapshot)
-    ranked = rank_risks(register)
-    rollup = compliance_rollup(_require(snapshot, "control_assessment"))
-    doc = {
-        "exec_summary": _require(snapshot, "report").get("exec_summary", ""),
-        "profile": _require(snapshot, "org_profile"),
+def report_document(snapshot: dict[str, ContextEntry], corpus: Corpus,
+                    record: RunRecord) -> dict:
+    """The final assessment from the post-synthesis snapshot. Raises
+    IncompleteContext naming the first entry kind the snapshot lacks."""
+    for key in ENTRY_KINDS:
+        if key not in snapshot:
+            raise IncompleteContext(key)
+    rollup = compliance_rollup(snapshot["control_assessment"].payload)
+    return {
+        "exec_summary": snapshot["report"].payload.get("exec_summary", ""),
+        "profile": snapshot["org_profile"].payload,
         "risks": [
             {
                 "title": r.title,
@@ -98,10 +96,10 @@ def report_document(snapshot: dict[str, ContextEntry], citations: list[Framework
                 "linked_threat_titles": r.linked_threat_titles,
                 "linked_control_gaps": r.linked_control_gaps,
             }
-            for r in ranked
+            for r in rank_risks(register_items(snapshot))
         ],
         "compliance": {"status": rollup.status, "evidence": rollup.evidence},
-        "roadmap": _require(snapshot, "recommendations").get("recommendations", []),
+        "roadmap": snapshot["recommendations"].payload.get("recommendations", []),
         "citations": [
             {
                 "raw": c.raw,
@@ -109,40 +107,31 @@ def report_document(snapshot: dict[str, ContextEntry], citations: list[Framework
                 "identifier": c.identifier,
                 "verified": c.verified,
             }
-            for c in citations
+            for c in corpus.verify_citations(citation_source_text(snapshot))
         ],
         "contradiction_flags": [
-            {"kind": f.kind, "title": f.title, "detail": f.detail} for f in flags
+            {"kind": f.kind, "title": f.title, "detail": f.detail}
+            for f in contradiction_flags(snapshot)
         ],
-    }
-    if record is not None:
-        doc["run_metadata"] = {
+        "run_metadata": {
             "run_id": record.run_id,
             "model_id": record.model_id,
             "mode": record.mode,
             "wall_seconds": record.wall_seconds,
-        }
-    return doc
+        },
+    }
 
 
-def render_report(snapshot: dict[str, ContextEntry], citations: list[FrameworkCitation],
-                  flags: list[ContradictionFlag], *, model_id: str,
-                  mode: str) -> str:
-    """Deterministic Markdown. Run id and wall clock are deliberately left
-    out so identical inputs render byte-identically."""
-    for key in ENTRY_KINDS:
-        _require(snapshot, key)
-
-    profile = _require(snapshot, "org_profile")
-    register = register_items(snapshot)
-    ranked = rank_risks(register)
-    rollup = compliance_rollup(_require(snapshot, "control_assessment"))
-    recommendations = _require(snapshot, "recommendations")
-    exec_summary = _require(snapshot, "report").get("exec_summary", "")
+def render_report(doc: dict) -> str:
+    """Deterministic Markdown of a report_document. Run id and wall clock
+    are deliberately left out so identical inputs render byte-identically."""
+    profile = doc["profile"]
+    risks = doc["risks"]
+    compliance = doc["compliance"]
 
     lines = ["# Cybersecurity Risk Assessment", ""]
 
-    lines += ["## Executive Summary", "", exec_summary.strip(), ""]
+    lines += ["## Executive Summary", "", doc["exec_summary"].strip(), ""]
 
     lines += ["## Organization Profile", ""]
     lines.append(f"- Industry: {profile.get('industry', 'unknown')}")
@@ -162,30 +151,29 @@ def render_report(snapshot: dict[str, ContextEntry], citations: list[FrameworkCi
     lines += ["## Risk Register", ""]
     lines.append("| # | Risk | Likelihood | Impact | Severity |")
     lines.append("|---|------|------------|--------|----------|")
-    for i, risk in enumerate(ranked, start=1):
-        sev = risk.severity
-        lines.append(f"| {i} | {risk.title} | {risk.likelihood} | {risk.impact} "
-                     f"| {sev.value} ({sev.band}) |")
+    for i, risk in enumerate(risks, start=1):
+        lines.append(f"| {i} | {risk['title']} | {risk['likelihood']} | {risk['impact']} "
+                     f"| {risk['severity_value']} ({risk['severity_band']}) |")
     lines.append("")
-    for risk in ranked:
-        lines.append(f"### {risk.title}")
+    for risk in risks:
+        lines.append(f"### {risk['title']}")
         lines.append("")
-        lines.append(risk.reasoning.strip())
-        if risk.linked_threat_titles:
+        lines.append(risk["reasoning"].strip())
+        if risk["linked_threat_titles"]:
             lines.append("")
-            lines.append(f"Linked threats: {', '.join(risk.linked_threat_titles)}")
-        if risk.linked_control_gaps:
-            lines.append(f"Linked control gaps: {', '.join(risk.linked_control_gaps)}")
+            lines.append(f"Linked threats: {', '.join(risk['linked_threat_titles'])}")
+        if risk["linked_control_gaps"]:
+            lines.append(f"Linked control gaps: {', '.join(risk['linked_control_gaps'])}")
         lines.append("")
 
     lines += ["## NIST CSF Compliance", ""]
     lines.append("| Function | Status |")
     lines.append("|----------|--------|")
     for function in CSF_FUNCTIONS:
-        lines.append(f"| {function} | {rollup.status[function]} |")
+        lines.append(f"| {function} | {compliance['status'][function]} |")
     lines.append("")
     for function in CSF_FUNCTIONS:
-        evidence = rollup.evidence[function]
+        evidence = compliance["evidence"][function]
         if evidence:
             lines.append(f"**{function}**")
             for finding in evidence:
@@ -193,7 +181,7 @@ def render_report(snapshot: dict[str, ContextEntry], citations: list[FrameworkCi
             lines.append("")
 
     lines += ["## Remediation Roadmap", ""]
-    for label, members in summarize_roadmap(recommendations, register):
+    for label, members in summarize_roadmap(doc["roadmap"], risks):
         lines.append(f"### {label}")
         lines.append("")
         for rec in members:
@@ -203,28 +191,28 @@ def render_report(snapshot: dict[str, ContextEntry], citations: list[FrameworkCi
         lines.append("")
 
     lines += ["## Citation Verification Appendix", ""]
-    if citations:
-        for citation in citations:
-            if citation.verified:
-                lines.append(f"- {citation.raw} ({citation.framework}): verified")
+    if doc["citations"]:
+        for citation in doc["citations"]:
+            if citation["verified"]:
+                lines.append(f"- {citation['raw']} ({citation['framework']}): verified")
             else:
-                lines.append(f"- {citation.raw} ({citation.framework}): "
+                lines.append(f"- {citation['raw']} ({citation['framework']}): "
                              f"UNVERIFIED, requires human review")
     else:
         lines.append("No framework citations were detected in the assessment.")
     lines.append("")
 
     lines += ["## Consistency Flags", ""]
-    if flags:
-        for flag in flags:
-            lines.append(f"- [{flag.kind}] {flag.title}: {flag.detail}")
+    if doc["contradiction_flags"]:
+        for flag in doc["contradiction_flags"]:
+            lines.append(f"- [{flag['kind']}] {flag['title']}: {flag['detail']}")
     else:
         lines.append("No contradictions detected between the risk register and "
                      "the recommendations.")
     lines.append("")
 
     lines += ["## Run Metadata", "",
-              f"- Model: {model_id}",
-              f"- Mode: {mode}",
+              f"- Model: {doc['run_metadata']['model_id']}",
+              f"- Mode: {doc['run_metadata']['mode']}",
               ""]
     return "\n".join(lines)

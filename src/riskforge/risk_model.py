@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import MissingFunction
-from .grounding import FrameworkCitation
 
 ORDINALS = {"low": 1, "medium": 2, "high": 3}
 LEVEL_LABELS = {1: "Low", 2: "Medium", 3: "High"}
@@ -61,7 +60,6 @@ class RiskItem:
     reasoning: str
     linked_threat_titles: list[str] = field(default_factory=list)
     linked_control_gaps: list[str] = field(default_factory=list)
-    citations: list[FrameworkCitation] = field(default_factory=list)
 
     @property
     def severity(self) -> SeverityScore:

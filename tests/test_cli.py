@@ -76,6 +76,16 @@ def test_assess_single_small_window_completes(runner, tmp_path):
     assert record["structural_ok"] is True
 
 
+def test_assess_window_within_reserved_output_is_a_one_line_error(runner, tmp_path):
+    result = runner.invoke(main, [
+        "assess", "--profile", str(PROFILE), "--window", "1000", "--out", str(tmp_path)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "--window 1000: reserved_output_tokens (1024)" in result.output
+    assert "Traceback" not in result.output
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_assess_http_provider_needs_url(runner, monkeypatch):
     monkeypatch.delenv("RISKFORGE_MODEL_URL", raising=False)
     result = runner.invoke(main, [
@@ -182,14 +192,22 @@ ANNOTATION = '{"assessor_id": "a1", "risk_title": "Phishing", "severity": "High"
      ["eval", "--register", REGISTER, "--annotations", "{file}"]),
     ("annotations.jsonl", ANNOTATION + ANNOTATION[:20],
      ["eval", "--register", REGISTER, "--annotations", "{file}"]),
+    ("annotations.jsonl", '{"assessor_id": "a", "risk_title": 5, "severity": "High"}\n',
+     ["eval", "--register", REGISTER, "--annotations", "{file}"]),
     ("aliases.json", '[["a", "b", "c"]]',
      ["eval", "--register", REGISTER, "--annotations", ANNOTATIONS, "--aliases", "{file}"]),
     ("profiles/bad.json", '{"profile_id": ',
      ["ablate", "--profiles", "{dir}", "--out", "{ledger}"]),
+    ("profiles/bad.json", '{"x": 1}',
+     ["ablate", "--profiles", "{dir}", "--out", "{ledger}"]),
     ("models.json", '[{"label": "x"}]',
      ["ablate", "--models", "{file}", "--out", "{ledger}"]),
+    ("models.json", '[{"label": "a", "script": "specific"}, '
+                    '{"label": "b", "script": "specific", "window": 512}]',
+     ["ablate", "--models", "{file}", "--out", "{ledger}"]),
 ], ids=["register_torn", "annotations_duplicate", "annotations_torn",
-        "aliases_triple", "profile_torn", "models_no_script"])
+        "annotations_title_not_string", "aliases_triple", "profile_torn",
+        "profile_invalid", "models_no_script", "models_window_too_small"])
 def test_bad_input_file_is_a_one_line_error(runner, tmp_path, name, text, args):
     path = tmp_path / name
     path.parent.mkdir(exist_ok=True)
@@ -201,6 +219,7 @@ def test_bad_input_file_is_a_one_line_error(runner, tmp_path, name, text, args):
     assert isinstance(result.exception, SystemExit)
     assert str(path) in result.output
     assert "Traceback" not in result.output
+    assert not (tmp_path / "ledger.jsonl").exists()
 
 
 def test_ablate_requires_profiles(runner, tmp_path):

@@ -11,6 +11,7 @@ from riskforge.contracts import (CONTRACTS, ENTRY_KINDS, MAX_ATTEMPTS, ROLES,
                                  extract_json_object, stage_plan)
 from riskforge.errors import AgentFailed, MissingContextKey, Unparseable
 from riskforge.gateway import ModelConfig, StubGateway
+from riskforge.grounding import Corpus
 from riskforge.tokens import canonical_json
 
 
@@ -165,7 +166,7 @@ def test_grounding_without_corpus_is_empty(case_contracts):
     store = ContextStore(ENTRY_KINDS)
     store.append_entry("org_profile", "risk_intake", {"summary": "PR.AC-1"})
     assert case_contracts.gather_grounding("threat_modeling",
-                                           store.snapshot(), None) == []
+                                           store.snapshot(), Corpus([])) == []
 
 
 # -- run_agent retry behavior ------------------------------------------------
@@ -183,7 +184,7 @@ def seeded_store():
 
 
 def run_threat_modeling(contracts, store, gateway):
-    prompt = contracts.build_prompt("threat_modeling", store.snapshot(), None)
+    prompt = contracts.build_prompt("threat_modeling", store.snapshot(), Corpus([]))
     return contracts.run_agent("threat_modeling", prompt, store, gateway, make_config())
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from riskforge.contracts import DATA_DIR, ContractSet
-from riskforge.errors import NoRunsSelected, RiskforgeError
+from riskforge.errors import NoRunsSelected, ProfileInvalid, RiskforgeError, StorageFailure
 from riskforge.evalkit import (AliasMap, ModelSpec, PractitionerAnnotation,
                                compute_metrics, coverage, latency_stats,
                                load_annotations, run_ablation,
@@ -67,6 +67,16 @@ def test_duplicate_annotation_rejected(tmp_path):
     path.write_text(line + "\n" + line + "\n", encoding="utf-8")
     with pytest.raises(RiskforgeError):
         load_annotations(path)
+
+
+def test_non_string_annotation_field_names_the_line(tmp_path):
+    path = tmp_path / "ann.jsonl"
+    path.write_text(json.dumps({"assessor_id": "a", "risk_title": 5,
+                                "severity": "High"}) + "\n", encoding="utf-8")
+    with pytest.raises(StorageFailure) as exc:
+        load_annotations(path)
+    assert str(exc.value).startswith(f"{path}:1: ")
+    assert "risk_title must be a string, not int" in str(exc.value)
 
 
 def test_ambiguous_alias_rejected():
@@ -250,6 +260,17 @@ def test_ablation_runs_and_resumes(profiles, corpus, model_specs, tmp_path):
     assert run_ablation(list(profiles.values()), model_specs, 2,
                         "single_agent", ledger, contracts, corpus,
                         DATA_DIR / "stub") == 10
+
+
+def test_ablation_checks_every_profile_before_the_first_cell(profiles, corpus,
+                                                            model_specs, tmp_path):
+    ledger = tmp_path / "ledger.jsonl"
+    with pytest.raises(ProfileInvalid) as exc:
+        run_ablation([profiles["health_15"], {"x": 1}], model_specs, 1, "single_agent",
+                     ledger, ContractSet(schema_mode="cross_sector"), corpus,
+                     DATA_DIR / "stub")
+    assert str(exc.value).startswith("questionnaire invalid: ")
+    assert not ledger.exists()
 
 
 def test_resume_key_includes_mode(profiles, corpus, model_specs, tmp_path):

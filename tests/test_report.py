@@ -9,12 +9,13 @@ from riskforge.context_store import ContextStore
 from riskforge.contracts import DATA_DIR, ENTRY_KINDS
 from riskforge.errors import IncompleteContext
 from riskforge.gateway import ModelConfig
-from riskforge.orchestrator import execute_pipeline
-from riskforge.report import (citation_source_text, render_report,
-                              report_document, summarize_roadmap)
-from riskforge.risk_model import RiskItem
+from riskforge.orchestrator import RunRecord, execute_pipeline
+from riskforge.report import (contradiction_flags, render_report, report_document,
+                              summarize_roadmap)
 
 GOLDEN = Path(__file__).parent / "data" / "golden_health_15.md"
+RECORD = RunRecord(run_id="r", profile_id="p", model_id="m", mode="multi_agent",
+                   seed=0, completed=True)
 
 
 @pytest.fixture
@@ -62,6 +63,21 @@ def test_report_json_mirrors_markdown_content(health_run):
     assert doc["contradiction_flags"] == []
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("profile_id", sorted(
+    path.stem for path in (DATA_DIR / "profiles").glob("*.json")))
+def test_report_md_renders_from_report_json(profiles, case_contracts, corpus,
+                                            specific_gateway, tmp_path, profile_id, seed):
+    record, _ = execute_pipeline(
+        profiles[profile_id],
+        ModelConfig(model_id="stub-model", context_window_tokens=131072, seed=seed),
+        "multi_agent", specific_gateway, corpus, case_contracts, out_dir=tmp_path)
+    assert record.completed
+    run_dir = tmp_path / record.run_id
+    doc = json.loads((run_dir / "report.json").read_text(encoding="utf-8"))
+    assert render_report(doc) == (run_dir / "report.md").read_text(encoding="utf-8")
+
+
 # -- renderer requirements ---------------------------------------------------
 
 def full_store(register=None, recommendations=None):
@@ -90,16 +106,15 @@ def test_render_requires_every_entry_kind(corpus):
     store = ContextStore(ENTRY_KINDS)
     store.append_entry("org_profile", "risk_intake", {"industry": "x"})
     with pytest.raises(IncompleteContext) as exc:
-        render_report(store.snapshot(), [], [], model_id="m", mode="multi_agent")
+        report_document(store.snapshot(), corpus, RECORD)
     assert exc.value.key == "threat_model"
 
 
 def test_unverified_citations_surface_for_review(corpus):
     store = full_store()
-    snapshot = store.snapshot()
-    citations = corpus.verify_citations(citation_source_text(snapshot))
-    assert any(not c.verified for c in citations)
-    text = render_report(snapshot, citations, [], model_id="m", mode="multi_agent")
+    doc = report_document(store.snapshot(), corpus, RECORD)
+    assert any(not c["verified"] for c in doc["citations"])
+    text = render_report(doc)
     assert "PR.AC-12 (nist_csf): UNVERIFIED, requires human review" in text
 
 
@@ -107,11 +122,10 @@ def test_contradiction_flags_render(corpus):
     store = full_store(recommendations={"recommendations": [
         {"action": "patch", "phase_days": 30, "cost_range": "$1K",
          "linked_risk_titles": ["Ghost Risk"]}]})
-    from riskforge.report import contradiction_flags
     flags = contradiction_flags(store.snapshot())
     kinds = {f.kind for f in flags}
     assert kinds == {"dangling_reference", "unaddressed_high_risk"}
-    text = render_report(store.snapshot(), [], flags, model_id="m", mode="multi_agent")
+    text = render_report(report_document(store.snapshot(), corpus, RECORD))
     assert "[dangling_reference] Ghost Risk" in text
     assert "[unaddressed_high_risk] Fabricated Citation Risk" in text
 
@@ -126,17 +140,14 @@ def test_report_md_has_no_run_specific_fields(health_run):
 # -- roadmap grouping --------------------------------------------------------
 
 def test_roadmap_groups_ascending_and_orders_by_severity():
-    register = [
-        RiskItem(title="Big", likelihood="High", impact="High", reasoning=""),
-        RiskItem(title="Small", likelihood="Low", impact="Medium", reasoning=""),
-    ]
-    recs = {"recommendations": [
+    risks = [{"title": "Big", "severity_value": 9}, {"title": "Small", "severity_value": 2}]
+    recs = [
         {"action": "later", "phase_days": "beyond", "linked_risk_titles": ["Small"]},
         {"action": "minor now", "phase_days": 30, "linked_risk_titles": ["Small"]},
         {"action": "major now", "phase_days": 30, "linked_risk_titles": ["Big"]},
         {"action": "mid", "phase_days": 60, "linked_risk_titles": ["Big"]},
-    ]}
-    grouped = summarize_roadmap(recs, register)
+    ]
+    grouped = summarize_roadmap(recs, risks)
     assert [label for label, _ in grouped] == ["Days 0-30", "Days 31-60",
                                                "Beyond 90 days"]
     first_bucket = [r["action"] for r in grouped[0][1]]
@@ -144,12 +155,25 @@ def test_roadmap_groups_ascending_and_orders_by_severity():
 
 
 def test_roadmap_empty_buckets_omitted():
-    grouped = summarize_roadmap({"recommendations": []})
+    grouped = summarize_roadmap([], [])
     assert grouped == []
 
 
-def test_report_document_without_record_has_no_metadata():
-    store = full_store()
-    doc = report_document(store.snapshot(), [], [])
-    assert "run_metadata" not in doc
-    assert doc["exec_summary"] == "summary"
+def test_roadmap_orders_a_shared_title_by_its_highest_severity(corpus):
+    """Two register risks whose titles normalize alike: a recommendation
+    linked to that title ranks at the higher severity, wherever the lower
+    one sits in the register."""
+    def risk(title, level):
+        return {"title": title, "likelihood": level, "impact": level, "reasoning": "",
+                "linked_threat_titles": [], "linked_control_gaps": []}
+
+    store = full_store(
+        register={"risks": [risk("Phishing", "High"), risk("Weak Backups", "Medium"),
+                            risk("phishing!", "Low")]},
+        recommendations={"recommendations": [
+            {"action": "a backup fix", "phase_days": 30, "cost_range": "$1K",
+             "linked_risk_titles": ["Weak Backups"]},
+            {"action": "b phishing fix", "phase_days": 30, "cost_range": "$1K",
+             "linked_risk_titles": ["Phishing"]}]})
+    text = render_report(report_document(store.snapshot(), corpus, RECORD))
+    assert text.index("- b phishing fix") < text.index("- a backup fix")
