@@ -178,8 +178,8 @@ def eval_cmd(ledger_path, annotations_path, aliases_path, register_path,
               default=str(DATA_DIR / "profiles"), show_default=True)
 @click.option("--models", "models_path", type=click.Path(exists=True, dir_okay=False),
               default=str(DATA_DIR / "ablation_models.json"), show_default=True)
-@click.option("--runs", "runs_per_cell", default=3, show_default=True,
-              help="Seeds per profile x model cell.")
+@click.option("--runs", "runs_per_cell", type=click.IntRange(min=1), default=3,
+              show_default=True, help="Seeds per profile x model cell.")
 @click.option("--mode", type=click.Choice(["multi", "single"]), default="single",
               show_default=True)
 @click.option("--schema-mode", type=click.Choice(["case_study", "cross_sector"]),

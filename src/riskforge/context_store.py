@@ -19,7 +19,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable, Optional
 
-from .errors import KeyAbsent, StorageFailure, UnknownKey
+from .errors import StorageFailure, UnknownKey
 from .grounding import parse_identifiers
 from .tokens import canonical_json, estimate_tokens
 
@@ -130,13 +130,6 @@ class ContextStore:
                 append_line(self._log_path, entry.to_json())
             history.append(entry)
         return entry
-
-    def read_latest(self, key: str) -> ContextEntry:
-        with self._lock:
-            history = self._history.get(key)
-            if not history:
-                raise KeyAbsent(f"no entry has been written for key {key!r}")
-            return history[-1]
 
     def read_history(self, key: str) -> list[ContextEntry]:
         with self._lock:

@@ -13,15 +13,17 @@ provider reports as truncated, trigger a bounded re-prompt with the
 violation list attached. The single-agent baseline is one more contract,
 SINGLE_AGENT, run by the same loop; it is no part of the six-agent plan.
 
-Each schema is compiled once per ContractSet into a plain predicate
-(compile_schema) that answers "valid" for the common case; jsonschema is
-imported and run only for a rejected document, to produce the violation
-list.
+Each schema is compiled once per ContractSet into one check
+(compile_schema) that both accepts and explains: it walks a document once
+and returns its sorted (json_path, message) violations, none when valid.
+A message names a large value by its size, so the violation list attached
+to a re-prompt does not grow with the output it rejects.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, NoReturn, Optional
@@ -158,12 +160,6 @@ ENTRY_KINDS = tuple(c.writes for c in CONTRACTS.values())
 STAGES = stage_plan(CONTRACTS.values())
 
 
-@dataclass(frozen=True)
-class ValidationOutcome:
-    valid: bool
-    violations: tuple[tuple[str, str], ...]  # (document path, message)
-
-
 _DECODER = json.JSONDecoder()
 
 
@@ -185,7 +181,8 @@ def extract_json_object(raw: str) -> dict:
 
 # -- compiled schema check ---------------------------------------------------
 
-Acceptor = Callable[[Any], bool]
+Violations = tuple[tuple[str, str], ...]  # sorted (json_path, message) pairs
+_Node = Callable[[Any, str, list], None]  # node(instance, json_path, out) appends to out
 
 _ANNOTATIONS = frozenset({"$schema", "$defs", "title"})
 _ANY_TYPE_KEYWORDS = frozenset({"type", "enum", "$ref"})
@@ -200,10 +197,22 @@ _TYPE_KEYWORDS = {
     "null": frozenset(),
 }
 _DEF_PREFIX = "#/$defs/"
+_PLAIN_KEY = re.compile("^[a-zA-Z][a-zA-Z0-9_]*$")  # jsonschema's json_path rule
+_SHOWN_CHARS = 60  # the longest text a message quotes from the document
 
 
-def _accept_any(instance: Any) -> bool:
-    return True
+def _shown(x: Any) -> str:
+    """How a message names x: a short scalar by its repr, anything else by size."""
+    if isinstance(x, list):
+        return f"array of length {len(x)}"
+    if isinstance(x, dict):
+        return f"object of size {len(x)}"
+    text = repr(x)
+    if len(text) <= _SHOWN_CHARS:
+        return text
+    if isinstance(x, str):
+        return f"string of length {len(x)}"
+    return f"{type(x).__name__} of {len(text)} characters"
 
 
 def _is_integer(x: Any) -> bool:
@@ -213,22 +222,18 @@ def _is_integer(x: Any) -> bool:
 
 
 def _is_number(x: Any) -> bool:
-    # Narrower than jsonschema's numbers.Number: a Decimal is rejected,
-    # which costs only the slow path.
+    # Narrower than jsonschema's numbers.Number: a Decimal, which JSON
+    # decoding never yields, is rejected.
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _all_of(checks: list[Acceptor]) -> Acceptor:
-    if not checks:
-        return _accept_any
+def _all_of(checks: list[_Node]) -> _Node:
     if len(checks) == 1:
         return checks[0]
 
-    def check(x):
+    def check(x, path, out):
         for each in checks:
-            if not each(x):
-                return False
-        return True
+            each(x, path, out)
     return check
 
 
@@ -238,12 +243,12 @@ class _SchemaCompiler:
         self.defs = schema.get("$defs", {}) if isinstance(schema, dict) else {}
         if not isinstance(self.defs, dict):
             self.fail("#/$defs", "$defs must be an object")
-        self.refs: dict[str, Optional[Acceptor]] = {}
+        self.refs: dict[str, Optional[_Node]] = {}
 
     def fail(self, pointer: str, problem: str) -> NoReturn:
         raise ValueError(f"{self.source}: {problem} at {pointer}")
 
-    def node(self, schema: Any, pointer: str) -> Acceptor:
+    def node(self, schema: Any, pointer: str) -> _Node:
         if not isinstance(schema, dict):
             self.fail(pointer, f"unsupported schema form {schema!r} (objects only)")
         declared = schema.get("type")
@@ -257,6 +262,8 @@ class _SchemaCompiler:
         checks = []
         if declared in ("integer", "number"):
             checks.append(self.numeric(schema, pointer, declared))
+        elif declared in ("string", "boolean", "null"):
+            checks.append(self.scalar(schema, pointer, declared))
         elif declared is not None:
             checks.append(getattr(self, declared)(schema, pointer))
         if "enum" in schema:
@@ -265,7 +272,7 @@ class _SchemaCompiler:
             checks.append(self.ref(schema["$ref"], pointer + "/$ref"))
         return _all_of(checks)
 
-    def ref(self, target: Any, pointer: str) -> Acceptor:
+    def ref(self, target: Any, pointer: str) -> _Node:
         name = None
         if isinstance(target, str) and target.startswith(_DEF_PREFIX):
             name = target[len(_DEF_PREFIX):]
@@ -277,7 +284,7 @@ class _SchemaCompiler:
             self.refs[name] = self.node(self.defs[name], _DEF_PREFIX + name)
         compiled = self.refs[name]
         if compiled is None:
-            return lambda x: self.refs[name](x)
+            return lambda x, path, out: self.refs[name](x, path, out)
         return compiled
 
     def count(self, schema: dict, keyword: str, pointer: str) -> Optional[int]:
@@ -288,7 +295,7 @@ class _SchemaCompiler:
             self.fail(pointer, f"{keyword} must be a non-negative integer")
         return value
 
-    def object(self, schema: dict, pointer: str) -> Acceptor:
+    def object(self, schema: dict, pointer: str) -> _Node:
         properties = schema.get("properties", {})
         required = schema.get("required", [])
         if not isinstance(properties, dict):
@@ -298,61 +305,84 @@ class _SchemaCompiler:
         closed = "additionalProperties" in schema
         if closed and schema["additionalProperties"] is not False:
             self.fail(pointer, "unsupported additionalProperties (only false)")
-        checks = {key: self.node(sub, f"{pointer}/properties/{key}")
+        # property -> (its check, its json_path step)
+        checks = {key: (self.node(sub, f"{pointer}/properties/{key}"),
+                        f".{key}" if _PLAIN_KEY.match(key) else
+                        "['" + key.replace("\\", "\\\\").replace("'", "\\'") + "']")
                   for key, sub in properties.items()}
-        required = frozenset(required)
-        known = frozenset(properties)
+        required_keys, known = frozenset(required), frozenset(properties)
 
-        def check(x):
-            if not isinstance(x, dict) or not x.keys() >= required:
-                return False
-            if closed and not known.issuperset(x):
-                return False
+        def check(x, path, out):
+            if not isinstance(x, dict):
+                out.append((path, f"{_shown(x)} is not of type 'object'"))
+                return
+            if not x.keys() >= required_keys:
+                out.extend((path, f"{key!r} is a required property")
+                           for key in required if key not in x)
             for key, value in x.items():
                 sub = checks.get(key)
-                if sub is not None and not sub(value):
-                    return False
-            return True
+                if sub is not None:
+                    sub[0](value, path + sub[1], out)
+            if closed and not x.keys() <= known:
+                extras = x.keys() - known
+                names = ", ".join(map(repr, sorted(extras, key=str)))
+                if len(names) > _SHOWN_CHARS:
+                    names = str(len(extras))
+                verb = "was" if len(extras) == 1 else "were"
+                out.append((path, f"Additional properties are not allowed "
+                                  f"({names} {verb} unexpected)"))
         return check
 
-    def array(self, schema: dict, pointer: str) -> Acceptor:
+    def array(self, schema: dict, pointer: str) -> _Node:
         low = self.count(schema, "minItems", pointer) or 0
         high = self.count(schema, "maxItems", pointer)
         item = self.node(schema["items"], pointer + "/items") if "items" in schema else None
 
-        def check(x):
-            if not isinstance(x, list) or len(x) < low:
-                return False
+        def check(x, path, out):
+            if not isinstance(x, list):
+                out.append((path, f"{_shown(x)} is not of type 'array'"))
+                return
+            if len(x) < low:
+                out.append((path, f"{len(x)} items, fewer than minItems {low}"))
             if high is not None and len(x) > high:
-                return False
-            return item is None or all(map(item, x))
+                out.append((path, f"{len(x)} items, more than maxItems {high}"))
+            if item is not None:
+                for index, value in enumerate(x):
+                    item(value, f"{path}[{index}]", out)
         return check
 
-    def string(self, schema: dict, pointer: str) -> Acceptor:
-        low = self.count(schema, "minLength", pointer) or 0
-        return lambda x: isinstance(x, str) and len(x) >= low
+    def scalar(self, schema: dict, pointer: str, declared: str) -> _Node:
+        kind = {"string": str, "boolean": bool, "null": type(None)}[declared]
+        low = self.count(schema, "minLength", pointer) or 0  # 0 beside boolean and null
+        short = "should be non-empty" if low == 1 else "is too short"
 
-    def boolean(self, schema: dict, pointer: str) -> Acceptor:
-        return lambda x: isinstance(x, bool)
+        def check(x, path, out):
+            if not isinstance(x, kind):
+                out.append((path, f"{_shown(x)} is not of type {declared!r}"))
+            elif low and len(x) < low:
+                out.append((path, f"{_shown(x)} {short}"))
+        return check
 
-    def null(self, schema: dict, pointer: str) -> Acceptor:
-        return lambda x: x is None
-
-    def numeric(self, schema: dict, pointer: str, declared: str) -> Acceptor:
+    def numeric(self, schema: dict, pointer: str, declared: str) -> _Node:
         is_type = _is_integer if declared == "integer" else _is_number
         for keyword in ("minimum", "maximum"):
             if keyword in schema and not _is_number(schema[keyword]):
                 self.fail(pointer, f"{keyword} must be a number")
         low, high = schema.get("minimum"), schema.get("maximum")
 
-        def check(x):
-            # "x < low", not "x >= low": NaN passes, as in jsonschema
+        def check(x, path, out):
             if not is_type(x):
-                return False
-            return not ((low is not None and x < low) or (high is not None and x > high))
+                out.append((path, f"{_shown(x)} is not of type {declared!r}"))
+                if not _is_number(x):  # the bounds still apply to 2.5 against "integer"
+                    return
+            # "x < low", not "x >= low": NaN passes, as in jsonschema
+            if low is not None and x < low:
+                out.append((path, f"{_shown(x)} is less than the minimum of {low!r}"))
+            if high is not None and x > high:
+                out.append((path, f"{_shown(x)} is greater than the maximum of {high!r}"))
         return check
 
-    def enum(self, values: Any, pointer: str) -> Acceptor:
+    def enum(self, values: Any, pointer: str) -> _Node:
         if not isinstance(values, list):
             self.fail(pointer, "enum must be a list")
         strings, numbers, bools, null = set(), set(), set(), False
@@ -368,36 +398,43 @@ class _SchemaCompiler:
             else:
                 self.fail(pointer, f"unsupported enum value {value!r} (scalars only)")
 
-        def check(x):
+        def check(x, path, out):
             # A bool never equals a number here, and 30 equals 30.0.
             if isinstance(x, str):
-                return x in strings
-            if isinstance(x, bool):
-                return x in bools
-            if _is_number(x):
-                return x in numbers
-            return null and x is None
+                found = x in strings
+            elif isinstance(x, bool):
+                found = x in bools
+            elif _is_number(x):
+                found = x in numbers
+            else:
+                found = null and x is None
+            if not found:
+                out.append((path, f"{_shown(x)} is not one of {values!r}"))
         return check
 
 
-def compile_schema(schema: dict, source: str) -> Acceptor:
-    """Compile a JSON Schema into a predicate, accepts(doc) -> bool.
+def compile_schema(schema: dict, source: str) -> Callable[[Any], Violations]:
+    """Compile a JSON Schema into check(doc) -> Violations.
 
-    accepts(doc) implies that jsonschema's Draft 2020-12 validation finds
-    no error in doc; a rejection may be false (a Python value that is no
-    JSON type), which only costs the caller a jsonschema run. Comparisons
-    follow jsonschema: a bool is never an integer or a number, 1.0 is an
-    integer, an enum never matches a bool against a number, and minimum
-    and maximum reject only on < and >, so NaN and infinities fare as
-    there. Supported keywords: type, properties, required,
-    additionalProperties false, items, minItems, maxItems, minLength,
-    minimum, maximum, enum, a local $ref to #/$defs/..., and the
-    annotations $schema, $defs and title; each type-specific keyword must
-    sit beside its "type". Anything else raises ValueError naming the
-    keyword and source, so a schema is never checked less than jsonschema
-    would check it.
+    check walks doc once and returns every violation, () when doc is valid,
+    at exactly the json_paths jsonschema's Draft 2020-12 validation
+    reports. Messages use jsonschema's wording for a short scalar and name
+    anything else by its size ("4 items, more than maxItems 3"). Types
+    follow jsonschema (a bool is no number, 1.0 is an integer), except
+    that a value no JSON type, such as a Decimal, is rejected. Supported:
+    type, properties, required, additionalProperties false, items,
+    minItems, maxItems, minLength, minimum, maximum, enum, a local $ref to
+    #/$defs/..., and the annotations $schema, $defs and title, with each
+    type-specific keyword beside its "type". Anything else raises
+    ValueError naming the keyword and source.
     """
-    return _SchemaCompiler(schema, source).node(schema, "#")
+    walk = _SchemaCompiler(schema, source).node(schema, "#")
+
+    def check(doc: Any) -> Violations:
+        out: list = []
+        walk(doc, "$", out)
+        return tuple(sorted(out)) if out else ()
+    return check
 
 
 class ContractSet:
@@ -417,7 +454,7 @@ class ContractSet:
         self.schemas_dir = Path(schemas_dir or DATA_DIR / "schemas")
         self._templates: dict[str, str] = {}
         self._schemas: dict[str, dict] = {}
-        self._acceptors: dict[str, Acceptor] = {}
+        self._checkers: dict[str, Callable[[Any], Violations]] = {}
 
     def contract(self, role: str) -> AgentContract:
         if role == SINGLE_AGENT_ROLE:
@@ -449,12 +486,12 @@ class ContractSet:
                 props[field]["maxItems"] = hi
         return schema
 
-    def acceptor(self, name: str) -> Acceptor:
+    def checker(self, name: str) -> Callable[[Any], Violations]:
         """The named schema compiled by compile_schema, once per ContractSet."""
-        if name not in self._acceptors:
-            self._acceptors[name] = compile_schema(self.schema(name),
-                                                   str(self.schemas_dir / name))
-        return self._acceptors[name]
+        if name not in self._checkers:
+            self._checkers[name] = compile_schema(self.schema(name),
+                                                  str(self.schemas_dir / name))
+        return self._checkers[name]
 
     # -- prompt assembly ---------------------------------------------------
 
@@ -539,24 +576,14 @@ class ContractSet:
 
     # -- output validation -------------------------------------------------
 
-    def validate_output(self, role: str, raw: str) -> tuple[ValidationOutcome, dict]:
-        """Parse and schema-check raw model output. Raises Unparseable when
-        no balanced object exists; schema violations are reported in the
-        outcome, not raised."""
-        schema_name = self.contract(role).schema_name
+    def validate_output(self, role: str, raw: str) -> tuple[Violations, dict]:
+        """Parse and schema-check raw model output: (violations, doc), with
+        violations () when doc is valid. Raises Unparseable when no
+        balanced object exists."""
         doc = extract_json_object(raw)
-        violations: tuple[tuple[str, str], ...] = ()
-        if not self.acceptor(schema_name)(doc):
-            import jsonschema  # only a rejection needs explaining
+        return self.checker(self.contract(role).schema_name)(doc), doc
 
-            validator = jsonschema.Draft202012Validator(self.schema(schema_name))
-            violations = tuple(sorted(
-                (error.json_path, error.message)
-                for error in validator.iter_errors(doc)
-            ))
-        return ValidationOutcome(valid=not violations, violations=violations), doc
-
-    def validate_single_output(self, raw: str) -> tuple[ValidationOutcome, dict]:
+    def validate_single_output(self, raw: str) -> tuple[Violations, dict]:
         """Validate the combined 3/3/3 document from a single-agent run."""
         return self.validate_output(SINGLE_AGENT_ROLE, raw)
 
@@ -568,15 +595,14 @@ class ContractSet:
         prompt (build_prompt's, or the orchestrator's single-agent prompt).
         Returns the appended entry and the number of attempts used."""
         contract = self.contract(role)
-        last_violations: tuple[tuple[str, str], ...] = ()
+        last_violations: Violations = ()
         for attempt in range(1, MAX_ATTEMPTS + 1):
             result = gateway.complete(CompletionRequest(role=role, prompt=prompt, config=config))
             if result.truncated:
                 last_violations = (TRUNCATED_VIOLATION,)
             else:
                 try:
-                    outcome, doc = self.validate_output(role, result.text)
-                    last_violations = outcome.violations
+                    last_violations, doc = self.validate_output(role, result.text)
                 except Unparseable as exc:
                     last_violations = (("$", str(exc)),)
                 if not last_violations:

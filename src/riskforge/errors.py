@@ -9,10 +9,6 @@ class UnknownKey(RiskforgeError):
     """Append attempted against an entry kind that is not registered."""
 
 
-class KeyAbsent(RiskforgeError):
-    """Read of an entry kind that has never been written."""
-
-
 class StorageFailure(RiskforgeError):
     """The persistence layer could not record an entry, or a recorded line
     cannot be read back as one."""

@@ -46,6 +46,12 @@ from .tokens import canonical_json, estimate_tokens
 from . import report as report_mod
 
 
+# RunRecord annotation -> the exact types its value may take; JSON decoding
+# yields no subclasses, and a bool is no int here
+_FIELD_TYPES = {"str": {str}, "Optional[str]": {str, type(None)}, "int": {int},
+                "float": {int, float}, "bool": {bool}, "list[str]": {list}}
+
+
 @dataclass
 class RunRecord:
     run_id: str
@@ -59,6 +65,16 @@ class RunRecord:
     wall_seconds: float = 0.0
     structural_ok: bool = False
     unique_threat_titles: list[str] = field(default_factory=list)
+
+    def __post_init__(self):
+        # A ledger line is read back through here: a field that does not fit
+        # its annotation fails load_records at that line.
+        for name, hint in self.__annotations__.items():
+            value = getattr(self, name)
+            if type(value) not in _FIELD_TYPES[hint]:
+                raise TypeError(f"{name} must be {hint}, not {type(value).__name__}")
+        if not all(isinstance(title, str) for title in self.unique_threat_titles):
+            raise TypeError("unique_threat_titles must be list[str]")
 
     def to_json(self) -> dict:
         # not dataclasses.fields(), whose per-call tuple fills a free list (~0.25 MB RSS)
@@ -138,15 +154,10 @@ def _dedupe_titles(titles: list[str]) -> list[str]:
 
 def check_profile(profile: dict, contracts: ContractSet) -> dict:
     """Return profile if it is a valid questionnaire, else raise
-    ProfileInvalid naming the first violation."""
-    if not contracts.acceptor(QUESTIONNAIRE_SCHEMA)(profile):
-        import jsonschema  # only a rejection needs explaining
-
-        try:
-            jsonschema.Draft202012Validator(
-                contracts.schema(QUESTIONNAIRE_SCHEMA)).validate(profile)
-        except jsonschema.ValidationError as exc:
-            raise ProfileInvalid(f"questionnaire invalid: {exc.message}") from exc
+    ProfileInvalid naming its first violation in (path, message) order."""
+    violations = contracts.checker(QUESTIONNAIRE_SCHEMA)(profile)
+    if violations:
+        raise ProfileInvalid(f"questionnaire invalid: {violations[0][1]}")
     return profile
 
 
@@ -167,7 +178,7 @@ def execute_pipeline(profile: dict, config: ModelConfig, mode: str, gateway,
     for stage in plan:
         for role in stage:
             # compiled now, so an unsupported schema fails first
-            contracts.acceptor(contracts.contract(role).schema_name)
+            contracts.checker(contracts.contract(role).schema_name)
 
     run_id = _new_run_id()
     run_dir = None

@@ -21,10 +21,6 @@ def estimate_tokens(text: str) -> int:
     return (len(text) + 3) // 4
 
 
-def estimate_payload_tokens(payload: Any) -> int:
-    return estimate_tokens(canonical_json(payload))
-
-
 def prompt_hash(prompt: str) -> int:
     """Stable 64-bit hash of a prompt, used by the stub gateway for selection."""
     digest = hashlib.sha256(prompt.encode("utf-8")).digest()

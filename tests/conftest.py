@@ -1,12 +1,23 @@
 import json
+import os
+from pathlib import Path
 
 import pytest
 
+import riskforge
 from riskforge.contracts import DATA_DIR, ContractSet
 from riskforge.gateway import StubGateway
 from riskforge.grounding import Corpus
 
 PROFILE_IDS = ["health_15", "fintech_30", "mfg_40", "retail_20", "saas_25"]
+
+
+@pytest.fixture(scope="session")
+def package_env():
+    """The environment for a subprocess that imports this checkout's riskforge."""
+    src = str(Path(riskforge.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 @pytest.fixture(scope="session")

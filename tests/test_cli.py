@@ -1,15 +1,12 @@
 """CLI verbs: assess, eval, ablate, index-corpus."""
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-import riskforge
 from riskforge.cli import main
 from riskforge.contracts import DATA_DIR
 from riskforge.orchestrator import RunRecord
@@ -163,10 +160,21 @@ def test_ablate_runs_and_resumes(runner, tmp_path):
     assert "executed 0 new runs (10 already in ledger)" in result.output
 
 
+@pytest.mark.parametrize("runs", ["0", "-1"])
+def test_ablate_rejects_fewer_than_one_run_per_cell(runner, tmp_path, runs):
+    ledger = tmp_path / "ledger.jsonl"
+    result = runner.invoke(main, ["ablate", "--runs", runs, "--out", str(ledger)])
+    assert result.exit_code == 2
+    assert "--runs" in result.output
+    assert "executed" not in result.output
+    assert not ledger.exists()
+
+
 @pytest.mark.parametrize("corrupt", [
     lambda line: line[:len(line) // 2],
     lambda line: json.dumps({k: v for k, v in json.loads(line).items() if k != "seed"}),
-], ids=["torn", "missing_field"])
+    lambda line: json.dumps({**json.loads(line), "wall_seconds": "slow"}),
+], ids=["torn", "missing_field", "wall_seconds_not_a_number"])
 @pytest.mark.parametrize("verb", [["eval", "--ledger"], ["ablate", "--out"]],
                          ids=["eval", "ablate"])
 def test_corrupt_ledger_line_is_a_clean_error(runner, tmp_path, verb, corrupt):
@@ -178,6 +186,7 @@ def test_corrupt_ledger_line_is_a_clean_error(runner, tmp_path, verb, corrupt):
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert f"{ledger}:2: " in result.output
+    assert "Traceback" not in result.output
 
 
 REGISTER = str(FIXTURES / "case_study_register.json")
@@ -231,9 +240,9 @@ def test_ablate_requires_profiles(runner, tmp_path):
     assert "no profile JSON files" in result.output
 
 
-def test_cli_import_leaves_jsonschema_and_requests_unloaded(tmp_path):
-    """A CLI start-up never pays for jsonschema or requests, and neither does
-    a run whose outputs all pass the compiled schema check."""
+def test_cli_import_leaves_jsonschema_and_requests_unloaded(tmp_path, package_env):
+    """A CLI start-up never pays for requests, and neither does a stub run;
+    jsonschema is never imported outside the tests."""
     code = (
         "import sys\n"
         "from riskforge.cli import main\n"
@@ -243,11 +252,8 @@ def test_cli_import_leaves_jsonschema_and_requests_unloaded(tmp_path):
         "     standalone_mode=False)\n"
         "print(sorted(m for m in unwanted if m in sys.modules))\n"
     )
-    src = str(Path(riskforge.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=60, check=True)
+                          env=package_env, timeout=60, check=True)
     lines = done.stdout.splitlines()
     assert lines[0] == "[]"
     assert json.loads("\n".join(lines[1:-1]))["completed"] is True

@@ -9,8 +9,8 @@ from hypothesis import given, strategies as st
 
 from riskforge.context_store import ContextEntry, ContextStore
 from riskforge.contracts import DATA_DIR, ENTRY_KINDS
-from riskforge.errors import KeyAbsent, UnknownKey
-from riskforge.tokens import canonical_json, estimate_payload_tokens, estimate_tokens
+from riskforge.errors import UnknownKey
+from riskforge.tokens import canonical_json, estimate_tokens
 
 LOG_FIELDS = ["key", "agent_id", "revision", "created_at", "payload", "token_estimate"]
 
@@ -43,8 +43,9 @@ def test_canonical_json_is_order_insensitive():
 
 
 def test_payload_token_estimate_uses_canonical_form():
-    payload = {"title": "x" * 100}
-    assert estimate_payload_tokens(payload) == estimate_tokens(canonical_json(payload))
+    payload = {"title": "x" * 100, "a": [1, 2]}
+    entry = ContextStore(ENTRY_KINDS).append_entry("report", "report_synthesis", payload)
+    assert entry.token_estimate == estimate_tokens(canonical_json(payload))
 
 
 def test_frozen_questionnaire_token_count():
@@ -54,7 +55,7 @@ def test_frozen_questionnaire_token_count():
     profile = json.loads(
         (DATA_DIR / "profiles" / "health_15.json").read_text(encoding="utf-8"))
     assert len(canonical_json(profile)) == 1115
-    assert estimate_payload_tokens(profile) == 279
+    assert estimate_tokens(canonical_json(profile)) == 279
 
 
 # -- store semantics ---------------------------------------------------------
@@ -64,7 +65,7 @@ def test_append_and_read_latest():
     entry = store.append_entry("org_profile", "risk_intake", {"industry": "saas"})
     assert entry.revision == 1
     assert entry.agent_id == "risk_intake"
-    assert store.read_latest("org_profile").payload == {"industry": "saas"}
+    assert store.snapshot()["org_profile"].payload == {"industry": "saas"}
 
 
 def test_revisions_increment_and_history_preserved():
@@ -73,7 +74,7 @@ def test_revisions_increment_and_history_preserved():
     store.append_entry("threat_model", "threat_modeling", {"threats": [1, 2]})
     history = store.read_history("threat_model")
     assert [e.revision for e in history] == [1, 2]
-    assert store.read_latest("threat_model").payload == {"threats": [1, 2]}
+    assert store.snapshot()["threat_model"].payload == {"threats": [1, 2]}
     # earlier revision untouched
     assert history[0].payload == {"threats": [1]}
 
@@ -84,10 +85,11 @@ def test_unknown_key_rejected():
         store.append_entry("scratchpad", "x", {})
 
 
-def test_read_absent_key_raises():
+def test_absent_key_is_not_in_snapshot():
     store = ContextStore(ENTRY_KINDS)
-    with pytest.raises(KeyAbsent):
-        store.read_latest("report")
+    store.append_entry("org_profile", "risk_intake", {})
+    assert list(store.snapshot()) == ["org_profile"]
+    assert store.read_history("report") == []
 
 
 def test_created_at_is_rfc3339_utc():

@@ -1,6 +1,8 @@
 """Agent contracts: JSON extraction, schema modes, prompts, retry loop."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -72,14 +74,13 @@ def test_unknown_schema_mode_rejected():
 
 
 def test_cross_sector_pins_cardinality(cross_contracts):
-    outcome, _ = cross_contracts.validate_output(
+    violations, _ = cross_contracts.validate_output(
         "threat_modeling", json.dumps(valid_threats(2)))
-    assert not outcome.valid
-    assert outcome.violations[0][0] == "$.threats"
+    assert violations[0][0] == "$.threats"
 
-    outcome, _ = cross_contracts.validate_output(
+    violations, _ = cross_contracts.validate_output(
         "threat_modeling", json.dumps(valid_threats(3)))
-    assert outcome.valid
+    assert violations == ()
 
 
 def test_case_study_relaxes_register_bounds(case_contracts, cross_contracts):
@@ -92,21 +93,21 @@ def test_case_study_relaxes_register_bounds(case_contracts, cross_contracts):
         ]}
 
     ok, _ = case_contracts.validate_output("risk_scoring", json.dumps(register(7)))
-    assert ok.valid
+    assert ok == ()
     bad, _ = cross_contracts.validate_output("risk_scoring", json.dumps(register(7)))
-    assert not bad.valid
+    assert bad == (("$.risks", "7 items, more than maxItems 3"),)
     # both modes reject fewer than three
     for contracts in (case_contracts, cross_contracts):
-        outcome, _ = contracts.validate_output("risk_scoring", json.dumps(register(2)))
-        assert not outcome.valid
+        violations, _ = contracts.validate_output("risk_scoring", json.dumps(register(2)))
+        assert violations == (("$.risks", "2 items, fewer than minItems 3"),)
 
 
 def test_invalid_enum_reported_with_path(cross_contracts):
     doc = valid_threats(3)
     doc["threats"][1]["actor"] = ""
-    outcome, _ = cross_contracts.validate_output("threat_modeling", json.dumps(doc))
-    assert not outcome.valid
-    assert any(path.startswith("$.threats[1]") for path, _ in outcome.violations)
+    violations, _ = cross_contracts.validate_output("threat_modeling", json.dumps(doc))
+    assert violations
+    assert any(path.startswith("$.threats[1]") for path, _ in violations)
 
 
 # -- prompt assembly ---------------------------------------------------------
@@ -194,7 +195,7 @@ def test_run_agent_appends_to_declared_key(cross_contracts, seeded_store, tmp_pa
     assert attempts == 1
     assert entry.key == "threat_model"
     assert entry.agent_id == "threat_modeling"
-    assert seeded_store.read_latest("threat_model").payload == valid_threats()
+    assert seeded_store.snapshot()["threat_model"].payload == valid_threats()
     # nothing else was written
     assert list(seeded_store.snapshot()) == ["org_profile", "threat_model"]
 
@@ -248,25 +249,61 @@ def test_retry_prompt_carries_violation_details(cross_contracts, seeded_store,
     assert len(prompts) == 2
     assert "$.threats" in prompts[1]
     assert prompts[1].startswith(prompts[0])
-    threats = ", ".join(
-        f"{{'title': 'Threat {i}', 'actor': 'a', 'vector': 'v', 'rationale': 'r'}}"
-        for i in range(2))
     assert prompts[1][len(prompts[0]):] == (
         "\n\n=== PREVIOUS OUTPUT FAILED VALIDATION ===\n"
         "Your previous output did not satisfy the schema:\n"
-        f"- $.threats: [{threats}] is too short\n"
+        "- $.threats: 2 items, fewer than minItems 3\n"
         "Emit a corrected JSON object.")
+
+
+# Runs with every import of jsonschema failing; argv[1] holds a
+# threat_modeling script that fails validation once, then passes.
+_WITHOUT_JSONSCHEMA = """
+import json, sys
+sys.modules["jsonschema"] = None  # "import jsonschema" now raises ImportError
+from riskforge.context_store import ContextStore
+from riskforge.contracts import DATA_DIR, ENTRY_KINDS, ContractSet
+from riskforge.errors import ProfileInvalid
+from riskforge.gateway import ModelConfig, StubGateway
+from riskforge.grounding import Corpus
+from riskforge.orchestrator import check_profile
+
+contracts = ContractSet(schema_mode="cross_sector")
+profile = json.loads((DATA_DIR / "profiles" / "health_15.json").read_text(encoding="utf-8"))
+try:
+    check_profile({**profile, "employee_count": 0}, contracts)
+except ProfileInvalid as exc:
+    print(exc)
+store = ContextStore(ENTRY_KINDS)
+store.append_entry("org_profile", "risk_intake", {"industry": "saas"})
+prompt = contracts.build_prompt("threat_modeling", store.snapshot(), Corpus([]))
+entry, attempts = contracts.run_agent("threat_modeling", prompt, store,
+                                      StubGateway(sys.argv[1]), ModelConfig("m", seed=0))
+print(attempts, len(entry.payload["threats"]))
+"""
+
+
+def test_validation_needs_no_jsonschema(tmp_path, package_env):
+    """jsonschema is a test oracle only: without it a bad questionnaire is
+    still rejected, and a rejected output is explained and re-prompted."""
+    scripted(tmp_path, {"default": [valid_threats(2)], "on_retry": [valid_threats(3)]})
+    done = subprocess.run([sys.executable, "-c", _WITHOUT_JSONSCHEMA, str(tmp_path)],
+                          capture_output=True, text=True, env=package_env,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "questionnaire invalid: 0 is less than the minimum of 1", "2 3"]
 
 
 def test_violations_are_sorted_path_message_pairs(cross_contracts):
     doc = valid_threats(2)
     doc["threats"][1].update(actor="", x=1)
-    outcome, _ = cross_contracts.validate_output("threat_modeling", json.dumps(doc))
-    assert outcome.violations[1:] == (
+    violations, _ = cross_contracts.validate_output("threat_modeling", json.dumps(doc))
+    assert violations == (
+        ("$.threats", "2 items, fewer than minItems 3"),
         ("$.threats[1]", "Additional properties are not allowed ('x' was unexpected)"),
         ("$.threats[1].actor", "'' should be non-empty"),
     )
-    assert outcome.violations[0] == ("$.threats", f"{doc['threats']!r} is too short")
 
 
 # -- combined single-agent pieces -------------------------------------------
@@ -288,11 +325,11 @@ def test_validate_single_output_requires_three_of_each(cross_contracts):
                              "cost_range": "$0-$1K",
                              "linked_risk_titles": ["r0"]} for i in range(3)],
     }
-    outcome, _ = cross_contracts.validate_single_output(json.dumps(doc))
-    assert outcome.valid
+    violations, _ = cross_contracts.validate_single_output(json.dumps(doc))
+    assert violations == ()
     doc["risks"].append(doc["risks"][0])
-    outcome, _ = cross_contracts.validate_single_output(json.dumps(doc))
-    assert not outcome.valid
+    violations, _ = cross_contracts.validate_single_output(json.dumps(doc))
+    assert violations == (("$.risks", "4 items, more than maxItems 3"),)
 
 
 # -- contract wiring ---------------------------------------------------------

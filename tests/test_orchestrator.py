@@ -10,11 +10,9 @@ import sys
 import threading
 import time
 from collections import defaultdict
-from pathlib import Path
 
 import pytest
 
-import riskforge
 from riskforge import context_store
 from riskforge.context_store import ContextEntry, ContextStore
 from riskforge.contracts import (DATA_DIR, ENTRY_KINDS, MAX_ATTEMPTS, STAGES,
@@ -162,14 +160,11 @@ for i in range(count):
 """
 
 
-def test_concurrent_processes_append_whole_lines(tmp_path):
+def test_concurrent_processes_append_whole_lines(tmp_path, package_env):
     ledger = tmp_path / "ledger.jsonl"
     workers, count, width = 4, 25, io.DEFAULT_BUFFER_SIZE
-    src = str(Path(riskforge.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     procs = [subprocess.Popen([sys.executable, "-c", _APPENDER, str(ledger), str(w),
-                               str(count), str(width)], env=env)
+                               str(count), str(width)], env=package_env)
              for w in range(workers)]
     for proc in procs:
         assert proc.wait(timeout=60) == 0
@@ -252,6 +247,26 @@ def test_bad_middle_line_is_a_storage_failure_naming_it(tmp_path, reader, line, 
                     + b"\n")
     with pytest.raises(StorageFailure, match=r"log\.jsonl:2: "):
         reader(log)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("wall_seconds", "slow"), ("seed", "0"), ("seed", True), ("completed", 1),
+    ("failed_stage", 3), ("run_id", None), ("unique_threat_titles", "t"),
+    ("unique_threat_titles", ["t", 2]),
+])
+def test_ledger_field_of_the_wrong_type_names_its_line(tmp_path, field, value):
+    lines = [_record(f"r{n}").to_json() for n in (1, 2, 3)]
+    lines[1][field] = value
+    log = tmp_path / "log.jsonl"
+    log.write_bytes(b"\n".join(map(_encode, lines)) + b"\n")
+    with pytest.raises(StorageFailure, match=rf"log\.jsonl:2: .*{field} must be"):
+        load_ledger(log)
+
+
+def test_run_record_takes_an_int_duration_and_null_optionals():
+    record = RunRecord(**{**_record().to_json(), "wall_seconds": 2, "failed_stage": None,
+                          "failure_kind": None, "unique_threat_titles": ["a"]})
+    assert record.wall_seconds == 2 and record.failed_stage is None
 
 
 # -- pipeline execution ------------------------------------------------------
@@ -350,6 +365,27 @@ def test_single_agent_schema_failure_is_recorded(profiles, cross_contracts,
     assert record.failed_stage == "single_agent"
     assert record.failure_kind == "agent_failed"
     assert report is None
+
+
+@pytest.mark.parametrize("field", ["threats", "risks", "recommendations"])
+def test_surplus_item_at_4096_fails_the_agent_not_the_window(profiles, cross_contracts,
+                                                             corpus, tmp_path, field):
+    """An output with one item too many is re-prompted until every attempt
+    is spent: the violation names the surplus by count, so the retry
+    feedback does not grow with the output and push the prompt past the
+    window."""
+    script = json.loads((STUB / "specific" / "single_agent.json").read_text())
+    assert sorted(script["profiles"]) == sorted(profiles)
+    for pid, pool in script["profiles"].items():
+        doc = json.loads(json.dumps(pool[0]))
+        doc[field].append(doc[field][0])
+        (tmp_path / "single_agent.json").write_text(json.dumps({"default": [doc]}),
+                                                    encoding="utf-8")
+        gateway = RecordingGateway(tmp_path)
+        record, _ = execute_pipeline(profiles[pid], config(window=4096), "single_agent",
+                                     gateway, corpus, cross_contracts)
+        assert (record.failure_kind, len(gateway.calls)) == ("agent_failed",
+                                                             MAX_ATTEMPTS), pid
 
 
 def test_invalid_questionnaire_raises_before_any_stage(case_contracts, corpus,

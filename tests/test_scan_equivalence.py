@@ -19,7 +19,7 @@ from riskforge.context_store import ContextStore
 from riskforge.contracts import ENTRY_KINDS, extract_json_object
 from riskforge.errors import Unparseable
 from riskforge.grounding import CIS_RE, NIST_CSF_RE, parse_identifiers
-from riskforge.tokens import canonical_json, estimate_payload_tokens
+from riskforge.tokens import canonical_json, estimate_tokens
 
 OLD_NIST_CSF_RE = re.compile(r"(?<![A-Z0-9.])[A-Z]{2}\.[A-Z]{2,3}-\d{1,2}(?!\d)")
 OLD_CIS_RE = re.compile(r"(?<![A-Za-z])CIS Control (\d+(?:\.\d+)?)(?![\d.])")
@@ -151,4 +151,4 @@ def test_entry_text_and_citations_match_free_functions(appends):
         text = canonical_json(entry.payload)
         assert entry.canonical_text == text
         assert entry.cited_identifiers == parse_identifiers(text)
-        assert entry.token_estimate == estimate_payload_tokens(entry.payload)
+        assert entry.token_estimate == estimate_tokens(text)

@@ -1,9 +1,11 @@
 """The compiled schema check (compile_schema) against jsonschema.
 
 The check must reach jsonschema's decision on every bundled schema in both
-schema modes, including the edge cases where Python and JSON Schema
-disagree: bools are not numbers, 1.0 is an integer, 30 == 30.0 in an enum,
-and NaN/infinity compare as they do there.
+schema modes, and report violations at exactly the paths jsonschema
+reports, including the edge cases where Python and JSON Schema disagree:
+bools are not numbers, 1.0 is an integer, 30 == 30.0 in an enum, and
+NaN/infinity compare as they do there. jsonschema is the oracle here only;
+the package never imports it.
 """
 
 import copy
@@ -79,6 +81,21 @@ json_values = st.recursive(
     max_leaves=8)
 
 
+def assert_agrees(check, validator, doc):
+    """check(doc) finds a violation exactly when jsonschema does, at the
+    same set of paths, and words the violations of a short scalar as
+    jsonschema does."""
+    violations = check(doc)
+    assert (not violations) == validator.is_valid(doc), doc
+    errors = list(validator.iter_errors(doc))
+    assert {path for path, _ in violations} == {error.json_path for error in errors}, doc
+    scalar = sorted((error.json_path, error.message) for error in errors
+                    if not isinstance(error.instance, (list, dict))
+                    and len(repr(error.instance)) <= 60)
+    paths = {path for path, _ in scalar}
+    assert [v for v in violations if v[0] in paths] == scalar, doc
+
+
 def _locations(doc, path=()):
     yield path
     if isinstance(doc, dict):
@@ -133,8 +150,62 @@ def test_compiled_check_agrees_with_jsonschema(data):
         doc = copy.deepcopy(data.draw(json_values))
     for _ in range(data.draw(st.integers(0, 3))):
         doc = _mutate(doc, data)
-    expected = jsonschema.Draft202012Validator(contracts.schema(name)).is_valid(doc)
-    assert contracts.acceptor(name)(doc) == expected
+    assert_agrees(contracts.checker(name),
+                  jsonschema.Draft202012Validator(contracts.schema(name)), doc)
+
+
+# Values whose repr alone would outgrow any bound on a message.
+small_values = st.none() | st.integers(-3, 12) | st.text(max_size=3)
+long_values = (st.text(min_size=61, max_size=400)
+               | st.lists(small_values, min_size=4, max_size=60)
+               | st.dictionaries(st.text(max_size=80), small_values, min_size=4, max_size=40)
+               | st.integers(10 ** 60, 10 ** 300))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_no_message_grows_with_the_rejected_value(data):
+    """A long string, a long array or many (long) extra keys anywhere in a
+    document never make a message longer than 200 characters."""
+    contracts = CONTRACT_SETS[data.draw(st.sampled_from(MODES), label="mode")]
+    name = data.draw(st.sampled_from(SCHEMA_NAMES), label="schema")
+    doc = [copy.deepcopy(data.draw(st.sampled_from(BASES[name])))]
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(_locations(doc[0]))))
+        holder, slot = doc, 0
+        for step in path:
+            holder, slot = holder[slot], step
+        if isinstance(holder[slot], dict) and data.draw(st.booleans()):
+            holder[slot].update(data.draw(st.dictionaries(
+                st.text(min_size=1, max_size=80), small_values, min_size=1, max_size=40)))
+        else:
+            holder[slot] = data.draw(long_values)
+    for _, message in contracts.checker(name)(doc[0]):
+        assert len(message) <= 200, message
+
+
+@pytest.mark.parametrize("schema, value, message", [
+    ({"type": "string"}, "x" * 61, None),
+    ({"type": "integer"}, "x" * 61, "string of length 61 is not of type 'integer'"),
+    ({"type": "string"}, [1, 2], "array of length 2 is not of type 'string'"),
+    ({"type": "array"}, {"a": 1}, "object of size 1 is not of type 'array'"),
+    ({"type": "integer"}, 10 ** 70, None),
+    ({"type": "integer", "maximum": 1}, 10 ** 70, "int of 71 characters is greater than "
+                                                  "the maximum of 1"),
+    ({"type": "array", "maxItems": 3}, [0] * 4, "4 items, more than maxItems 3"),
+    ({"type": "array", "minItems": 3}, [], "0 items, fewer than minItems 3"),
+    ({"enum": ["Low", "High"]}, "y" * 70, "string of length 70 is not one of "
+                                          "['Low', 'High']"),
+    ({"type": "object", "additionalProperties": False}, {"b": 1, "a": 2},
+     "Additional properties are not allowed ('a', 'b' were unexpected)"),
+    ({"type": "object", "additionalProperties": False}, {str(i): i for i in range(30)},
+     "Additional properties are not allowed (30 were unexpected)"),
+    ({"type": "object", "additionalProperties": False}, {"k" * 90: 1},
+     "Additional properties are not allowed (1 was unexpected)"),
+])
+def test_a_large_value_is_named_by_its_size(schema, value, message):
+    assert compile_schema(schema, "size.json")(value) == (
+        (("$", message),) if message else ())
 
 
 _REMOVE, _EXTEND = object(), object()
@@ -170,11 +241,11 @@ def test_every_single_edit_of_a_base_document_gets_the_same_verdict(mode):
     for name, docs in BASES.items():
         assert docs, name
         validator = jsonschema.Draft202012Validator(contracts.schema(name))
-        accepts = contracts.acceptor(name)
+        check = contracts.checker(name)
         for doc in docs:
-            assert accepts(doc) == validator.is_valid(doc)
+            assert_agrees(check, validator, doc)
         for edited in _single_edits(docs[0]):
-            assert accepts(edited) == validator.is_valid(edited), edited
+            assert_agrees(check, validator, edited)
 
 
 @pytest.mark.parametrize("schema", [
@@ -189,10 +260,10 @@ def test_every_single_edit_of_a_base_document_gets_the_same_verdict(mode):
 ])
 def test_scalar_edge_cases_agree_with_jsonschema(schema):
     """Keyword forms the bundled schemas hold only under another type."""
-    accepts = compile_schema(schema, "edge.json")
+    check = compile_schema(schema, "edge.json")
     validator = jsonschema.Draft202012Validator(schema)
     for value in EDGE_VALUES + [2 ** 70, -0.0, 1e308, 1.5, 30.5]:
-        assert accepts(value) == validator.is_valid(value), value
+        assert_agrees(check, validator, value)
 
 
 def test_recursive_local_ref():
@@ -200,10 +271,20 @@ def test_recursive_local_ref():
         "type": "object", "required": ["v"],
         "properties": {"v": {"type": "integer"}, "next": {"$ref": "#/$defs/node"}},
         "additionalProperties": False}}}
-    accepts = compile_schema(schema, "list.json")
-    assert accepts({"v": 1, "next": {"v": 2.0, "next": {"v": 3}}})
-    assert not accepts({"v": 1, "next": {"v": True}})
-    assert not accepts({"v": 1, "next": {"v": 2, "extra": 0}})
+    check = compile_schema(schema, "list.json")
+    assert check({"v": 1, "next": {"v": 2.0, "next": {"v": 3}}}) == ()
+    assert check({"v": 1, "next": {"v": True}}) == (
+        ("$.next.v", "True is not of type 'integer'"),)
+    assert check({"v": 1, "next": {"v": 2, "extra": 0}}) == (
+        ("$.next", "Additional properties are not allowed ('extra' was unexpected)"),)
+
+
+def test_paths_quote_property_names_as_jsonschema_does():
+    names = ("plain_1", "two words", "it's", "back\\slash", "1st", "", "tail\n")
+    schema = {"type": "object",
+              "properties": {name: {"type": "integer"} for name in names}}
+    assert_agrees(compile_schema(schema, "names.json"),
+                  jsonschema.Draft202012Validator(schema), dict.fromkeys(names, "x"))
 
 
 def _schema_dir(tmp_path, field_schema):
@@ -247,12 +328,12 @@ def test_unsupported_keyword_raises_naming_it_and_the_file(tmp_path, field_schem
 def test_non_local_ref_raises(tmp_path, ref):
     contracts = _schema_dir(tmp_path, {"$ref": ref})
     with pytest.raises(ValueError) as exc:
-        contracts.acceptor("threat_model.json")
+        contracts.checker("threat_model.json")
     assert "$ref" in str(exc.value) and repr(ref) in str(exc.value)
     assert "threat_model.json" in str(exc.value)
 
 
 def test_local_ref_is_followed(tmp_path):
-    accepts = _schema_dir(tmp_path, {"$ref": "#/$defs/ok"}).acceptor("threat_model.json")
-    assert accepts({"threats": "x"})
-    assert not accepts({"threats": 3})
+    check = _schema_dir(tmp_path, {"$ref": "#/$defs/ok"}).checker("threat_model.json")
+    assert check({"threats": "x"}) == ()
+    assert check({"threats": 3}) == (("$.threats", "3 is not of type 'string'"),)
