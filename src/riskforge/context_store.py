@@ -2,10 +2,13 @@
 
 Every agent reads from and writes to one store per assessment session.
 Entries are never mutated; each append creates the next revision for its
-key. Persistence is a JSON Lines append log, one entry per line, so a
-session can be inspected with standard tools and replayed losslessly.
-The run ledger uses the same format, so append_line and load_records
-serve both logs.
+key. An entry's canonical text and token estimate are derived when first
+read, not at append: an entry that nothing reads (the single-agent report
+of an unlogged run) is never serialized. Persistence is a JSON Lines
+append log, one entry per line, so a session can be inspected with
+standard tools and replayed losslessly; writing a line reads the token
+estimate. The run ledger uses the same format, so append_line and
+load_records serve both logs.
 """
 
 from __future__ import annotations
@@ -43,9 +46,11 @@ def append_line(path: Path, doc: dict) -> None:
 
 
 def load_records(path: Path, cls: type) -> list:
-    """One cls(**line) per non-blank line of a JSON Lines file. A line that
-    is not UTF-8 JSON, or whose fields do not fit cls, raises StorageFailure
+    """One cls.from_json(line), or cls(**line) for a class without
+    from_json, per non-blank line of a JSON Lines file. A line that is not
+    UTF-8 JSON, or whose fields do not fit cls, raises StorageFailure
     naming path:lineno."""
+    build = getattr(cls, "from_json", None) or (lambda doc: cls(**doc))
     records = []
     # read as bytes and decoded per line, so a line cut inside a multi-byte
     # character fails as that line (UnicodeDecodeError is a ValueError)
@@ -54,7 +59,7 @@ def load_records(path: Path, cls: type) -> list:
             if not line.strip():
                 continue
             try:
-                records.append(cls(**json.loads(line)))
+                records.append(build(json.loads(line)))
             except (ValueError, TypeError) as exc:
                 raise StorageFailure(f"{path}:{lineno}: not a {cls.__name__} record: "
                                      f"{exc}") from exc
@@ -63,28 +68,45 @@ def load_records(path: Path, cls: type) -> list:
 
 @dataclass(frozen=True)
 class ContextEntry:
-    """One immutable revision. The payload's canonical text (made by
-    append_entry) and the framework identifiers cited in it are derived at
-    most once per entry and shared by every reader."""
+    """One immutable revision. The payload's canonical text, its token
+    estimate and the framework identifiers cited in it are derived when
+    first read, at most once per entry, and shared by every reader. An
+    entry rebuilt from a log line (from_json) keeps the line's estimate."""
 
     key: str
     agent_id: str
     revision: int
     created_at: str
     payload: Any
-    token_estimate: int
 
     @cached_property
     def canonical_text(self) -> str:
         return canonical_json(self.payload)
 
     @cached_property
+    def token_estimate(self) -> int:
+        return estimate_tokens(self.canonical_text)
+
+    @cached_property
     def cited_identifiers(self) -> list[dict]:
         return parse_identifiers(self.canonical_text)
 
     def to_json(self) -> dict:
-        # not dataclasses.fields(), whose per-call tuple fills a free list (~0.25 MB RSS)
-        return {name: getattr(self, name) for name in self.__dataclass_fields__}
+        """The session-log line: the five fields, then token_estimate."""
+        return {"key": self.key, "agent_id": self.agent_id, "revision": self.revision,
+                "created_at": self.created_at, "payload": self.payload,
+                "token_estimate": self.token_estimate}
+
+    @classmethod
+    def from_json(cls, doc: dict) -> "ContextEntry":
+        """Rebuild an entry from its to_json() line; every key is required."""
+        fields = dict(doc)
+        if "token_estimate" not in fields:
+            raise TypeError("missing field 'token_estimate'")
+        token_estimate = fields.pop("token_estimate")
+        entry = cls(**fields)
+        entry.__dict__["token_estimate"] = token_estimate  # prime the cached property
+        return entry
 
 
 class ContextStore:
@@ -114,7 +136,6 @@ class ContextStore:
         if key not in self._registered:
             raise UnknownKey(f"entry kind {key!r} is not registered "
                              f"(registered: {self._registered})")
-        text = canonical_json(payload)
         with self._lock:
             history = self._history.setdefault(key, [])
             entry = ContextEntry(
@@ -123,9 +144,7 @@ class ContextStore:
                 revision=len(history) + 1,
                 created_at=datetime.now(timezone.utc).isoformat(),
                 payload=payload,
-                token_estimate=estimate_tokens(text),
             )
-            entry.__dict__["canonical_text"] = text  # prime the cached property
             if self._log_path is not None:
                 append_line(self._log_path, entry.to_json())
             history.append(entry)

@@ -3,20 +3,23 @@
 Each contract declares which context keys the agent reads, the single key
 it writes, its prompt template file, its output schema file, and an
 optional grounding query. The reads and writes are the pipeline's one
-dependency graph: ROLES, ENTRY_KINDS and the stage plan STAGES are
-derived from them at import (stage_plan). Prompt assembly injects the
+dependency graph: ROLES, ENTRY_KINDS, the stage plan STAGES and the
+single-agent plan SINGLE_AGENT_STAGES are derived from them at import
+(stage_plan). Prompt assembly injects the
 serialized read entries, the retrieved framework excerpts verbatim, and a
 citation policy restricting the agent to those excerpts. Output
 validation extracts the first JSON object from the raw text (models wrap
 output in prose) and checks it against the role's schema; schema failures, and output the
-provider reports as truncated, trigger a bounded re-prompt with the
-violation list attached. The single-agent baseline is one more contract,
+provider reports as truncated, trigger a bounded re-prompt: the role's
+prompt plus the latest violation list, so a retry prompt does not grow
+from attempt to attempt. The single-agent baseline is one more contract,
 SINGLE_AGENT, run by the same loop; it is no part of the six-agent plan.
 
 Each schema is compiled once per ContractSet into one check
 (compile_schema) that both accepts and explains: it walks a document once
 and returns its sorted (json_path, message) violations, none when valid.
-A message names a large value by its size, so the violation list attached
+A json_path is joined only for a node that reports a violation. A
+message names a large value by its size, so the violation list attached
 to a re-prompt does not grow with the output it rejects.
 """
 
@@ -158,6 +161,7 @@ ENTRY_KINDS = tuple(c.writes for c in CONTRACTS.values())
 # The execution plan: stages run in order, the roles inside a stage may run
 # concurrently.
 STAGES = stage_plan(CONTRACTS.values())
+SINGLE_AGENT_STAGES = stage_plan([SINGLE_AGENT])
 
 
 _DECODER = json.JSONDecoder()
@@ -182,7 +186,10 @@ def extract_json_object(raw: str) -> dict:
 # -- compiled schema check ---------------------------------------------------
 
 Violations = tuple[tuple[str, str], ...]  # sorted (json_path, message) pairs
-_Node = Callable[[Any, str, list], None]  # node(instance, json_path, out) appends to out
+# A node's place: "$", or (parent place, step) with step a ".key"/"['key']"
+# string or an array index. It becomes a json_path string only for a
+# violation (_json_path), so a valid document builds no path strings.
+_Node = Callable[[Any, Any, list], None]  # node(instance, place, out) appends to out
 
 _ANNOTATIONS = frozenset({"$schema", "$defs", "title"})
 _ANY_TYPE_KEYWORDS = frozenset({"type", "enum", "$ref"})
@@ -213,6 +220,14 @@ def _shown(x: Any) -> str:
     if isinstance(x, str):
         return f"string of length {len(x)}"
     return f"{type(x).__name__} of {len(text)} characters"
+
+
+def _json_path(path: Any) -> str:
+    steps = []
+    while path != "$":
+        path, step = path
+        steps.append(f"[{step}]" if isinstance(step, int) else step)
+    return "$" + "".join(reversed(steps))
 
 
 def _is_integer(x: Any) -> bool:
@@ -322,7 +337,7 @@ class _SchemaCompiler:
             for key, value in x.items():
                 sub = checks.get(key)
                 if sub is not None:
-                    sub[0](value, path + sub[1], out)
+                    sub[0](value, (path, sub[1]), out)
             if closed and not x.keys() <= known:
                 extras = x.keys() - known
                 names = ", ".join(map(repr, sorted(extras, key=str)))
@@ -348,7 +363,7 @@ class _SchemaCompiler:
                 out.append((path, f"{len(x)} items, more than maxItems {high}"))
             if item is not None:
                 for index, value in enumerate(x):
-                    item(value, f"{path}[{index}]", out)
+                    item(value, (path, index), out)
         return check
 
     def scalar(self, schema: dict, pointer: str, declared: str) -> _Node:
@@ -433,7 +448,7 @@ def compile_schema(schema: dict, source: str) -> Callable[[Any], Violations]:
     def check(doc: Any) -> Violations:
         out: list = []
         walk(doc, "$", out)
-        return tuple(sorted(out)) if out else ()
+        return tuple(sorted((_json_path(path), message) for path, message in out))
     return check
 
 
@@ -455,6 +470,7 @@ class ContractSet:
         self._templates: dict[str, str] = {}
         self._schemas: dict[str, dict] = {}
         self._checkers: dict[str, Callable[[Any], Violations]] = {}
+        self._combined_tasks: Optional[str] = None
 
     def contract(self, role: str) -> AgentContract:
         if role == SINGLE_AGENT_ROLE:
@@ -593,11 +609,14 @@ class ContractSet:
                   config: ModelConfig) -> tuple[ContextEntry, int]:
         """Complete, validate, retry, append, starting from the role's full
         prompt (build_prompt's, or the orchestrator's single-agent prompt).
+        A retry sends that prompt plus the latest violation block only.
         Returns the appended entry and the number of attempts used."""
         contract = self.contract(role)
         last_violations: Violations = ()
+        request_prompt = prompt
         for attempt in range(1, MAX_ATTEMPTS + 1):
-            result = gateway.complete(CompletionRequest(role=role, prompt=prompt, config=config))
+            result = gateway.complete(CompletionRequest(role=role, prompt=request_prompt,
+                                                        config=config))
             if result.truncated:
                 last_violations = (TRUNCATED_VIOLATION,)
             else:
@@ -609,7 +628,7 @@ class ContractSet:
                     entry = store.append_entry(contract.writes, role, doc)
                     return entry, attempt
             violation_lines = "\n".join(f"- {path}: {msg}" for path, msg in last_violations)
-            prompt = (
+            request_prompt = (
                 f"{prompt}\n\n=== {RETRY_MARKER} ===\n"
                 f"Your previous output did not satisfy the schema:\n{violation_lines}\n"
                 f"Emit a corrected JSON object."
@@ -618,10 +637,11 @@ class ContractSet:
 
     def combined_task_text(self, questionnaire_json: str) -> str:
         """Concatenated task instructions of all six roles, for the
-        single-agent ablation baseline."""
-        blocks = []
-        for role in ROLES:
-            task = self.template_text(self.contract(role).template_name)
-            task = task.replace("{{questionnaire}}", questionnaire_json)
-            blocks.append(f"## Stage: {role}\n{task.strip()}")
-        return "\n\n".join(blocks)
+        single-agent ablation baseline. The blocks are joined once per
+        ContractSet; each call fills in the questionnaire."""
+        if self._combined_tasks is None:
+            self._combined_tasks = "\n\n".join(
+                f"## Stage: {role}\n"
+                f"{self.template_text(self.contract(role).template_name).strip()}"
+                for role in ROLES)
+        return self._combined_tasks.replace("{{questionnaire}}", questionnaire_json)

@@ -91,7 +91,7 @@ class StubGateway:
     def __init__(self, script_dir: Path, sleep_seconds: float = 0.0):
         self.script_dir = Path(script_dir)
         self.sleep_seconds = sleep_seconds
-        self._scripts: dict[str, dict] = {}
+        self._scripts: dict[str, tuple[Path, dict]] = {}  # role -> (file, script)
 
     @property
     def waits_on_io(self) -> bool:
@@ -99,7 +99,7 @@ class StubGateway:
         network wait does; otherwise a call is pure Python computation."""
         return self.sleep_seconds > 0
 
-    def _script_for(self, role: str) -> dict:
+    def _script_for(self, role: str) -> tuple[Path, dict]:
         if role not in self._scripts:
             for directory in (self.script_dir, self.script_dir.parent):
                 path = directory / f"{role}.json"
@@ -108,22 +108,25 @@ class StubGateway:
             else:
                 raise NoScriptForRole(f"no stub script for role {role!r} in "
                                       f"{self.script_dir} or {self.script_dir.parent}")
-            self._scripts[role] = json.loads(path.read_text(encoding="utf-8"))
+            self._scripts[role] = (path, json.loads(path.read_text(encoding="utf-8")))
         return self._scripts[role]
 
-    def _select_pool(self, script: dict, prompt: str) -> list:
+    def _select_pool(self, role: str, prompt: str) -> list:
+        path, script = self._script_for(role)
         if RETRY_MARKER in prompt and "on_retry" in script:
             return script["on_retry"]
-        for profile_id, pool in script.get("profiles", {}).items():
+        profiles = script.get("profiles", {})
+        for profile_id, pool in profiles.items():
             if profile_id in prompt:
                 return pool
         if "default" not in script:
-            raise NoScriptForRole("script has no 'default' pool and no profile matched")
+            raise NoScriptForRole(f"stub script {path} for role {role!r} has no 'default' "
+                                  f"pool and no profile matched (profiles: "
+                                  f"{', '.join(profiles) or 'none'})")
         return script["default"]
 
     def stub_complete(self, role: str, prompt: str, seed: int) -> str:
-        script = self._script_for(role)
-        pool = self._select_pool(script, prompt)
+        pool = self._select_pool(role, prompt)
         if not pool:
             raise NoScriptForRole(f"empty response pool for role {role!r}")
         candidate = pool[(prompt_hash(prompt) + seed) % len(pool)]

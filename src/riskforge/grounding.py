@@ -93,7 +93,8 @@ def _validate_identifier(framework: str, identifier: str) -> bool:
 
 
 class Corpus:
-    """Immutable index of framework excerpts after ingestion."""
+    """Immutable index of framework excerpts after ingestion. Retrieval is
+    a pure function of (query, k) over it, so each result is kept."""
 
     def __init__(self, excerpts: list[FrameworkExcerpt]):
         self.excerpts = list(excerpts)
@@ -103,6 +104,7 @@ class Corpus:
         self._doc_tokens: dict[str, set[str]] = {
             e.identifier: tokenize(e.title + " " + e.body) for e in excerpts
         }
+        self._retrieved: dict[tuple[str, int], tuple[FrameworkExcerpt, ...]] = {}
 
     def __len__(self) -> int:
         return len(self.excerpts)
@@ -150,17 +152,21 @@ class Corpus:
         return cls(excerpts)
 
     def retrieve(self, query: str, k: int) -> list[FrameworkExcerpt]:
-        """Top-k excerpts by shared distinct-token count; zero scores excluded."""
+        """Top-k excerpts by shared distinct-token count; zero scores
+        excluded. Scored once per (query, k); each call returns a new list."""
         if k < 1:
             raise ValueError("k must be >= 1")
-        query_tokens = tokenize(query)
-        scored = []
-        for excerpt in self.excerpts:
-            score = len(query_tokens & self._doc_tokens[excerpt.identifier])
-            if score > 0:
-                scored.append((score, excerpt))
-        scored.sort(key=lambda item: (-item[0], item[1].identifier))
-        return [excerpt for _, excerpt in scored[:k]]
+        hits = self._retrieved.get((query, k))
+        if hits is None:  # threads that miss together store equal tuples
+            query_tokens = tokenize(query)
+            scored = []
+            for excerpt in self.excerpts:
+                score = len(query_tokens & self._doc_tokens[excerpt.identifier])
+                if score > 0:
+                    scored.append((score, excerpt))
+            scored.sort(key=lambda item: (-item[0], item[1].identifier))
+            hits = self._retrieved[(query, k)] = tuple(e for _, e in scored[:k])
+        return list(hits)
 
     def verify_citations(self, text: str) -> list[FrameworkCitation]:
         citations = []

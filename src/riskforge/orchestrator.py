@@ -1,10 +1,11 @@
 """Pipeline execution: staged DAG, budget enforcement, run records.
 
-The stage plan is derived from the contracts' reads and writes by
-contracts.stage_plan: multi-agent mode runs five stages with one parallel
-pair (threat modeling and control assessment both read only the intake
-profile), and the single-agent baseline is a plan of one stage with one
-role. Both run through the same stage runner and ContractSet.run_agent.
+The stage plans are derived from the contracts' reads and writes by
+contracts.stage_plan at import: multi-agent mode runs five stages with
+one parallel pair (threat modeling and control assessment both read only
+the intake profile), and the single-agent baseline is a plan of one stage
+with one role. Both run through the same stage runner and
+ContractSet.run_agent.
 Before every stage each role's prompt is assembled once, checked against
 the context window and handed to the agent as is; the paper-observed
 failure mode is context accumulation outpacing the window mid-pipeline,
@@ -36,8 +37,8 @@ from pathlib import Path
 from typing import Optional
 
 from .context_store import ContextEntry, ContextStore, append_line, load_records
-from .contracts import (ENTRY_KINDS, QUESTIONNAIRE_SCHEMA, SINGLE_AGENT, STAGES,
-                        ContractSet, stage_plan)
+from .contracts import (ENTRY_KINDS, QUESTIONNAIRE_SCHEMA, SINGLE_AGENT_STAGES, STAGES,
+                        ContractSet)
 from .errors import ContextOverflow, ProfileInvalid, StageError
 from .gateway import ModelConfig
 from .grounding import Corpus
@@ -216,7 +217,7 @@ def execute_pipeline(profile: dict, config: ModelConfig, mode: str, gateway,
 def _plan(mode: str, profile: dict, contracts: ContractSet, corpus: Corpus):
     """The mode's stages and its prompt builder, build(role, snapshot)."""
     if mode == "single_agent":
-        return stage_plan([SINGLE_AGENT]), lambda role, snapshot: _single_prompt(
+        return SINGLE_AGENT_STAGES, lambda role, snapshot: _single_prompt(
             profile, contracts, corpus)
     questionnaire = {"questionnaire": canonical_json(profile)}
     return STAGES, lambda role, snapshot: contracts.build_prompt(

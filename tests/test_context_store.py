@@ -3,6 +3,7 @@
 import json
 import os
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -140,9 +141,31 @@ def test_log_round_trip_lossless(tmp_path):
 
 def test_entry_json_round_trip():
     entry = ContextEntry(key="report", agent_id="a", revision=3,
-                         created_at="2026-01-01T00:00:00+00:00",
-                         payload={"x": [1, 2]}, token_estimate=4)
-    assert ContextEntry(**entry.to_json()) == entry
+                         created_at="2026-01-01T00:00:00+00:00", payload={"x": [1, 2]})
+    line = entry.to_json()
+    assert list(line) == LOG_FIELDS and line["token_estimate"] == 3
+    assert ContextEntry.from_json(line) == entry
+    assert ContextEntry.from_json(line).to_json() == line
+    # a log line's estimate is kept as written, not derived again
+    assert ContextEntry.from_json({**line, "token_estimate": 4}).token_estimate == 4
+    with pytest.raises(TypeError, match="token_estimate"):
+        ContextEntry.from_json({k: v for k, v in line.items() if k != "token_estimate"})
+
+
+def test_load_gives_back_a_recorded_session_log_line_for_line():
+    """tests/data/session_health_15.jsonl was written by `riskforge assess`
+    (health_15, multi-agent) when append_entry still serialized every
+    payload eagerly; loading it gives back each line byte for byte."""
+    log = Path(__file__).parent / "data" / "session_health_15.jsonl"
+    lines = log.read_text(encoding="utf-8").splitlines()
+    store = ContextStore.load(log, ENTRY_KINDS)
+    replayed = []
+    for line in lines:
+        doc = json.loads(line)
+        entry = store.read_history(doc["key"])[doc["revision"] - 1]
+        replayed.append(json.dumps(entry.to_json(), ensure_ascii=False))
+    assert len(lines) == len(ENTRY_KINDS)
+    assert replayed == lines
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),

@@ -99,6 +99,20 @@ def test_missing_script_and_empty_pool(tmp_path):
         gw2.stub_complete("empty", "p", 0)
 
 
+def test_unmatched_profile_names_role_script_and_profiles(tmp_path):
+    """A questionnaire whose profile id no pool is keyed by, in a script
+    with no default pool, fails naming the role, the file and the ids."""
+    write_script(tmp_path, "single_agent", {"profiles": {"health_15": ["h"],
+                                                         "saas_25": ["s"]}})
+    gw = StubGateway(tmp_path)
+    assert gw.stub_complete("single_agent", "profile saas_25", 0) == "s"
+    with pytest.raises(NoScriptForRole) as exc:
+        gw.stub_complete("single_agent", '{"profile_id":"clinic_9"}', 0)
+    assert str(exc.value) == (
+        f"stub script {tmp_path / 'single_agent.json'} for role 'single_agent' has no "
+        f"'default' pool and no profile matched (profiles: health_15, saas_25)")
+
+
 def test_script_set_falls_back_to_the_shared_scripts(tmp_path):
     script_set = tmp_path / "set"
     script_set.mkdir()

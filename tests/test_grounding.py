@@ -4,6 +4,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from riskforge.contracts import DATA_DIR
 from riskforge.errors import DuplicateIdentifier, MalformedCorpus
@@ -141,6 +142,26 @@ def test_retrieval_excludes_zero_scores(corpus):
 def test_retrieval_k_must_be_positive(corpus):
     with pytest.raises(ValueError):
         corpus.retrieve("access", 0)
+
+
+CORPUS_PATH = DATA_DIR / "corpus" / "mini_csf.jsonl"
+SHARED = Corpus.ingest(CORPUS_PATH)  # keeps its retrieval results across examples
+WORDS = sorted(set().union(*(tokenize(e.title + " " + e.body) for e in SHARED.excerpts)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.sampled_from(WORDS) | st.text(max_size=8), max_size=6).map(" ".join),
+       st.integers(min_value=1, max_value=20))
+def test_retrieval_matches_a_fresh_corpus(query, k):
+    """Retrieval scored once per (query, k) equals a fresh corpus's, and a
+    caller that edits its result changes no later one."""
+    fresh = Corpus.ingest(CORPUS_PATH).retrieve(query, k)
+    first = SHARED.retrieve(query, k)
+    assert first == fresh
+    first.clear()
+    first.append(SHARED.excerpts[0])
+    assert SHARED.retrieve(query, k) == fresh
+    assert Corpus.ingest(CORPUS_PATH).retrieve(query, k) == fresh
 
 
 def test_retrieval_is_deterministic(corpus):

@@ -13,7 +13,7 @@ from collections import defaultdict
 
 import pytest
 
-from riskforge import context_store
+from riskforge import context_store, orchestrator
 from riskforge.context_store import ContextEntry, ContextStore
 from riskforge.contracts import (DATA_DIR, ENTRY_KINDS, MAX_ATTEMPTS, STAGES,
                                  ContractSet)
@@ -213,8 +213,7 @@ def test_unwritable_log_is_a_storage_failure(tmp_path, append):
 
 def _session_line(revision):
     return ContextEntry(key="org_profile", agent_id="risk_intake", revision=revision,
-                        created_at="2026-01-01T00:00:00+00:00", payload={},
-                        token_estimate=1).to_json()
+                        created_at="2026-01-01T00:00:00+00:00", payload={}).to_json()
 
 
 def _encode(doc):
@@ -386,6 +385,58 @@ def test_surplus_item_at_4096_fails_the_agent_not_the_window(profiles, cross_con
                                      gateway, corpus, cross_contracts)
         assert (record.failure_kind, len(gateway.calls)) == ("agent_failed",
                                                              MAX_ATTEMPTS), pid
+
+
+def test_retry_prompt_carries_only_the_latest_violation_block(profiles, cross_contracts,
+                                                              corpus, tmp_path):
+    """Thirty threats that each lack a rationale give a 31-line violation
+    block. Each retry sends the first prompt plus that one block, so the
+    third call is no longer than the second and the run ends agent_failed,
+    not context_overflow at the 4,096-token window."""
+    doc = json.loads((STUB / "specific" / "single_agent.json").read_text())
+    doc = doc["profiles"]["health_15"][0]
+    threat = {k: v for k, v in doc["threats"][0].items() if k != "rationale"}
+    doc["threats"] = [{**threat, "title": f"{threat['title']} {i}"} for i in range(30)]
+    (tmp_path / "single_agent.json").write_text(json.dumps({"default": [doc]}),
+                                                encoding="utf-8")
+    requests = []
+
+    class Recorder(StubGateway):
+        def complete(self, request):
+            requests.append(request)
+            return super().complete(request)
+
+    record, _ = execute_pipeline(profiles["health_15"], config(window=4096), "single_agent",
+                                 Recorder(tmp_path), corpus, cross_contracts)
+    assert (record.failure_kind, len(requests)) == ("agent_failed", MAX_ATTEMPTS)
+    assert [r.prompt_tokens for r in requests] == [2464, 2893, 2893]
+    assert requests[2].prompt == requests[1].prompt
+    assert requests[1].prompt.startswith(requests[0].prompt)
+
+
+def test_unlogged_single_agent_run_never_serializes_its_report(profiles, cross_contracts,
+                                                               corpus, monkeypatch,
+                                                               tmp_path):
+    """Nothing reads the single-agent report entry of a run without a
+    session log, so its canonical text is never made; the one
+    serialization left is the questionnaire's, for the prompt."""
+    serialized = []
+    for module in (context_store, orchestrator):
+        original = module.canonical_json
+        monkeypatch.setattr(module, "canonical_json",
+                            lambda doc, original=original: serialized.append(doc)
+                            or original(doc))
+    profile = profiles["saas_25"]
+    record, report = execute_pipeline(profile, config(window=4096), "single_agent",
+                                      StubGateway(STUB / "specific"), corpus,
+                                      cross_contracts)
+    assert record.completed
+    assert serialized == [profile]
+    # a logged run writes the entry's token estimate, so it serializes it once
+    execute_pipeline(profile, config(window=4096), "single_agent",
+                     StubGateway(STUB / "specific"), corpus, cross_contracts,
+                     out_dir=tmp_path)
+    assert serialized == [profile, profile, report.payload]
 
 
 def test_invalid_questionnaire_raises_before_any_stage(case_contracts, corpus,
