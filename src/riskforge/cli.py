@@ -3,18 +3,18 @@
 Four verbs: assess runs one assessment end to end, eval computes metrics
 from a run ledger and/or case-study fixtures, ablate sweeps profiles x
 models x seeds into a ledger, and index-corpus validates a framework
-corpus file. Exit codes: 0 success, 1 usage or input error, 2 a run that
-executed but did not complete (the run record is still written).
+corpus file. Exit codes: 0 success, 1 an input error (one "Error:" line),
+2 a usage error or a run that executed but did not complete (the run
+record is still written).
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import sys
 from pathlib import Path
-
-import click
 
 from .contracts import DATA_DIR, ContractSet
 from .errors import ProfileInvalid, RiskforgeError
@@ -47,8 +47,7 @@ def _read_json(path, what: str, build=None):
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
         return build(doc) if build else doc
     except (OSError, KeyError, TypeError, ValueError, ProfileInvalid) as exc:
-        raise click.ClickException(
-            f"cannot read {what} {path}: {type(exc).__name__}: {exc}")
+        raise RiskforgeError(f"cannot read {what} {path}: {type(exc).__name__}: {exc}")
 
 
 def _load_corpus(corpus_path) -> Corpus:
@@ -56,34 +55,9 @@ def _load_corpus(corpus_path) -> Corpus:
     try:
         return Corpus.ingest(path)
     except (OSError, RiskforgeError) as exc:
-        raise click.ClickException(f"cannot ingest corpus {path}: {exc}")
+        raise RiskforgeError(f"cannot ingest corpus {path}: {exc}")
 
 
-@click.group()
-def main():
-    """Automated cybersecurity risk assessment pipeline."""
-
-
-@main.command()
-@click.option("--profile", "profile_path", required=True,
-              type=click.Path(exists=True, dir_okay=False),
-              help="Questionnaire JSON file.")
-@click.option("--mode", type=click.Choice(["multi", "single"]), default="multi",
-              show_default=True, help="Pipeline topology.")
-@click.option("--provider", type=click.Choice(["stub", "http"]), default="stub",
-              show_default=True)
-@click.option("--script", default="specific", show_default=True,
-              help="Stub script set (stub provider only).")
-@click.option("--model", "model_id", default="stub-model", show_default=True)
-@click.option("--window", default=131072, show_default=True,
-              help="Context window in tokens.")
-@click.option("--seed", default=0, show_default=True)
-@click.option("--schema-mode", type=click.Choice(["case_study", "cross_sector"]),
-              default="case_study", show_default=True)
-@click.option("--corpus", "corpus_path", type=click.Path(), default=None,
-              help="Framework corpus JSONL (default: RISKFORGE_CORPUS or bundled).")
-@click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None,
-              help="Directory for run artifacts (report, session log, ledger).")
 def assess(profile_path, mode, provider, script, model_id, window, seed,
            schema_mode, corpus_path, out_dir):
     """Run one risk assessment against a questionnaire."""
@@ -94,7 +68,7 @@ def assess(profile_path, mode, provider, script, model_id, window, seed,
     else:
         base_url = os.environ.get("RISKFORGE_MODEL_URL")
         if not base_url:
-            raise click.ClickException(
+            raise RiskforgeError(
                 "http provider requires the RISKFORGE_MODEL_URL environment variable")
         gateway = HttpGateway(base_url)
 
@@ -103,91 +77,53 @@ def assess(profile_path, mode, provider, script, model_id, window, seed,
     try:
         config = ModelConfig(model_id=model_id, context_window_tokens=window, seed=seed)
     except ValueError as exc:
-        raise click.ClickException(f"--window {window}: {exc}")
+        raise RiskforgeError(f"--window {window}: {exc}")
     run_mode = "multi_agent" if mode == "multi" else "single_agent"
 
-    try:
-        record, _ = execute_pipeline(
-            profile, config, run_mode, gateway, corpus, contracts,
-            out_dir=Path(out_dir) if out_dir else None)
-    except RiskforgeError as exc:
-        raise click.ClickException(str(exc))
-
+    record, _ = execute_pipeline(profile, config, run_mode, gateway, corpus, contracts,
+                                 out_dir=Path(out_dir) if out_dir else None)
     if out_dir:
         record_run(record, Path(out_dir) / "ledger.jsonl")
-    click.echo(json.dumps(record.to_json(), indent=2))
+    print(json.dumps(record.to_json(), indent=2))
     if not record.completed:
-        click.echo(f"run failed at stage {record.failed_stage} "
-                   f"({record.failure_kind})", err=True)
+        print(f"run failed at stage {record.failed_stage} ({record.failure_kind})",
+              file=sys.stderr)
         sys.exit(2)
 
 
-@main.command("eval")
-@click.option("--ledger", "ledger_path", type=click.Path(exists=True, dir_okay=False),
-              default=None, help="Run ledger JSONL for stability/variability/latency.")
-@click.option("--annotations", "annotations_path",
-              type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--aliases", "aliases_path",
-              type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--register", "register_path",
-              type=click.Path(exists=True, dir_okay=False), default=None,
-              help="System risk register JSON for agreement/coverage.")
-@click.option("--select", "selectors", multiple=True,
-              help="Filter runs, e.g. --select model=ft-cybersec --select mode=single_agent.")
-@click.option("--json", "as_json", is_flag=True, help="Emit JSON instead of a table.")
 def eval_cmd(ledger_path, annotations_path, aliases_path, register_path,
              selectors, as_json):
     """Compute evaluation metrics from runs and/or practitioner annotations."""
     if not ledger_path and not (register_path and annotations_path):
-        raise click.ClickException(
+        raise RiskforgeError(
             "nothing to evaluate: pass --ledger and/or --register with --annotations")
 
     selector = {}
     for item in selectors:
         if "=" not in item:
-            raise click.ClickException(f"bad selector {item!r}, expected key=value")
+            raise RiskforgeError(f"bad selector {item!r}, expected key=value")
         key, value = item.split("=", 1)
         if key not in ("model", "mode", "profile"):
-            raise click.ClickException(f"unknown selector key {key!r}")
+            raise RiskforgeError(f"unknown selector key {key!r}")
         selector[key] = value
 
     system = annotations = None
     aliases = AliasMap()
-    try:
-        if register_path and annotations_path:
-            system = _read_json(register_path, "register", lambda doc: [
-                RiskItem.from_dict(r) for r in doc["risks"]])
-            annotations = load_annotations(Path(annotations_path))
-            if aliases_path:
-                aliases = _read_json(aliases_path, "aliases", AliasMap)
-        records = load_ledger(Path(ledger_path)) if ledger_path else None
-        report = compute_metrics(records=records, system=system,
-                                 annotations=annotations, aliases=aliases,
-                                 selector=selector or None)
-    except RiskforgeError as exc:
-        raise click.ClickException(str(exc))
-
+    if register_path and annotations_path:
+        system = _read_json(register_path, "register", lambda doc: [
+            RiskItem.from_dict(r) for r in doc["risks"]])
+        annotations = load_annotations(Path(annotations_path))
+        if aliases_path:
+            aliases = _read_json(aliases_path, "aliases", AliasMap)
+    records = load_ledger(Path(ledger_path)) if ledger_path else None
+    report = compute_metrics(records=records, system=system, annotations=annotations,
+                             aliases=aliases, selector=selector or None)
     if as_json:
-        click.echo(json.dumps(report.to_json(), indent=2))
+        print(json.dumps(report.to_json(), indent=2))
     else:
-        click.echo(report.render_table())
+        print(report.render_table())
 
 
-@main.command()
-@click.option("--profiles", "profiles_dir", type=click.Path(exists=True, file_okay=False),
-              default=str(DATA_DIR / "profiles"), show_default=True)
-@click.option("--models", "models_path", type=click.Path(exists=True, dir_okay=False),
-              default=str(DATA_DIR / "ablation_models.json"), show_default=True)
-@click.option("--runs", "runs_per_cell", type=click.IntRange(min=1), default=3,
-              show_default=True, help="Seeds per profile x model cell.")
-@click.option("--mode", type=click.Choice(["multi", "single"]), default="single",
-              show_default=True)
-@click.option("--schema-mode", type=click.Choice(["case_study", "cross_sector"]),
-              default="cross_sector", show_default=True)
-@click.option("--corpus", "corpus_path", type=click.Path(), default=None)
-@click.option("--out", "ledger_path", required=True, type=click.Path(dir_okay=False),
-              help="Run ledger to append to (resumable).")
-@click.option("--workers", default=1, show_default=True)
 def ablate(profiles_dir, models_path, runs_per_cell, mode, schema_mode,
            corpus_path, ledger_path, workers):
     """Sweep profiles x models x seeds and append run records to a ledger."""
@@ -195,34 +131,101 @@ def ablate(profiles_dir, models_path, runs_per_cell, mode, schema_mode,
     profiles = [_read_json(path, "profile", lambda doc: check_profile(doc, contracts))
                 for path in sorted(Path(profiles_dir).glob("*.json"))]
     if not profiles:
-        raise click.ClickException(f"no profile JSON files in {profiles_dir}")
+        raise RiskforgeError(f"no profile JSON files in {profiles_dir}")
     specs = _read_json(models_path, "models", lambda docs: [
         ModelSpec(label=doc["label"], script=doc["script"],
                   context_window_tokens=doc.get("window", 4096)) for doc in docs])
 
     corpus = _load_corpus(corpus_path)
     run_mode = "multi_agent" if mode == "multi" else "single_agent"
-    try:
-        executed = run_ablation(profiles, specs, runs_per_cell, run_mode,
-                                Path(ledger_path), contracts, corpus,
-                                STUB_ROOT, workers=workers)
-    except RiskforgeError as exc:
-        raise click.ClickException(str(exc))
+    executed = run_ablation(profiles, specs, runs_per_cell, run_mode, Path(ledger_path),
+                            contracts, corpus, STUB_ROOT, workers=workers)
     total = len(profiles) * len(specs) * runs_per_cell
-    click.echo(f"executed {executed} new runs ({total - executed} already in ledger)")
+    print(f"executed {executed} new runs ({total - executed} already in ledger)")
 
 
-@main.command("index-corpus")
-@click.option("--corpus", "corpus_path", type=click.Path(), default=None,
-              help="Corpus JSONL (default: RISKFORGE_CORPUS or bundled).")
 def index_corpus(corpus_path):
     """Validate a framework corpus and report per-framework excerpt counts."""
     path = _resolve_corpus(corpus_path)
     corpus = _load_corpus(corpus_path)
-    click.echo(f"corpus: {path}")
+    print(f"corpus: {path}")
     for framework, count in sorted(corpus.counts_by_framework().items()):
-        click.echo(f"  {framework}: {count} excerpts")
-    click.echo(f"  total: {len(corpus)} excerpts")
+        print(f"  {framework}: {count} excerpts")
+    print(f"  total: {len(corpus)} excerpts")
+
+
+def _run_count(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a whole number of at least 1")
+    return int(text)
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="riskforge", add_help=False,
+        description="Automated cybersecurity risk assessment pipeline.")
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    verbs = parser.add_subparsers(metavar="VERB", required=True)
+
+    def verb(name, run):
+        sub = verbs.add_parser(name, help=run.__doc__, description=run.__doc__,
+                               add_help=False)
+        sub.add_argument("--help", action="help", help="Show this message and exit.")
+        sub.set_defaults(run=run)
+        return sub.add_argument
+
+    option = verb("assess", assess)
+    option("--profile", dest="profile_path", required=True, help="Questionnaire JSON file.")
+    option("--mode", choices=["multi", "single"], default="multi", help="Pipeline topology.")
+    option("--provider", choices=["stub", "http"], default="stub")
+    option("--script", default="specific", help="Stub script set (stub provider only).")
+    option("--model", dest="model_id", default="stub-model")
+    option("--window", type=int, default=131072, help="Context window in tokens.")
+    option("--seed", type=int, default=0)
+    option("--schema-mode", choices=["case_study", "cross_sector"], default="case_study")
+    option("--corpus", dest="corpus_path",
+           help="Framework corpus JSONL (default: RISKFORGE_CORPUS or bundled).")
+    option("--out", dest="out_dir",
+           help="Directory for run artifacts (report, session log, ledger).")
+
+    option = verb("eval", eval_cmd)
+    option("--ledger", dest="ledger_path",
+           help="Run ledger JSONL for stability/variability/latency.")
+    option("--annotations", dest="annotations_path")
+    option("--aliases", dest="aliases_path")
+    option("--register", dest="register_path",
+           help="System risk register JSON for agreement/coverage.")
+    option("--select", dest="selectors", action="append", default=[],
+           help="Filter runs, e.g. --select model=ft-cybersec --select mode=single_agent.")
+    option("--json", dest="as_json", action="store_true", help="Emit JSON instead of a table.")
+
+    option = verb("ablate", ablate)
+    option("--profiles", dest="profiles_dir", default=str(DATA_DIR / "profiles"))
+    option("--models", dest="models_path", default=str(DATA_DIR / "ablation_models.json"))
+    option("--runs", dest="runs_per_cell", type=_run_count, default=3,
+           help="Seeds per profile x model cell.")
+    option("--mode", choices=["multi", "single"], default="single")
+    option("--schema-mode", choices=["case_study", "cross_sector"], default="cross_sector")
+    option("--corpus", dest="corpus_path")
+    option("--out", dest="ledger_path", required=True,
+           help="Run ledger to append to (resumable).")
+    option("--workers", type=int, default=1)
+
+    option = verb("index-corpus", index_corpus)
+    option("--corpus", dest="corpus_path",
+           help="Corpus JSONL (default: RISKFORGE_CORPUS or bundled).")
+    return parser
+
+
+def main(argv=None) -> None:
+    """Run the verb that argv (default: sys.argv[1:]) names."""
+    options = vars(_parser().parse_args(argv))
+    run = options.pop("run")
+    try:
+        run(**options)
+    except (RiskforgeError, OSError) as exc:  # OSError: say, an --out naming a file
+        print(f"Error: {exc}", file=sys.stderr)
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -47,22 +47,25 @@ def append_line(path: Path, doc: dict) -> None:
 
 def load_records(path: Path, cls: type) -> list:
     """One cls.from_json(line), or cls(**line) for a class without
-    from_json, per non-blank line of a JSON Lines file. A line that is not
-    UTF-8 JSON, or whose fields do not fit cls, raises StorageFailure
-    naming path:lineno."""
+    from_json, per non-blank line of a JSON Lines file. A file that cannot
+    be read raises StorageFailure naming path; a line that is not UTF-8
+    JSON, or whose fields do not fit cls, one naming path:lineno."""
     build = getattr(cls, "from_json", None) or (lambda doc: cls(**doc))
     records = []
     # read as bytes and decoded per line, so a line cut inside a multi-byte
     # character fails as that line (UnicodeDecodeError is a ValueError)
-    with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                records.append(build(json.loads(line)))
-            except (ValueError, TypeError) as exc:
-                raise StorageFailure(f"{path}:{lineno}: not a {cls.__name__} record: "
-                                     f"{exc}") from exc
+    try:
+        with open(path, "rb") as fh:
+            for lineno, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                try:
+                    records.append(build(json.loads(line)))
+                except (ValueError, TypeError) as exc:
+                    raise StorageFailure(f"{path}:{lineno}: not a {cls.__name__} record: "
+                                         f"{exc}") from exc
+    except OSError as exc:
+        raise StorageFailure(f"cannot read {path}: {exc}") from exc
     return records
 
 

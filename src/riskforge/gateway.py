@@ -16,13 +16,10 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Optional
+from typing import Any, Optional
 
 from .errors import ContextOverflow, NoScriptForRole, ProviderError, ProviderUnreachable
 from .tokens import estimate_tokens, prompt_hash
-
-if TYPE_CHECKING:
-    import requests
 
 # Marker appended to re-prompts after a validation failure. The stub keys
 # its "on_retry" response pool off this string.
@@ -149,8 +146,8 @@ class HttpGateway:
     """Client for a local model server exposing POST /api/generate.
 
     Transport-level failures are retried with a fixed backoff before
-    giving up; non-success HTTP responses are surfaced immediately with
-    the response body attached.
+    giving up; any reply but a 200 with a JSON object holding a string
+    "response" is surfaced at once as ProviderError, body attached.
     """
 
     def __init__(self, base_url: str, timeout: float = 300.0,
@@ -165,15 +162,22 @@ class HttpGateway:
         """Always True: every call waits on the model server."""
         return True
 
-    def _post(self, path: str, body: dict) -> requests.Response:
-        import requests  # only the HTTP provider needs it; keeps CLI start-up lean
+    def _post(self, path: str, body: dict) -> tuple[int, bytes]:
+        # imported here, as only the HTTP provider needs it: keeps CLI start-up lean
+        from urllib.error import HTTPError
+        from urllib.request import Request, urlopen
 
         url = self.base_url + path
+        request = Request(url, json.dumps(body).encode(), {"Content-Type": "application/json"})
         last_exc: Optional[Exception] = None
         for attempt in range(self.retries + 1):
             try:
-                return requests.post(url, json=body, timeout=self.timeout)
-            except (requests.ConnectionError, requests.Timeout) as exc:
+                with urlopen(request, timeout=self.timeout) as response:
+                    return response.status, response.read()
+            except HTTPError as exc:  # a reply outside 2xx; closed, as it holds the socket
+                with exc:
+                    return exc.code, exc.read()
+            except OSError as exc:  # refused, reset or timed out (URLError is an OSError)
                 last_exc = exc
                 if attempt < self.retries:
                     time.sleep(self.backoff_seconds)
@@ -184,6 +188,7 @@ class HttpGateway:
         cfg = request.config
         options: dict[str, Any] = {
             "num_ctx": cfg.context_window_tokens,
+            "num_predict": cfg.reserved_output_tokens,
             "temperature": cfg.temperature,
         }
         if cfg.seed is not None:
@@ -195,11 +200,14 @@ class HttpGateway:
             "stream": False,
         }
         start = time.perf_counter()
-        response = self._post("/api/generate", body)
+        status, reply = self._post("/api/generate", body)
         latency = time.perf_counter() - start
-        if response.status_code != 200:
-            raise ProviderError(response.status_code, response.text)
-        data = response.json()
+        try:
+            data = json.loads(reply) if status == 200 else None
+        except ValueError:  # not JSON, or not UTF-8
+            data = None
+        if not isinstance(data, dict) or not isinstance(data.get("response"), str):
+            raise ProviderError(status, reply.decode("utf-8", "replace"))
         return CompletionResult(
             text=data["response"],
             latency_seconds=latency,

@@ -28,7 +28,7 @@ count them; any other exception propagates out of execute_pipeline.
 from __future__ import annotations
 
 import json
-import secrets
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -139,7 +139,7 @@ def load_ledger(path: Path) -> list[RunRecord]:
 
 def _new_run_id() -> str:
     stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%S")
-    return f"{stamp}-{secrets.token_hex(2)}"
+    return f"{stamp}-{os.urandom(2).hex()}"
 
 
 def _dedupe_titles(titles: list[str]) -> list[str]:

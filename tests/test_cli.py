@@ -1,11 +1,14 @@
 """CLI verbs: assess, eval, ablate, index-corpus."""
 
+import io
 import json
+import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from types import SimpleNamespace
 
 import pytest
-from click.testing import CliRunner
 
 from riskforge.cli import main
 from riskforge.contracts import DATA_DIR
@@ -15,9 +18,29 @@ FIXTURES = DATA_DIR / "fixtures"
 PROFILE = DATA_DIR / "profiles" / "health_15.json"
 
 
+class Runner:
+    """Calls a CLI entry point in this process. The result's output holds
+    stdout and stderr together; exit_code is the SystemExit code, or 1 for
+    any other exception, which is kept as exception (as is a SystemExit
+    with a non-zero code)."""
+
+    def invoke(self, entry, args):
+        output, exit_code, exception = io.StringIO(), 0, None
+        with redirect_stdout(output), redirect_stderr(output):
+            try:
+                entry(args)
+            except SystemExit as exc:
+                exit_code = exc.code or 0
+                exception = exc if exit_code else None
+            except Exception as exc:
+                exit_code, exception = 1, exc
+        return SimpleNamespace(exit_code=exit_code, output=output.getvalue(),
+                               exception=exception)
+
+
 @pytest.fixture
 def runner():
-    return CliRunner()
+    return Runner()
 
 
 def test_index_corpus_reports_counts(runner):
@@ -240,16 +263,17 @@ def test_ablate_requires_profiles(runner, tmp_path):
     assert "no profile JSON files" in result.output
 
 
-def test_cli_import_leaves_jsonschema_and_requests_unloaded(tmp_path, package_env):
-    """A CLI start-up never pays for requests, and neither does a stub run;
-    jsonschema is never imported outside the tests."""
+def test_cli_import_and_stub_run_leave_unneeded_modules_unloaded(tmp_path, package_env):
+    """A CLI start-up loads no third-party package, no HTTP client and no
+    secrets module, and neither does a stub run; jsonschema is never
+    imported outside the tests."""
     code = (
         "import sys\n"
         "from riskforge.cli import main\n"
-        "unwanted = ('jsonschema', 'requests')\n"
+        "unwanted = ('click', 'requests', 'urllib.request', 'http.client', 'secrets',\n"
+        "            'jsonschema')\n"
         "print(sorted(m for m in unwanted if m in sys.modules))\n"
-        f"main(['assess', '--profile', {str(PROFILE)!r}, '--out', {str(tmp_path)!r}],\n"
-        "     standalone_mode=False)\n"
+        f"main(['assess', '--profile', {str(PROFILE)!r}, '--out', {str(tmp_path)!r}])\n"
         "print(sorted(m for m in unwanted if m in sys.modules))\n"
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -258,3 +282,57 @@ def test_cli_import_leaves_jsonschema_and_requests_unloaded(tmp_path, package_en
     assert lines[0] == "[]"
     assert json.loads("\n".join(lines[1:-1]))["completed"] is True
     assert lines[-1] == "[]"
+
+
+@pytest.mark.parametrize("args", [
+    ["assess", "--profile", "{missing}"],
+    ["eval", "--ledger", "{missing}"],
+    ["eval", "--register", REGISTER, "--annotations", "{missing}"],
+    ["eval", "--register", "{missing}", "--annotations", ANNOTATIONS],
+    ["eval", "--register", REGISTER, "--annotations", ANNOTATIONS, "--aliases", "{missing}"],
+    ["ablate", "--models", "{missing}", "--out", "{ledger}"],
+    ["assess", "--profile", str(PROFILE), "--out", "{file}"],
+], ids=["profile", "ledger", "annotations", "register", "aliases", "models", "out_is_a_file"])
+def test_missing_input_file_is_a_one_line_error(runner, tmp_path, args):
+    missing, file = tmp_path / "missing.json", tmp_path / "file.txt"
+    file.write_text("", encoding="utf-8")
+    result = runner.invoke(main, [arg.format(missing=missing, file=file,
+                                             ledger=tmp_path / "ledger.jsonl")
+                                  for arg in args])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert str(missing if "{missing}" in args else file) in result.output
+    assert "Traceback" not in result.output
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["file.txt"]
+
+
+VERB_OPTIONS = {
+    None: ["--help"],
+    "assess": ["--help", "--profile", "--mode", "--provider", "--script", "--model",
+               "--window", "--seed", "--schema-mode", "--corpus", "--out"],
+    "eval": ["--help", "--ledger", "--annotations", "--aliases", "--register", "--select",
+             "--json"],
+    "ablate": ["--help", "--profiles", "--models", "--runs", "--mode", "--schema-mode",
+               "--corpus", "--out", "--workers"],
+    "index-corpus": ["--help", "--corpus"],
+}
+
+
+@pytest.mark.parametrize("verb", VERB_OPTIONS, ids=lambda verb: verb or "riskforge")
+def test_help_names_every_option(runner, verb):
+    result = runner.invoke(main, [verb, "--help"] if verb else ["--help"])
+    assert result.exit_code == 0
+    assert set(re.findall(r"--[a-z][a-z-]*", result.output)) == set(VERB_OPTIONS[verb])
+    if verb is None:
+        assert all(name in result.output for name in VERB_OPTIONS if name)
+
+
+@pytest.mark.parametrize("extra", [["--colour", "blue"], ["--mode", "triple"]],
+                         ids=["unknown_option", "mode_not_a_choice"])
+def test_usage_error_exits_2_and_writes_nothing(runner, tmp_path, extra):
+    result = runner.invoke(main, ["assess", "--profile", str(PROFILE),
+                                  "--out", str(tmp_path / "out")] + extra)
+    assert result.exit_code == 2
+    assert result.output.startswith("usage: riskforge ")
+    assert extra[0] in result.output
+    assert list(tmp_path.iterdir()) == []

@@ -11,6 +11,7 @@ from riskforge.errors import (ContextOverflow, NoScriptForRole, ProviderError,
                               ProviderUnreachable)
 from riskforge.gateway import (RETRY_MARKER, CompletionRequest, HttpGateway,
                                ModelConfig, StubGateway)
+from riskforge.orchestrator import execute_pipeline
 from riskforge.tokens import prompt_hash
 
 
@@ -174,6 +175,7 @@ class _Handler(BaseHTTPRequestHandler):
     captured = []
     status = 200
     done_reason = "stop"
+    reply = None  # bytes sent as a 200 reply's body in place of the generated one
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
@@ -183,6 +185,11 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_response(_Handler.status)
             self.end_headers()
             self.wfile.write(b"boom")
+            return
+        if _Handler.reply is not None:
+            self.send_response(200)
+            self.end_headers()
+            self.wfile.write(_Handler.reply)
             return
         payload = {"response": "generated text", "done": True,
                    "done_reason": _Handler.done_reason}
@@ -201,6 +208,7 @@ def http_server():
     _Handler.captured = []
     _Handler.status = 200
     _Handler.done_reason = "stop"
+    _Handler.reply = None
     server = HTTPServer(("127.0.0.1", 0), _Handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -222,7 +230,7 @@ def test_http_generate_wire_format(http_server):
     assert body == {
         "model": "m",
         "prompt": "hello",
-        "options": {"num_ctx": 4096, "temperature": 0.2, "seed": 7},
+        "options": {"num_ctx": 4096, "num_predict": 1024, "temperature": 0.2, "seed": 7},
         "stream": False,
     }
 
@@ -241,6 +249,21 @@ def test_http_non_success_raises_provider_error(http_server):
     with pytest.raises(ProviderError) as exc:
         gw.complete(CompletionRequest(role="r", prompt="p", config=cfg()))
     assert exc.value.status == 500
+
+
+@pytest.mark.parametrize("reply", [
+    b"<html><body>502 Bad Gateway</body></html>", b"\xff\xfe{", b"[]",
+    b'{"done": true}', b'{"response": 5}',
+], ids=["html", "not_utf8", "array", "no_response", "response_not_a_string"])
+def test_http_reply_without_a_response_string_lands_in_the_record(
+        http_server, reply, health_profile, corpus, case_contracts):
+    _Handler.reply = reply
+    record, report = execute_pipeline(health_profile, cfg(), "multi_agent",
+                                      HttpGateway(http_server), corpus, case_contracts)
+    assert (record.completed, record.failed_stage, record.failure_kind) == (
+        False, "risk_intake", "provider_error")
+    assert report is None
+    assert len(_Handler.captured) == 1
 
 
 def test_http_unreachable_after_retries():
