@@ -103,8 +103,6 @@ def eval_cmd(ledger_path, annotations_path, aliases_path, register_path,
         if "=" not in item:
             raise RiskforgeError(f"bad selector {item!r}, expected key=value")
         key, value = item.split("=", 1)
-        if key not in ("model", "mode", "profile"):
-            raise RiskforgeError(f"unknown selector key {key!r}")
         selector[key] = value
 
     system = annotations = None

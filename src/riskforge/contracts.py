@@ -121,6 +121,8 @@ SINGLE_AGENT = AgentContract(
     writes="report",
     template_name=None,
     schema_name="single_agent.json",
+    grounding_query="access control authentication policy incident response monitoring",
+    grounding_k=4,
 )
 
 
@@ -162,6 +164,13 @@ ENTRY_KINDS = tuple(c.writes for c in CONTRACTS.values())
 # concurrently.
 STAGES = stage_plan(CONTRACTS.values())
 SINGLE_AGENT_STAGES = stage_plan([SINGLE_AGENT])
+
+
+def excerpt_lines(grounding: Iterable[FrameworkExcerpt]) -> list[str]:
+    """The FRAMEWORK EXCERPTS section body of a prompt: one line per
+    excerpt, verbatim, or a marker when there is none."""
+    lines = [f"[{e.framework} {e.identifier}] {e.title}: {e.body}" for e in grounding]
+    return lines or ["(none supplied)"]
 
 
 _DECODER = json.JSONDecoder()
@@ -541,12 +550,7 @@ class ContractSet:
             parts.append("(no prior context for this role)")
         parts.append("")
         parts.append("=== FRAMEWORK EXCERPTS ===")
-        if grounding:
-            for excerpt in grounding:
-                parts.append(f"[{excerpt.framework} {excerpt.identifier}] "
-                             f"{excerpt.title}: {excerpt.body}")
-        else:
-            parts.append("(none supplied)")
+        parts += excerpt_lines(grounding)
         parts.append("")
         parts.append("=== CITATION POLICY ===")
         parts.append(

@@ -111,9 +111,5 @@ class ProfileInvalid(RiskforgeError):
     """The questionnaire document failed schema validation."""
 
 
-class NoRunsSelected(RiskforgeError):
-    """A metric selector matched no run records."""
-
-
 class MissingFunction(RiskforgeError):
     """A control assessment document lacks one of the five CSF functions."""

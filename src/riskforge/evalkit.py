@@ -1,5 +1,9 @@
 """Evaluation kit: agreement, coverage, stability, variability, latency.
 
+compute_metrics derives every metric in one call. Stability, variability
+and latency read one selection of the run ledger in one pass; variability
+lists only the profile/model cells that have a completed run.
+
 Risk matching between system output and practitioner annotations was a
 human judgment in the original study, so it is encoded here as explicit
 alias data: a pair (a, b) declares two titles equivalent after
@@ -19,7 +23,7 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from .context_store import load_records
-from .errors import NoRunsSelected, RiskforgeError
+from .errors import RiskforgeError
 from .gateway import ModelConfig, StubGateway
 from .orchestrator import (RunRecord, check_profile, execute_pipeline, load_ledger,
                            record_run)
@@ -61,6 +65,9 @@ class AliasMap:
             self.add(a, b)
 
     def add(self, a: str, b: str) -> None:
+        for title in (a, b):
+            if not isinstance(title, str):
+                raise TypeError(f"alias title must be a string, not {type(title).__name__}")
         na, nb = normalize_title(a), normalize_title(b)
         if na != nb:
             self._pairs.add(frozenset((na, nb)))
@@ -173,58 +180,12 @@ def coverage(system: list[RiskItem],
     return RatioStat(matched=matched, total=len(classes))
 
 
-def _select(records: list[RunRecord], selector: Optional[dict] = None) -> list[RunRecord]:
-    selector = selector or {}
-    out = []
-    for record in records:
-        if "model" in selector and record.model_id != selector["model"]:
-            continue
-        if "mode" in selector and record.mode != selector["mode"]:
-            continue
-        if "profile" in selector and record.profile_id != selector["profile"]:
-            continue
-        out.append(record)
-    return out
-
-
-def structural_stability(records: list[RunRecord],
-                         selector: Optional[dict] = None) -> Optional[Fraction]:
-    """Fraction of selected runs that completed with the expected 3/3/3
-    structure. Non-completed runs count as failures in the denominator."""
-    selected = _select(records, selector)
-    if not selected:
-        return None
-    ok = sum(1 for r in selected if r.completed and r.structural_ok)
-    return Fraction(ok, len(selected))
-
-
-def title_variability(records: list[RunRecord], profile: str, model: str) -> int:
-    selected = [r for r in _select(records, {"profile": profile, "model": model})
-                if r.completed]
-    if not selected:
-        raise NoRunsSelected(f"no completed runs for profile={profile} model={model}")
-    titles = set()
-    for record in selected:
-        titles.update(normalize_title(t) for t in record.unique_threat_titles)
-    return len(titles)
-
-
 @dataclass(frozen=True)
 class LatencyStats:
     mean_s: float
     min_s: float
     max_s: float
     runs: int
-
-
-def latency_stats(records: list[RunRecord],
-                  selector: Optional[dict] = None) -> LatencyStats:
-    selected = _select(records, selector)
-    if not selected:
-        raise NoRunsSelected("latency selector matched no runs")
-    walls = [r.wall_seconds for r in selected]
-    return LatencyStats(mean_s=sum(walls) / len(walls), min_s=min(walls),
-                        max_s=max(walls), runs=len(walls))
 
 
 @dataclass
@@ -274,28 +235,48 @@ class MetricsReport:
         return "\n".join(lines)
 
 
+# A selector key (eval --select key=value) and the RunRecord field it matches.
+SELECTOR_FIELDS = {"model": "model_id", "mode": "mode", "profile": "profile_id"}
+
+
 def compute_metrics(records: Optional[list[RunRecord]] = None,
                     system: Optional[list[RiskItem]] = None,
                     annotations: Optional[list[PractitionerAnnotation]] = None,
                     aliases: Optional[AliasMap] = None,
                     selector: Optional[dict] = None) -> MetricsReport:
+    """Agreement and coverage from system and annotations. The records
+    that match every selector key are picked once and read in one pass:
+    stability over all of them (a run that did not complete counts as a
+    failure), variability per profile/model cell with a completed run,
+    and latency. Raises RiskforgeError for a key outside SELECTOR_FIELDS."""
+    wanted = []
+    for key, value in (selector or {}).items():
+        if key not in SELECTOR_FIELDS:
+            raise RiskforgeError(f"unknown selector key {key!r}")
+        wanted.append((SELECTOR_FIELDS[key], value))
     report = MetricsReport()
     if system is not None and annotations is not None:
         amap = aliases or AliasMap()
         report.agreement = severity_agreement(system, annotations, amap)
         report.coverage = coverage(system, annotations, amap)
-    if records:
-        selected = _select(records, selector)
-        report.stability = structural_stability(selected)
-        cells = sorted({(r.profile_id, r.model_id) for r in selected})
-        for profile, model in cells:
-            try:
-                count = title_variability(selected, profile, model)
-            except NoRunsSelected:
-                continue
-            report.variability[f"{profile}/{model}"] = count
-        if selected:
-            report.latency = latency_stats(selected)
+    selected = [r for r in records or ()
+                if all(getattr(r, name) == value for name, value in wanted)]
+    if not selected:
+        return report
+    stable = 0
+    walls = []
+    titles: dict[tuple[str, str], set[str]] = {}
+    for record in selected:
+        walls.append(record.wall_seconds)
+        if record.completed:
+            stable += record.structural_ok
+            titles.setdefault((record.profile_id, record.model_id), set()).update(
+                normalize_title(t) for t in record.unique_threat_titles)
+    report.stability = Fraction(stable, len(selected))
+    report.variability = {f"{profile}/{model}": len(cell)
+                          for (profile, model), cell in sorted(titles.items())}
+    report.latency = LatencyStats(mean_s=sum(walls) / len(walls), min_s=min(walls),
+                                  max_s=max(walls), runs=len(walls))
     return report
 
 

@@ -37,8 +37,8 @@ from pathlib import Path
 from typing import Optional
 
 from .context_store import ContextEntry, ContextStore, append_line, load_records
-from .contracts import (ENTRY_KINDS, QUESTIONNAIRE_SCHEMA, SINGLE_AGENT_STAGES, STAGES,
-                        ContractSet)
+from .contracts import (ENTRY_KINDS, QUESTIONNAIRE_SCHEMA, SINGLE_AGENT,
+                        SINGLE_AGENT_STAGES, STAGES, ContractSet, excerpt_lines)
 from .errors import ContextOverflow, ProfileInvalid, StageError
 from .gateway import ModelConfig
 from .grounding import Corpus
@@ -268,8 +268,7 @@ def _run_stages(plan, build_prompt, config: ModelConfig, gateway,
 
 def _single_prompt(profile: dict, contracts: ContractSet, corpus: Corpus) -> str:
     questionnaire = canonical_json(profile)
-    grounding = corpus.retrieve(
-        "access control authentication policy incident response monitoring", 4)
+    grounding = corpus.retrieve(SINGLE_AGENT.grounding_query, SINGLE_AGENT.grounding_k)
     parts = [
         "You are a security analyst performing a complete cybersecurity risk "
         "assessment in a single pass. Work through every stage below in order.",
@@ -278,14 +277,7 @@ def _single_prompt(profile: dict, contracts: ContractSet, corpus: Corpus) -> str
         questionnaire,
         "",
         "=== FRAMEWORK EXCERPTS ===",
-    ]
-    if grounding:
-        for excerpt in grounding:
-            parts.append(f"[{excerpt.framework} {excerpt.identifier}] "
-                         f"{excerpt.title}: {excerpt.body}")
-    else:
-        parts.append("(none supplied)")
-    parts += [
+        *excerpt_lines(grounding),
         "",
         "=== CITATION POLICY ===",
         "Reference framework control identifiers only if they appear verbatim in "

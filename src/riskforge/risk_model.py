@@ -15,7 +15,6 @@ from typing import Iterable
 from .errors import MissingFunction
 
 ORDINALS = {"low": 1, "medium": 2, "high": 3}
-LEVEL_LABELS = {1: "Low", 2: "Medium", 3: "High"}
 CSF_FUNCTIONS = ("Identify", "Protect", "Detect", "Respond", "Recover")
 
 
@@ -60,6 +59,15 @@ class RiskItem:
     reasoning: str
     linked_threat_titles: list[str] = field(default_factory=list)
     linked_control_gaps: list[str] = field(default_factory=list)
+
+    def __post_init__(self):
+        # A register read from a file fails here, not at its first use.
+        for name in ("title", "likelihood", "impact", "reasoning"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise TypeError(f"{name} must be a string, not {type(value).__name__}")
+        parse_level(self.likelihood)
+        parse_level(self.impact)
 
     @property
     def severity(self) -> SeverityScore:

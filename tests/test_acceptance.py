@@ -9,9 +9,8 @@ import pytest
 
 from riskforge.context_store import ContextStore
 from riskforge.contracts import DATA_DIR, ENTRY_KINDS, ContractSet
-from riskforge.evalkit import (AliasMap, ModelSpec, coverage, load_annotations,
-                               run_ablation, severity_agreement,
-                               structural_stability, title_variability)
+from riskforge.evalkit import (AliasMap, ModelSpec, compute_metrics, coverage,
+                               load_annotations, run_ablation, severity_agreement)
 from riskforge.gateway import ModelConfig, StubGateway
 from riskforge.orchestrator import execute_pipeline, load_ledger
 from riskforge.risk_model import RiskItem, derive_severity, parse_level, rank_risks
@@ -135,19 +134,20 @@ def test_criterion_4_citation_verification(corpus):
 
 
 def test_criterion_5_structural_stability(ablation):
-    stability = structural_stability(ablation["single_agent"])
+    stability = compute_metrics(records=ablation["single_agent"]).stability
     conclude(5, "structural stability",
              len(ablation["single_agent"]) == 30 and stability == 1,
              f"stability {float(stability):.3f} over 30 runs")
 
 
 def test_criterion_6_title_variability(ablation, profiles):
-    records = ablation["single_agent"]
+    variability = compute_metrics(records=ablation["single_agent"]).variability
     observed = {}
     ok = True
     for profile_id in profiles:
-        specific = title_variability(records, profile_id, "ft-cybersec")
-        generic = title_variability(records, profile_id, "mistral-7b")
+        # a cell with no completed run is absent, and fails the bounds as 0
+        specific = variability.get(f"{profile_id}/ft-cybersec", 0)
+        generic = variability.get(f"{profile_id}/mistral-7b", 0)
         observed[profile_id] = (specific, generic)
         ok = ok and 6 <= specific <= 9 and 3 <= generic <= 4
     conclude(6, "title variability", ok,

@@ -220,6 +220,12 @@ ANNOTATION = '{"assessor_id": "a1", "risk_title": "Phishing", "severity": "High"
 @pytest.mark.parametrize("name, text, args", [
     ("register.json", '{"risks": [',
      ["eval", "--register", "{file}", "--annotations", ANNOTATIONS]),
+    ("register.json", '{"risks": [{"title": 5, "likelihood": "High", '
+                      '"impact": "High", "reasoning": "r"}]}',
+     ["eval", "--register", "{file}", "--annotations", ANNOTATIONS]),
+    ("register.json", '{"risks": [{"title": "T", "likelihood": "Extreme", '
+                      '"impact": "High", "reasoning": "r"}]}',
+     ["eval", "--register", "{file}", "--annotations", ANNOTATIONS]),
     ("annotations.jsonl", ANNOTATION * 2,
      ["eval", "--register", REGISTER, "--annotations", "{file}"]),
     ("annotations.jsonl", ANNOTATION + ANNOTATION[:20],
@@ -227,6 +233,8 @@ ANNOTATION = '{"assessor_id": "a1", "risk_title": "Phishing", "severity": "High"
     ("annotations.jsonl", '{"assessor_id": "a", "risk_title": 5, "severity": "High"}\n',
      ["eval", "--register", REGISTER, "--annotations", "{file}"]),
     ("aliases.json", '[["a", "b", "c"]]',
+     ["eval", "--register", REGISTER, "--annotations", ANNOTATIONS, "--aliases", "{file}"]),
+    ("aliases.json", '[[5, "b"]]',
      ["eval", "--register", REGISTER, "--annotations", ANNOTATIONS, "--aliases", "{file}"]),
     ("profiles/bad.json", '{"profile_id": ',
      ["ablate", "--profiles", "{dir}", "--out", "{ledger}"]),
@@ -237,9 +245,10 @@ ANNOTATION = '{"assessor_id": "a1", "risk_title": "Phishing", "severity": "High"
     ("models.json", '[{"label": "a", "script": "specific"}, '
                     '{"label": "b", "script": "specific", "window": 512}]',
      ["ablate", "--models", "{file}", "--out", "{ledger}"]),
-], ids=["register_torn", "annotations_duplicate", "annotations_torn",
-        "annotations_title_not_string", "aliases_triple", "profile_torn",
-        "profile_invalid", "models_no_script", "models_window_too_small"])
+], ids=["register_torn", "register_title_not_string", "register_level_unknown",
+        "annotations_duplicate", "annotations_torn", "annotations_title_not_string",
+        "aliases_triple", "aliases_title_not_string", "profile_torn", "profile_invalid",
+        "models_no_script", "models_window_too_small"])
 def test_bad_input_file_is_a_one_line_error(runner, tmp_path, name, text, args):
     path = tmp_path / name
     path.parent.mkdir(exist_ok=True)

@@ -9,12 +9,10 @@ from pathlib import Path
 import pytest
 
 from riskforge.contracts import DATA_DIR, ContractSet
-from riskforge.errors import NoRunsSelected, ProfileInvalid, RiskforgeError, StorageFailure
+from riskforge.errors import ProfileInvalid, RiskforgeError, StorageFailure
 from riskforge.evalkit import (AliasMap, ModelSpec, PractitionerAnnotation,
-                               compute_metrics, coverage, latency_stats,
-                               load_annotations, run_ablation,
-                               severity_agreement, structural_stability,
-                               title_variability)
+                               compute_metrics, coverage, load_annotations,
+                               run_ablation, severity_agreement)
 from riskforge.gateway import ModelConfig, StubGateway
 from riskforge.orchestrator import RunRecord, execute_pipeline, load_ledger
 from riskforge.risk_model import RiskItem
@@ -85,6 +83,12 @@ def test_ambiguous_alias_rejected():
               RiskItem(title="Sys B", likelihood="High", impact="High", reasoning="")]
     with pytest.raises(RiskforgeError):
         severity_agreement(system, [], aliases)
+
+
+@pytest.mark.parametrize("pair", [(5, "b"), ("a", None)])
+def test_alias_title_must_be_a_string(pair):
+    with pytest.raises(TypeError, match="alias title must be a string"):
+        AliasMap([pair])
 
 
 def test_empty_annotations_give_undefined_ratio():
@@ -185,9 +189,9 @@ def test_stability_counts_failures_in_denominator():
                               failure_kind="context_overflow",
                               structural_ok=False, unique_threat_titles=[]))
     records.append(run_record(run_id="r29", completed=True, structural_ok=False))
-    assert structural_stability(records) == Fraction(28, 30)
-    assert structural_stability([]) is None
-    assert structural_stability(records, {"model": "absent"}) is None
+    assert compute_metrics(records=records).stability == Fraction(28, 30)
+    assert compute_metrics(records=[]).stability is None
+    assert compute_metrics(records=records, selector={"model": "absent"}).stability is None
 
 
 def test_variability_unions_normalized_titles():
@@ -195,14 +199,26 @@ def test_variability_unions_normalized_titles():
         run_record(run_id="a", unique_threat_titles=["Phishing", "Data Breach"]),
         run_record(run_id="b", unique_threat_titles=["phishing", "Malware"]),
         run_record(run_id="c", completed=False, unique_threat_titles=["Ignored"]),
+        run_record(run_id="d", model_id="other-model", completed=False,
+                   unique_threat_titles=["Ignored"]),
     ]
-    assert title_variability(records, "p", "m") == 3
-    with pytest.raises(NoRunsSelected):
-        title_variability(records, "p", "other-model")
+    variability = compute_metrics(records=records).variability
+    assert variability["p/m"] == 3
+    # a cell with no completed run is absent, not zero
+    assert "p/other-model" not in variability
+    assert list(variability) == ["p/m"]
+
+
+def test_variability_cells_in_profile_then_model_order():
+    records = [run_record(run_id=f"r{i}", profile_id=profile, model_id=model)
+               for i, (profile, model) in enumerate([("b", "m"), ("a-b", "m"), ("a", "z"),
+                                                     ("a", "m")])]
+    assert list(compute_metrics(records=records).variability) == [
+        "a/m", "a/z", "a-b/m", "b/m"]
 
 
 def test_latency_single_case_study_run():
-    stats = latency_stats([run_record(wall_seconds=878.0)])
+    stats = compute_metrics(records=[run_record(wall_seconds=878.0)]).latency
     assert stats.mean_s == stats.min_s == stats.max_s == 878.0
     assert stats.runs == 1
 
@@ -211,9 +227,31 @@ def test_latency_mean_over_selector():
     records = [run_record(run_id=f"r{i}", wall_seconds=w, mode="multi_agent")
                for i, w in enumerate([60.2, 70.4, 80.6])]
     records.append(run_record(run_id="x", wall_seconds=900.0, mode="single_agent"))
-    stats = latency_stats(records, {"mode": "multi_agent"})
+    stats = compute_metrics(records=records, selector={"mode": "multi_agent"}).latency
     assert abs(stats.mean_s - 70.4) < 1e-9
     assert stats.runs == 3
+
+
+def test_every_selector_key_must_match():
+    records = [run_record(run_id="a", model_id="m1", profile_id="p1"),
+               run_record(run_id="b", model_id="m1", profile_id="p2"),
+               run_record(run_id="c", model_id="m2", profile_id="p1", mode="multi_agent")]
+    for selector, run_ids in [
+            ({"model": "m1"}, "ab"), ({"profile": "p1"}, "ac"),
+            ({"mode": "multi_agent"}, "c"), ({"model": "m1", "profile": "p1"}, "a"),
+            ({"model": "m1", "mode": "multi_agent"}, "")]:
+        report = compute_metrics(records=records, selector=selector)
+        runs = report.latency.runs if report.latency else 0
+        assert runs == len(run_ids), selector
+        assert list(report.variability) == sorted(
+            f"{r.profile_id}/{r.model_id}" for r in records if r.run_id in run_ids)
+
+
+@pytest.mark.parametrize("records", [None, [], [run_record()]],
+                         ids=["no_ledger", "empty_ledger", "one_run"])
+def test_unknown_selector_key_is_rejected(records):
+    with pytest.raises(RiskforgeError, match="^unknown selector key 'colour'$"):
+        compute_metrics(records=records, selector={"colour": "blue"})
 
 
 def test_metrics_report_rendering():
@@ -337,4 +375,4 @@ def test_multi_agent_ablation_at_4096_never_completes(profiles, corpus,
     assert len(records) == 10
     assert all(not r.completed for r in records)
     assert {r.failure_kind for r in records} == {"context_overflow"}
-    assert structural_stability(records) == 0
+    assert compute_metrics(records=records).stability == 0

@@ -15,11 +15,12 @@ import pytest
 
 from riskforge import context_store, orchestrator
 from riskforge.context_store import ContextEntry, ContextStore
-from riskforge.contracts import (DATA_DIR, ENTRY_KINDS, MAX_ATTEMPTS, STAGES,
-                                 ContractSet)
+from riskforge.contracts import (DATA_DIR, ENTRY_KINDS, MAX_ATTEMPTS, SINGLE_AGENT, STAGES,
+                                 ContractSet, excerpt_lines)
 from riskforge.errors import (ContextOverflow, NoScriptForRole, ProfileInvalid,
                               ProviderError, ProviderUnreachable, StorageFailure)
 from riskforge.gateway import ModelConfig, StubGateway
+from riskforge.grounding import Corpus
 from riskforge.orchestrator import (RunRecord, enforce_budget, execute_pipeline,
                                     load_ledger, record_run)
 
@@ -693,3 +694,13 @@ def test_same_seed_runs_are_reproducible(health_profile, case_contracts, corpus,
     report_a = (out_a / rec_a.run_id / "report.md").read_bytes()
     report_b = (out_b / rec_b.run_id / "report.md").read_bytes()
     assert report_a == report_b
+
+
+def test_single_agent_prompt_shows_the_excerpts_its_contract_names(health_profile, corpus):
+    shown = corpus.retrieve(SINGLE_AGENT.grounding_query, SINGLE_AGENT.grounding_k)
+    assert len(shown) == SINGLE_AGENT.grounding_k == 4
+    prompt = orchestrator._single_prompt(health_profile, ContractSet(), corpus)
+    section = "\n".join(["=== FRAMEWORK EXCERPTS ===", *excerpt_lines(shown), ""])
+    assert section in prompt
+    empty = orchestrator._single_prompt(health_profile, ContractSet(), Corpus([]))
+    assert "=== FRAMEWORK EXCERPTS ===\n(none supplied)\n\n" in empty

@@ -53,6 +53,19 @@ def test_parse_level_case_insensitive_and_strict():
         parse_level("severe")
 
 
+@pytest.mark.parametrize("field, value, error, message", [
+    ("title", 5, TypeError, "title must be a string, not int"),
+    ("reasoning", None, TypeError, "reasoning must be a string, not NoneType"),
+    ("likelihood", "Extreme", ValueError, "not an ordinal level: 'Extreme'"),
+    ("impact", 3, TypeError, "impact must be a string, not int"),
+])
+def test_risk_item_is_checked_when_built(field, value, error, message):
+    doc = {"title": "T", "likelihood": "High", "impact": "Low", "reasoning": "r",
+           field: value}
+    with pytest.raises(error, match=message):
+        RiskItem.from_dict(doc)
+
+
 @given(st.sampled_from(LEVELS), st.sampled_from(LEVELS), st.sampled_from(LEVELS))
 def test_severity_monotone_in_each_argument(a, b, c):
     """Raising either input never lowers the product."""
