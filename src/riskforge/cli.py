@@ -16,6 +16,7 @@ import os
 import sys
 from pathlib import Path
 
+from .context_store import decode
 from .contracts import DATA_DIR, ContractSet
 from .errors import ProfileInvalid, RiskforgeError
 from .evalkit import (AliasMap, ModelSpec, compute_metrics, load_annotations,
@@ -27,6 +28,8 @@ from .risk_model import RiskItem
 
 BUNDLED_CORPUS = DATA_DIR / "corpus" / "mini_csf.jsonl"
 STUB_ROOT = DATA_DIR / "stub"
+# a models-file key -> the ModelSpec field it sets, where the two differ
+MODELS_FILE_KEYS = {"window": "context_window_tokens"}
 
 
 def _resolve_corpus(corpus_path) -> Path:
@@ -108,11 +111,12 @@ def eval_cmd(ledger_path, annotations_path, aliases_path, register_path,
     system = annotations = None
     aliases = AliasMap()
     if register_path and annotations_path:
-        system = _read_json(register_path, "register", lambda doc: [
-            RiskItem.from_dict(r) for r in doc["risks"]])
+        system = _read_json(register_path, "register",
+                            lambda doc: decode(list[RiskItem], doc["risks"], "risks"))
         annotations = load_annotations(Path(annotations_path))
         if aliases_path:
-            aliases = _read_json(aliases_path, "aliases", AliasMap)
+            aliases = _read_json(aliases_path, "aliases", lambda doc: AliasMap(
+                decode(list[tuple[str, str]], doc)))
     records = load_ledger(Path(ledger_path)) if ledger_path else None
     report = compute_metrics(records=records, system=system, annotations=annotations,
                              aliases=aliases, selector=selector or None)
@@ -130,9 +134,9 @@ def ablate(profiles_dir, models_path, runs_per_cell, mode, schema_mode,
                 for path in sorted(Path(profiles_dir).glob("*.json"))]
     if not profiles:
         raise RiskforgeError(f"no profile JSON files in {profiles_dir}")
-    specs = _read_json(models_path, "models", lambda docs: [
-        ModelSpec(label=doc["label"], script=doc["script"],
-                  context_window_tokens=doc.get("window", 4096)) for doc in docs])
+    specs = _read_json(models_path, "models", lambda docs: decode(list[ModelSpec], [
+        {MODELS_FILE_KEYS.get(key, key): value for key, value in entry.items()}
+        for entry in decode(list[dict], docs)]))
 
     corpus = _load_corpus(corpus_path)
     run_mode = "multi_agent" if mode == "multi" else "single_agent"

@@ -15,7 +15,6 @@ ratio renders as n/a, never as 0 or 1.
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -30,6 +29,10 @@ from .orchestrator import (RunRecord, check_profile, execute_pipeline, load_ledg
 from .risk_model import RiskItem, normalize_title
 
 
+# the labels SeverityScore.label gives, the only ones an annotation may use
+SEVERITY_LABELS = ("Low", "Medium", "High")
+
+
 @dataclass(frozen=True)
 class PractitionerAnnotation:
     assessor_id: str
@@ -37,9 +40,10 @@ class PractitionerAnnotation:
     severity: str  # Low | Medium | High
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            if not isinstance(value, str):
-                raise TypeError(f"{name} must be a string, not {type(value).__name__}")
+        # compared with SeverityScore.label, so any other spelling never matches
+        if self.severity not in SEVERITY_LABELS:
+            raise ValueError(f"severity must be one of {', '.join(SEVERITY_LABELS)}, "
+                             f"not {self.severity!r}")
 
 
 def load_annotations(path: Path) -> list[PractitionerAnnotation]:
@@ -65,17 +69,9 @@ class AliasMap:
             self.add(a, b)
 
     def add(self, a: str, b: str) -> None:
-        for title in (a, b):
-            if not isinstance(title, str):
-                raise TypeError(f"alias title must be a string, not {type(title).__name__}")
         na, nb = normalize_title(a), normalize_title(b)
         if na != nb:
             self._pairs.add(frozenset((na, nb)))
-
-    @classmethod
-    def load(cls, path: Path) -> "AliasMap":
-        pairs = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls((a, b) for a, b in pairs)
 
     def equivalent(self, a: str, b: str) -> bool:
         na, nb = normalize_title(a), normalize_title(b)

@@ -47,12 +47,6 @@ from .tokens import canonical_json, estimate_tokens
 from . import report as report_mod
 
 
-# RunRecord annotation -> the exact types its value may take; JSON decoding
-# yields no subclasses, and a bool is no int here
-_FIELD_TYPES = {"str": {str}, "Optional[str]": {str, type(None)}, "int": {int},
-                "float": {int, float}, "bool": {bool}, "list[str]": {list}}
-
-
 @dataclass
 class RunRecord:
     run_id: str
@@ -66,16 +60,6 @@ class RunRecord:
     wall_seconds: float = 0.0
     structural_ok: bool = False
     unique_threat_titles: list[str] = field(default_factory=list)
-
-    def __post_init__(self):
-        # A ledger line is read back through here: a field that does not fit
-        # its annotation fails load_records at that line.
-        for name, hint in self.__annotations__.items():
-            value = getattr(self, name)
-            if type(value) not in _FIELD_TYPES[hint]:
-                raise TypeError(f"{name} must be {hint}, not {type(value).__name__}")
-        if not all(isinstance(title, str) for title in self.unique_threat_titles):
-            raise TypeError("unique_threat_titles must be list[str]")
 
     def to_json(self) -> dict:
         # not dataclasses.fields(), whose per-call tuple fills a free list (~0.25 MB RSS)

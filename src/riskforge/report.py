@@ -26,7 +26,8 @@ PHASE_LABELS = {30: "Days 0-30", 60: "Days 31-60", 90: "Days 61-90",
 
 
 def register_items(snapshot: dict[str, ContextEntry]) -> list[RiskItem]:
-    return [RiskItem.from_dict(r) for r in snapshot["risk_register"].payload.get("risks", [])]
+    # the risk_register schema has checked each risk's fields
+    return [RiskItem(**r) for r in snapshot["risk_register"].payload.get("risks", [])]
 
 
 def contradiction_flags(snapshot: dict[str, ContextEntry]) -> list[ContradictionFlag]:

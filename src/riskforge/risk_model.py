@@ -62,27 +62,12 @@ class RiskItem:
 
     def __post_init__(self):
         # A register read from a file fails here, not at its first use.
-        for name in ("title", "likelihood", "impact", "reasoning"):
-            value = getattr(self, name)
-            if not isinstance(value, str):
-                raise TypeError(f"{name} must be a string, not {type(value).__name__}")
         parse_level(self.likelihood)
         parse_level(self.impact)
 
     @property
     def severity(self) -> SeverityScore:
         return derive_severity(self.likelihood, self.impact)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "RiskItem":
-        return cls(
-            title=doc["title"],
-            likelihood=doc["likelihood"],
-            impact=doc["impact"],
-            reasoning=doc["reasoning"],
-            linked_threat_titles=list(doc.get("linked_threat_titles", [])),
-            linked_control_gaps=list(doc.get("linked_control_gaps", [])),
-        )
 
 
 def rank_risks(register: Iterable[RiskItem]) -> list[RiskItem]:

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from riskforge.context_store import ContextStore
+from riskforge.context_store import ContextStore, decode
 from riskforge.contracts import DATA_DIR, ENTRY_KINDS, ContractSet
 from riskforge.evalkit import (AliasMap, ModelSpec, compute_metrics, coverage,
                                load_annotations, run_ablation, severity_agreement)
@@ -87,10 +87,11 @@ def test_criterion_2_context_budget_reproduction(ablation):
 
 
 def test_criterion_3_metrics_fixture_exactness():
-    system = [RiskItem.from_dict(r) for r in json.loads(
-        (FIXTURES / "case_study_register.json").read_text())["risks"]]
+    system = decode(list[RiskItem], json.loads(
+        (FIXTURES / "case_study_register.json").read_text())["risks"])
     annotations = load_annotations(FIXTURES / "annotations.jsonl")
-    aliases = AliasMap.load(FIXTURES / "aliases.json")
+    aliases = AliasMap(decode(list[tuple[str, str]],
+                              json.loads((FIXTURES / "aliases.json").read_text())))
     agree = severity_agreement(system, annotations, aliases)
     cover = coverage(system, annotations, aliases)
     conclude(3, "metrics fixture exactness",
@@ -176,8 +177,8 @@ def test_criterion_7_severity_and_ranking():
             property_ok = False
             break
 
-    register = [RiskItem.from_dict(r) for r in json.loads(
-        (FIXTURES / "case_study_register.json").read_text())["risks"]]
+    register = decode(list[RiskItem], json.loads(
+        (FIXTURES / "case_study_register.json").read_text())["risks"])
     ranked = rank_risks(register)
     fixture_ok = (all(r.severity.value >= 6 for r in ranked[:6])
                   and ranked[6].likelihood == ranked[6].impact == "Medium")

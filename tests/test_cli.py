@@ -217,39 +217,67 @@ ANNOTATIONS = str(FIXTURES / "annotations.jsonl")
 ANNOTATION = '{"assessor_id": "a1", "risk_title": "Phishing", "severity": "High"}\n'
 
 
-@pytest.mark.parametrize("name, text, args", [
+EVAL_ALIASES = ["eval", "--register", REGISTER, "--annotations", ANNOTATIONS,
+                "--aliases", "{file}"]
+ABLATE_MODELS = ["ablate", "--models", "{file}", "--out", "{ledger}"]
+
+
+@pytest.mark.parametrize("name, text, args, error", [
     ("register.json", '{"risks": [',
-     ["eval", "--register", "{file}", "--annotations", ANNOTATIONS]),
+     ["eval", "--register", "{file}", "--annotations", ANNOTATIONS],
+     "cannot read register {file}: JSONDecodeError: "),
     ("register.json", '{"risks": [{"title": 5, "likelihood": "High", '
                       '"impact": "High", "reasoning": "r"}]}',
-     ["eval", "--register", "{file}", "--annotations", ANNOTATIONS]),
+     ["eval", "--register", "{file}", "--annotations", ANNOTATIONS],
+     "cannot read register {file}: TypeError: risks[0].title must be str, not int"),
     ("register.json", '{"risks": [{"title": "T", "likelihood": "Extreme", '
                       '"impact": "High", "reasoning": "r"}]}',
-     ["eval", "--register", "{file}", "--annotations", ANNOTATIONS]),
+     ["eval", "--register", "{file}", "--annotations", ANNOTATIONS],
+     "cannot read register {file}: ValueError: not an ordinal level: 'Extreme'"),
     ("annotations.jsonl", ANNOTATION * 2,
-     ["eval", "--register", REGISTER, "--annotations", "{file}"]),
+     ["eval", "--register", REGISTER, "--annotations", "{file}"],
+     "{file}: duplicate annotation for ('a1', 'phishing')"),
     ("annotations.jsonl", ANNOTATION + ANNOTATION[:20],
-     ["eval", "--register", REGISTER, "--annotations", "{file}"]),
+     ["eval", "--register", REGISTER, "--annotations", "{file}"],
+     "{file}:2: not a PractitionerAnnotation record: "),
     ("annotations.jsonl", '{"assessor_id": "a", "risk_title": 5, "severity": "High"}\n',
-     ["eval", "--register", REGISTER, "--annotations", "{file}"]),
-    ("aliases.json", '[["a", "b", "c"]]',
-     ["eval", "--register", REGISTER, "--annotations", ANNOTATIONS, "--aliases", "{file}"]),
-    ("aliases.json", '[[5, "b"]]',
-     ["eval", "--register", REGISTER, "--annotations", ANNOTATIONS, "--aliases", "{file}"]),
+     ["eval", "--register", REGISTER, "--annotations", "{file}"],
+     "{file}:1: not a PractitionerAnnotation record: risk_title must be str, not int"),
+    ("annotations.jsonl", '{"assessor_id": "a", "risk_title": "T", "severity": "Extreme"}\n',
+     ["eval", "--register", REGISTER, "--annotations", "{file}"],
+     "{file}:1: not a PractitionerAnnotation record: severity must be one of Low, "
+     "Medium, High, not 'Extreme'"),
+    ("aliases.json", '[["a", "b", "c"]]', EVAL_ALIASES,
+     "cannot read aliases {file}: TypeError: [0] must be tuple[str, str], not 3 items"),
+    ("aliases.json", '[[5, "b"]]', EVAL_ALIASES,
+     "cannot read aliases {file}: TypeError: [0][0] must be str, not int"),
+    ("aliases.json", '["xy"]', EVAL_ALIASES,
+     "cannot read aliases {file}: TypeError: [0] must be tuple[str, str], not str"),
+    ("aliases.json", '{"ab": 1}', EVAL_ALIASES,
+     "cannot read aliases {file}: TypeError: document must be list[tuple[str, str]], "
+     "not dict"),
     ("profiles/bad.json", '{"profile_id": ',
-     ["ablate", "--profiles", "{dir}", "--out", "{ledger}"]),
+     ["ablate", "--profiles", "{dir}", "--out", "{ledger}"],
+     "cannot read profile {file}: JSONDecodeError: "),
     ("profiles/bad.json", '{"x": 1}',
-     ["ablate", "--profiles", "{dir}", "--out", "{ledger}"]),
-    ("models.json", '[{"label": "x"}]',
-     ["ablate", "--models", "{file}", "--out", "{ledger}"]),
+     ["ablate", "--profiles", "{dir}", "--out", "{ledger}"],
+     "cannot read profile {file}: ProfileInvalid: questionnaire invalid: "),
+    ("models.json", '[{"label": "x"}]', ABLATE_MODELS,
+     "cannot read models {file}: TypeError: [0].script is missing"),
     ("models.json", '[{"label": "a", "script": "specific"}, '
-                    '{"label": "b", "script": "specific", "window": 512}]',
-     ["ablate", "--models", "{file}", "--out", "{ledger}"]),
+                    '{"label": "b", "script": "specific", "window": 512}]', ABLATE_MODELS,
+     "cannot read models {file}: ValueError: "),
+    ("models.json", '[{"label": 5, "script": "specific"}]', ABLATE_MODELS,
+     "cannot read models {file}: TypeError: [0].label must be str, not int"),
+    ("models.json", '[{"label": "x", "script": 5}]', ABLATE_MODELS,
+     "cannot read models {file}: TypeError: [0].script must be str, not int"),
 ], ids=["register_torn", "register_title_not_string", "register_level_unknown",
         "annotations_duplicate", "annotations_torn", "annotations_title_not_string",
-        "aliases_triple", "aliases_title_not_string", "profile_torn", "profile_invalid",
-        "models_no_script", "models_window_too_small"])
-def test_bad_input_file_is_a_one_line_error(runner, tmp_path, name, text, args):
+        "annotations_severity_unknown", "aliases_triple", "aliases_title_not_string",
+        "aliases_string_not_pair", "aliases_object", "profile_torn", "profile_invalid",
+        "models_no_script", "models_window_too_small", "models_label_not_string",
+        "models_script_not_string"])
+def test_bad_input_file_is_a_one_line_error(runner, tmp_path, name, text, args, error):
     path = tmp_path / name
     path.parent.mkdir(exist_ok=True)
     path.write_text(text, encoding="utf-8")
@@ -260,6 +288,8 @@ def test_bad_input_file_is_a_one_line_error(runner, tmp_path, name, text, args):
     assert isinstance(result.exception, SystemExit)
     assert str(path) in result.output
     assert "Traceback" not in result.output
+    assert result.output.startswith("Error: " + error.format(file=path))
+    assert result.output.count("\n") == 1
     assert not (tmp_path / "ledger.jsonl").exists()
 
 

@@ -152,6 +152,22 @@ def test_entry_json_round_trip():
         ContextEntry.from_json({k: v for k, v in line.items() if k != "token_estimate"})
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("agent_id", 5, "agent_id must be str, not int"),
+    ("revision", "1", "revision must be int, not str"),
+    ("revision", True, "revision must be int, not bool"),
+    ("token_estimate", "x", "token_estimate must be int, not str"),
+    ("token_estimate", None, "token_estimate must be int, not NoneType"),
+    ("author", "a", "author is not a field of ContextEntry"),
+])
+def test_entry_line_of_the_wrong_type_is_rejected(field, value, message):
+    line = ContextEntry(key="report", agent_id="a", revision=1,
+                        created_at="2026-01-01T00:00:00+00:00", payload=None).to_json()
+    with pytest.raises(TypeError) as exc:
+        ContextEntry.from_json({**line, field: value})
+    assert str(exc.value) == message
+
+
 def test_load_gives_back_a_recorded_session_log_line_for_line():
     """tests/data/session_health_15.jsonl was written by `riskforge assess`
     (health_15, multi-agent) when append_entry still serialized every

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from riskforge.context_store import decode
 from riskforge.contracts import DATA_DIR, ContractSet
 from riskforge.errors import ProfileInvalid, RiskforgeError, StorageFailure
 from riskforge.evalkit import (AliasMap, ModelSpec, PractitionerAnnotation,
@@ -22,7 +23,12 @@ FIXTURES = DATA_DIR / "fixtures"
 
 def fixture_register():
     doc = json.loads((FIXTURES / "case_study_register.json").read_text())
-    return [RiskItem.from_dict(r) for r in doc["risks"]]
+    return decode(list[RiskItem], doc["risks"])
+
+
+def fixture_aliases():
+    return AliasMap(decode(list[tuple[str, str]],
+                           json.loads((FIXTURES / "aliases.json").read_text())))
 
 
 def run_record(**kw):
@@ -38,7 +44,7 @@ def run_record(**kw):
 def test_case_study_agreement_is_18_of_21():
     stat = severity_agreement(fixture_register(),
                               load_annotations(FIXTURES / "annotations.jsonl"),
-                              AliasMap.load(FIXTURES / "aliases.json"))
+                              fixture_aliases())
     assert (stat.matched, stat.total) == (18, 21)
     assert abs(float(stat.ratio) - 0.857) < 0.001
 
@@ -46,7 +52,7 @@ def test_case_study_agreement_is_18_of_21():
 def test_case_study_coverage_is_12_of_13():
     stat = coverage(fixture_register(),
                     load_annotations(FIXTURES / "annotations.jsonl"),
-                    AliasMap.load(FIXTURES / "aliases.json"))
+                    fixture_aliases())
     assert (stat.matched, stat.total) == (12, 13)
     assert abs(float(stat.ratio) - 0.923) < 0.001
 
@@ -74,7 +80,20 @@ def test_non_string_annotation_field_names_the_line(tmp_path):
     with pytest.raises(StorageFailure) as exc:
         load_annotations(path)
     assert str(exc.value).startswith(f"{path}:1: ")
-    assert "risk_title must be a string, not int" in str(exc.value)
+    assert str(exc.value).endswith("risk_title must be str, not int")
+
+
+@pytest.mark.parametrize("severity", ["Extreme", "high", ""])
+def test_annotation_severity_must_be_a_severity_label(tmp_path, severity):
+    path = tmp_path / "ann.jsonl"
+    lines = [{"assessor_id": "a", "risk_title": "T", "severity": "High"},
+             {"assessor_id": "b", "risk_title": "T", "severity": severity}]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    with pytest.raises(StorageFailure) as exc:
+        load_annotations(path)
+    assert str(exc.value).startswith(f"{path}:2: ")
+    assert str(exc.value).endswith(
+        f"severity must be one of Low, Medium, High, not {severity!r}")
 
 
 def test_ambiguous_alias_rejected():
@@ -87,8 +106,10 @@ def test_ambiguous_alias_rejected():
 
 @pytest.mark.parametrize("pair", [(5, "b"), ("a", None)])
 def test_alias_title_must_be_a_string(pair):
-    with pytest.raises(TypeError, match="alias title must be a string"):
-        AliasMap([pair])
+    index, title = next((i, t) for i, t in enumerate(pair) if not isinstance(t, str))
+    with pytest.raises(TypeError) as exc:
+        AliasMap(decode(list[tuple[str, str]], [list(pair)]))
+    assert str(exc.value) == f"[0][{index}] must be str, not {type(title).__name__}"
 
 
 def test_empty_annotations_give_undefined_ratio():
@@ -259,7 +280,7 @@ def test_metrics_report_rendering():
         records=[run_record()],
         system=fixture_register(),
         annotations=load_annotations(FIXTURES / "annotations.jsonl"),
-        aliases=AliasMap.load(FIXTURES / "aliases.json"))
+        aliases=fixture_aliases())
     table = report.render_table()
     assert "agreement     18/21 (0.857)" in table
     assert "coverage      12/13 (0.923)" in table

@@ -14,7 +14,7 @@ from collections import defaultdict
 import pytest
 
 from riskforge import context_store, orchestrator
-from riskforge.context_store import ContextEntry, ContextStore
+from riskforge.context_store import ContextEntry, ContextStore, decode
 from riskforge.contracts import (DATA_DIR, ENTRY_KINDS, MAX_ATTEMPTS, SINGLE_AGENT, STAGES,
                                  ContractSet, excerpt_lines)
 from riskforge.errors import (ContextOverflow, NoScriptForRole, ProfileInvalid,
@@ -235,12 +235,20 @@ def _missing_field(doc):
     return _encode(dict(list(doc.items())[1:]))  # the first field has no default
 
 
+def _wrong_types(doc):
+    # each string a number and each integer a string, as in {"agent_id": 5,
+    # "revision": "1", "token_estimate": "1"}
+    return _encode({key: 5 if type(value) is str else str(value) if type(value) is int
+                    else value for key, value in doc.items()})
+
+
 @pytest.mark.parametrize("reader, line", [
     (load_ledger, lambda n: _record(f"r{n}").to_json()),
     (lambda path: ContextStore.load(path, ENTRY_KINDS), _session_line),
 ], ids=["load_ledger", "ContextStore.load"])
-@pytest.mark.parametrize("corrupt", [_torn, _torn_in_a_character, _missing_field],
-                         ids=["torn", "torn_in_a_character", "missing_field"])
+@pytest.mark.parametrize("corrupt", [_torn, _torn_in_a_character, _missing_field,
+                                     _wrong_types],
+                         ids=["torn", "torn_in_a_character", "missing_field", "wrong_types"])
 def test_bad_middle_line_is_a_storage_failure_naming_it(tmp_path, reader, line, corrupt):
     log = tmp_path / "log.jsonl"
     log.write_bytes(b"\n".join([_encode(line(1)), corrupt(line(2)), _encode(line(3))])
@@ -249,23 +257,37 @@ def test_bad_middle_line_is_a_storage_failure_naming_it(tmp_path, reader, line, 
         reader(log)
 
 
-@pytest.mark.parametrize("field, value", [
-    ("wall_seconds", "slow"), ("seed", "0"), ("seed", True), ("completed", 1),
-    ("failed_stage", 3), ("run_id", None), ("unique_threat_titles", "t"),
-    ("unique_threat_titles", ["t", 2]),
+@pytest.mark.parametrize("field, value, message", [
+    pytest.param("wall_seconds", "slow", "wall_seconds must be float, not str",
+                 id="wall_seconds-slow"),
+    pytest.param("seed", "0", "seed must be int, not str", id="seed-0"),
+    pytest.param("seed", True, "seed must be int, not bool", id="seed-True"),
+    pytest.param("completed", 1, "completed must be bool, not int", id="completed-1"),
+    pytest.param("failed_stage", 3, "failed_stage must be Optional[str], not int",
+                 id="failed_stage-3"),
+    pytest.param("run_id", None, "run_id must be str, not NoneType", id="run_id-None"),
+    pytest.param("unique_threat_titles", "t",
+                 "unique_threat_titles must be list[str], not str",
+                 id="unique_threat_titles-t"),
+    pytest.param("unique_threat_titles", ["t", 2],
+                 "unique_threat_titles[1] must be str, not int",
+                 id="unique_threat_titles-value7"),
+    pytest.param("window", 4096, "window is not a field of RunRecord", id="window-4096"),
 ])
-def test_ledger_field_of_the_wrong_type_names_its_line(tmp_path, field, value):
+def test_ledger_field_of_the_wrong_type_names_its_line(tmp_path, field, value, message):
     lines = [_record(f"r{n}").to_json() for n in (1, 2, 3)]
     lines[1][field] = value
     log = tmp_path / "log.jsonl"
     log.write_bytes(b"\n".join(map(_encode, lines)) + b"\n")
-    with pytest.raises(StorageFailure, match=rf"log\.jsonl:2: .*{field} must be"):
+    with pytest.raises(StorageFailure) as exc:
         load_ledger(log)
+    assert str(exc.value) == f"{log}:2: not a RunRecord record: {message}"
 
 
 def test_run_record_takes_an_int_duration_and_null_optionals():
-    record = RunRecord(**{**_record().to_json(), "wall_seconds": 2, "failed_stage": None,
-                          "failure_kind": None, "unique_threat_titles": ["a"]})
+    record = decode(RunRecord, {**_record().to_json(), "wall_seconds": 2,
+                                "failed_stage": None, "failure_kind": None,
+                                "unique_threat_titles": ["a"]})
     assert record.wall_seconds == 2 and record.failed_stage is None
 
 

@@ -3,10 +3,12 @@
 import itertools
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
+from riskforge.context_store import decode
 from riskforge.contracts import DATA_DIR
 from riskforge.errors import MissingFunction
 from riskforge.risk_model import (CSF_FUNCTIONS, RiskItem, check_contradictions,
@@ -54,16 +56,19 @@ def test_parse_level_case_insensitive_and_strict():
 
 
 @pytest.mark.parametrize("field, value, error, message", [
-    ("title", 5, TypeError, "title must be a string, not int"),
-    ("reasoning", None, TypeError, "reasoning must be a string, not NoneType"),
+    ("title", 5, TypeError, "title must be str, not int"),
+    ("reasoning", None, TypeError, "reasoning must be str, not NoneType"),
     ("likelihood", "Extreme", ValueError, "not an ordinal level: 'Extreme'"),
-    ("impact", 3, TypeError, "impact must be a string, not int"),
+    ("impact", 3, TypeError, "impact must be str, not int"),
+    ("linked_threat_titles", ["a", 1], TypeError,
+     "linked_threat_titles[1] must be str, not int"),
+    ("owner", "x", TypeError, "owner is not a field of RiskItem"),
 ])
 def test_risk_item_is_checked_when_built(field, value, error, message):
     doc = {"title": "T", "likelihood": "High", "impact": "Low", "reasoning": "r",
            field: value}
-    with pytest.raises(error, match=message):
-        RiskItem.from_dict(doc)
+    with pytest.raises(error, match=re.escape(message)):
+        decode(RiskItem, doc)
 
 
 @given(st.sampled_from(LEVELS), st.sampled_from(LEVELS), st.sampled_from(LEVELS))
@@ -118,7 +123,7 @@ def test_rank_tie_breaks_alphabetical():
 
 def test_case_study_register_ranking():
     doc = json.loads((FIXTURES / "case_study_register.json").read_text())
-    items = [RiskItem.from_dict(r) for r in doc["risks"]]
+    items = decode(list[RiskItem], doc["risks"])
     ranked = rank_risks(items)
     # the three 9s first, then the 6s (Medium/High before High/Medium by
     # impact, then alphabetical), then the lone 4
