@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 from .context_store import decode
@@ -28,8 +29,16 @@ from .risk_model import RiskItem
 
 BUNDLED_CORPUS = DATA_DIR / "corpus" / "mini_csf.jsonl"
 STUB_ROOT = DATA_DIR / "stub"
-# a models-file key -> the ModelSpec field it sets, where the two differ
-MODELS_FILE_KEYS = {"window": "context_window_tokens"}
+
+
+@dataclass(frozen=True)
+class ModelsFileEntry:
+    """One entry of an ablate --models file, decoded under the file's own
+    keys so that an error names them."""
+
+    label: str
+    script: str
+    window: int = ModelSpec.context_window_tokens
 
 
 def _resolve_corpus(corpus_path) -> Path:
@@ -134,9 +143,9 @@ def ablate(profiles_dir, models_path, runs_per_cell, mode, schema_mode,
                 for path in sorted(Path(profiles_dir).glob("*.json"))]
     if not profiles:
         raise RiskforgeError(f"no profile JSON files in {profiles_dir}")
-    specs = _read_json(models_path, "models", lambda docs: decode(list[ModelSpec], [
-        {MODELS_FILE_KEYS.get(key, key): value for key, value in entry.items()}
-        for entry in decode(list[dict], docs)]))
+    specs = _read_json(models_path, "models", lambda docs: [
+        ModelSpec(label=entry.label, script=entry.script, context_window_tokens=entry.window)
+        for entry in decode(list[ModelsFileEntry], docs)])
 
     corpus = _load_corpus(corpus_path)
     run_mode = "multi_agent" if mode == "multi" else "single_agent"

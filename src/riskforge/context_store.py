@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import (Any, Callable, Iterable, Optional, Union, get_args, get_origin,
                     get_type_hints)
 
-from .errors import StorageFailure, UnknownKey
+from .errors import RiskforgeError
 from .grounding import parse_identifiers
 from .tokens import canonical_json, estimate_tokens
 
@@ -46,9 +46,9 @@ def append_line(path: Path, doc: dict) -> None:
         finally:
             os.close(fd)
     except OSError as exc:
-        raise StorageFailure(f"cannot append to {path}: {exc}") from exc
+        raise RiskforgeError(f"cannot append to {path}: {exc}") from exc
     if written != len(line):
-        raise StorageFailure(f"short write to {path}: {written} of {len(line)} bytes")
+        raise RiskforgeError(f"short write to {path}: {written} of {len(line)} bytes")
 
 
 # The exact Python types of a JSON value that fits each scalar type: JSON
@@ -154,7 +154,7 @@ def _decoder(tp) -> Callable[[Any], Any]:
 def load_records(path: Path, cls: type) -> list:
     """One cls.from_json(line), or decode(cls, line) for a class without
     from_json, per non-blank line of a JSON Lines file. A file that cannot
-    be read raises StorageFailure naming path; a line that is not UTF-8
+    be read raises RiskforgeError naming path; a line that is not UTF-8
     JSON, or whose fields do not fit cls, one naming path:lineno."""
     build = getattr(cls, "from_json", None) or (lambda doc: decode(cls, doc))
     records = []
@@ -168,10 +168,10 @@ def load_records(path: Path, cls: type) -> list:
                 try:
                     records.append(build(json.loads(line)))
                 except (ValueError, TypeError) as exc:
-                    raise StorageFailure(f"{path}:{lineno}: not a {cls.__name__} record: "
+                    raise RiskforgeError(f"{path}:{lineno}: not a {cls.__name__} record: "
                                          f"{exc}") from exc
     except OSError as exc:
-        raise StorageFailure(f"cannot read {path}: {exc}") from exc
+        raise RiskforgeError(f"cannot read {path}: {exc}") from exc
     return records
 
 
@@ -237,12 +237,12 @@ class ContextStore:
                 self._log_path.parent.mkdir(parents=True, exist_ok=True)
                 self._log_path.touch()
             except OSError as exc:
-                raise StorageFailure(f"cannot create session log {self._log_path}: {exc}") from exc
+                raise RiskforgeError(f"cannot create session log {self._log_path}: {exc}") from exc
 
     def append_entry(self, key: str, agent_id: str, payload: Any) -> ContextEntry:
         if key not in self._registered:
-            raise UnknownKey(f"entry kind {key!r} is not registered "
-                             f"(registered: {self._registered})")
+            raise RiskforgeError(f"entry kind {key!r} is not registered "
+                                 f"(registered: {self._registered})")
         with self._lock:
             history = self._history.setdefault(key, [])
             entry = ContextEntry(

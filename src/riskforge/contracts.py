@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, NoReturn, Optional
 
 from .context_store import ContextEntry, ContextStore
-from .errors import AgentFailed, MissingContextKey, Unparseable
+from .errors import AgentFailed, RiskforgeError, Unparseable
 from .gateway import RETRY_MARKER, CompletionRequest, ModelConfig
 from .grounding import Corpus, FrameworkExcerpt
 
@@ -526,7 +526,7 @@ class ContractSet:
         contract = self.contract(role)
         for key in contract.reads:
             if snapshot.get(key) is None:
-                raise MissingContextKey(role, key)
+                raise RiskforgeError(f"role {role!r} requires context key {key!r} which is absent")
 
         task = self.template_text(contract.template_name)
         for placeholder, value in (extra or {}).items():
@@ -637,7 +637,7 @@ class ContractSet:
                 f"Your previous output did not satisfy the schema:\n{violation_lines}\n"
                 f"Emit a corrected JSON object."
             )
-        raise AgentFailed(role, last_violations)
+        raise AgentFailed(f"agent {role!r} failed after retries: {list(last_violations)}")
 
     def combined_task_text(self, questionnaire_json: str) -> str:
         """Concatenated task instructions of all six roles, for the

@@ -1,17 +1,13 @@
-"""Exception hierarchy shared across the pipeline."""
+"""Exception hierarchy shared across the pipeline, one class per way a
+caller handles it. A StageError is recorded: the run ends, the process
+goes on. Any other RiskforgeError is an input error before a run, which
+the CLI prints as one "Error:" line with exit 1, or an internal error
+inside one. Anything else is a programming error."""
 
 
 class RiskforgeError(Exception):
-    """Base class for all riskforge errors."""
-
-
-class UnknownKey(RiskforgeError):
-    """Append attempted against an entry kind that is not registered."""
-
-
-class StorageFailure(RiskforgeError):
-    """The persistence layer could not record an entry, or a recorded line
-    cannot be read back as one."""
+    """Base class for all riskforge errors, and the class of any that no
+    caller tells apart by type."""
 
 
 class StageError(RiskforgeError):
@@ -52,64 +48,16 @@ class ProviderError(StageError):
 
     kind = "provider_error"
 
-    def __init__(self, status: int, body: str):
-        self.status = status
-        self.body = body
-        super().__init__(f"provider returned status {status}: {body[:500]}")
-
-
-class NoScriptForRole(RiskforgeError):
-    """The stub gateway has no scripted response set for the role."""
-
-
-class MissingContextKey(RiskforgeError):
-    """An agent's declared read is absent from the context snapshot."""
-
-    def __init__(self, role: str, key: str):
-        self.role = role
-        self.key = key
-        super().__init__(f"role {role!r} requires context key {key!r} which is absent")
-
-
-class Unparseable(RiskforgeError):
-    """No balanced JSON object could be extracted from model output."""
-
 
 class AgentFailed(StageError):
     """An agent exhausted its validation retries."""
 
     kind = "agent_failed"
 
-    def __init__(self, role: str, violations):
-        self.role = role
-        self.violations = list(violations)
-        super().__init__(f"agent {role!r} failed after retries: {self.violations}")
 
-
-class MalformedCorpus(RiskforgeError):
-    """A corpus file line could not be ingested."""
-
-    def __init__(self, line_number: int, reason: str):
-        self.line_number = line_number
-        self.reason = reason
-        super().__init__(f"line {line_number}: {reason}")
-
-
-class DuplicateIdentifier(RiskforgeError):
-    """The same control identifier appears twice in a corpus."""
-
-
-class IncompleteContext(RiskforgeError):
-    """The final report was derived before all entry kinds existed."""
-
-    def __init__(self, key: str):
-        self.key = key
-        super().__init__(f"context is missing entry kind {key!r}")
+class Unparseable(RiskforgeError):
+    """No balanced JSON object could be extracted from model output."""
 
 
 class ProfileInvalid(RiskforgeError):
     """The questionnaire document failed schema validation."""
-
-
-class MissingFunction(RiskforgeError):
-    """A control assessment document lacks one of the five CSF functions."""

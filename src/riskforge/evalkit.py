@@ -48,8 +48,8 @@ class PractitionerAnnotation:
 
 def load_annotations(path: Path) -> list[PractitionerAnnotation]:
     """One annotation per line of a JSON Lines file. A line that is no
-    annotation raises StorageFailure naming path:line; a second annotation
-    by one assessor of one title raises RiskforgeError naming path."""
+    annotation raises RiskforgeError naming path:line, and so does a
+    second annotation by one assessor of one title, naming path."""
     annotations = load_records(path, PractitionerAnnotation)
     seen = set()
     for ann in annotations:

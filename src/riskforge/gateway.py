@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional
 
-from .errors import ContextOverflow, NoScriptForRole, ProviderError, ProviderUnreachable
+from .errors import ContextOverflow, ProviderError, ProviderUnreachable, RiskforgeError
 from .tokens import estimate_tokens, prompt_hash
 
 # Marker appended to re-prompts after a validation failure. The stub keys
@@ -103,8 +103,8 @@ class StubGateway:
                 if path.is_file():
                     break
             else:
-                raise NoScriptForRole(f"no stub script for role {role!r} in "
-                                      f"{self.script_dir} or {self.script_dir.parent}")
+                raise RiskforgeError(f"no stub script for role {role!r} in "
+                                     f"{self.script_dir} or {self.script_dir.parent}")
             self._scripts[role] = (path, json.loads(path.read_text(encoding="utf-8")))
         return self._scripts[role]
 
@@ -117,15 +117,15 @@ class StubGateway:
             if profile_id in prompt:
                 return pool
         if "default" not in script:
-            raise NoScriptForRole(f"stub script {path} for role {role!r} has no 'default' "
-                                  f"pool and no profile matched (profiles: "
-                                  f"{', '.join(profiles) or 'none'})")
+            raise RiskforgeError(f"stub script {path} for role {role!r} has no 'default' "
+                                 f"pool and no profile matched (profiles: "
+                                 f"{', '.join(profiles) or 'none'})")
         return script["default"]
 
     def stub_complete(self, role: str, prompt: str, seed: int) -> str:
         pool = self._select_pool(role, prompt)
         if not pool:
-            raise NoScriptForRole(f"empty response pool for role {role!r}")
+            raise RiskforgeError(f"empty response pool for role {role!r}")
         candidate = pool[(prompt_hash(prompt) + seed) % len(pool)]
         if isinstance(candidate, str):
             return candidate
@@ -147,7 +147,7 @@ class HttpGateway:
 
     Transport-level failures are retried with a fixed backoff before
     giving up; any reply but a 200 with a JSON object holding a string
-    "response" is surfaced at once as ProviderError, body attached.
+    "response" is surfaced at once as ProviderError naming status and body.
     """
 
     def __init__(self, base_url: str, timeout: float = 300.0,
@@ -207,7 +207,8 @@ class HttpGateway:
         except ValueError:  # not JSON, or not UTF-8
             data = None
         if not isinstance(data, dict) or not isinstance(data.get("response"), str):
-            raise ProviderError(status, reply.decode("utf-8", "replace"))
+            raise ProviderError(f"provider returned status {status}: "
+                                f"{reply.decode('utf-8', 'replace')[:500]}")
         return CompletionResult(
             text=data["response"],
             latency_seconds=latency,

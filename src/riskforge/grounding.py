@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .errors import DuplicateIdentifier, MalformedCorpus
+from .errors import RiskforgeError
 
 # Identifier grammars. NIST CSF: two uppercase letters, dot, two or three
 # uppercase letters, hyphen, one or two digits. CIS: literal prefix plus a
@@ -120,6 +120,7 @@ class Corpus:
 
     @classmethod
     def ingest(cls, path: Path) -> "Corpus":
+        fields = ("framework", "identifier", "title", "body")
         excerpts: list[FrameworkExcerpt] = []
         seen: set[tuple[str, str]] = set()
         with open(path, encoding="utf-8") as fh:
@@ -130,20 +131,27 @@ class Corpus:
                 try:
                     doc = json.loads(line)
                 except json.JSONDecodeError as exc:
-                    raise MalformedCorpus(lineno, f"invalid JSON: {exc}") from exc
-                missing = {"framework", "identifier", "title", "body"} - set(doc)
+                    raise RiskforgeError(f"line {lineno}: invalid JSON: {exc}") from exc
+                if not isinstance(doc, dict):
+                    raise RiskforgeError(f"line {lineno}: must be an object, "
+                                         f"not {type(doc).__name__}")
+                missing = set(fields) - set(doc)
                 if missing:
-                    raise MalformedCorpus(lineno, f"missing fields: {sorted(missing)}")
+                    raise RiskforgeError(f"line {lineno}: missing fields: {sorted(missing)}")
+                for name in fields:
+                    if not isinstance(doc[name], str):
+                        raise RiskforgeError(f"line {lineno}: {name} must be str, "
+                                             f"not {type(doc[name]).__name__}")
                 framework = doc["framework"]
                 identifier = doc["identifier"]
                 if framework not in ("nist_csf", "cis"):
-                    raise MalformedCorpus(lineno, f"unknown framework {framework!r}")
+                    raise RiskforgeError(f"line {lineno}: unknown framework {framework!r}")
                 if not _validate_identifier(framework, identifier):
-                    raise MalformedCorpus(
-                        lineno, f"identifier {identifier!r} does not parse for {framework}")
+                    raise RiskforgeError(f"line {lineno}: identifier {identifier!r} does "
+                                         f"not parse for {framework}")
                 key = (framework, identifier)
                 if key in seen:
-                    raise DuplicateIdentifier(f"line {lineno}: {identifier!r} repeated")
+                    raise RiskforgeError(f"line {lineno}: {identifier!r} repeated")
                 seen.add(key)
                 excerpts.append(FrameworkExcerpt(
                     framework=framework, identifier=identifier,

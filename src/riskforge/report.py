@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING
 
 from .context_store import ContextEntry
 from .contracts import ENTRY_KINDS
-from .errors import IncompleteContext
+from .errors import RiskforgeError
 from .grounding import Corpus
 from .risk_model import (CSF_FUNCTIONS, ContradictionFlag, RiskItem,
                          check_contradictions, compliance_rollup, normalize_title,
@@ -78,10 +78,10 @@ def summarize_roadmap(recommendations: list[dict],
 def report_document(snapshot: dict[str, ContextEntry], corpus: Corpus,
                     record: RunRecord) -> dict:
     """The final assessment from the post-synthesis snapshot. Raises
-    IncompleteContext naming the first entry kind the snapshot lacks."""
+    RiskforgeError naming the first entry kind the snapshot lacks."""
     for key in ENTRY_KINDS:
         if key not in snapshot:
-            raise IncompleteContext(key)
+            raise RiskforgeError(f"context is missing entry kind {key!r}")
     rollup = compliance_rollup(snapshot["control_assessment"].payload)
     return {
         "exec_summary": snapshot["report"].payload.get("exec_summary", ""),

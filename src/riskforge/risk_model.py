@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .errors import MissingFunction
+from .errors import RiskforgeError
 
 ORDINALS = {"low": 1, "medium": 2, "high": 3}
 CSF_FUNCTIONS = ("Identify", "Protect", "Detect", "Respond", "Recover")
@@ -90,7 +90,7 @@ def compliance_rollup(control_assessment: dict) -> ComplianceRollup:
     evidence = {}
     for function in CSF_FUNCTIONS:
         if function not in functions:
-            raise MissingFunction(f"control assessment lacks function {function!r}")
+            raise RiskforgeError(f"control assessment lacks function {function!r}")
         findings = functions[function]
         gaps = [f for f in findings if f.get("status") == "gap"]
         if not gaps:

@@ -220,6 +220,7 @@ ANNOTATION = '{"assessor_id": "a1", "risk_title": "Phishing", "severity": "High"
 EVAL_ALIASES = ["eval", "--register", REGISTER, "--annotations", ANNOTATIONS,
                 "--aliases", "{file}"]
 ABLATE_MODELS = ["ablate", "--models", "{file}", "--out", "{ledger}"]
+CORPUS_LINE = '{"framework": "nist_csf", "identifier": "ID.AM-1", "title": "t", "body": "b"}\n'
 
 
 @pytest.mark.parametrize("name, text, args, error", [
@@ -271,12 +272,23 @@ ABLATE_MODELS = ["ablate", "--models", "{file}", "--out", "{ledger}"]
      "cannot read models {file}: TypeError: [0].label must be str, not int"),
     ("models.json", '[{"label": "x", "script": 5}]', ABLATE_MODELS,
      "cannot read models {file}: TypeError: [0].script must be str, not int"),
+    ("models.json", '[{"label": "a", "script": "specific", "window": "big"}]', ABLATE_MODELS,
+     "cannot read models {file}: TypeError: [0].window must be int, not str"),
+    ("corpus.jsonl", CORPUS_LINE.replace('"t"', "5"), ["index-corpus", "--corpus", "{file}"],
+     "cannot ingest corpus {file}: line 1: title must be str, not int"),
+    ("corpus.jsonl", CORPUS_LINE.replace('"ID.AM-1"', "5"),
+     ["index-corpus", "--corpus", "{file}"],
+     "cannot ingest corpus {file}: line 1: identifier must be str, not int"),
+    ("corpus.jsonl", '["framework", "identifier", "title", "body"]\n',
+     ["index-corpus", "--corpus", "{file}"],
+     "cannot ingest corpus {file}: line 1: must be an object, not list"),
 ], ids=["register_torn", "register_title_not_string", "register_level_unknown",
         "annotations_duplicate", "annotations_torn", "annotations_title_not_string",
         "annotations_severity_unknown", "aliases_triple", "aliases_title_not_string",
         "aliases_string_not_pair", "aliases_object", "profile_torn", "profile_invalid",
         "models_no_script", "models_window_too_small", "models_label_not_string",
-        "models_script_not_string"])
+        "models_script_not_string", "models_window_not_int", "corpus_title_not_string",
+        "corpus_identifier_not_string", "corpus_line_not_an_object"])
 def test_bad_input_file_is_a_one_line_error(runner, tmp_path, name, text, args, error):
     path = tmp_path / name
     path.parent.mkdir(exist_ok=True)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import threading
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from hypothesis import given, strategies as st
 
 from riskforge.context_store import ContextEntry, ContextStore
 from riskforge.contracts import DATA_DIR, ENTRY_KINDS
-from riskforge.errors import UnknownKey
+from riskforge.errors import RiskforgeError
 from riskforge.tokens import canonical_json, estimate_tokens
 
 LOG_FIELDS = ["key", "agent_id", "revision", "created_at", "payload", "token_estimate"]
@@ -82,7 +83,9 @@ def test_revisions_increment_and_history_preserved():
 
 def test_unknown_key_rejected():
     store = ContextStore(ENTRY_KINDS)
-    with pytest.raises(UnknownKey):
+    with pytest.raises(RiskforgeError, match=re.escape(
+            f"entry kind 'scratchpad' is not registered (registered: {list(ENTRY_KINDS)})")
+            + "$"):
         store.append_entry("scratchpad", "x", {})
 
 

@@ -11,7 +11,7 @@ from riskforge.context_store import ContextStore
 from riskforge.contracts import (CONTRACTS, ENTRY_KINDS, MAX_ATTEMPTS, ROLES,
                                  SINGLE_AGENT, STAGES, AgentContract, ContractSet,
                                  extract_json_object, stage_plan)
-from riskforge.errors import AgentFailed, MissingContextKey, Unparseable
+from riskforge.errors import AgentFailed, RiskforgeError, Unparseable
 from riskforge.gateway import ModelConfig, StubGateway
 from riskforge.grounding import Corpus
 from riskforge.tokens import canonical_json
@@ -114,9 +114,9 @@ def test_invalid_enum_reported_with_path(cross_contracts):
 
 def test_assemble_requires_declared_reads(case_contracts):
     store = ContextStore(ENTRY_KINDS)
-    with pytest.raises(MissingContextKey) as exc:
+    with pytest.raises(RiskforgeError, match=r"^role 'threat_modeling' requires context key "
+                                             r"'org_profile' which is absent$"):
         case_contracts.assemble_prompt("threat_modeling", store.snapshot(), [])
-    assert exc.value.key == "org_profile"
 
 
 def test_assemble_sections_and_context_payloads(case_contracts, corpus):
@@ -222,10 +222,9 @@ def test_run_agent_recovers_from_unparseable_output(cross_contracts, seeded_stor
 
 def test_run_agent_fails_after_max_attempts(cross_contracts, seeded_store, tmp_path):
     gateway = scripted(tmp_path, {"default": [json.dumps(valid_threats(1))]})
-    with pytest.raises(AgentFailed) as exc:
+    with pytest.raises(AgentFailed, match=r"^agent 'threat_modeling' failed after retries: "
+                                          r"\[\('\$\.threats', .+\)\]$"):
         run_threat_modeling(cross_contracts, seeded_store, gateway)
-    assert exc.value.role == "threat_modeling"
-    assert exc.value.violations
     assert MAX_ATTEMPTS == 3
     # the failed agent wrote nothing
     assert list(seeded_store.snapshot()) == ["org_profile"]

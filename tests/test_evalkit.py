@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 
 from riskforge.context_store import decode
 from riskforge.contracts import DATA_DIR, ContractSet
-from riskforge.errors import ProfileInvalid, RiskforgeError, StorageFailure
+from riskforge.errors import ProfileInvalid, RiskforgeError
 from riskforge.evalkit import (AliasMap, ModelSpec, PractitionerAnnotation,
                                compute_metrics, coverage, load_annotations,
                                run_ablation, severity_agreement)
@@ -77,10 +78,10 @@ def test_non_string_annotation_field_names_the_line(tmp_path):
     path = tmp_path / "ann.jsonl"
     path.write_text(json.dumps({"assessor_id": "a", "risk_title": 5,
                                 "severity": "High"}) + "\n", encoding="utf-8")
-    with pytest.raises(StorageFailure) as exc:
+    with pytest.raises(RiskforgeError, match=re.escape(
+            f"{path}:1: not a PractitionerAnnotation record: risk_title must be str, "
+            f"not int") + "$"):
         load_annotations(path)
-    assert str(exc.value).startswith(f"{path}:1: ")
-    assert str(exc.value).endswith("risk_title must be str, not int")
 
 
 @pytest.mark.parametrize("severity", ["Extreme", "high", ""])
@@ -89,11 +90,10 @@ def test_annotation_severity_must_be_a_severity_label(tmp_path, severity):
     lines = [{"assessor_id": "a", "risk_title": "T", "severity": "High"},
              {"assessor_id": "b", "risk_title": "T", "severity": severity}]
     path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
-    with pytest.raises(StorageFailure) as exc:
+    with pytest.raises(RiskforgeError, match=re.escape(
+            f"{path}:2: not a PractitionerAnnotation record: severity must be one of "
+            f"Low, Medium, High, not {severity!r}") + "$"):
         load_annotations(path)
-    assert str(exc.value).startswith(f"{path}:2: ")
-    assert str(exc.value).endswith(
-        f"severity must be one of Low, Medium, High, not {severity!r}")
 
 
 def test_ambiguous_alias_rejected():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from riskforge.contracts import DATA_DIR
-from riskforge.errors import DuplicateIdentifier, MalformedCorpus
+from riskforge.errors import RiskforgeError
 from riskforge.grounding import (Corpus, parse_identifiers, tokenize,
                                  NIST_CSF_RE, STOPWORDS)
 
@@ -45,33 +45,32 @@ def test_ingest_skips_blank_lines(tmp_path):
 
 def test_ingest_invalid_json_reports_line_number(tmp_path):
     path = write_corpus(tmp_path, [line(), "{not json"])
-    with pytest.raises(MalformedCorpus) as exc:
+    with pytest.raises(RiskforgeError, match=r"^line 2: invalid JSON: "):
         Corpus.ingest(path)
-    assert exc.value.line_number == 2
 
 
 def test_ingest_missing_field(tmp_path):
     path = write_corpus(tmp_path, ['{"framework": "cis", "identifier": "5.2"}'])
-    with pytest.raises(MalformedCorpus) as exc:
+    with pytest.raises(RiskforgeError, match=r"^line 1: missing fields: \['body', 'title'\]$"):
         Corpus.ingest(path)
-    assert "body" in str(exc.value)
 
 
 def test_ingest_unknown_framework(tmp_path):
     path = write_corpus(tmp_path, [line(framework="iso27001")])
-    with pytest.raises(MalformedCorpus):
+    with pytest.raises(RiskforgeError, match=r"^line 1: unknown framework 'iso27001'$"):
         Corpus.ingest(path)
 
 
 def test_ingest_identifier_must_parse(tmp_path):
     path = write_corpus(tmp_path, [line(identifier="PRAC-1")])
-    with pytest.raises(MalformedCorpus):
+    with pytest.raises(RiskforgeError,
+                       match=r"^line 1: identifier 'PRAC-1' does not parse for nist_csf$"):
         Corpus.ingest(path)
 
 
 def test_ingest_duplicate_identifier(tmp_path):
     path = write_corpus(tmp_path, [line(), line(body="other")])
-    with pytest.raises(DuplicateIdentifier):
+    with pytest.raises(RiskforgeError, match=r"^line 2: 'PR\.AC-1' repeated$"):
         Corpus.ingest(path)
 
 

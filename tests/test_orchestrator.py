@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -17,8 +18,8 @@ from riskforge import context_store, orchestrator
 from riskforge.context_store import ContextEntry, ContextStore, decode
 from riskforge.contracts import (DATA_DIR, ENTRY_KINDS, MAX_ATTEMPTS, SINGLE_AGENT, STAGES,
                                  ContractSet, excerpt_lines)
-from riskforge.errors import (ContextOverflow, NoScriptForRole, ProfileInvalid,
-                              ProviderError, ProviderUnreachable, StorageFailure)
+from riskforge.errors import (AgentFailed, ContextOverflow, ProfileInvalid, ProviderError,
+                              ProviderUnreachable, RiskforgeError)
 from riskforge.gateway import ModelConfig, StubGateway
 from riskforge.grounding import Corpus
 from riskforge.orchestrator import (RunRecord, enforce_budget, execute_pipeline,
@@ -201,14 +202,16 @@ def test_short_write_is_a_storage_failure(tmp_path, monkeypatch, append):
     real_write = os.write
     monkeypatch.setattr(context_store.os, "write",
                         lambda fd, data: real_write(fd, data[:5]))
-    with pytest.raises(StorageFailure, match="short write"):
+    with pytest.raises(RiskforgeError, match=re.escape(
+            f"short write to {tmp_path / 'log.jsonl'}: 5 of ") + r"\d+ bytes$"):
         append(tmp_path / "log.jsonl")
 
 
 @writers
 def test_unwritable_log_is_a_storage_failure(tmp_path, append):
     (tmp_path / "log.jsonl").mkdir()
-    with pytest.raises(StorageFailure):
+    with pytest.raises(RiskforgeError,
+                       match=re.escape(f"cannot append to {tmp_path / 'log.jsonl'}: ")):
         append(tmp_path / "log.jsonl")
 
 
@@ -242,18 +245,19 @@ def _wrong_types(doc):
                     else value for key, value in doc.items()})
 
 
-@pytest.mark.parametrize("reader, line", [
-    (load_ledger, lambda n: _record(f"r{n}").to_json()),
-    (lambda path: ContextStore.load(path, ENTRY_KINDS), _session_line),
+@pytest.mark.parametrize("reader, line, cls", [
+    (load_ledger, lambda n: _record(f"r{n}").to_json(), "RunRecord"),
+    (lambda path: ContextStore.load(path, ENTRY_KINDS), _session_line, "ContextEntry"),
 ], ids=["load_ledger", "ContextStore.load"])
 @pytest.mark.parametrize("corrupt", [_torn, _torn_in_a_character, _missing_field,
                                      _wrong_types],
                          ids=["torn", "torn_in_a_character", "missing_field", "wrong_types"])
-def test_bad_middle_line_is_a_storage_failure_naming_it(tmp_path, reader, line, corrupt):
+def test_bad_middle_line_is_a_storage_failure_naming_it(tmp_path, reader, line, cls,
+                                                        corrupt):
     log = tmp_path / "log.jsonl"
     log.write_bytes(b"\n".join([_encode(line(1)), corrupt(line(2)), _encode(line(3))])
                     + b"\n")
-    with pytest.raises(StorageFailure, match=r"log\.jsonl:2: "):
+    with pytest.raises(RiskforgeError, match=re.escape(f"{log}:2: not a {cls} record: ")):
         reader(log)
 
 
@@ -279,9 +283,9 @@ def test_ledger_field_of_the_wrong_type_names_its_line(tmp_path, field, value, m
     lines[1][field] = value
     log = tmp_path / "log.jsonl"
     log.write_bytes(b"\n".join(map(_encode, lines)) + b"\n")
-    with pytest.raises(StorageFailure) as exc:
+    with pytest.raises(RiskforgeError,
+                       match=re.escape(f"{log}:2: not a RunRecord record: {message}") + "$"):
         load_ledger(log)
-    assert str(exc.value) == f"{log}:2: not a RunRecord record: {message}"
 
 
 def test_run_record_takes_an_int_duration_and_null_optionals():
@@ -498,10 +502,11 @@ def test_session_log_kept_when_an_unclassified_error_escapes(
         health_profile, case_contracts, corpus, tmp_path):
     scripts = tmp_path / "scripts"
     scripts.mkdir()
-    # only the intake script: stage 2 raises NoScriptForRole, which is not
-    # a classified stage failure and so escapes execute_pipeline
+    # only the intake script: stage 2 finds no script, an error that is no
+    # StageError and so escapes execute_pipeline
     shutil.copy(STUB / "risk_intake.json", scripts)
-    with pytest.raises(NoScriptForRole):
+    with pytest.raises(RiskforgeError, match=re.escape(
+            f"no stub script for role 'threat_modeling' in {scripts} or {tmp_path}") + "$"):
         execute_pipeline(health_profile, config(), "multi_agent", StubGateway(scripts),
                          corpus, case_contracts, out_dir=tmp_path / "out")
     [log] = (tmp_path / "out").glob("*/session.jsonl")
@@ -677,7 +682,8 @@ def test_unclassified_error_outranks_stage_failure(health_profile, case_contract
         json.dumps({"default": [{"threats": []}]}), encoding="utf-8")
     (tmp_path / "stub" / "control_assessment.json").unlink()
     gateway = StubGateway(tmp_path / "stub" / "specific", sleep_seconds=sleep_seconds)
-    with pytest.raises(NoScriptForRole):
+    with pytest.raises(RiskforgeError,
+                       match=r"^no stub script for role 'control_assessment' in "):
         execute_pipeline(health_profile, config(), "multi_agent", gateway, corpus,
                          case_contracts)
 
@@ -691,18 +697,38 @@ class RaisingGateway:
         raise self.error
 
 
+# each mode with the role of its first stage
+modes = pytest.mark.parametrize("mode, first_role", [("multi_agent", "risk_intake"),
+                                                     ("single_agent", "single_agent")],
+                                ids=["multi_agent", "single_agent"])
+
+
+@modes
 @pytest.mark.parametrize("error, kind", [
-    (ProviderError(503, "overloaded"), "provider_error"),
+    (ProviderError("provider returned status 503: overloaded"), "provider_error"),
     (ProviderUnreachable("cannot reach the model server"), "provider_error"),
     (ContextOverflow("risk_intake", 5000, 1024, 4096), "context_overflow"),
-], ids=["ProviderError", "ProviderUnreachable", "ContextOverflow"])
+    (AgentFailed("agent 'risk_intake' failed after retries: []"), "agent_failed"),
+], ids=["ProviderError", "ProviderUnreachable", "ContextOverflow", "AgentFailed"])
 def test_provider_side_failures_land_in_the_record(health_profile, case_contracts,
-                                                   corpus, error, kind):
-    record, report = execute_pipeline(health_profile, config(), "multi_agent",
+                                                   corpus, mode, first_role, error, kind):
+    record, report = execute_pipeline(health_profile, config(), mode,
                                       RaisingGateway(error), corpus, case_contracts)
     assert not record.completed
-    assert (record.failed_stage, record.failure_kind) == ("risk_intake", kind)
+    assert (record.failed_stage, record.failure_kind) == (first_role, kind)
     assert report is None
+
+
+@modes
+@pytest.mark.parametrize("error", [RiskforgeError("no stub script"), KeyError("response")],
+                         ids=["RiskforgeError", "KeyError"])
+def test_errors_that_are_no_stage_error_propagate_unchanged(
+        health_profile, case_contracts, corpus, mode, first_role, error):
+    # raised, so execute_pipeline returns no record
+    with pytest.raises(type(error)) as exc:
+        execute_pipeline(health_profile, config(), mode, RaisingGateway(error), corpus,
+                         case_contracts)
+    assert exc.value is error
 
 
 def test_same_seed_runs_are_reproducible(health_profile, case_contracts, corpus,

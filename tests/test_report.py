@@ -7,7 +7,7 @@ import pytest
 
 from riskforge.context_store import ContextStore
 from riskforge.contracts import DATA_DIR, ENTRY_KINDS
-from riskforge.errors import IncompleteContext
+from riskforge.errors import RiskforgeError
 from riskforge.gateway import ModelConfig
 from riskforge.orchestrator import RunRecord, execute_pipeline
 from riskforge.report import (contradiction_flags, render_report, report_document,
@@ -105,9 +105,8 @@ def full_store(register=None, recommendations=None):
 def test_render_requires_every_entry_kind(corpus):
     store = ContextStore(ENTRY_KINDS)
     store.append_entry("org_profile", "risk_intake", {"industry": "x"})
-    with pytest.raises(IncompleteContext) as exc:
+    with pytest.raises(RiskforgeError, match=r"^context is missing entry kind 'threat_model'$"):
         report_document(store.snapshot(), corpus, RECORD)
-    assert exc.value.key == "threat_model"
 
 
 def test_unverified_citations_surface_for_review(corpus):

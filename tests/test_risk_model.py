@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from riskforge.context_store import decode
 from riskforge.contracts import DATA_DIR
-from riskforge.errors import MissingFunction
+from riskforge.errors import RiskforgeError
 from riskforge.risk_model import (CSF_FUNCTIONS, RiskItem, check_contradictions,
                                   compliance_rollup, derive_severity,
                                   normalize_title, parse_level, rank_risks)
@@ -193,7 +193,7 @@ def test_rollup_statuses():
 def test_rollup_requires_all_five_functions():
     doc = assessment()
     del doc["functions"]["Recover"]
-    with pytest.raises(MissingFunction):
+    with pytest.raises(RiskforgeError, match=r"^control assessment lacks function 'Recover'$"):
         compliance_rollup(doc)
 
 
