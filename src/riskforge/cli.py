@@ -17,7 +17,6 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .context_store import decode
 from .contracts import DATA_DIR, ContractSet
 from .errors import ProfileInvalid, RiskforgeError
 from .evalkit import (AliasMap, ModelSpec, compute_metrics, load_annotations,
@@ -25,6 +24,7 @@ from .evalkit import (AliasMap, ModelSpec, compute_metrics, load_annotations,
 from .gateway import HttpGateway, ModelConfig, StubGateway
 from .grounding import Corpus
 from .orchestrator import check_profile, execute_pipeline, load_ledger, record_run
+from .records import decode
 from .risk_model import RiskItem
 
 BUNDLED_CORPUS = DATA_DIR / "corpus" / "mini_csf.jsonl"
@@ -63,11 +63,10 @@ def _read_json(path, what: str, build=None):
 
 
 def _load_corpus(corpus_path) -> Corpus:
-    path = _resolve_corpus(corpus_path)
     try:
-        return Corpus.ingest(path)
-    except (OSError, RiskforgeError) as exc:
-        raise RiskforgeError(f"cannot ingest corpus {path}: {exc}")
+        return Corpus.ingest(_resolve_corpus(corpus_path))
+    except RiskforgeError as exc:  # its message names the file
+        raise RiskforgeError(f"cannot ingest corpus: {exc}")
 
 
 def assess(profile_path, mode, provider, script, model_id, window, seed,

@@ -21,11 +21,11 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .context_store import load_records
 from .errors import RiskforgeError
 from .gateway import ModelConfig, StubGateway
 from .orchestrator import (RunRecord, check_profile, execute_pipeline, load_ledger,
                            record_run)
+from .records import load_records
 from .risk_model import RiskItem, normalize_title
 
 
@@ -294,10 +294,16 @@ def run_ablation(profiles: list[dict], models: list[ModelSpec], runs_per_cell: i
                  stub_root: Path, workers: int = 1) -> int:
     """Execute profiles x models x seeds, appending RunRecords to the
     ledger. Cells already present for this mode are skipped, so reruns
-    resume; an invalid profile raises ProfileInvalid before any cell. Window
-    and schema mode are not on the record and so not in the resume key."""
+    resume; an invalid profile raises ProfileInvalid, and a repeated
+    profile_id or model label RiskforgeError, before any cell. Window and
+    schema mode are not on the record and so not in the resume key."""
     for profile in profiles:
         check_profile(profile, contracts)
+    for what, names in (("profile_id", [profile["profile_id"] for profile in profiles]),
+                        ("model label", [spec.label for spec in models])):
+        for index, name in enumerate(names):
+            if name in names[:index]:
+                raise RiskforgeError(f"{what} {name!r} repeated: its runs would share one cell")
     ledger_path = Path(ledger_path)
     done = set()
     if ledger_path.exists():

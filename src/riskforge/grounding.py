@@ -8,13 +8,13 @@ overlap, which is sufficient for grounding excerpts at this scale.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 from .errors import RiskforgeError
+from .records import load_records
 
 # Identifier grammars. NIST CSF: two uppercase letters, dot, two or three
 # uppercase letters, hyphen, one or two digits. CIS: literal prefix plus a
@@ -39,6 +39,14 @@ class FrameworkExcerpt:
     identifier: str
     title: str
     body: str
+
+    def __post_init__(self):
+        grammar = {"nist_csf": NIST_CSF_RE, "cis": CIS_NUMBER_RE}.get(self.framework)
+        if grammar is None:
+            raise ValueError(f"unknown framework {self.framework!r}")
+        if grammar.fullmatch(self.identifier) is None:
+            raise ValueError(f"identifier {self.identifier!r} does not parse for "
+                             f"{self.framework}")
 
 
 @dataclass(frozen=True)
@@ -84,14 +92,6 @@ def parse_identifiers(text: str) -> list[dict]:
     return result
 
 
-def _validate_identifier(framework: str, identifier: str) -> bool:
-    if framework == "nist_csf":
-        return NIST_CSF_RE.fullmatch(identifier) is not None
-    if framework == "cis":
-        return CIS_NUMBER_RE.fullmatch(identifier) is not None
-    return False
-
-
 class Corpus:
     """Immutable index of framework excerpts after ingestion. Retrieval is
     a pure function of (query, k) over it, so each result is kept."""
@@ -120,43 +120,15 @@ class Corpus:
 
     @classmethod
     def ingest(cls, path: Path) -> "Corpus":
-        fields = ("framework", "identifier", "title", "body")
-        excerpts: list[FrameworkExcerpt] = []
+        """One FrameworkExcerpt per non-blank line of a JSON Lines file; an
+        identifier repeated within its framework raises RiskforgeError."""
+        excerpts = load_records(path, FrameworkExcerpt)
         seen: set[tuple[str, str]] = set()
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    doc = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise RiskforgeError(f"line {lineno}: invalid JSON: {exc}") from exc
-                if not isinstance(doc, dict):
-                    raise RiskforgeError(f"line {lineno}: must be an object, "
-                                         f"not {type(doc).__name__}")
-                missing = set(fields) - set(doc)
-                if missing:
-                    raise RiskforgeError(f"line {lineno}: missing fields: {sorted(missing)}")
-                for name in fields:
-                    if not isinstance(doc[name], str):
-                        raise RiskforgeError(f"line {lineno}: {name} must be str, "
-                                             f"not {type(doc[name]).__name__}")
-                framework = doc["framework"]
-                identifier = doc["identifier"]
-                if framework not in ("nist_csf", "cis"):
-                    raise RiskforgeError(f"line {lineno}: unknown framework {framework!r}")
-                if not _validate_identifier(framework, identifier):
-                    raise RiskforgeError(f"line {lineno}: identifier {identifier!r} does "
-                                         f"not parse for {framework}")
-                key = (framework, identifier)
-                if key in seen:
-                    raise RiskforgeError(f"line {lineno}: {identifier!r} repeated")
-                seen.add(key)
-                excerpts.append(FrameworkExcerpt(
-                    framework=framework, identifier=identifier,
-                    title=doc["title"], body=doc["body"],
-                ))
+        for excerpt in excerpts:
+            key = (excerpt.framework, excerpt.identifier)
+            if key in seen:
+                raise RiskforgeError(f"{path}: {excerpt.identifier!r} repeated")
+            seen.add(key)
         return cls(excerpts)
 
     def retrieve(self, query: str, k: int) -> list[FrameworkExcerpt]:

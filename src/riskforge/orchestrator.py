@@ -36,12 +36,13 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
 
-from .context_store import ContextEntry, ContextStore, append_line, load_records
+from .context_store import ContextEntry, ContextStore
 from .contracts import (ENTRY_KINDS, QUESTIONNAIRE_SCHEMA, SINGLE_AGENT,
                         SINGLE_AGENT_STAGES, STAGES, ContractSet, excerpt_lines)
 from .errors import ContextOverflow, ProfileInvalid, StageError
 from .gateway import ModelConfig
 from .grounding import Corpus
+from .records import append_line, load_records
 from .risk_model import normalize_title
 from .tokens import canonical_json, estimate_tokens
 from . import report as report_mod

@@ -7,12 +7,13 @@ import time
 
 import pytest
 
-from riskforge.context_store import ContextStore, decode
+from riskforge.context_store import ContextStore
 from riskforge.contracts import DATA_DIR, ENTRY_KINDS, ContractSet
 from riskforge.evalkit import (AliasMap, ModelSpec, compute_metrics, coverage,
                                load_annotations, run_ablation, severity_agreement)
 from riskforge.gateway import ModelConfig, StubGateway
 from riskforge.orchestrator import execute_pipeline, load_ledger
+from riskforge.records import decode
 from riskforge.risk_model import RiskItem, derive_severity, parse_level, rank_risks
 
 FIXTURES = DATA_DIR / "fixtures"

@@ -221,6 +221,8 @@ EVAL_ALIASES = ["eval", "--register", REGISTER, "--annotations", ANNOTATIONS,
                 "--aliases", "{file}"]
 ABLATE_MODELS = ["ablate", "--models", "{file}", "--out", "{ledger}"]
 CORPUS_LINE = '{"framework": "nist_csf", "identifier": "ID.AM-1", "title": "t", "body": "b"}\n'
+INDEX_CORPUS = ["index-corpus", "--corpus", "{file}"]
+CORPUS_ERROR = "cannot ingest corpus: {file}:1: not a FrameworkExcerpt record: "
 
 
 @pytest.mark.parametrize("name, text, args, error", [
@@ -274,25 +276,28 @@ CORPUS_LINE = '{"framework": "nist_csf", "identifier": "ID.AM-1", "title": "t", 
      "cannot read models {file}: TypeError: [0].script must be str, not int"),
     ("models.json", '[{"label": "a", "script": "specific", "window": "big"}]', ABLATE_MODELS,
      "cannot read models {file}: TypeError: [0].window must be int, not str"),
-    ("corpus.jsonl", CORPUS_LINE.replace('"t"', "5"), ["index-corpus", "--corpus", "{file}"],
-     "cannot ingest corpus {file}: line 1: title must be str, not int"),
-    ("corpus.jsonl", CORPUS_LINE.replace('"ID.AM-1"', "5"),
-     ["index-corpus", "--corpus", "{file}"],
-     "cannot ingest corpus {file}: line 1: identifier must be str, not int"),
-    ("corpus.jsonl", '["framework", "identifier", "title", "body"]\n',
-     ["index-corpus", "--corpus", "{file}"],
-     "cannot ingest corpus {file}: line 1: must be an object, not list"),
+    ("corpus.jsonl", CORPUS_LINE.replace('"t"', "5"), INDEX_CORPUS,
+     CORPUS_ERROR + "title must be str, not int"),
+    ("corpus.jsonl", CORPUS_LINE.replace('"ID.AM-1"', "5"), INDEX_CORPUS,
+     CORPUS_ERROR + "identifier must be str, not int"),
+    ("corpus.jsonl", '["framework", "identifier", "title", "body"]\n', INDEX_CORPUS,
+     CORPUS_ERROR + "document must be FrameworkExcerpt, not list"),
+    ("corpus.jsonl", CORPUS_LINE.replace('"t"', '"\xff"').encode("latin-1"), INDEX_CORPUS,
+     CORPUS_ERROR + "'utf-8' codec can't decode byte 0xff"),
+    ("corpus.jsonl", CORPUS_LINE.replace("}", ', "source": "s"}'), INDEX_CORPUS,
+     CORPUS_ERROR + "source is not a field of FrameworkExcerpt"),
 ], ids=["register_torn", "register_title_not_string", "register_level_unknown",
         "annotations_duplicate", "annotations_torn", "annotations_title_not_string",
         "annotations_severity_unknown", "aliases_triple", "aliases_title_not_string",
         "aliases_string_not_pair", "aliases_object", "profile_torn", "profile_invalid",
         "models_no_script", "models_window_too_small", "models_label_not_string",
         "models_script_not_string", "models_window_not_int", "corpus_title_not_string",
-        "corpus_identifier_not_string", "corpus_line_not_an_object"])
+        "corpus_identifier_not_string", "corpus_line_not_an_object",
+        "corpus_not_utf8", "corpus_unknown_key"])
 def test_bad_input_file_is_a_one_line_error(runner, tmp_path, name, text, args, error):
     path = tmp_path / name
     path.parent.mkdir(exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     result = runner.invoke(main, [arg.format(file=path, dir=path.parent,
                                              ledger=tmp_path / "ledger.jsonl")
                                   for arg in args])
@@ -303,6 +308,28 @@ def test_bad_input_file_is_a_one_line_error(runner, tmp_path, name, text, args, 
     assert result.output.startswith("Error: " + error.format(file=path))
     assert result.output.count("\n") == 1
     assert not (tmp_path / "ledger.jsonl").exists()
+
+
+@pytest.mark.parametrize("models, copies, error", [
+    ('[{"label": "a", "script": "specific"}, {"label": "a", "script": "generic"}]', 1,
+     "model label 'a' repeated"),
+    ('[{"label": "a", "script": "specific"}]', 2, "profile_id 'health_15' repeated"),
+], ids=["model_label", "profile_id"])
+def test_ablate_rejects_a_repeated_cell_name(runner, tmp_path, models, copies, error):
+    """Two models with one label, or two profiles with one id, would run
+    into one ledger cell; the sweep stops before its first run."""
+    profiles = tmp_path / "profiles"
+    profiles.mkdir()
+    for copy in range(copies):
+        (profiles / f"copy{copy}.json").write_bytes(PROFILE.read_bytes())
+    (tmp_path / "models.json").write_text(models, encoding="utf-8")
+    ledger = tmp_path / "ledger.jsonl"
+    result = runner.invoke(main, ["ablate", "--profiles", str(profiles), "--models",
+                                  str(tmp_path / "models.json"), "--out", str(ledger)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == f"Error: {error}: its runs would share one cell\n"
+    assert not ledger.exists()
 
 
 def test_ablate_requires_profiles(runner, tmp_path):

@@ -187,6 +187,28 @@ def test_load_gives_back_a_recorded_session_log_line_for_line():
     assert replayed == lines
 
 
+def _log_line(key, revision):
+    return json.dumps(ContextEntry(key=key, agent_id="a", revision=revision,
+                                   created_at="2026-01-01T00:00:00+00:00",
+                                   payload={}).to_json())
+
+
+@pytest.mark.parametrize("lines, message", [
+    ([("bogus", 1)], "entry kind 'bogus' is not registered (registered: {kinds})"),
+    ([("org_profile", 3)], "'org_profile' revision 3 where 1 is next"),
+    ([("org_profile", 1), ("report", 1), ("org_profile", 1)],
+     "'org_profile' revision 1 where 2 is next"),
+], ids=["unregistered_key", "revision_skipped", "revision_repeated"])
+def test_load_keeps_the_rules_of_append_entry(tmp_path, lines, message):
+    """A log that append_entry could not have written does not load, so an
+    append after load never repeats or skips a revision."""
+    log = tmp_path / "session.jsonl"
+    log.write_text("".join(_log_line(*line) + "\n" for line in lines), encoding="utf-8")
+    with pytest.raises(RiskforgeError, match="^" + re.escape(
+            f"{log}: " + message.format(kinds=list(ENTRY_KINDS))) + "$"):
+        ContextStore.load(log, ENTRY_KINDS)
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
                     reason="needs /proc/self/fd to count open descriptors")
 def test_logged_store_holds_no_open_file(tmp_path):

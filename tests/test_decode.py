@@ -7,9 +7,9 @@ from typing import Any, Optional, get_type_hints
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from riskforge.context_store import decode
 from riskforge.evalkit import SEVERITY_LABELS, ModelSpec, PractitionerAnnotation
 from riskforge.orchestrator import RunRecord
+from riskforge.records import decode
 from riskforge.risk_model import RiskItem
 
 LEVELS = ["Low", "Medium", "High"]

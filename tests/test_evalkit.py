@@ -9,7 +9,6 @@ from pathlib import Path
 
 import pytest
 
-from riskforge.context_store import decode
 from riskforge.contracts import DATA_DIR, ContractSet
 from riskforge.errors import ProfileInvalid, RiskforgeError
 from riskforge.evalkit import (AliasMap, ModelSpec, PractitionerAnnotation,
@@ -17,6 +16,7 @@ from riskforge.evalkit import (AliasMap, ModelSpec, PractitionerAnnotation,
                                run_ablation, severity_agreement)
 from riskforge.gateway import ModelConfig, StubGateway
 from riskforge.orchestrator import RunRecord, execute_pipeline, load_ledger
+from riskforge.records import decode
 from riskforge.risk_model import RiskItem
 
 FIXTURES = DATA_DIR / "fixtures"

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -43,34 +44,40 @@ def test_ingest_skips_blank_lines(tmp_path):
     assert len(Corpus.ingest(path)) == 2
 
 
+def bad_line(path, lineno, problem):
+    """The message load_records gives for a corpus line that is no excerpt."""
+    return "^" + re.escape(f"{path}:{lineno}: not a FrameworkExcerpt record: {problem}")
+
+
 def test_ingest_invalid_json_reports_line_number(tmp_path):
     path = write_corpus(tmp_path, [line(), "{not json"])
-    with pytest.raises(RiskforgeError, match=r"^line 2: invalid JSON: "):
+    with pytest.raises(RiskforgeError, match=bad_line(path, 2, "Expecting property name")):
         Corpus.ingest(path)
 
 
 def test_ingest_missing_field(tmp_path):
     path = write_corpus(tmp_path, ['{"framework": "cis", "identifier": "5.2"}'])
-    with pytest.raises(RiskforgeError, match=r"^line 1: missing fields: \['body', 'title'\]$"):
+    with pytest.raises(RiskforgeError, match=bad_line(path, 1, "title is missing") + "$"):
         Corpus.ingest(path)
 
 
 def test_ingest_unknown_framework(tmp_path):
     path = write_corpus(tmp_path, [line(framework="iso27001")])
-    with pytest.raises(RiskforgeError, match=r"^line 1: unknown framework 'iso27001'$"):
+    with pytest.raises(RiskforgeError,
+                       match=bad_line(path, 1, "unknown framework 'iso27001'") + "$"):
         Corpus.ingest(path)
 
 
 def test_ingest_identifier_must_parse(tmp_path):
     path = write_corpus(tmp_path, [line(identifier="PRAC-1")])
-    with pytest.raises(RiskforgeError,
-                       match=r"^line 1: identifier 'PRAC-1' does not parse for nist_csf$"):
+    with pytest.raises(RiskforgeError, match=bad_line(
+            path, 1, "identifier 'PRAC-1' does not parse for nist_csf") + "$"):
         Corpus.ingest(path)
 
 
 def test_ingest_duplicate_identifier(tmp_path):
     path = write_corpus(tmp_path, [line(), line(body="other")])
-    with pytest.raises(RiskforgeError, match=r"^line 2: 'PR\.AC-1' repeated$"):
+    with pytest.raises(RiskforgeError, match="^" + re.escape(f"{path}: 'PR.AC-1' repeated") + "$"):
         Corpus.ingest(path)
 
 

@@ -14,8 +14,8 @@ from collections import defaultdict
 
 import pytest
 
-from riskforge import context_store, orchestrator
-from riskforge.context_store import ContextEntry, ContextStore, decode
+from riskforge import context_store, orchestrator, records
+from riskforge.context_store import ContextEntry, ContextStore
 from riskforge.contracts import (DATA_DIR, ENTRY_KINDS, MAX_ATTEMPTS, SINGLE_AGENT, STAGES,
                                  ContractSet, excerpt_lines)
 from riskforge.errors import (AgentFailed, ContextOverflow, ProfileInvalid, ProviderError,
@@ -24,6 +24,7 @@ from riskforge.gateway import ModelConfig, StubGateway
 from riskforge.grounding import Corpus
 from riskforge.orchestrator import (RunRecord, enforce_budget, execute_pipeline,
                                     load_ledger, record_run)
+from riskforge.records import decode
 
 STUB = DATA_DIR / "stub"
 
@@ -200,7 +201,7 @@ writers = pytest.mark.parametrize("append", [_append_run, _append_entry],
 @writers
 def test_short_write_is_a_storage_failure(tmp_path, monkeypatch, append):
     real_write = os.write
-    monkeypatch.setattr(context_store.os, "write",
+    monkeypatch.setattr(records.os, "write",
                         lambda fd, data: real_write(fd, data[:5]))
     with pytest.raises(RiskforgeError, match=re.escape(
             f"short write to {tmp_path / 'log.jsonl'}: 5 of ") + r"\d+ bytes$"):

@@ -8,9 +8,9 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from riskforge.context_store import decode
 from riskforge.contracts import DATA_DIR
 from riskforge.errors import RiskforgeError
+from riskforge.records import decode
 from riskforge.risk_model import (CSF_FUNCTIONS, RiskItem, check_contradictions,
                                   compliance_rollup, derive_severity,
                                   normalize_title, parse_level, rank_risks)
