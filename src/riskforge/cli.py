@@ -58,7 +58,9 @@ def _read_json(path, what: str, build=None):
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
         return build(doc) if build else doc
-    except (OSError, KeyError, TypeError, ValueError, ProfileInvalid) as exc:
+    except OSError as exc:  # its own message names path again
+        raise RiskforgeError(f"cannot read {what} {path}: {exc.strerror}")
+    except (KeyError, TypeError, ValueError, ProfileInvalid) as exc:
         raise RiskforgeError(f"cannot read {what} {path}: {type(exc).__name__}: {exc}")
 
 

@@ -12,7 +12,8 @@ validation extracts the first JSON object from the raw text (models wrap
 output in prose) and checks it against the role's schema; schema failures, and output the
 provider reports as truncated, trigger a bounded re-prompt: the role's
 prompt plus the latest violation list, so a retry prompt does not grow
-from attempt to attempt. The single-agent baseline is one more contract,
+from attempt to attempt; run_agent checks each one against the window, so
+a provider only completes. The single-agent baseline is one more contract,
 SINGLE_AGENT, run by the same loop; it is no part of the six-agent plan.
 
 Each schema is compiled once per ContractSet into one check
@@ -32,8 +33,8 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, NoReturn, Optional
 
 from .context_store import ContextEntry, ContextStore
-from .errors import AgentFailed, RiskforgeError, Unparseable
-from .gateway import RETRY_MARKER, CompletionRequest, ModelConfig
+from .errors import AgentFailed, ContextOverflow, RiskforgeError, Unparseable
+from .gateway import RESERVED_OUTPUT_TOKENS, RETRY_MARKER, CompletionRequest, ModelConfig
 from .grounding import Corpus, FrameworkExcerpt
 
 MAX_ATTEMPTS = 3  # initial attempt plus two validation re-prompts
@@ -613,14 +614,19 @@ class ContractSet:
                   config: ModelConfig) -> tuple[ContextEntry, int]:
         """Complete, validate, retry, append, starting from the role's full
         prompt (build_prompt's, or the orchestrator's single-agent prompt).
-        A retry sends that prompt plus the latest violation block only.
-        Returns the appended entry and the number of attempts used."""
+        A retry sends that prompt plus the latest violation block only. A
+        prompt, first or retry, that does not fit the window raises
+        ContextOverflow before the gateway sees it. Returns the appended
+        entry and the number of attempts used."""
         contract = self.contract(role)
         last_violations: Violations = ()
         request_prompt = prompt
         for attempt in range(1, MAX_ATTEMPTS + 1):
-            result = gateway.complete(CompletionRequest(role=role, prompt=request_prompt,
-                                                        config=config))
+            request = CompletionRequest(role=role, prompt=request_prompt, config=config)
+            if config.deficit(request.prompt_tokens) > 0:
+                raise ContextOverflow(role, request.prompt_tokens, RESERVED_OUTPUT_TOKENS,
+                                      config.context_window_tokens)
+            result = gateway.complete(request)
             if result.truncated:
                 last_violations = (TRUNCATED_VIOLATION,)
             else:

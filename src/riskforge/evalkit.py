@@ -305,6 +305,7 @@ def run_ablation(profiles: list[dict], models: list[ModelSpec], runs_per_cell: i
             if name in names[:index]:
                 raise RiskforgeError(f"{what} {name!r} repeated: its runs would share one cell")
     ledger_path = Path(ledger_path)
+    ledger_path.parent.mkdir(parents=True, exist_ok=True)
     done = set()
     if ledger_path.exists():
         for record in load_ledger(ledger_path):

@@ -1,9 +1,10 @@
 """Model access: HTTP client for a local model server plus a scripted stub.
 
-Both providers share the same contract: an overflow check happens before
-any provider activity, latency brackets only the provider call itself,
-and the stub is a pure function of (role, canonical prompt, seed) so runs
-replay byte-identically.
+A provider only completes: ContractSet.run_agent checks every prompt
+against the window (ModelConfig.deficit) before it calls complete, so no
+provider holds window logic. Latency brackets only the provider call
+itself, and the stub is a pure function of (role, canonical prompt, seed)
+so runs replay byte-identically.
 
 A provider's waits_on_io attribute says whether its calls spend their
 time waiting on I/O (with the interpreter lock released), which is when
@@ -18,26 +19,32 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional
 
-from .errors import ContextOverflow, ProviderError, ProviderUnreachable, RiskforgeError
+from .errors import ProviderError, ProviderUnreachable, RiskforgeError
 from .tokens import estimate_tokens, prompt_hash
 
 # Marker appended to re-prompts after a validation failure. The stub keys
 # its "on_retry" response pool off this string.
 RETRY_MARKER = "PREVIOUS OUTPUT FAILED VALIDATION"
+# Window tokens kept free for the reply, and the sampling temperature.
+RESERVED_OUTPUT_TOKENS = 1024
+TEMPERATURE = 0.2
 
 
 @dataclass(frozen=True)
 class ModelConfig:
     model_id: str
     context_window_tokens: int = 4096
-    reserved_output_tokens: int = 1024
-    temperature: float = 0.2
     seed: Optional[int] = None
 
     def __post_init__(self):
-        if not self.reserved_output_tokens < self.context_window_tokens:
-            raise ValueError(f"reserved_output_tokens ({self.reserved_output_tokens}) must "
+        if not RESERVED_OUTPUT_TOKENS < self.context_window_tokens:
+            raise ValueError(f"reserved_output_tokens ({RESERVED_OUTPUT_TOKENS}) must "
                              f"be < context_window_tokens ({self.context_window_tokens})")
+
+    def deficit(self, prompt_tokens: int) -> int:
+        """The window rule: prompt plus reserved output tokens less the
+        window. A prompt fits when this is 0 or less."""
+        return prompt_tokens + RESERVED_OUTPUT_TOKENS - self.context_window_tokens
 
 
 @dataclass
@@ -45,30 +52,17 @@ class CompletionRequest:
     role: str
     prompt: str
     config: ModelConfig
-    prompt_tokens: int = field(default=-1)
+    prompt_tokens: int = field(init=False)
 
     def __post_init__(self):
-        if self.prompt_tokens < 0:
-            self.prompt_tokens = estimate_tokens(self.prompt)
+        self.prompt_tokens = estimate_tokens(self.prompt)
 
 
 @dataclass(frozen=True)
 class CompletionResult:
     text: str
     latency_seconds: float
-    provider: str
     truncated: bool = False
-
-
-def _check_window(request: CompletionRequest) -> None:
-    cfg = request.config
-    if request.prompt_tokens + cfg.reserved_output_tokens > cfg.context_window_tokens:
-        raise ContextOverflow(
-            role=request.role,
-            prompt_tokens=request.prompt_tokens,
-            reserved_output_tokens=cfg.reserved_output_tokens,
-            context_window_tokens=cfg.context_window_tokens,
-        )
 
 
 class StubGateway:
@@ -132,14 +126,13 @@ class StubGateway:
         return json.dumps(candidate, ensure_ascii=False)
 
     def complete(self, request: CompletionRequest) -> CompletionResult:
-        _check_window(request)
         seed = request.config.seed if request.config.seed is not None else 0
         start = time.perf_counter()
         if self.sleep_seconds:
             time.sleep(self.sleep_seconds)
         text = self.stub_complete(request.role, request.prompt, seed)
         latency = time.perf_counter() - start
-        return CompletionResult(text=text, latency_seconds=latency, provider="stub")
+        return CompletionResult(text=text, latency_seconds=latency)
 
 
 class HttpGateway:
@@ -184,12 +177,11 @@ class HttpGateway:
         raise ProviderUnreachable(f"cannot reach {url}: {last_exc}")
 
     def complete(self, request: CompletionRequest) -> CompletionResult:
-        _check_window(request)
         cfg = request.config
         options: dict[str, Any] = {
             "num_ctx": cfg.context_window_tokens,
-            "num_predict": cfg.reserved_output_tokens,
-            "temperature": cfg.temperature,
+            "num_predict": RESERVED_OUTPUT_TOKENS,
+            "temperature": TEMPERATURE,
         }
         if cfg.seed is not None:
             options["seed"] = cfg.seed
@@ -212,7 +204,6 @@ class HttpGateway:
         return CompletionResult(
             text=data["response"],
             latency_seconds=latency,
-            provider="http",
             # Ollama's reply marks output cut off at the limit as done_reason "length"
             truncated=data.get("done_reason") == "length",
         )

@@ -23,6 +23,7 @@ from .records import load_records
 NIST_CSF_RE = re.compile(r"[A-Z](?<![A-Z0-9.][A-Z])[A-Z]\.[A-Z]{2,3}-\d{1,2}(?!\d)")
 CIS_RE = re.compile(r"C(?<![A-Za-z]C)IS Control (\d+(?:\.\d+)?)(?![\d.])")
 CIS_NUMBER_RE = re.compile(r"\d+(?:\.\d+)?")
+WORD_RE = re.compile("[0-9a-z]+")  # a word of lower-cased text (tokenize, normalize_title)
 
 # Small fixed function-word list; determinism matters more than linguistic
 # sophistication here.
@@ -59,10 +60,7 @@ class FrameworkCitation:
 
 
 def tokenize(text: str) -> set[str]:
-    return {
-        tok for tok in re.split(r"[^0-9a-z]+", text.lower())
-        if tok and tok not in STOPWORDS
-    }
+    return {tok for tok in WORD_RE.findall(text.lower()) if tok not in STOPWORDS}
 
 
 def parse_identifiers(text: str) -> list[dict]:

@@ -7,9 +7,11 @@ the intake profile), and the single-agent baseline is a plan of one stage
 with one role. Both run through the same stage runner and
 ContractSet.run_agent.
 Before every stage each role's prompt is assembled once, checked against
-the context window and handed to the agent as is; the paper-observed
-failure mode is context accumulation outpacing the window mid-pipeline,
-so the check runs per stage, not just once.
+the context window (enforce_budget) and handed to the agent as is; the
+paper-observed failure mode is context accumulation outpacing the window
+mid-pipeline, so the check runs per stage, not just once. run_agent
+checks every attempt's prompt, retries included, by the same rule,
+ModelConfig.deficit.
 
 The pair overlaps only when the gateway's waits_on_io says its calls
 wait on I/O (a model server, or a stub with simulated latency): then each
@@ -40,7 +42,7 @@ from .context_store import ContextEntry, ContextStore
 from .contracts import (ENTRY_KINDS, QUESTIONNAIRE_SCHEMA, SINGLE_AGENT,
                         SINGLE_AGENT_STAGES, STAGES, ContractSet, excerpt_lines)
 from .errors import ContextOverflow, ProfileInvalid, StageError
-from .gateway import ModelConfig
+from .gateway import RESERVED_OUTPUT_TOKENS, ModelConfig
 from .grounding import Corpus
 from .records import append_line, load_records
 from .risk_model import normalize_title
@@ -72,7 +74,6 @@ class BudgetDecision:
     ok: bool
     role: str
     prompt_tokens: int
-    reserved_output_tokens: int
     context_window_tokens: int
     deficit: int
     largest_entry_key: Optional[str] = None
@@ -81,7 +82,7 @@ class BudgetDecision:
     def describe(self) -> str:
         verdict = "fits" if self.ok else f"overflows by {self.deficit}"
         detail = (f"role {self.role}: {self.prompt_tokens} prompt tokens + "
-                  f"{self.reserved_output_tokens} reserved vs window "
+                  f"{RESERVED_OUTPUT_TOKENS} reserved vs window "
                   f"{self.context_window_tokens} ({verdict})")
         if self.largest_entry_key:
             detail += (f"; largest context entry: {self.largest_entry_key} "
@@ -91,8 +92,9 @@ class BudgetDecision:
 
 def enforce_budget(snapshot: Optional[dict[str, ContextEntry]], role: str,
                    config: ModelConfig, prompt_tokens: int) -> BudgetDecision:
-    """Decide whether a fully assembled prompt fits the context window."""
-    deficit = prompt_tokens + config.reserved_output_tokens - config.context_window_tokens
+    """Decide whether a fully assembled prompt fits the context window, by
+    the rule run_agent applies to every attempt (ModelConfig.deficit)."""
+    deficit = config.deficit(prompt_tokens)
     largest_key = None
     largest_tokens = 0
     if snapshot:
@@ -103,7 +105,6 @@ def enforce_budget(snapshot: Optional[dict[str, ContextEntry]], role: str,
         ok=deficit <= 0,
         role=role,
         prompt_tokens=prompt_tokens,
-        reserved_output_tokens=config.reserved_output_tokens,
         context_window_tokens=config.context_window_tokens,
         deficit=max(deficit, 0),
         largest_entry_key=largest_key,
@@ -112,9 +113,8 @@ def enforce_budget(snapshot: Optional[dict[str, ContextEntry]], role: str,
 
 
 def record_run(record: RunRecord, path: Path) -> None:
-    """Append one record to the run ledger as a single JSON line."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Append one record to the run ledger, whose directory exists, as a
+    single JSON line."""
     append_line(path, record.to_json())
 
 
@@ -226,7 +226,7 @@ def _run_stages(plan, build_prompt, config: ModelConfig, gateway,
             decision = enforce_budget(snapshot, role, config, estimate_tokens(prompt))
             if not decision.ok:
                 return role, ContextOverflow(
-                    role, decision.prompt_tokens, decision.reserved_output_tokens,
+                    role, decision.prompt_tokens, RESERVED_OUTPUT_TOKENS,
                     decision.context_window_tokens)
             prompts[role] = prompt
 

@@ -156,5 +156,5 @@ def load_records(path: Path, cls: type) -> list:
                     raise RiskforgeError(f"{path}:{lineno}: not a {cls.__name__} record: "
                                          f"{exc}") from exc
     except OSError as exc:
-        raise RiskforgeError(f"cannot read {path}: {exc}") from exc
+        raise RiskforgeError(f"cannot read {path}: {exc.strerror}") from exc
     return records

@@ -8,11 +8,11 @@ the risk register against the recommendation links.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import RiskforgeError
+from .grounding import WORD_RE
 
 ORDINALS = {"low": 1, "medium": 2, "high": 3}
 CSF_FUNCTIONS = ("Identify", "Protect", "Detect", "Respond", "Recover")
@@ -27,7 +27,7 @@ def parse_level(value: str) -> int:
 
 def normalize_title(title: str) -> str:
     """Case-fold, strip punctuation, collapse whitespace. Idempotent."""
-    return " ".join(re.split(r"[^0-9a-z]+", title.lower())).strip()
+    return " ".join(WORD_RE.findall(title.lower()))
 
 
 @dataclass(frozen=True)

@@ -183,6 +183,13 @@ def test_ablate_runs_and_resumes(runner, tmp_path):
     assert "executed 0 new runs (10 already in ledger)" in result.output
 
 
+def test_ablate_creates_the_ledger_directory(runner, tmp_path):
+    ledger = tmp_path / "new" / "dir" / "l.jsonl"
+    result = runner.invoke(main, ["ablate", "--runs", "1", "--out", str(ledger)])
+    assert result.exit_code == 0, result.output
+    assert len(ledger.read_text().splitlines()) == 10
+
+
 @pytest.mark.parametrize("runs", ["0", "-1"])
 def test_ablate_rejects_fewer_than_one_run_per_cell(runner, tmp_path, runs):
     ledger = tmp_path / "ledger.jsonl"
@@ -369,8 +376,10 @@ def test_cli_import_and_stub_run_leave_unneeded_modules_unloaded(tmp_path, packa
     ["eval", "--register", "{missing}", "--annotations", ANNOTATIONS],
     ["eval", "--register", REGISTER, "--annotations", ANNOTATIONS, "--aliases", "{missing}"],
     ["ablate", "--models", "{missing}", "--out", "{ledger}"],
+    ["index-corpus", "--corpus", "{missing}"],
     ["assess", "--profile", str(PROFILE), "--out", "{file}"],
-], ids=["profile", "ledger", "annotations", "register", "aliases", "models", "out_is_a_file"])
+], ids=["profile", "ledger", "annotations", "register", "aliases", "models", "corpus",
+        "out_is_a_file"])
 def test_missing_input_file_is_a_one_line_error(runner, tmp_path, args):
     missing, file = tmp_path / "missing.json", tmp_path / "file.txt"
     file.write_text("", encoding="utf-8")
@@ -379,7 +388,8 @@ def test_missing_input_file_is_a_one_line_error(runner, tmp_path, args):
                                   for arg in args])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
-    assert str(missing if "{missing}" in args else file) in result.output
+    # named once: not again inside the OSError's own message
+    assert result.output.count(str(missing if "{missing}" in args else file)) == 1
     assert "Traceback" not in result.output
     assert sorted(path.name for path in tmp_path.iterdir()) == ["file.txt"]
 

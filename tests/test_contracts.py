@@ -11,8 +11,8 @@ from riskforge.context_store import ContextStore
 from riskforge.contracts import (CONTRACTS, ENTRY_KINDS, MAX_ATTEMPTS, ROLES,
                                  SINGLE_AGENT, STAGES, AgentContract, ContractSet,
                                  extract_json_object, stage_plan)
-from riskforge.errors import AgentFailed, RiskforgeError, Unparseable
-from riskforge.gateway import ModelConfig, StubGateway
+from riskforge.errors import AgentFailed, ContextOverflow, RiskforgeError, Unparseable
+from riskforge.gateway import HttpGateway, ModelConfig, StubGateway
 from riskforge.grounding import Corpus
 from riskforge.tokens import canonical_json
 
@@ -253,6 +253,35 @@ def test_retry_prompt_carries_violation_details(cross_contracts, seeded_store,
         "Your previous output did not satisfy the schema:\n"
         "- $.threats: 2 items, fewer than minItems 3\n"
         "Emit a corrected JSON object.")
+
+
+def test_run_agent_checks_window_before_provider(cross_contracts, seeded_store, tmp_path):
+    calls = []
+
+    class Recorder(StubGateway):
+        def complete(self, request):
+            calls.append(request)
+            return super().complete(request)
+
+    scripted(tmp_path, {"default": [valid_threats()]})
+    config = ModelConfig(model_id="m", context_window_tokens=4096, seed=0)
+    # 4000 prompt tokens + 1024 reserved > 4096 window
+    with pytest.raises(ContextOverflow) as exc:
+        cross_contracts.run_agent("threat_modeling", "x" * 16000, seeded_store,
+                                  Recorder(tmp_path), config)
+    assert (exc.value.prompt_tokens, exc.value.context_window_tokens) == (4000, 4096)
+    assert calls == []
+    assert list(seeded_store.snapshot()) == ["org_profile"]
+
+
+def test_run_agent_window_check_precedes_network(cross_contracts, seeded_store):
+    # An unreachable server is never contacted when the prompt cannot fit:
+    # contacting it would raise ProviderUnreachable instead.
+    gateway = HttpGateway("http://127.0.0.1:1", timeout=0.2, retries=0)
+    config = ModelConfig(model_id="m", context_window_tokens=4096)
+    with pytest.raises(ContextOverflow):
+        cross_contracts.run_agent("threat_modeling", "x" * 16000, seeded_store,
+                                  gateway, config)
 
 
 # Runs with every import of jsonschema failing; argv[1] holds a

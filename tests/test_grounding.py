@@ -11,6 +11,7 @@ from riskforge.contracts import DATA_DIR
 from riskforge.errors import RiskforgeError
 from riskforge.grounding import (Corpus, parse_identifiers, tokenize,
                                  NIST_CSF_RE, STOPWORDS)
+from riskforge.risk_model import normalize_title
 
 FIXTURES = DATA_DIR / "fixtures"
 
@@ -242,3 +243,14 @@ def test_parser_finds_every_planted_identifier():
         assert found == planted
         for ident in planted:
             assert NIST_CSF_RE.fullmatch(ident)
+
+
+# Unicode text plus the characters whose lower() lands in or next to
+# [0-9a-z]: the Kelvin sign becomes "k", dotted capital I "i" plus a mark.
+@given(st.text(st.one_of(st.characters(), st.sampled_from("aZ09 _-.\t\u212a\u0130"))))
+def test_word_rule_matches_the_old_split(text):
+    """tokenize and normalize_title share one compiled word pattern; both
+    still give what their re.split(r"[^0-9a-z]+", ...) forms gave."""
+    split = re.split(r"[^0-9a-z]+", text.lower())
+    assert tokenize(text) == {tok for tok in split if tok and tok not in STOPWORDS}
+    assert normalize_title(text) == " ".join(split).strip()

@@ -11,6 +11,7 @@ import sys
 import threading
 import time
 from collections import defaultdict
+from types import SimpleNamespace
 
 import pytest
 
@@ -20,11 +21,12 @@ from riskforge.contracts import (DATA_DIR, ENTRY_KINDS, MAX_ATTEMPTS, SINGLE_AGE
                                  ContractSet, excerpt_lines)
 from riskforge.errors import (AgentFailed, ContextOverflow, ProfileInvalid, ProviderError,
                               ProviderUnreachable, RiskforgeError)
-from riskforge.gateway import ModelConfig, StubGateway
+from riskforge.gateway import RESERVED_OUTPUT_TOKENS, ModelConfig, StubGateway
 from riskforge.grounding import Corpus
 from riskforge.orchestrator import (RunRecord, enforce_budget, execute_pipeline,
                                     load_ledger, record_run)
 from riskforge.records import decode
+from riskforge.tokens import canonical_json, estimate_tokens
 
 STUB = DATA_DIR / "stub"
 
@@ -440,6 +442,28 @@ def test_retry_prompt_carries_only_the_latest_violation_block(profiles, cross_co
     assert [r.prompt_tokens for r in requests] == [2464, 2893, 2893]
     assert requests[2].prompt == requests[1].prompt
     assert requests[1].prompt.startswith(requests[0].prompt)
+
+
+def test_retry_prompt_past_the_window_ends_the_run_before_any_provider_sees_it(
+        health_profile, case_contracts, corpus):
+    """A provider with no window logic returns output that fails validation.
+    The window fits the first prompt exactly but not the retry prompt, so
+    the run ends context_overflow after one provider call."""
+    first = case_contracts.build_prompt(
+        "risk_intake", {}, corpus, extra={"questionnaire": canonical_json(health_profile)})
+    prompts = []
+
+    class Provider:
+        def complete(self, request):
+            prompts.append(request.prompt)
+            return SimpleNamespace(text="no JSON object here", truncated=False)
+
+    window = estimate_tokens(first) + RESERVED_OUTPUT_TOKENS
+    record, report = execute_pipeline(health_profile, config(window=window), "multi_agent",
+                                      Provider(), corpus, case_contracts)
+    assert (record.failed_stage, record.failure_kind) == ("risk_intake", "context_overflow")
+    assert prompts == [first]
+    assert report is None
 
 
 def test_unlogged_single_agent_run_never_serializes_its_report(profiles, cross_contracts,
