@@ -41,15 +41,6 @@ class ModelsFileEntry:
     window: int = ModelSpec.context_window_tokens
 
 
-def _resolve_corpus(corpus_path) -> Path:
-    if corpus_path:
-        return Path(corpus_path)
-    env = os.environ.get("RISKFORGE_CORPUS")
-    if env:
-        return Path(env)
-    return BUNDLED_CORPUS
-
-
 def _read_json(path, what: str, build=None):
     """The JSON document at path, passed through build when given. A file
     that cannot be read, is not JSON, or whose document build rejects
@@ -64,9 +55,18 @@ def _read_json(path, what: str, build=None):
         raise RiskforgeError(f"cannot read {what} {path}: {type(exc).__name__}: {exc}")
 
 
+def _check_out(out: str, directory: Path) -> None:
+    """Raise before anything is written if directory, which --out out
+    needs, or its nearest existing ancestor is not a directory."""
+    existing = next(path for path in (directory, *directory.parents) if path.exists())
+    if not existing.is_dir():
+        named = f"--out {out}" if existing == Path(out) else f"--out {out}: {existing}"
+        raise RiskforgeError(f"{named} is not a directory")
+
+
 def _load_corpus(corpus_path) -> Corpus:
     try:
-        return Corpus.ingest(_resolve_corpus(corpus_path))
+        return Corpus.ingest(Path(corpus_path))
     except RiskforgeError as exc:  # its message names the file
         raise RiskforgeError(f"cannot ingest corpus: {exc}")
 
@@ -92,6 +92,8 @@ def assess(profile_path, mode, provider, script, model_id, window, seed,
     except ValueError as exc:
         raise RiskforgeError(f"--window {window}: {exc}")
     run_mode = "multi_agent" if mode == "multi" else "single_agent"
+    if out_dir:
+        _check_out(out_dir, Path(out_dir))
 
     record, _ = execute_pipeline(profile, config, run_mode, gateway, corpus, contracts,
                                  out_dir=Path(out_dir) if out_dir else None)
@@ -150,6 +152,7 @@ def ablate(profiles_dir, models_path, runs_per_cell, mode, schema_mode,
 
     corpus = _load_corpus(corpus_path)
     run_mode = "multi_agent" if mode == "multi" else "single_agent"
+    _check_out(ledger_path, Path(ledger_path).parent)
     executed = run_ablation(profiles, specs, runs_per_cell, run_mode, Path(ledger_path),
                             contracts, corpus, STUB_ROOT, workers=workers)
     total = len(profiles) * len(specs) * runs_per_cell
@@ -158,9 +161,8 @@ def ablate(profiles_dir, models_path, runs_per_cell, mode, schema_mode,
 
 def index_corpus(corpus_path):
     """Validate a framework corpus and report per-framework excerpt counts."""
-    path = _resolve_corpus(corpus_path)
     corpus = _load_corpus(corpus_path)
-    print(f"corpus: {path}")
+    print(f"corpus: {corpus_path}")
     for framework, count in sorted(corpus.counts_by_framework().items()):
         print(f"  {framework}: {count} excerpts")
     print(f"  total: {len(corpus)} excerpts")
@@ -195,8 +197,8 @@ def _parser() -> argparse.ArgumentParser:
     option("--window", type=int, default=131072, help="Context window in tokens.")
     option("--seed", type=int, default=0)
     option("--schema-mode", choices=["case_study", "cross_sector"], default="case_study")
-    option("--corpus", dest="corpus_path",
-           help="Framework corpus JSONL (default: RISKFORGE_CORPUS or bundled).")
+    option("--corpus", dest="corpus_path", default=str(BUNDLED_CORPUS),
+           help="Framework corpus JSONL (default: the bundled corpus).")
     option("--out", dest="out_dir",
            help="Directory for run artifacts (report, session log, ledger).")
 
@@ -218,14 +220,14 @@ def _parser() -> argparse.ArgumentParser:
            help="Seeds per profile x model cell.")
     option("--mode", choices=["multi", "single"], default="single")
     option("--schema-mode", choices=["case_study", "cross_sector"], default="cross_sector")
-    option("--corpus", dest="corpus_path")
+    option("--corpus", dest="corpus_path", default=str(BUNDLED_CORPUS))
     option("--out", dest="ledger_path", required=True,
            help="Run ledger to append to (resumable).")
     option("--workers", type=int, default=1)
 
     option = verb("index-corpus", index_corpus)
-    option("--corpus", dest="corpus_path",
-           help="Corpus JSONL (default: RISKFORGE_CORPUS or bundled).")
+    option("--corpus", dest="corpus_path", default=str(BUNDLED_CORPUS),
+           help="Corpus JSONL (default: the bundled corpus).")
     return parser
 
 
@@ -235,7 +237,7 @@ def main(argv=None) -> None:
     run = options.pop("run")
     try:
         run(**options)
-    except (RiskforgeError, OSError) as exc:  # OSError: say, an --out naming a file
+    except (RiskforgeError, OSError) as exc:  # OSError: say, an --out it cannot write
         print(f"Error: {exc}", file=sys.stderr)
         sys.exit(1)
 

@@ -12,7 +12,8 @@ validation extracts the first JSON object from the raw text (models wrap
 output in prose) and checks it against the role's schema; schema failures, and output the
 provider reports as truncated, trigger a bounded re-prompt: the role's
 prompt plus the latest violation list, so a retry prompt does not grow
-from attempt to attempt; run_agent checks each one against the window, so
+from attempt to attempt. run_agent raises ContextOverflow, carrying a
+gateway.BudgetDecision, for any attempt's prompt that does not fit, so
 a provider only completes. The single-agent baseline is one more contract,
 SINGLE_AGENT, run by the same loop; it is no part of the six-agent plan.
 
@@ -34,7 +35,7 @@ from typing import Any, Callable, Iterable, NoReturn, Optional
 
 from .context_store import ContextEntry, ContextStore
 from .errors import AgentFailed, ContextOverflow, RiskforgeError, Unparseable
-from .gateway import RESERVED_OUTPUT_TOKENS, RETRY_MARKER, CompletionRequest, ModelConfig
+from .gateway import RETRY_MARKER, BudgetDecision, CompletionRequest, ModelConfig
 from .grounding import Corpus, FrameworkExcerpt
 
 MAX_ATTEMPTS = 3  # initial attempt plus two validation re-prompts
@@ -616,16 +617,16 @@ class ContractSet:
         prompt (build_prompt's, or the orchestrator's single-agent prompt).
         A retry sends that prompt plus the latest violation block only. A
         prompt, first or retry, that does not fit the window raises
-        ContextOverflow before the gateway sees it. Returns the appended
-        entry and the number of attempts used."""
+        ContextOverflow with its BudgetDecision before the gateway sees
+        it. Returns the appended entry and the number of attempts used."""
         contract = self.contract(role)
         last_violations: Violations = ()
         request_prompt = prompt
         for attempt in range(1, MAX_ATTEMPTS + 1):
             request = CompletionRequest(role=role, prompt=request_prompt, config=config)
-            if config.deficit(request.prompt_tokens) > 0:
-                raise ContextOverflow(role, request.prompt_tokens, RESERVED_OUTPUT_TOKENS,
-                                      config.context_window_tokens)
+            decision = BudgetDecision(role, request.prompt_tokens, config.context_window_tokens)
+            if not decision.ok:
+                raise ContextOverflow(decision)
             result = gateway.complete(request)
             if result.truncated:
                 last_violations = (TRUNCATED_VIOLATION,)

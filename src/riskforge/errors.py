@@ -2,7 +2,8 @@
 caller handles it. A StageError is recorded: the run ends, the process
 goes on. Any other RiskforgeError is an input error before a run, which
 the CLI prints as one "Error:" line with exit 1, or an internal error
-inside one. Anything else is a programming error."""
+inside one. Anything else is a programming error. A ContextOverflow
+does no arithmetic: it carries the gateway.BudgetDecision that raised it."""
 
 
 class RiskforgeError(Exception):
@@ -19,22 +20,14 @@ class StageError(RiskforgeError):
 
 
 class ContextOverflow(StageError):
-    """Prompt plus reserved output tokens exceed the context window."""
+    """A prompt does not fit the context window. decision is the
+    gateway.BudgetDecision that said so, and the message is its text."""
 
     kind = "context_overflow"
 
-    def __init__(self, role: str, prompt_tokens: int, reserved_output_tokens: int,
-                 context_window_tokens: int):
-        self.role = role
-        self.prompt_tokens = prompt_tokens
-        self.reserved_output_tokens = reserved_output_tokens
-        self.context_window_tokens = context_window_tokens
-        deficit = prompt_tokens + reserved_output_tokens - context_window_tokens
-        super().__init__(
-            f"context overflow for role {role!r}: {prompt_tokens} prompt tokens "
-            f"+ {reserved_output_tokens} reserved > window {context_window_tokens} "
-            f"(deficit {deficit})"
-        )
+    def __init__(self, decision):
+        self.decision = decision
+        super().__init__(f"context overflow for {decision.describe()}")
 
 
 class ProviderUnreachable(StageError):

@@ -1,10 +1,10 @@
 """Model access: HTTP client for a local model server plus a scripted stub.
 
-A provider only completes: ContractSet.run_agent checks every prompt
-against the window (ModelConfig.deficit) before it calls complete, so no
-provider holds window logic. Latency brackets only the provider call
-itself, and the stub is a pure function of (role, canonical prompt, seed)
-so runs replay byte-identically.
+A provider only completes: BudgetDecision is the one window rule, and
+ContractSet.run_agent checks every prompt by it before it calls complete.
+Latency brackets only the provider call itself, and the stub is a pure
+function of (role, canonical prompt, seed) so runs replay
+byte-identically.
 
 A provider's waits_on_io attribute says whether its calls spend their
 time waiting on I/O (with the interpreter lock released), which is when
@@ -17,7 +17,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Optional
+from typing import Optional
 
 from .errors import ProviderError, ProviderUnreachable, RiskforgeError
 from .tokens import estimate_tokens, prompt_hash
@@ -34,17 +34,43 @@ TEMPERATURE = 0.2
 class ModelConfig:
     model_id: str
     context_window_tokens: int = 4096
-    seed: Optional[int] = None
+    seed: int = 0
 
     def __post_init__(self):
         if not RESERVED_OUTPUT_TOKENS < self.context_window_tokens:
             raise ValueError(f"reserved_output_tokens ({RESERVED_OUTPUT_TOKENS}) must "
                              f"be < context_window_tokens ({self.context_window_tokens})")
 
-    def deficit(self, prompt_tokens: int) -> int:
-        """The window rule: prompt plus reserved output tokens less the
-        window. A prompt fits when this is 0 or less."""
-        return prompt_tokens + RESERVED_OUTPUT_TOKENS - self.context_window_tokens
+
+@dataclass(frozen=True)
+class BudgetDecision:
+    """Whether one role's prompt fits the window: the window rule. The
+    largest entry, when given, names what fills a stage's context most."""
+
+    role: str
+    prompt_tokens: int
+    context_window_tokens: int
+    largest_entry_key: Optional[str] = None
+    largest_entry_tokens: int = 0
+
+    @property
+    def deficit(self) -> int:
+        """Tokens over the window, 0 when the prompt fits."""
+        return max(self.prompt_tokens + RESERVED_OUTPUT_TOKENS - self.context_window_tokens, 0)
+
+    @property
+    def ok(self) -> bool:
+        return self.deficit == 0
+
+    def describe(self) -> str:
+        verdict = "fits" if self.ok else f"overflows by {self.deficit}"
+        detail = (f"role {self.role}: {self.prompt_tokens} prompt tokens + "
+                  f"{RESERVED_OUTPUT_TOKENS} reserved vs window "
+                  f"{self.context_window_tokens} ({verdict})")
+        if self.largest_entry_key:
+            detail += (f"; largest context entry: {self.largest_entry_key} "
+                       f"({self.largest_entry_tokens} tokens)")
+        return detail
 
 
 @dataclass
@@ -126,11 +152,10 @@ class StubGateway:
         return json.dumps(candidate, ensure_ascii=False)
 
     def complete(self, request: CompletionRequest) -> CompletionResult:
-        seed = request.config.seed if request.config.seed is not None else 0
         start = time.perf_counter()
         if self.sleep_seconds:
             time.sleep(self.sleep_seconds)
-        text = self.stub_complete(request.role, request.prompt, seed)
+        text = self.stub_complete(request.role, request.prompt, request.config.seed)
         latency = time.perf_counter() - start
         return CompletionResult(text=text, latency_seconds=latency)
 
@@ -178,17 +203,12 @@ class HttpGateway:
 
     def complete(self, request: CompletionRequest) -> CompletionResult:
         cfg = request.config
-        options: dict[str, Any] = {
-            "num_ctx": cfg.context_window_tokens,
-            "num_predict": RESERVED_OUTPUT_TOKENS,
-            "temperature": TEMPERATURE,
-        }
-        if cfg.seed is not None:
-            options["seed"] = cfg.seed
         body = {
             "model": cfg.model_id,
             "prompt": request.prompt,
-            "options": options,
+            "options": {"num_ctx": cfg.context_window_tokens,
+                        "num_predict": RESERVED_OUTPUT_TOKENS,
+                        "temperature": TEMPERATURE, "seed": cfg.seed},
             "stream": False,
         }
         start = time.perf_counter()

@@ -10,8 +10,9 @@ Before every stage each role's prompt is assembled once, checked against
 the context window (enforce_budget) and handed to the agent as is; the
 paper-observed failure mode is context accumulation outpacing the window
 mid-pipeline, so the check runs per stage, not just once. run_agent
-checks every attempt's prompt, retries included, by the same rule,
-ModelConfig.deficit.
+checks every attempt's prompt, retries included. Both build a
+gateway.BudgetDecision, which a ContextOverflow carries; the stage
+check's also names the snapshot's largest context entry.
 
 The pair overlaps only when the gateway's waits_on_io says its calls
 wait on I/O (a model server, or a stub with simulated latency): then each
@@ -42,7 +43,7 @@ from .context_store import ContextEntry, ContextStore
 from .contracts import (ENTRY_KINDS, QUESTIONNAIRE_SCHEMA, SINGLE_AGENT,
                         SINGLE_AGENT_STAGES, STAGES, ContractSet, excerpt_lines)
 from .errors import ContextOverflow, ProfileInvalid, StageError
-from .gateway import RESERVED_OUTPUT_TOKENS, ModelConfig
+from .gateway import BudgetDecision, ModelConfig
 from .grounding import Corpus
 from .records import append_line, load_records
 from .risk_model import normalize_title
@@ -69,47 +70,15 @@ class RunRecord:
         return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
 
-@dataclass(frozen=True)
-class BudgetDecision:
-    ok: bool
-    role: str
-    prompt_tokens: int
-    context_window_tokens: int
-    deficit: int
-    largest_entry_key: Optional[str] = None
-    largest_entry_tokens: int = 0
-
-    def describe(self) -> str:
-        verdict = "fits" if self.ok else f"overflows by {self.deficit}"
-        detail = (f"role {self.role}: {self.prompt_tokens} prompt tokens + "
-                  f"{RESERVED_OUTPUT_TOKENS} reserved vs window "
-                  f"{self.context_window_tokens} ({verdict})")
-        if self.largest_entry_key:
-            detail += (f"; largest context entry: {self.largest_entry_key} "
-                       f"({self.largest_entry_tokens} tokens)")
-        return detail
-
-
 def enforce_budget(snapshot: Optional[dict[str, ContextEntry]], role: str,
                    config: ModelConfig, prompt_tokens: int) -> BudgetDecision:
-    """Decide whether a fully assembled prompt fits the context window, by
-    the rule run_agent applies to every attempt (ModelConfig.deficit)."""
-    deficit = config.deficit(prompt_tokens)
-    largest_key = None
-    largest_tokens = 0
-    if snapshot:
-        largest = max(snapshot.values(), key=lambda e: e.token_estimate)
-        largest_key = largest.key
-        largest_tokens = largest.token_estimate
-    return BudgetDecision(
-        ok=deficit <= 0,
-        role=role,
-        prompt_tokens=prompt_tokens,
-        context_window_tokens=config.context_window_tokens,
-        deficit=max(deficit, 0),
-        largest_entry_key=largest_key,
-        largest_entry_tokens=largest_tokens,
-    )
+    """Decide whether a stage's fully assembled prompt fits the context
+    window, naming the snapshot's largest entry for the diagnosis."""
+    if not snapshot:
+        return BudgetDecision(role, prompt_tokens, config.context_window_tokens)
+    largest = max(snapshot.values(), key=lambda e: e.token_estimate)
+    return BudgetDecision(role, prompt_tokens, config.context_window_tokens,
+                          largest.key, largest.token_estimate)
 
 
 def record_run(record: RunRecord, path: Path) -> None:
@@ -179,7 +148,7 @@ def execute_pipeline(profile: dict, config: ModelConfig, mode: str, gateway,
         profile_id=profile["profile_id"],
         model_id=config.model_id,
         mode=mode,
-        seed=config.seed if config.seed is not None else 0,
+        seed=config.seed,
         completed=False,
     )
 
@@ -225,9 +194,7 @@ def _run_stages(plan, build_prompt, config: ModelConfig, gateway,
             prompt = build_prompt(role, snapshot)
             decision = enforce_budget(snapshot, role, config, estimate_tokens(prompt))
             if not decision.ok:
-                return role, ContextOverflow(
-                    role, decision.prompt_tokens, RESERVED_OUTPUT_TOKENS,
-                    decision.context_window_tokens)
+                return role, ContextOverflow(decision)
             prompts[role] = prompt
 
         def run(role: str) -> Optional[Exception]:

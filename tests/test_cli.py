@@ -51,6 +51,14 @@ def test_index_corpus_reports_counts(runner):
     assert "total: 17 excerpts" in result.output
 
 
+def test_index_corpus_reads_the_bundled_corpus_whatever_the_environment(
+        runner, tmp_path, monkeypatch):
+    monkeypatch.setenv("RISKFORGE_CORPUS", str(tmp_path / "missing.jsonl"))
+    result = runner.invoke(main, ["index-corpus"])
+    assert result.exit_code == 0, result.output
+    assert result.output.startswith(f"corpus: {DATA_DIR / 'corpus' / 'mini_csf.jsonl'}\n")
+
+
 def test_index_corpus_rejects_malformed_file(runner, tmp_path):
     bad = tmp_path / "corpus.jsonl"
     bad.write_text('{"framework": "nist_csf"}\n', encoding="utf-8")
@@ -392,6 +400,22 @@ def test_missing_input_file_is_a_one_line_error(runner, tmp_path, args):
     assert result.output.count(str(missing if "{missing}" in args else file)) == 1
     assert "Traceback" not in result.output
     assert sorted(path.name for path in tmp_path.iterdir()) == ["file.txt"]
+
+
+@pytest.mark.parametrize("args, error", [
+    (["assess", "--profile", str(PROFILE), "--out", "{file}"],
+     "--out {file} is not a directory"),
+    (["ablate", "--runs", "1", "--out", "{file}/l.jsonl"],
+     "--out {file}/l.jsonl: {file} is not a directory"),
+], ids=["assess", "ablate"])
+def test_out_under_a_file_is_a_one_line_error_naming_it(runner, tmp_path, args, error):
+    file = tmp_path / "file.txt"
+    file.write_text("", encoding="utf-8")
+    result = runner.invoke(main, [arg.format(file=file) for arg in args])
+    assert result.exit_code == 1
+    assert result.output == f"Error: {error.format(file=file)}\n"
+    assert list(tmp_path.iterdir()) == [file]
+    assert file.read_text(encoding="utf-8") == ""
 
 
 VERB_OPTIONS = {

@@ -269,7 +269,8 @@ def test_run_agent_checks_window_before_provider(cross_contracts, seeded_store, 
     with pytest.raises(ContextOverflow) as exc:
         cross_contracts.run_agent("threat_modeling", "x" * 16000, seeded_store,
                                   Recorder(tmp_path), config)
-    assert (exc.value.prompt_tokens, exc.value.context_window_tokens) == (4000, 4096)
+    assert (exc.value.decision.prompt_tokens,
+            exc.value.decision.context_window_tokens) == (4000, 4096)
     assert calls == []
     assert list(seeded_store.snapshot()) == ["org_profile"]
 

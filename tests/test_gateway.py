@@ -220,6 +220,13 @@ def test_http_generate_wire_format(http_server):
     }
 
 
+def test_http_request_sends_the_default_seed(http_server):
+    """A config that leaves the seed unset runs with seed 0, and says so."""
+    HttpGateway(http_server).complete(
+        CompletionRequest(role="r", prompt="hello", config=ModelConfig(model_id="m")))
+    assert _Handler.captured[-1][1]["options"]["seed"] == 0
+
+
 @pytest.mark.parametrize("done_reason, truncated", [("length", True), ("stop", False)])
 def test_http_truncation_follows_done_reason(http_server, done_reason, truncated):
     _Handler.done_reason = done_reason

@@ -14,6 +14,7 @@ from collections import defaultdict
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from riskforge import context_store, orchestrator, records
 from riskforge.context_store import ContextEntry, ContextStore
@@ -21,7 +22,8 @@ from riskforge.contracts import (DATA_DIR, ENTRY_KINDS, MAX_ATTEMPTS, SINGLE_AGE
                                  ContractSet, excerpt_lines)
 from riskforge.errors import (AgentFailed, ContextOverflow, ProfileInvalid, ProviderError,
                               ProviderUnreachable, RiskforgeError)
-from riskforge.gateway import RESERVED_OUTPUT_TOKENS, ModelConfig, StubGateway
+from riskforge.gateway import (RESERVED_OUTPUT_TOKENS, BudgetDecision, ModelConfig,
+                               StubGateway)
 from riskforge.grounding import Corpus
 from riskforge.orchestrator import (RunRecord, enforce_budget, execute_pipeline,
                                     load_ledger, record_run)
@@ -119,6 +121,51 @@ def test_budget_names_largest_context_entry():
                               config(window=4096), prompt_tokens=4000)
     assert decision.largest_entry_key == "control_assessment"
     assert decision.largest_entry_tokens > 0
+
+
+def test_context_overflow_carries_the_decision_and_its_text():
+    store = ContextStore(ENTRY_KINDS)
+    store.append_entry("control_assessment", "control_assessment",
+                       {"functions": {"Identify": ["x" * 400]}})
+    decision = enforce_budget(store.snapshot(), "risk_scoring",
+                              config(window=4096), prompt_tokens=4000)
+    error = ContextOverflow(decision)
+    assert error.decision is decision
+    assert str(error) == (
+        "context overflow for role risk_scoring: 4000 prompt tokens + 1024 reserved vs "
+        "window 4096 (overflows by 928); largest context entry: control_assessment "
+        "(108 tokens)")
+
+
+class Sent(Exception):
+    """Raised by a provider that has been sent a prompt."""
+
+
+@settings(max_examples=60, deadline=None)
+@given(length=st.integers(0, 24000), window=st.integers(RESERVED_OUTPUT_TOKENS + 1, 6000))
+@example(length=4 * (4096 - RESERVED_OUTPUT_TOKENS), window=4096)  # fits exactly
+@example(length=4 * (4096 - RESERVED_OUTPUT_TOKENS) + 1, window=4096)  # over by one
+def test_stage_check_and_agent_loop_agree_on_the_window(length, window):
+    """enforce_budget fits a prompt exactly when run_agent sends it to the
+    provider; otherwise run_agent raises the same decision."""
+    prompt, sent = "x" * length, []
+
+    class Provider:
+        def complete(self, request):
+            sent.append(request.prompt)
+            raise Sent
+
+    cfg = config(window=window)
+    decision = enforce_budget(None, "threat_modeling", cfg, estimate_tokens(prompt))
+    with pytest.raises((Sent, ContextOverflow)) as exc:
+        ContractSet(schema_mode="cross_sector").run_agent(
+            "threat_modeling", prompt, ContextStore(ENTRY_KINDS), Provider(), cfg)
+    assert decision.ok == (sent == [prompt])
+    if not decision.ok:
+        raised = exc.value.decision
+        assert (raised.role, raised.prompt_tokens, raised.context_window_tokens,
+                raised.deficit) == ("threat_modeling", decision.prompt_tokens, window,
+                                    decision.deficit)
 
 
 # -- run records -------------------------------------------------------------
@@ -732,7 +779,7 @@ modes = pytest.mark.parametrize("mode, first_role", [("multi_agent", "risk_intak
 @pytest.mark.parametrize("error, kind", [
     (ProviderError("provider returned status 503: overloaded"), "provider_error"),
     (ProviderUnreachable("cannot reach the model server"), "provider_error"),
-    (ContextOverflow("risk_intake", 5000, 1024, 4096), "context_overflow"),
+    (ContextOverflow(BudgetDecision("risk_intake", 5000, 4096)), "context_overflow"),
     (AgentFailed("agent 'risk_intake' failed after retries: []"), "agent_failed"),
 ], ids=["ProviderError", "ProviderUnreachable", "ContextOverflow", "AgentFailed"])
 def test_provider_side_failures_land_in_the_record(health_profile, case_contracts,
