@@ -109,7 +109,12 @@ def assess(profile_path, mode, provider, script, model_id, window, seed,
 def eval_cmd(ledger_path, annotations_path, aliases_path, register_path,
              selectors, as_json):
     """Compute evaluation metrics from runs and/or practitioner annotations."""
-    if not ledger_path and not (register_path and annotations_path):
+    pair = {"--register": register_path, "--annotations": annotations_path}
+    missing = [name for name, path in pair.items() if not path]
+    given = [name for name, path in {**pair, "--aliases": aliases_path}.items() if path]
+    if given and missing:
+        raise RiskforgeError(f"{given[0]} needs {' and '.join(missing)}")
+    if not ledger_path and not register_path:
         raise RiskforgeError(
             "nothing to evaluate: pass --ledger and/or --register with --annotations")
 
@@ -122,7 +127,7 @@ def eval_cmd(ledger_path, annotations_path, aliases_path, register_path,
 
     system = annotations = None
     aliases = AliasMap()
-    if register_path and annotations_path:
+    if register_path:
         system = _read_json(register_path, "register",
                             lambda doc: decode(list[RiskItem], doc["risks"], "risks"))
         annotations = load_annotations(Path(annotations_path))

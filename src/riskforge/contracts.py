@@ -3,11 +3,11 @@
 Each contract declares which context keys the agent reads, the single key
 it writes, its prompt template file, its output schema file, and an
 optional grounding query. The reads and writes are the pipeline's one
-dependency graph: ROLES, ENTRY_KINDS, the stage plan STAGES and the
-single-agent plan SINGLE_AGENT_STAGES are derived from them at import
-(stage_plan). Prompt assembly injects the
-serialized read entries, the retrieved framework excerpts verbatim, and a
-citation policy restricting the agent to those excerpts. Output
+dependency graph: ROLES, ENTRY_KINDS and PLANS, each run mode's stage
+plan, are derived from them at import (stage_plan). All prompt text lives
+here: build_prompt, for both topologies, injects the serialized read
+entries or the questionnaire, the retrieved framework excerpts verbatim,
+and a citation policy restricting the agent to those excerpts. Output
 validation extracts the first JSON object from the raw text (models wrap
 output in prose) and checks it against the role's schema; schema failures, and output the
 provider reports as truncated, trigger a bounded re-prompt: the role's
@@ -55,7 +55,7 @@ class AgentContract:
     role: str
     reads: tuple[str, ...]
     writes: str
-    template_name: Optional[str]  # None: the orchestrator builds the prompt
+    template_name: Optional[str]  # None: _single_prompt builds the prompt
     schema_name: str
     grounding_query: Optional[str] = None
     grounding_k: int = 0
@@ -165,7 +165,8 @@ ENTRY_KINDS = tuple(c.writes for c in CONTRACTS.values())
 # The execution plan: stages run in order, the roles inside a stage may run
 # concurrently.
 STAGES = stage_plan(CONTRACTS.values())
-SINGLE_AGENT_STAGES = stage_plan([SINGLE_AGENT])
+# Each topology's plan, by run mode.
+PLANS = {"multi_agent": STAGES, "single_agent": stage_plan([SINGLE_AGENT])}
 
 
 def excerpt_lines(grounding: Iterable[FrameworkExcerpt]) -> list[str]:
@@ -590,11 +591,38 @@ class ContractSet:
         return sorted(excerpts.values(), key=lambda e: (e.framework, e.identifier))
 
     def build_prompt(self, role: str, snapshot: dict[str, ContextEntry],
-                     corpus: Corpus,
-                     extra: Optional[dict[str, str]] = None) -> str:
-        """The role's full prompt over a snapshot: grounding, then assembly."""
+                     corpus: Corpus, questionnaire: str) -> str:
+        """The role's full prompt over a snapshot, for either topology;
+        questionnaire is the profile's canonical_json."""
+        if role == SINGLE_AGENT_ROLE:
+            return self._single_prompt(corpus, questionnaire)
         grounding = self.gather_grounding(role, snapshot, corpus)
-        return self.assemble_prompt(role, snapshot, grounding, extra=extra)
+        return self.assemble_prompt(role, snapshot, grounding,
+                                    extra={"questionnaire": questionnaire})
+
+    def _single_prompt(self, corpus: Corpus, questionnaire: str) -> str:
+        grounding = corpus.retrieve(SINGLE_AGENT.grounding_query, SINGLE_AGENT.grounding_k)
+        parts = [
+            "You are a security analyst performing a complete cybersecurity risk "
+            "assessment in a single pass. Work through every stage below in order.",
+            "",
+            "=== QUESTIONNAIRE ===",
+            questionnaire,
+            "",
+            "=== FRAMEWORK EXCERPTS ===",
+            *excerpt_lines(grounding),
+            "",
+            "=== CITATION POLICY ===",
+            "Reference framework control identifiers only if they appear verbatim in "
+            "the FRAMEWORK EXCERPTS section above.",
+            "",
+            "=== TASK ===",
+            self.combined_task_text(questionnaire),
+            "",
+            "Respond with a single JSON object with exactly three threats, three "
+            "risks, and three recommendations.",
+        ]
+        return "\n".join(parts)
 
     # -- output validation -------------------------------------------------
 
@@ -614,7 +642,7 @@ class ContractSet:
     def run_agent(self, role: str, prompt: str, store: ContextStore, gateway,
                   config: ModelConfig) -> tuple[ContextEntry, int]:
         """Complete, validate, retry, append, starting from the role's full
-        prompt (build_prompt's, or the orchestrator's single-agent prompt).
+        prompt (build_prompt's).
         A retry sends that prompt plus the latest violation block only. A
         prompt, first or retry, that does not fit the window raises
         ContextOverflow with its BudgetDecision before the gateway sees

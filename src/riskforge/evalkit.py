@@ -225,8 +225,9 @@ class MetricsReport:
         for key in sorted(self.variability):
             lines.append(f"variability   {key}: {self.variability[key]} unique titles")
         if self.latency is not None:
-            lines.append(f"latency       mean {self.latency.mean_s:.1f}s "
-                         f"min {self.latency.min_s:.1f}s max {self.latency.max_s:.1f}s "
+            lines.append(f"latency       mean {self.latency.mean_s * 1000:.1f}ms "
+                         f"min {self.latency.min_s * 1000:.1f}ms "
+                         f"max {self.latency.max_s * 1000:.1f}ms "
                          f"over {self.latency.runs} runs")
         return "\n".join(lines)
 

@@ -28,6 +28,10 @@ RETRY_MARKER = "PREVIOUS OUTPUT FAILED VALIDATION"
 # Window tokens kept free for the reply, and the sampling temperature.
 RESERVED_OUTPUT_TOKENS = 1024
 TEMPERATURE = 0.2
+# HttpGateway's wait for a reply, and its retries of a transport failure.
+HTTP_TIMEOUT_SECONDS = 300.0
+HTTP_RETRIES = 2
+HTTP_BACKOFF_SECONDS = 1.0
 
 
 @dataclass(frozen=True)
@@ -168,12 +172,8 @@ class HttpGateway:
     "response" is surfaced at once as ProviderError naming status and body.
     """
 
-    def __init__(self, base_url: str, timeout: float = 300.0,
-                 retries: int = 2, backoff_seconds: float = 1.0):
+    def __init__(self, base_url: str):
         self.base_url = base_url.rstrip("/")
-        self.timeout = timeout
-        self.retries = retries
-        self.backoff_seconds = backoff_seconds
 
     @property
     def waits_on_io(self) -> bool:
@@ -188,17 +188,17 @@ class HttpGateway:
         url = self.base_url + path
         request = Request(url, json.dumps(body).encode(), {"Content-Type": "application/json"})
         last_exc: Optional[Exception] = None
-        for attempt in range(self.retries + 1):
+        for attempt in range(HTTP_RETRIES + 1):
             try:
-                with urlopen(request, timeout=self.timeout) as response:
+                with urlopen(request, timeout=HTTP_TIMEOUT_SECONDS) as response:
                     return response.status, response.read()
             except HTTPError as exc:  # a reply outside 2xx; closed, as it holds the socket
                 with exc:
                     return exc.code, exc.read()
             except OSError as exc:  # refused, reset or timed out (URLError is an OSError)
                 last_exc = exc
-                if attempt < self.retries:
-                    time.sleep(self.backoff_seconds)
+                if attempt < HTTP_RETRIES:
+                    time.sleep(HTTP_BACKOFF_SECONDS)
         raise ProviderUnreachable(f"cannot reach {url}: {last_exc}")
 
     def complete(self, request: CompletionRequest) -> CompletionResult:

@@ -1,12 +1,13 @@
 """Pipeline execution: staged DAG, budget enforcement, run records.
 
-The stage plans are derived from the contracts' reads and writes by
-contracts.stage_plan at import: multi-agent mode runs five stages with
-one parallel pair (threat modeling and control assessment both read only
-the intake profile), and the single-agent baseline is a plan of one stage
-with one role. Both run through the same stage runner and
-ContractSet.run_agent.
-Before every stage each role's prompt is assembled once, checked against
+The stage plans, contracts.PLANS, are derived from the contracts' reads
+and writes at import: multi-agent mode runs five stages with one parallel
+pair (threat modeling and control assessment both read only the intake
+profile), and the single-agent baseline is a plan of one stage with one
+role. Both run through the same stage runner, which takes every prompt
+from ContractSet.build_prompt and hands it to ContractSet.run_agent; it
+does not branch on the mode.
+Before every stage each role's prompt is built once, checked against
 the context window (enforce_budget) and handed to the agent as is; the
 paper-observed failure mode is context accumulation outpacing the window
 mid-pipeline, so the check runs per stage, not just once. run_agent
@@ -40,8 +41,7 @@ from pathlib import Path
 from typing import Optional
 
 from .context_store import ContextEntry, ContextStore
-from .contracts import (ENTRY_KINDS, QUESTIONNAIRE_SCHEMA, SINGLE_AGENT,
-                        SINGLE_AGENT_STAGES, STAGES, ContractSet, excerpt_lines)
+from .contracts import ENTRY_KINDS, PLANS, QUESTIONNAIRE_SCHEMA, ContractSet
 from .errors import ContextOverflow, ProfileInvalid, StageError
 from .gateway import BudgetDecision, ModelConfig
 from .grounding import Corpus
@@ -126,10 +126,10 @@ def execute_pipeline(profile: dict, config: ModelConfig, mode: str, gateway,
     against that compile_schema does not support. A StageError (a context
     overflow, a failed agent or a provider error) lands in the record as
     failed_stage and failure_kind; any other exception propagates."""
-    if mode not in ("multi_agent", "single_agent"):
+    plan = PLANS.get(mode)
+    if plan is None:
         raise ValueError(f"unknown mode {mode!r}")
     check_profile(profile, contracts)
-    plan, build_prompt = _plan(mode, profile, contracts, corpus)
     for stage in plan:
         for role in stage:
             # compiled now, so an unsupported schema fails first
@@ -153,7 +153,8 @@ def execute_pipeline(profile: dict, config: ModelConfig, mode: str, gateway,
     )
 
     start = time.perf_counter()
-    failure = _run_stages(plan, build_prompt, config, gateway, contracts, store)
+    failure = _run_stages(plan, canonical_json(profile), corpus, config, gateway,
+                          contracts, store)
     record.wall_seconds = time.perf_counter() - start
     if failure is not None:
         record.failed_stage, error = failure
@@ -162,24 +163,14 @@ def execute_pipeline(profile: dict, config: ModelConfig, mode: str, gateway,
 
     record.completed = True
     snapshot = store.snapshot()
-    record.structural_ok, record.unique_threat_titles = _structure_check(snapshot, mode)
+    record.structural_ok, record.unique_threat_titles = _structure_check(snapshot)
     if run_dir is not None:
         _write_outputs(snapshot, corpus, record, run_dir)
     return record, snapshot["report"]
 
 
-def _plan(mode: str, profile: dict, contracts: ContractSet, corpus: Corpus):
-    """The mode's stages and its prompt builder, build(role, snapshot)."""
-    if mode == "single_agent":
-        return SINGLE_AGENT_STAGES, lambda role, snapshot: _single_prompt(
-            profile, contracts, corpus)
-    questionnaire = {"questionnaire": canonical_json(profile)}
-    return STAGES, lambda role, snapshot: contracts.build_prompt(
-        role, snapshot, corpus, extra=questionnaire)
-
-
-def _run_stages(plan, build_prompt, config: ModelConfig, gateway,
-                contracts: ContractSet,
+def _run_stages(plan, questionnaire: str, corpus: Corpus, config: ModelConfig,
+                gateway, contracts: ContractSet,
                 store: ContextStore) -> Optional[tuple[str, StageError]]:
     """Run the plan's stages in order. Returns None when all complete, else
     the first failure in stage order as (role, error). Every role of a
@@ -191,7 +182,7 @@ def _run_stages(plan, build_prompt, config: ModelConfig, gateway,
         snapshot = store.snapshot()
         prompts = {}
         for role in stage:
-            prompt = build_prompt(role, snapshot)
+            prompt = contracts.build_prompt(role, snapshot, corpus, questionnaire)
             decision = enforce_budget(snapshot, role, config, estimate_tokens(prompt))
             if not decision.ok:
                 return role, ContextOverflow(decision)
@@ -218,44 +209,13 @@ def _run_stages(plan, build_prompt, config: ModelConfig, gateway,
     return None
 
 
-def _single_prompt(profile: dict, contracts: ContractSet, corpus: Corpus) -> str:
-    questionnaire = canonical_json(profile)
-    grounding = corpus.retrieve(SINGLE_AGENT.grounding_query, SINGLE_AGENT.grounding_k)
-    parts = [
-        "You are a security analyst performing a complete cybersecurity risk "
-        "assessment in a single pass. Work through every stage below in order.",
-        "",
-        "=== QUESTIONNAIRE ===",
-        questionnaire,
-        "",
-        "=== FRAMEWORK EXCERPTS ===",
-        *excerpt_lines(grounding),
-        "",
-        "=== CITATION POLICY ===",
-        "Reference framework control identifiers only if they appear verbatim in "
-        "the FRAMEWORK EXCERPTS section above.",
-        "",
-        "=== TASK ===",
-        contracts.combined_task_text(questionnaire),
-        "",
-        "Respond with a single JSON object with exactly three threats, three "
-        "risks, and three recommendations.",
-    ]
-    return "\n".join(parts)
-
-
-def _structure_check(snapshot: dict[str, ContextEntry],
-                     mode: str) -> tuple[bool, list[str]]:
+def _structure_check(snapshot: dict[str, ContextEntry]) -> tuple[bool, list[str]]:
     """The 3/3/3 structural stability check plus threat title collection."""
-    if mode == "single_agent":
-        doc = snapshot["report"].payload
-        threats = doc.get("threats", [])
-        risks = doc.get("risks", [])
-        recs = doc.get("recommendations", [])
-    else:
-        threats = snapshot["threat_model"].payload.get("threats", [])
-        risks = snapshot["risk_register"].payload.get("risks", [])
-        recs = snapshot["recommendations"].payload.get("recommendations", [])
+    report = snapshot["report"].payload  # the single agent's holds all three lists
+    threats, risks, recs = (
+        (snapshot[key].payload if key in snapshot else report).get(name, [])
+        for key, name in (("threat_model", "threats"), ("risk_register", "risks"),
+                          ("recommendations", "recommendations")))
     titles = _dedupe_titles([t.get("title", "") for t in threats])
     structural_ok = len(threats) == 3 and len(risks) == 3 and len(recs) == 3
     return structural_ok, titles

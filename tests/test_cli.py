@@ -12,7 +12,7 @@ import pytest
 
 from riskforge.cli import main
 from riskforge.contracts import DATA_DIR
-from riskforge.orchestrator import RunRecord
+from riskforge.orchestrator import RunRecord, record_run
 
 FIXTURES = DATA_DIR / "fixtures"
 PROFILE = DATA_DIR / "profiles" / "health_15.json"
@@ -155,6 +155,41 @@ def test_eval_requires_some_input(runner):
     result = runner.invoke(main, ["eval"])
     assert result.exit_code != 0
     assert "nothing to evaluate" in result.output
+
+
+@pytest.mark.parametrize("args, error", [
+    (["--register", "{missing}"], "--register needs --annotations"),
+    (["--annotations", "{missing}"], "--annotations needs --register"),
+    (["--aliases", "{missing}"], "--aliases needs --register and --annotations"),
+    (["--register", "{missing}", "--aliases", "{missing}"], "--register needs --annotations"),
+    (["--annotations", "{missing}", "--aliases", "{missing}"],
+     "--annotations needs --register"),
+    (["--ledger", "{ledger}", "--aliases", "{missing}"],
+     "--aliases needs --register and --annotations"),
+], ids=["register", "annotations", "aliases", "register_aliases", "annotations_aliases",
+        "ledger_aliases"])
+def test_eval_option_without_its_partners_is_a_one_line_error(runner, tmp_path, args,
+                                                              error):
+    """An option that evaluates nothing alone is an error before any file
+    is read: every other path named here is missing, and reading it would
+    be another error."""
+    ledger = tmp_path / "ledger.jsonl"
+    ledger.write_text("", encoding="utf-8")
+    result = runner.invoke(main, ["eval"] + [
+        arg.format(missing=tmp_path / "missing.json", ledger=ledger) for arg in args])
+    assert (result.exit_code, result.output) == (1, f"Error: {error}\n")
+
+
+def test_eval_table_prints_latency_in_ms(runner, tmp_path):
+    ledger = tmp_path / "ledger.jsonl"
+    for seed, wall in enumerate((0.0012, 0.0034)):
+        record_run(RunRecord(run_id=f"r{seed}", profile_id="p", model_id="m",
+                             mode="single_agent", seed=seed, completed=True,
+                             wall_seconds=wall), ledger)
+    result = runner.invoke(main, ["eval", "--ledger", str(ledger)])
+    assert result.exit_code == 0, result.output
+    assert "latency       mean 2.3ms min 1.2ms max 3.4ms over 2 runs" in (
+        result.output.splitlines())
 
 
 def test_eval_rejects_bad_selector(runner, tmp_path):

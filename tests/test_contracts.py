@@ -7,8 +7,9 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
+from riskforge import gateway as gateway_mod
 from riskforge.context_store import ContextStore
-from riskforge.contracts import (CONTRACTS, ENTRY_KINDS, MAX_ATTEMPTS, ROLES,
+from riskforge.contracts import (CONTRACTS, ENTRY_KINDS, MAX_ATTEMPTS, PLANS, ROLES,
                                  SINGLE_AGENT, STAGES, AgentContract, ContractSet,
                                  extract_json_object, stage_plan)
 from riskforge.errors import AgentFailed, ContextOverflow, RiskforgeError, Unparseable
@@ -185,7 +186,7 @@ def seeded_store():
 
 
 def run_threat_modeling(contracts, store, gateway):
-    prompt = contracts.build_prompt("threat_modeling", store.snapshot(), Corpus([]))
+    prompt = contracts.build_prompt("threat_modeling", store.snapshot(), Corpus([]), "{}")
     return contracts.run_agent("threat_modeling", prompt, store, gateway, make_config())
 
 
@@ -275,10 +276,13 @@ def test_run_agent_checks_window_before_provider(cross_contracts, seeded_store, 
     assert list(seeded_store.snapshot()) == ["org_profile"]
 
 
-def test_run_agent_window_check_precedes_network(cross_contracts, seeded_store):
+def test_run_agent_window_check_precedes_network(cross_contracts, seeded_store,
+                                                monkeypatch):
     # An unreachable server is never contacted when the prompt cannot fit:
     # contacting it would raise ProviderUnreachable instead.
-    gateway = HttpGateway("http://127.0.0.1:1", timeout=0.2, retries=0)
+    monkeypatch.setattr(gateway_mod, "HTTP_TIMEOUT_SECONDS", 0.2)
+    monkeypatch.setattr(gateway_mod, "HTTP_RETRIES", 0)
+    gateway = HttpGateway("http://127.0.0.1:1")
     config = ModelConfig(model_id="m", context_window_tokens=4096)
     with pytest.raises(ContextOverflow):
         cross_contracts.run_agent("threat_modeling", "x" * 16000, seeded_store,
@@ -305,7 +309,7 @@ except ProfileInvalid as exc:
     print(exc)
 store = ContextStore(ENTRY_KINDS)
 store.append_entry("org_profile", "risk_intake", {"industry": "saas"})
-prompt = contracts.build_prompt("threat_modeling", store.snapshot(), Corpus([]))
+prompt = contracts.build_prompt("threat_modeling", store.snapshot(), Corpus([]), "{}")
 entry, attempts = contracts.run_agent("threat_modeling", prompt, store,
                                       StubGateway(sys.argv[1]), ModelConfig("m", seed=0))
 print(attempts, len(entry.payload["threats"]))
@@ -380,6 +384,7 @@ def test_contract_dag_is_consistent():
 
 def test_single_agent_plan_is_one_stage():
     assert stage_plan([SINGLE_AGENT]) == (("single_agent",),)
+    assert PLANS == {"multi_agent": STAGES, "single_agent": (("single_agent",),)}
 
 
 def contract(role, reads, writes):

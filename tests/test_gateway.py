@@ -7,6 +7,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from riskforge import gateway
 from riskforge.contracts import DATA_DIR, SINGLE_AGENT_ROLE, STAGES
 from riskforge.errors import ProviderError, RiskforgeError, ProviderUnreachable
 from riskforge.gateway import (RETRY_MARKER, CompletionRequest, HttpGateway,
@@ -257,11 +258,14 @@ def test_http_reply_without_a_response_string_lands_in_the_record(
     assert len(_Handler.captured) == 1
 
 
-def test_http_unreachable_after_retries():
-    gw = HttpGateway("http://127.0.0.1:1", timeout=0.2, retries=1,
-                     backoff_seconds=0.0)
+def test_http_unreachable_after_retries(monkeypatch):
+    monkeypatch.setattr(gateway, "HTTP_TIMEOUT_SECONDS", 0.2)
+    sleeps = []
+    monkeypatch.setattr(gateway.time, "sleep", sleeps.append)
+    gw = HttpGateway("http://127.0.0.1:1")
     with pytest.raises(ProviderUnreachable):
         gw.complete(CompletionRequest(role="r", prompt="p", config=cfg()))
+    assert sleeps == [gateway.HTTP_BACKOFF_SECONDS] * gateway.HTTP_RETRIES
 
 
 def test_providers_leave_the_window_to_run_agent(script_dir, http_server):

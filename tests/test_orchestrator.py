@@ -418,6 +418,26 @@ def test_single_agent_completes_at_4096(profiles, cross_contracts, corpus,
     assert report.payload == doc
 
 
+@pytest.mark.parametrize("mode", ["multi_agent", "single_agent"])
+def test_four_threats_complete_without_structural_stability(profiles, case_contracts,
+                                                            corpus, tmp_path, mode):
+    """case_study admits 3..5 threats, so a run with four completes but
+    fails the 3/3/3 check. The titles are deduplicated, from the
+    threat_model entry or, for the single agent, from the report."""
+    shutil.copytree(STUB, tmp_path / "stub")
+    role = "threat_modeling" if mode == "multi_agent" else "single_agent"
+    script = tmp_path / "stub" / "specific" / f"{role}.json"
+    doc = json.loads(script.read_text(encoding="utf-8"))["profiles"]["saas_25"][0]
+    first = doc["threats"][0]
+    doc["threats"].append(dict(first, title=f"  {first['title'].upper()}"))
+    script.write_text(json.dumps({"default": [doc]}), encoding="utf-8")
+    record, _ = execute_pipeline(profiles["saas_25"], config(), mode,
+                                 StubGateway(script.parent), corpus, case_contracts)
+    assert (record.completed, record.structural_ok) == (True, False)
+    assert len(doc["threats"]) == 4
+    assert record.unique_threat_titles == [t["title"] for t in doc["threats"][:3]]
+
+
 def test_single_agent_overflow_is_recorded(profiles, cross_contracts, corpus):
     # the single-agent prompt is ~2,400 tokens; 1,024 fit beside the reserve
     gateway = RecordingGateway(STUB / "specific")
@@ -496,8 +516,8 @@ def test_retry_prompt_past_the_window_ends_the_run_before_any_provider_sees_it(
     """A provider with no window logic returns output that fails validation.
     The window fits the first prompt exactly but not the retry prompt, so
     the run ends context_overflow after one provider call."""
-    first = case_contracts.build_prompt(
-        "risk_intake", {}, corpus, extra={"questionnaire": canonical_json(health_profile)})
+    first = case_contracts.build_prompt("risk_intake", {}, corpus,
+                                        canonical_json(health_profile))
     prompts = []
 
     class Provider:
@@ -819,8 +839,9 @@ def test_same_seed_runs_are_reproducible(health_profile, case_contracts, corpus,
 def test_single_agent_prompt_shows_the_excerpts_its_contract_names(health_profile, corpus):
     shown = corpus.retrieve(SINGLE_AGENT.grounding_query, SINGLE_AGENT.grounding_k)
     assert len(shown) == SINGLE_AGENT.grounding_k == 4
-    prompt = orchestrator._single_prompt(health_profile, ContractSet(), corpus)
+    questionnaire = canonical_json(health_profile)
+    prompt = ContractSet().build_prompt("single_agent", {}, corpus, questionnaire)
     section = "\n".join(["=== FRAMEWORK EXCERPTS ===", *excerpt_lines(shown), ""])
     assert section in prompt
-    empty = orchestrator._single_prompt(health_profile, ContractSet(), Corpus([]))
+    empty = ContractSet().build_prompt("single_agent", {}, Corpus([]), questionnaire)
     assert "=== FRAMEWORK EXCERPTS ===\n(none supplied)\n\n" in empty
