@@ -25,7 +25,6 @@ from .gateway import HttpGateway, ModelConfig, StubGateway
 from .grounding import Corpus
 from .orchestrator import check_profile, execute_pipeline, load_ledger, record_run
 from .records import decode
-from .risk_model import RiskItem
 
 BUNDLED_CORPUS = DATA_DIR / "corpus" / "mini_csf.jsonl"
 STUB_ROOT = DATA_DIR / "stub"
@@ -128,6 +127,7 @@ def eval_cmd(ledger_path, annotations_path, aliases_path, register_path,
     system = annotations = None
     aliases = AliasMap()
     if register_path:
+        from .risk_model import RiskItem
         system = _read_json(register_path, "register",
                             lambda doc: decode(list[RiskItem], doc["risks"], "risks"))
         annotations = load_annotations(Path(annotations_path))

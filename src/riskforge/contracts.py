@@ -52,6 +52,8 @@ DATA_DIR = Path(__file__).parent / "data"
 
 @dataclass(frozen=True)
 class AgentContract:
+    """One agent's contract: the context it reads and writes, its prompt and schema."""
+
     role: str
     reads: tuple[str, ...]
     writes: str

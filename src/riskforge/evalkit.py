@@ -15,18 +15,21 @@ ratio renders as n/a, never as 0 or 1.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from .errors import RiskforgeError
 from .gateway import ModelConfig, StubGateway
+from .grounding import normalize_title
 from .orchestrator import (RunRecord, check_profile, execute_pipeline, load_ledger,
                            record_run)
 from .records import load_records
-from .risk_model import RiskItem, normalize_title
+
+if TYPE_CHECKING:  # annotations only: neither loads at CLI start-up
+    from fractions import Fraction
+
+    from .risk_model import RiskItem
 
 
 # the labels SeverityScore.label gives, the only ones an annotation may use
@@ -35,6 +38,8 @@ SEVERITY_LABELS = ("Low", "Medium", "High")
 
 @dataclass(frozen=True)
 class PractitionerAnnotation:
+    """One assessor's severity label for one risk title."""
+
     assessor_id: str
     risk_title: str
     severity: str  # Low | Medium | High
@@ -98,6 +103,8 @@ class AliasMap:
 
 @dataclass
 class RatioStat:
+    """A count of matches out of a total, kept exact."""
+
     matched: int
     total: int
 
@@ -105,6 +112,7 @@ class RatioStat:
     def ratio(self) -> Optional[Fraction]:
         if self.total == 0:
             return None
+        from fractions import Fraction
         return Fraction(self.matched, self.total)
 
     def display(self) -> str:
@@ -178,6 +186,8 @@ def coverage(system: list[RiskItem],
 
 @dataclass(frozen=True)
 class LatencyStats:
+    """Wall-clock mean, minimum and maximum over a selection of runs."""
+
     mean_s: float
     min_s: float
     max_s: float
@@ -186,6 +196,8 @@ class LatencyStats:
 
 @dataclass
 class MetricsReport:
+    """Every metric compute_metrics derives; None where there was nothing to measure."""
+
     agreement: Optional[RatioStat] = None
     coverage: Optional[RatioStat] = None
     stability: Optional[Fraction] = None
@@ -269,6 +281,7 @@ def compute_metrics(records: Optional[list[RunRecord]] = None,
             stable += record.structural_ok
             titles.setdefault((record.profile_id, record.model_id), set()).update(
                 normalize_title(t) for t in record.unique_threat_titles)
+    from fractions import Fraction
     report.stability = Fraction(stable, len(selected))
     report.variability = {f"{profile}/{model}": len(cell)
                           for (profile, model), cell in sorted(titles.items())}
@@ -335,6 +348,7 @@ def run_ablation(profiles: list[dict], models: list[ModelSpec], runs_per_cell: i
         record_run(record, ledger_path)
 
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run_cell, cells))
     else:

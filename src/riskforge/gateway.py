@@ -36,6 +36,8 @@ HTTP_BACKOFF_SECONDS = 1.0
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """The model a run calls: its id, context window in tokens and seed."""
+
     model_id: str
     context_window_tokens: int = 4096
     seed: int = 0
@@ -79,6 +81,8 @@ class BudgetDecision:
 
 @dataclass
 class CompletionRequest:
+    """One prompt sent to a provider for a role, with its token estimate."""
+
     role: str
     prompt: str
     config: ModelConfig
@@ -90,6 +94,8 @@ class CompletionRequest:
 
 @dataclass(frozen=True)
 class CompletionResult:
+    """A provider's reply: its text, latency and whether it was cut short."""
+
     text: str
     latency_seconds: float
     truncated: bool = False

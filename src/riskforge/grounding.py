@@ -36,6 +36,8 @@ STOPWORDS = frozenset({
 
 @dataclass(frozen=True)
 class FrameworkExcerpt:
+    """One control of a framework corpus: its identifier, title and body."""
+
     framework: str  # "nist_csf" or "cis"
     identifier: str
     title: str
@@ -52,6 +54,8 @@ class FrameworkExcerpt:
 
 @dataclass(frozen=True)
 class FrameworkCitation:
+    """A framework identifier found in model text; verified if the corpus holds it."""
+
     raw: str
     framework: str
     identifier: str
@@ -61,6 +65,11 @@ class FrameworkCitation:
 
 def tokenize(text: str) -> set[str]:
     return {tok for tok in WORD_RE.findall(text.lower()) if tok not in STOPWORDS}
+
+
+def normalize_title(title: str) -> str:
+    """Case-fold, strip punctuation, collapse whitespace. Idempotent."""
+    return " ".join(WORD_RE.findall(title.lower()))
 
 
 def parse_identifiers(text: str) -> list[dict]:

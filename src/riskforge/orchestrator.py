@@ -22,7 +22,10 @@ computation, such as the stub's without a sleep, would only hand the
 interpreter lock back and forth, so those roles run one after another on
 the calling thread, in stage order. Either way every role of the stage
 runs, prompts come from the snapshot taken before the stage, and the
-first failure in stage order is reported.
+first failure in stage order is reported. The executor loads on the first
+threaded stage: ThreadPoolExecutor is a module attribute that imports
+concurrent.futures (and with it logging) on first access, so a run that
+never overlaps a pair never imports them.
 A failure that is an errors.StageError (ContextOverflow, AgentFailed,
 ProviderError, ProviderUnreachable) lands in the RunRecord as its kind
 (context_overflow, agent_failed, provider_error), so ablation sweeps can
@@ -33,8 +36,8 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -42,17 +45,27 @@ from typing import Optional
 
 from .context_store import ContextEntry, ContextStore
 from .contracts import ENTRY_KINDS, PLANS, QUESTIONNAIRE_SCHEMA, ContractSet
-from .errors import ContextOverflow, ProfileInvalid, StageError
+from .errors import ContextOverflow, ProfileInvalid, RiskforgeError, StageError
 from .gateway import BudgetDecision, ModelConfig
-from .grounding import Corpus
+from .grounding import Corpus, normalize_title
 from .records import append_line, load_records
-from .risk_model import normalize_title
 from .tokens import canonical_json, estimate_tokens
-from . import report as report_mod
+
+
+def __getattr__(name: str):
+    # ThreadPoolExecutor, imported on first access and then kept as a
+    # module attribute, which stays replaceable (a tracer substitutes it).
+    if name != "ThreadPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ThreadPoolExecutor
+    globals()[name] = ThreadPoolExecutor
+    return ThreadPoolExecutor
 
 
 @dataclass
 class RunRecord:
+    """The outcome of one assessment run, as one line of a run ledger."""
+
     run_id: str
     profile_id: str
     model_id: str
@@ -93,7 +106,7 @@ def load_ledger(path: Path) -> list[RunRecord]:
 
 def _new_run_id() -> str:
     stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%S")
-    return f"{stamp}-{os.urandom(2).hex()}"
+    return f"{stamp}-{os.urandom(4).hex()}"
 
 
 def _dedupe_titles(titles: list[str]) -> list[str]:
@@ -123,9 +136,11 @@ def execute_pipeline(profile: dict, config: ModelConfig, mode: str, gateway,
     completed, the final report entry. Before any stage executes or any
     file is written, raises ProfileInvalid for an invalid questionnaire
     and ValueError for an unknown mode or for a schema the mode validates
-    against that compile_schema does not support. A StageError (a context
-    overflow, a failed agent or a provider error) lands in the record as
-    failed_stage and failure_kind; any other exception propagates."""
+    against that compile_schema does not support; before any stage
+    executes, RiskforgeError if the run's directory under out_dir already
+    exists. A StageError (a context overflow, a failed agent or a provider
+    error) lands in the record as failed_stage and failure_kind; any other
+    exception propagates."""
     plan = PLANS.get(mode)
     if plan is None:
         raise ValueError(f"unknown mode {mode!r}")
@@ -139,7 +154,10 @@ def execute_pipeline(profile: dict, config: ModelConfig, mode: str, gateway,
     run_dir = None
     if out_dir is not None:
         run_dir = Path(out_dir) / run_id
-        run_dir.mkdir(parents=True, exist_ok=True)
+        try:  # exclusive, so no two runs share a session log or reports
+            run_dir.mkdir(parents=True)
+        except FileExistsError:
+            raise RiskforgeError(f"run directory {run_dir} already exists") from None
     store = ContextStore(ENTRY_KINDS,
                          log_path=run_dir / "session.jsonl" if run_dir else None)
 
@@ -196,7 +214,8 @@ def _run_stages(plan, questionnaire: str, corpus: Corpus, config: ModelConfig,
             return None
 
         if threaded and len(stage) > 1:
-            with ThreadPoolExecutor(max_workers=len(stage)) as pool:
+            executor = sys.modules[__name__].ThreadPoolExecutor  # through __getattr__
+            with executor(max_workers=len(stage)) as pool:
                 errors = list(pool.map(run, prompts))
         else:
             errors = [run(role) for role in prompts]
@@ -226,6 +245,7 @@ def _write_outputs(snapshot: dict[str, ContextEntry], corpus: Corpus,
     if record.mode == "single_agent":
         doc = snapshot["report"].payload
     else:
+        from . import report as report_mod  # loaded by the first report rendered
         doc = report_mod.report_document(snapshot, corpus, record)
         (run_dir / "report.md").write_text(report_mod.render_report(doc), encoding="utf-8")
     (run_dir / "report.json").write_text(

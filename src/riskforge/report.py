@@ -13,10 +13,9 @@ from typing import TYPE_CHECKING
 from .context_store import ContextEntry
 from .contracts import ENTRY_KINDS
 from .errors import RiskforgeError
-from .grounding import Corpus
+from .grounding import Corpus, normalize_title
 from .risk_model import (CSF_FUNCTIONS, ContradictionFlag, RiskItem,
-                         check_contradictions, compliance_rollup, normalize_title,
-                         rank_risks)
+                         check_contradictions, compliance_rollup, rank_risks)
 
 if TYPE_CHECKING:
     from .orchestrator import RunRecord

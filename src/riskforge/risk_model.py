@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import RiskforgeError
-from .grounding import WORD_RE
+from .grounding import normalize_title
 
 ORDINALS = {"low": 1, "medium": 2, "high": 3}
 CSF_FUNCTIONS = ("Identify", "Protect", "Detect", "Respond", "Recover")
@@ -25,13 +25,10 @@ def parse_level(value: str) -> int:
     return level
 
 
-def normalize_title(title: str) -> str:
-    """Case-fold, strip punctuation, collapse whitespace. Idempotent."""
-    return " ".join(WORD_RE.findall(title.lower()))
-
-
 @dataclass(frozen=True)
 class SeverityScore:
+    """Likelihood times impact on the 1..9 scale, with its band."""
+
     value: int
     band: str
 
@@ -53,6 +50,8 @@ def derive_severity(likelihood: str, impact: str) -> SeverityScore:
 
 @dataclass
 class RiskItem:
+    """One entry of a risk register."""
+
     title: str
     likelihood: str
     impact: str
@@ -80,6 +79,8 @@ def rank_risks(register: Iterable[RiskItem]) -> list[RiskItem]:
 
 @dataclass(frozen=True)
 class ComplianceRollup:
+    """Control findings rolled up to a status per CSF function."""
+
     status: dict  # function -> Compliant | PartiallyCompliant | NotCompliant
     evidence: dict  # function -> list of finding strings
 
@@ -105,6 +106,8 @@ def compliance_rollup(control_assessment: dict) -> ComplianceRollup:
 
 @dataclass(frozen=True)
 class ContradictionFlag:
+    """One disagreement between the risk register and the recommendations."""
+
     kind: str  # unaddressed_high_risk | dangling_reference
     title: str
     detail: str

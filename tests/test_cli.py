@@ -412,6 +412,34 @@ def test_cli_import_and_stub_run_leave_unneeded_modules_unloaded(tmp_path, packa
     assert lines[-1] == "[]"
 
 
+def test_cli_start_up_defers_modules_until_a_verb_uses_them(tmp_path, package_env):
+    """The executor (with logging), exact ratios (fractions, decimal), the
+    report renderer and the risk model load only where a verb uses them:
+    neither a CLI start-up nor the bundled sweep loads any of them, and a
+    multi-agent assess with --out loads the renderer but, with a stub that
+    does not wait on I/O, no executor."""
+    code = (
+        "import sys\n"
+        "from riskforge.cli import main\n"
+        "lazy = ('concurrent.futures', 'logging', 'fractions', 'decimal',\n"
+        "        'riskforge.report', 'riskforge.risk_model')\n"
+        "def loaded():\n"
+        "    print('loaded:', sorted(m for m in lazy if m in sys.modules))\n"
+        "loaded()\n"
+        f"main(['ablate', '--out', {str(tmp_path / 'ledger.jsonl')!r}])\n"
+        "loaded()\n"
+        f"main(['assess', '--profile', {str(PROFILE)!r}, '--out', {str(tmp_path / 'run')!r}])\n"
+        "loaded()\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=package_env, timeout=60, check=True)
+    loaded = [line for line in done.stdout.splitlines() if line.startswith("loaded: ")]
+    assert loaded == ["loaded: []", "loaded: []",
+                      "loaded: ['riskforge.report', 'riskforge.risk_model']"]
+    assert "executed 30 new runs" in done.stdout
+    assert [path.name for path in (tmp_path / "run").glob("*/report.md")] == ["report.md"]
+
+
 @pytest.mark.parametrize("args", [
     ["assess", "--profile", "{missing}"],
     ["eval", "--ledger", "{missing}"],

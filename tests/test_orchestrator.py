@@ -392,6 +392,30 @@ def test_multi_agent_overflows_at_small_window(health_profile, case_contracts,
     assert not (run_dir / "report.md").exists()
 
 
+def test_repeated_run_id_never_shares_a_run_directory(health_profile, case_contracts,
+                                                      corpus, specific_gateway, tmp_path,
+                                                      monkeypatch):
+    monkeypatch.setattr(orchestrator, "_new_run_id", lambda: "20260101T000000-0000")
+    record, _ = execute_pipeline(health_profile, config(), "multi_agent", specific_gateway,
+                                 corpus, case_contracts, out_dir=tmp_path)
+    assert record.completed
+    run_dir = tmp_path / record.run_id
+    before = {path.name: path.read_bytes() for path in run_dir.iterdir()}
+    assert sorted(before) == ["report.json", "report.md", "session.jsonl"]
+
+    def complete(request):
+        raise AssertionError(f"role {request.role} ran")
+
+    monkeypatch.setattr(specific_gateway, "complete", complete)
+    with pytest.raises(RiskforgeError,
+                       match="^" + re.escape(f"run directory {run_dir} already exists") + "$"):
+        execute_pipeline(health_profile, config(), "multi_agent", specific_gateway,
+                         corpus, case_contracts, out_dir=tmp_path)
+    assert {path.name: path.read_bytes() for path in run_dir.iterdir()} == before
+    store = ContextStore.load(run_dir / "session.jsonl", ENTRY_KINDS)
+    assert len(store.snapshot()) == 6  # one revision of each entry
+
+
 @pytest.mark.parametrize("script", ["specific", "generic"])
 def test_every_profile_overflows_multi_at_4096(profiles, corpus, script):
     from riskforge.contracts import ContractSet
