@@ -5,7 +5,8 @@ from a run ledger and/or case-study fixtures, ablate sweeps profiles x
 models x seeds into a ledger, and index-corpus validates a framework
 corpus file. Exit codes: 0 success, 1 an input error (one "Error:" line),
 2 a usage error or a run that executed but did not complete (the run
-record is still written).
+record is still written). A warning, such as a torn last ledger line
+skipped, is one "Warning:" line on stderr and leaves the exit code as it is.
 """
 
 from __future__ import annotations
@@ -14,30 +15,18 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+import warnings
 from pathlib import Path
 
 from .contracts import DATA_DIR, ContractSet
 from .errors import ProfileInvalid, RiskforgeError
-from .evalkit import (AliasMap, ModelSpec, compute_metrics, load_annotations,
-                      run_ablation)
 from .gateway import HttpGateway, ModelConfig, StubGateway
 from .grounding import Corpus
 from .orchestrator import check_profile, execute_pipeline, load_ledger, record_run
-from .records import decode
+from .records import decode, mend_tail
 
 BUNDLED_CORPUS = DATA_DIR / "corpus" / "mini_csf.jsonl"
 STUB_ROOT = DATA_DIR / "stub"
-
-
-@dataclass(frozen=True)
-class ModelsFileEntry:
-    """One entry of an ablate --models file, decoded under the file's own
-    keys so that an error names them."""
-
-    label: str
-    script: str
-    window: int = ModelSpec.context_window_tokens
 
 
 def _read_json(path, what: str, build=None):
@@ -97,7 +86,10 @@ def assess(profile_path, mode, provider, script, model_id, window, seed,
     record, _ = execute_pipeline(profile, config, run_mode, gateway, corpus, contracts,
                                  out_dir=Path(out_dir) if out_dir else None)
     if out_dir:
-        record_run(record, Path(out_dir) / "ledger.jsonl")
+        ledger = Path(out_dir) / "ledger.jsonl"
+        if ledger.exists():
+            mend_tail(ledger)
+        record_run(record, ledger)
     print(json.dumps(record.to_json(), indent=2))
     if not record.completed:
         print(f"run failed at stage {record.failed_stage} ({record.failure_kind})",
@@ -108,6 +100,7 @@ def assess(profile_path, mode, provider, script, model_id, window, seed,
 def eval_cmd(ledger_path, annotations_path, aliases_path, register_path,
              selectors, as_json):
     """Compute evaluation metrics from runs and/or practitioner annotations."""
+    from .evalkit import AliasMap, compute_metrics, load_annotations  # eval and ablate only
     pair = {"--register": register_path, "--annotations": annotations_path}
     missing = [name for name, path in pair.items() if not path]
     given = [name for name, path in {**pair, "--aliases": aliases_path}.items() if path]
@@ -146,6 +139,7 @@ def eval_cmd(ledger_path, annotations_path, aliases_path, register_path,
 def ablate(profiles_dir, models_path, runs_per_cell, mode, schema_mode,
            corpus_path, ledger_path, workers):
     """Sweep profiles x models x seeds and append run records to a ledger."""
+    from .evalkit import ModelsFileEntry, ModelSpec, run_ablation
     contracts = ContractSet(schema_mode=schema_mode)
     profiles = [_read_json(path, "profile", lambda doc: check_profile(doc, contracts))
                 for path in sorted(Path(profiles_dir).glob("*.json"))]
@@ -236,15 +230,21 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"Warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> None:
     """Run the verb that argv (default: sys.argv[1:]) names."""
     options = vars(_parser().parse_args(argv))
     run = options.pop("run")
-    try:
-        run(**options)
-    except (RiskforgeError, OSError) as exc:  # OSError: say, an --out it cannot write
-        print(f"Error: {exc}", file=sys.stderr)
-        sys.exit(1)
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            run(**options)
+        except (RiskforgeError, OSError) as exc:  # OSError: say, an --out it cannot write
+            print(f"Error: {exc}", file=sys.stderr)
+            sys.exit(1)
 
 
 if __name__ == "__main__":

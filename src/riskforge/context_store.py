@@ -21,7 +21,7 @@ from typing import Any, Iterable, Optional
 
 from .errors import RiskforgeError
 from .grounding import parse_identifiers
-from .records import append_line, decode, load_records
+from .records import append_line, decode, load_appended
 from .tokens import canonical_json, estimate_tokens
 
 
@@ -124,9 +124,10 @@ class ContextStore:
     def load(cls, log_path: Path, registered_keys: Iterable[str]) -> "ContextStore":
         """Rebuild a store from its session log without re-appending to it. A
         line that append_entry could not have written, its key unregistered
-        or its revision not the next for its key, raises RiskforgeError."""
+        or its revision not the next for its key, raises RiskforgeError; a
+        torn last line is skipped with a warning (records.load_appended)."""
         store = cls(registered_keys)
-        for entry in load_records(log_path, ContextEntry):
+        for entry in load_appended(log_path, ContextEntry):
             history = store._history_of(entry.key, f"{log_path}: ")
             if entry.revision != len(history) + 1:
                 raise RiskforgeError(f"{log_path}: {entry.key!r} revision {entry.revision} "

@@ -17,14 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 from .errors import RiskforgeError
 from .gateway import ModelConfig, StubGateway
 from .grounding import normalize_title
-from .orchestrator import (RunRecord, check_profile, execute_pipeline, load_ledger,
-                           record_run)
-from .records import load_records
+from .orchestrator import (Questionnaire, RunRecord, check_profile, execute_pipeline,
+                           load_ledger, record_run)
+from .records import load_records, mend_tail
 
 if TYPE_CHECKING:  # annotations only: neither loads at CLI start-up
     from fractions import Fraction
@@ -303,17 +303,31 @@ class ModelSpec:
         ModelConfig(model_id=self.label, context_window_tokens=self.context_window_tokens)
 
 
-def run_ablation(profiles: list[dict], models: list[ModelSpec], runs_per_cell: int,
-                 mode: str, ledger_path: Path, contracts, corpus,
+@dataclass(frozen=True)
+class ModelsFileEntry:
+    """One entry of an ablate --models file, decoded under the file's own
+    keys so that an error names them."""
+
+    label: str
+    script: str
+    window: int = ModelSpec.context_window_tokens
+
+
+def run_ablation(profiles: list[Union[dict, Questionnaire]], models: list[ModelSpec],
+                 runs_per_cell: int, mode: str, ledger_path: Path, contracts, corpus,
                  stub_root: Path, workers: int = 1) -> int:
     """Execute profiles x models x seeds, appending RunRecords to the
-    ledger. Cells already present for this mode are skipped, so reruns
-    resume; an invalid profile raises ProfileInvalid, and a repeated
-    profile_id or model label RiskforgeError, before any cell. Window and
-    schema mode are not on the record and so not in the resume key."""
-    for profile in profiles:
-        check_profile(profile, contracts)
-    for what, names in (("profile_id", [profile["profile_id"] for profile in profiles]),
+    ledger. Each profile, a questionnaire dict or a Questionnaire, is
+    checked and serialized once, by check_profile, and every cell of it
+    runs the resulting Questionnaire through execute_pipeline. Cells
+    already present for this mode are skipped, so reruns resume; an invalid
+    profile raises ProfileInvalid, and a repeated profile_id or model label
+    RiskforgeError, before any cell. A torn last ledger line, left by a
+    killed writer, is cut off with a warning before the first append
+    (records.mend_tail), and its cell runs again. Window and schema mode
+    are not on the record and so not in the resume key."""
+    questionnaires = [check_profile(profile, contracts) for profile in profiles]
+    for what, names in (("profile_id", [q.profile["profile_id"] for q in questionnaires]),
                         ("model label", [spec.label for spec in models])):
         for index, name in enumerate(names):
             if name in names[:index]:
@@ -322,15 +336,17 @@ def run_ablation(profiles: list[dict], models: list[ModelSpec], runs_per_cell: i
     ledger_path.parent.mkdir(parents=True, exist_ok=True)
     done = set()
     if ledger_path.exists():
+        mend_tail(ledger_path)
         for record in load_ledger(ledger_path):
             done.add((record.profile_id, record.model_id, record.seed, record.mode))
 
     cells = []
-    for profile in profiles:
+    for questionnaire in questionnaires:
+        profile_id = questionnaire.profile["profile_id"]
         for spec in models:
             for seed in range(runs_per_cell):
-                if (profile["profile_id"], spec.label, seed, mode) not in done:
-                    cells.append((profile, spec, seed))
+                if (profile_id, spec.label, seed, mode) not in done:
+                    cells.append((questionnaire, spec, seed))
 
     # One gateway per spec, so each script a spec uses is parsed once per
     # sweep (a script shared by every set once per spec). Worker threads
@@ -339,12 +355,13 @@ def run_ablation(profiles: list[dict], models: list[ModelSpec], runs_per_cell: i
     gateways = {spec: StubGateway(Path(stub_root) / spec.script) for spec in models}
 
     def run_cell(cell):
-        profile, spec, seed = cell
+        questionnaire, spec, seed = cell
         gateway = gateways[spec]
         config = ModelConfig(model_id=spec.label,
                              context_window_tokens=spec.context_window_tokens,
                              seed=seed)
-        record, _ = execute_pipeline(profile, config, mode, gateway, corpus, contracts)
+        record, _ = execute_pipeline(questionnaire, config, mode, gateway, corpus,
+                                     contracts)
         record_run(record, ledger_path)
 
     if workers > 1:

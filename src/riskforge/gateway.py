@@ -159,7 +159,8 @@ class StubGateway:
         candidate = pool[(prompt_hash(prompt) + seed) % len(pool)]
         if isinstance(candidate, str):
             return candidate
-        return json.dumps(candidate, ensure_ascii=False)
+        # ASCII-escaped, the encoder's fast default: the reply parses to candidate
+        return json.dumps(candidate)
 
     def complete(self, request: CompletionRequest) -> CompletionResult:
         start = time.perf_counter()

@@ -41,14 +41,14 @@ import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional
+from typing import Any, Callable, NamedTuple, Optional, Union
 
 from .context_store import ContextEntry, ContextStore
-from .contracts import ENTRY_KINDS, PLANS, QUESTIONNAIRE_SCHEMA, ContractSet
+from .contracts import ENTRY_KINDS, PLANS, QUESTIONNAIRE_SCHEMA, ContractSet, Violations
 from .errors import ContextOverflow, ProfileInvalid, RiskforgeError, StageError
 from .gateway import BudgetDecision, ModelConfig
 from .grounding import Corpus, normalize_title
-from .records import append_line, load_records
+from .records import append_line, load_appended
 from .tokens import canonical_json, estimate_tokens
 
 
@@ -101,7 +101,9 @@ def record_run(record: RunRecord, path: Path) -> None:
 
 
 def load_ledger(path: Path) -> list[RunRecord]:
-    return load_records(path, RunRecord)
+    """The ledger's records; a torn last line is skipped with a warning
+    (records.load_appended)."""
+    return load_appended(path, RunRecord)
 
 
 def _new_run_id() -> str:
@@ -120,19 +122,42 @@ def _dedupe_titles(titles: list[str]) -> list[str]:
     return out
 
 
-def check_profile(profile: dict, contracts: ContractSet) -> dict:
-    """Return profile if it is a valid questionnaire, else raise
-    ProfileInvalid naming its first violation in (path, message) order."""
-    violations = contracts.checker(QUESTIONNAIRE_SCHEMA)(profile)
+class Questionnaire(NamedTuple):
+    """A profile that passed a ContractSet's questionnaire check: the
+    profile, its canonical_json text, which every prompt quotes, and the
+    compiled checker that passed it. A NamedTuple, not a frozen dataclass,
+    as the class is built at import and a NamedTuple builds faster."""
+
+    profile: dict
+    text: str
+    checker: Callable[[Any], Violations]
+
+
+def check_profile(profile: Union[dict, Questionnaire],
+                  contracts: ContractSet) -> Questionnaire:
+    """profile as a Questionnaire if it is a valid questionnaire, else raise
+    ProfileInvalid naming its first violation in (path, message) order. A
+    Questionnaire that this ContractSet's checker passed comes back as it
+    is, so a profile checked once is neither checked nor serialized again;
+    one that another ContractSet's checker passed is checked afresh."""
+    checker = contracts.checker(QUESTIONNAIRE_SCHEMA)
+    if isinstance(profile, Questionnaire):
+        if profile.checker is checker:
+            return profile
+        profile = profile.profile
+    violations = checker(profile)
     if violations:
         raise ProfileInvalid(f"questionnaire invalid: {violations[0][1]}")
-    return profile
+    return Questionnaire(profile, canonical_json(profile), checker)
 
 
-def execute_pipeline(profile: dict, config: ModelConfig, mode: str, gateway,
-                     corpus: Corpus, contracts: ContractSet,
+def execute_pipeline(profile: Union[dict, Questionnaire], config: ModelConfig, mode: str,
+                     gateway, corpus: Corpus, contracts: ContractSet,
                      out_dir: Optional[Path] = None) -> tuple[RunRecord, Optional[ContextEntry]]:
-    """Run one assessment. Returns the run record and, when the run
+    """Run one assessment of profile, a questionnaire dict or a
+    Questionnaire from check_profile, which a sweep builds once per profile
+    and hands to every cell: this ContractSet's own is used as it is, any
+    other is checked afresh. Returns the run record and, when the run
     completed, the final report entry. Before any stage executes or any
     file is written, raises ProfileInvalid for an invalid questionnaire
     and ValueError for an unknown mode or for a schema the mode validates
@@ -144,7 +169,7 @@ def execute_pipeline(profile: dict, config: ModelConfig, mode: str, gateway,
     plan = PLANS.get(mode)
     if plan is None:
         raise ValueError(f"unknown mode {mode!r}")
-    check_profile(profile, contracts)
+    questionnaire = check_profile(profile, contracts)
     for stage in plan:
         for role in stage:
             # compiled now, so an unsupported schema fails first
@@ -163,7 +188,7 @@ def execute_pipeline(profile: dict, config: ModelConfig, mode: str, gateway,
 
     record = RunRecord(
         run_id=run_id,
-        profile_id=profile["profile_id"],
+        profile_id=questionnaire.profile["profile_id"],
         model_id=config.model_id,
         mode=mode,
         seed=config.seed,
@@ -171,8 +196,8 @@ def execute_pipeline(profile: dict, config: ModelConfig, mode: str, gateway,
     )
 
     start = time.perf_counter()
-    failure = _run_stages(plan, canonical_json(profile), corpus, config, gateway,
-                          contracts, store)
+    failure = _run_stages(plan, questionnaire.text, corpus, config, gateway, contracts,
+                          store)
     record.wall_seconds = time.perf_counter() - start
     if failure is not None:
         record.failed_stage, error = failure

@@ -2,7 +2,16 @@
 ledgers, corpora and annotations. append_line writes a document as one
 line; load_records reads one typed record per non-blank line through
 decode, which checks a JSON document against a type. Every record that
-riskforge reads from a file passes through decode."""
+riskforge reads from a file passes through decode.
+
+A writer killed mid-append, a short write or a full disk can leave the
+last line of a file that append_line writes (a run ledger, a session log)
+torn: no trailing newline, and no JSON document. load_appended skips such
+a line with a RuntimeWarning, as the record it held never completed, and
+mend_tail cuts it off before the next append, which would otherwise glue
+its line onto the fragment. A file a person writes (a corpus, annotations)
+is read by load_records, for which a torn line is an error like any other.
+"""
 
 from __future__ import annotations
 
@@ -11,6 +20,7 @@ import itertools
 import json
 import os
 import re
+import warnings
 from functools import cache
 from pathlib import Path
 from typing import Any, Callable, Union, get_args, get_origin, get_type_hints
@@ -141,6 +151,29 @@ def load_records(path: Path, cls: type) -> list:
     from_json, per non-blank line of a JSON Lines file. A file that cannot
     be read raises RiskforgeError naming path; a line that is not UTF-8
     JSON, or whose fields do not fit cls, one naming path:lineno."""
+    return _load(path, cls, appended=False)
+
+
+def load_appended(path: Path, cls: type) -> list:
+    """load_records for a file that append_line writes, except that a torn
+    last line (no trailing newline, no JSON document) is skipped with a
+    RuntimeWarning naming path:lineno."""
+    return _load(path, cls, appended=True)
+
+
+def _torn(line: bytes) -> bool:
+    """Whether line is the torn end of an append: no trailing newline, and
+    no JSON document. A strict prefix of a JSON object never is one."""
+    if line.endswith(b"\n"):
+        return False
+    try:
+        json.loads(line)
+    except ValueError:  # UnicodeDecodeError included, for a cut inside a character
+        return True
+    return False
+
+
+def _load(path: Path, cls: type, appended: bool) -> list:
     build = getattr(cls, "from_json", None) or (lambda doc: decode(cls, doc))
     records = []
     # read as bytes and decoded per line, so a line cut inside a multi-byte
@@ -153,8 +186,41 @@ def load_records(path: Path, cls: type) -> list:
                 try:
                     records.append(build(json.loads(line)))
                 except (ValueError, TypeError) as exc:
+                    if appended and _torn(line):  # only the last line lacks a newline
+                        warnings.warn(f"{path}:{lineno}: skipped a torn last line "
+                                      f"({len(line)} bytes, no trailing newline)",
+                                      RuntimeWarning, stacklevel=3)
+                        break
                     raise RiskforgeError(f"{path}:{lineno}: not a {cls.__name__} record: "
                                          f"{exc}") from exc
     except OSError as exc:
         raise RiskforgeError(f"cannot read {path}: {exc.strerror}") from exc
     return records
+
+
+def mend_tail(path: Path) -> None:
+    """Make a file that append_line writes end in a newline before the next
+    append: a last line without one is cut back to the newline before it,
+    with a RuntimeWarning naming path:lineno, if it is torn (the line
+    load_appended skips), and ended with a newline if it is a whole JSON
+    document. Of a file that ends in a newline, only the last byte is read."""
+    try:
+        with open(path, "rb+") as fh:
+            end = fh.seek(0, os.SEEK_END)
+            if end == 0:
+                return
+            fh.seek(end - 1)
+            if fh.read(1) == b"\n":
+                return
+            fh.seek(0)
+            data = fh.read()
+            start = data.rfind(b"\n") + 1
+            if not _torn(data[start:]):
+                fh.write(b"\n")
+                return
+            fh.truncate(start)
+    except OSError as exc:
+        raise RiskforgeError(f"cannot mend {path}: {exc}") from exc
+    lineno = data.count(b"\n") + 1
+    warnings.warn(f"{path}:{lineno}: cut a torn last line ({end - start} bytes, no "
+                  f"trailing newline) before appending", RuntimeWarning, stacklevel=2)

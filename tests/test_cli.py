@@ -414,17 +414,21 @@ def test_cli_import_and_stub_run_leave_unneeded_modules_unloaded(tmp_path, packa
 
 def test_cli_start_up_defers_modules_until_a_verb_uses_them(tmp_path, package_env):
     """The executor (with logging), exact ratios (fractions, decimal), the
-    report renderer and the risk model load only where a verb uses them:
-    neither a CLI start-up nor the bundled sweep loads any of them, and a
+    evaluation kit, the report renderer and the risk model load only where a
+    verb uses them: neither a CLI start-up nor a single-agent assess loads
+    any of them, the bundled sweep loads the evaluation kit alone, and a
     multi-agent assess with --out loads the renderer but, with a stub that
     does not wait on I/O, no executor."""
     code = (
         "import sys\n"
         "from riskforge.cli import main\n"
         "lazy = ('concurrent.futures', 'logging', 'fractions', 'decimal',\n"
-        "        'riskforge.report', 'riskforge.risk_model')\n"
+        "        'riskforge.evalkit', 'riskforge.report', 'riskforge.risk_model')\n"
         "def loaded():\n"
         "    print('loaded:', sorted(m for m in lazy if m in sys.modules))\n"
+        "loaded()\n"
+        f"main(['assess', '--mode', 'single', '--profile', {str(PROFILE)!r}, "
+        f"'--out', {str(tmp_path / 'single')!r}])\n"
         "loaded()\n"
         f"main(['ablate', '--out', {str(tmp_path / 'ledger.jsonl')!r}])\n"
         "loaded()\n"
@@ -434,10 +438,54 @@ def test_cli_start_up_defers_modules_until_a_verb_uses_them(tmp_path, package_en
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=package_env, timeout=60, check=True)
     loaded = [line for line in done.stdout.splitlines() if line.startswith("loaded: ")]
-    assert loaded == ["loaded: []", "loaded: []",
-                      "loaded: ['riskforge.report', 'riskforge.risk_model']"]
+    assert loaded == ["loaded: []", "loaded: []", "loaded: ['riskforge.evalkit']",
+                      "loaded: ['riskforge.evalkit', 'riskforge.report', "
+                      "'riskforge.risk_model']"]
     assert "executed 30 new runs" in done.stdout
     assert [path.name for path in (tmp_path / "run").glob("*/report.md")] == ["report.md"]
+
+
+def test_torn_last_ledger_line_is_one_warning_and_its_cell_runs_again(runner, tmp_path):
+    """A bundled sweep ledger cut 40 bytes short, as a killed writer leaves
+    it: eval skips the torn line with one warning, ablate cuts it off with
+    one and reruns its cell, and the mended ledger reads with none."""
+    ledger = tmp_path / "l.jsonl"
+    assert runner.invoke(main, ["ablate", "--out", str(ledger)]).exit_code == 0
+    whole = ledger.read_bytes()
+    ledger.write_bytes(whole[:-40])
+    tail = len(whole.splitlines(keepends=True)[-1]) - 40
+    result = runner.invoke(main, ["eval", "--ledger", str(ledger)])
+    assert result.exit_code == 0, result.output
+    assert [line for line in result.output.splitlines() if "Warning" in line] == [
+        f"Warning: {ledger}:30: skipped a torn last line ({tail} bytes, no trailing "
+        f"newline)"]
+    assert "over 29 runs" in result.output
+    result = runner.invoke(main, ["ablate", "--out", str(ledger)])
+    assert result.exit_code == 0, result.output
+    assert result.output == (f"Warning: {ledger}:30: cut a torn last line ({tail} bytes, "
+                             f"no trailing newline) before appending\n"
+                             f"executed 1 new runs (29 already in ledger)\n")
+    result = runner.invoke(main, ["eval", "--ledger", str(ledger)])
+    assert result.exit_code == 0, result.output
+    assert "Warning" not in result.output
+    assert "over 30 runs" in result.output
+
+
+def test_assess_out_cuts_a_torn_last_ledger_line_before_appending(runner, tmp_path):
+    args = ["assess", "--mode", "single", "--profile", str(PROFILE), "--out", str(tmp_path)]
+    ledger = tmp_path / "ledger.jsonl"
+    assert runner.invoke(main, args).exit_code == 0
+    whole = ledger.read_bytes()
+    ledger.write_bytes(whole[:-40])
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert result.output.startswith(f"Warning: {ledger}:1: cut a torn last line "
+                                    f"({len(whole) - 40} bytes, no trailing newline) "
+                                    f"before appending\n")
+    result = runner.invoke(main, ["eval", "--ledger", str(ledger)])
+    assert result.exit_code == 0, result.output
+    assert "Warning" not in result.output
+    assert "over 1 runs" in result.output
 
 
 @pytest.mark.parametrize("args", [

@@ -3,13 +3,15 @@
 import json
 import random
 import re
+import warnings
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from riskforge.contracts import DATA_DIR, ContractSet
+from riskforge import context_store, orchestrator
+from riskforge.contracts import DATA_DIR, QUESTIONNAIRE_SCHEMA, ContractSet
 from riskforge.errors import ProfileInvalid, RiskforgeError
 from riskforge.evalkit import (AliasMap, ModelSpec, PractitionerAnnotation,
                                compute_metrics, coverage, load_annotations,
@@ -347,15 +349,17 @@ def test_resume_key_includes_mode(profiles, corpus, model_specs, tmp_path):
         "single_agent": 10, "multi_agent": 10}
 
 
+def _comparable(record):
+    """A record's cell and outcome, without the fields each run draws anew."""
+    doc = record.to_json()
+    del doc["run_id"], doc["wall_seconds"]
+    return doc
+
+
 def test_sweep_parses_each_stub_script_once_per_spec(profiles, corpus, model_specs,
                                                      tmp_path, monkeypatch):
     contracts = ContractSet(schema_mode="cross_sector")
     stub_root = DATA_DIR / "stub"
-
-    def comparable(record):
-        doc = record.to_json()
-        del doc["run_id"], doc["wall_seconds"]
-        return doc
 
     # the sweep's cells run one by one, each with a gateway of its own
     expected = []
@@ -367,7 +371,7 @@ def test_sweep_parses_each_stub_script_once_per_spec(profiles, corpus, model_spe
                 record, _ = execute_pipeline(profile, config, "single_agent",
                                              StubGateway(stub_root / spec.script),
                                              corpus, contracts)
-                expected.append(comparable(record))
+                expected.append(_comparable(record))
 
     loads = []
     read_text = Path.read_text
@@ -383,7 +387,69 @@ def test_sweep_parses_each_stub_script_once_per_spec(profiles, corpus, model_spe
                         ledger, contracts, corpus, stub_root) == 20
     assert sorted(loads) == sorted(stub_root / spec.script / "single_agent.json"
                                    for spec in model_specs)
-    assert [comparable(r) for r in load_ledger(ledger)] == expected
+    assert [_comparable(r) for r in load_ledger(ledger)] == expected
+
+
+def test_sweep_checks_and_serializes_each_profile_once(profiles, corpus, model_specs,
+                                                      tmp_path, monkeypatch):
+    """The bundled sweep, 5 profiles x 2 models x 3 seeds, runs the
+    questionnaire checker and canonical_json once per profile, not once
+    per cell: every cell reuses its profile's Questionnaire."""
+    contracts = ContractSet(schema_mode="cross_sector")
+    checker = contracts.checker(QUESTIONNAIRE_SCHEMA)
+    checked = []
+
+    def counting_checker(doc):
+        checked.append(doc)
+        return checker(doc)
+
+    monkeypatch.setattr(contracts, "checker", lambda name: counting_checker
+                        if name == QUESTIONNAIRE_SCHEMA
+                        else ContractSet.checker(contracts, name))
+    serialized = []
+    for module in (context_store, orchestrator):
+        original = module.canonical_json
+        monkeypatch.setattr(module, "canonical_json",
+                            lambda doc, original=original: serialized.append(doc)
+                            or original(doc))
+    assert run_ablation(list(profiles.values()), model_specs, 3, "single_agent",
+                        tmp_path / "ledger.jsonl", contracts, corpus,
+                        DATA_DIR / "stub") == 30
+    assert checked == serialized == list(profiles.values())
+
+
+def test_sweep_resumes_a_ledger_torn_anywhere_in_its_last_two_lines(profiles, corpus,
+                                                                   model_specs, tmp_path):
+    """A ledger cut at any byte of its last two lines, as a killed writer
+    leaves it, resumes to the cells and outcomes of an uninterrupted sweep.
+    A torn tail is cut off with one warning before the first append, and
+    the resumed ledger reads back with no line skipped."""
+    contracts = ContractSet(schema_mode="cross_sector")
+    ledger = tmp_path / "ledger.jsonl"
+
+    def sweep():
+        return run_ablation(list(profiles.values()), model_specs, 3, "single_agent",
+                            ledger, contracts, corpus, DATA_DIR / "stub")
+
+    assert sweep() == 30
+    whole = ledger.read_bytes()
+    expected = [_comparable(record) for record in load_ledger(ledger)]
+    lines = whole.splitlines(keepends=True)
+    for cut in range(len(whole) - len(lines[-1]) - len(lines[-2]), len(whole)):
+        ledger.write_bytes(whole[:cut])
+        # whole records left; a line lacking only its newline is one
+        kept = whole[:cut].count(b"\n") + (whole[cut:cut + 1] == b"\n")
+        tail = cut - whole.rfind(b"\n", 0, cut) - 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert sweep() == 30 - kept, cut
+        torn = [f"{ledger}:{kept + 1}: cut a torn last line ({tail} bytes, no trailing "
+                f"newline) before appending"]
+        assert [str(w.message) for w in caught] == (
+            torn if tail and whole[cut:cut + 1] != b"\n" else []), cut
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert [_comparable(record) for record in load_ledger(ledger)] == expected, cut
 
 
 def test_multi_agent_ablation_at_4096_never_completes(profiles, corpus,

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from collections import defaultdict
 from types import SimpleNamespace
 
@@ -18,15 +19,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from riskforge import context_store, orchestrator, records
 from riskforge.context_store import ContextEntry, ContextStore
-from riskforge.contracts import (DATA_DIR, ENTRY_KINDS, MAX_ATTEMPTS, SINGLE_AGENT, STAGES,
-                                 ContractSet, excerpt_lines)
+from riskforge.contracts import (DATA_DIR, ENTRY_KINDS, MAX_ATTEMPTS, QUESTIONNAIRE_SCHEMA,
+                                 SINGLE_AGENT, STAGES, ContractSet, excerpt_lines)
 from riskforge.errors import (AgentFailed, ContextOverflow, ProfileInvalid, ProviderError,
                               ProviderUnreachable, RiskforgeError)
 from riskforge.gateway import (RESERVED_OUTPUT_TOKENS, BudgetDecision, ModelConfig,
                                StubGateway)
 from riskforge.grounding import Corpus
-from riskforge.orchestrator import (RunRecord, enforce_budget, execute_pipeline,
-                                    load_ledger, record_run)
+from riskforge.orchestrator import (RunRecord, check_profile, enforce_budget,
+                                    execute_pipeline, load_ledger, record_run)
 from riskforge.records import decode
 from riskforge.tokens import canonical_json, estimate_tokens
 
@@ -295,10 +296,14 @@ def _wrong_types(doc):
                     else value for key, value in doc.items()})
 
 
-@pytest.mark.parametrize("reader, line, cls", [
+# the two readers of a file that append_line writes, with a line each reads
+READERS = pytest.mark.parametrize("reader, line, cls", [
     (load_ledger, lambda n: _record(f"r{n}").to_json(), "RunRecord"),
     (lambda path: ContextStore.load(path, ENTRY_KINDS), _session_line, "ContextEntry"),
 ], ids=["load_ledger", "ContextStore.load"])
+
+
+@READERS
 @pytest.mark.parametrize("corrupt", [_torn, _torn_in_a_character, _missing_field,
                                      _wrong_types],
                          ids=["torn", "torn_in_a_character", "missing_field", "wrong_types"])
@@ -309,6 +314,46 @@ def test_bad_middle_line_is_a_storage_failure_naming_it(tmp_path, reader, line, 
                     + b"\n")
     with pytest.raises(RiskforgeError, match=re.escape(f"{log}:2: not a {cls} record: ")):
         reader(log)
+
+
+def _record_count(loaded):
+    """The records a ledger (a list) or a session log (a store) holds."""
+    return len(loaded if isinstance(loaded, list) else loaded.read_history("org_profile"))
+
+
+@READERS
+@pytest.mark.parametrize("tear", [_torn, _torn_in_a_character],
+                         ids=["torn", "torn_in_a_character"])
+def test_torn_last_line_is_skipped_with_a_warning(tmp_path, reader, line, cls, tear):
+    """A killed writer leaves a last line with no newline that is no JSON
+    document: the record it held never completed, so the reader skips it."""
+    log = tmp_path / "log.jsonl"
+    torn = tear(line(2))
+    log.write_bytes(_encode(line(1)) + b"\n" + torn)
+    with pytest.warns(RuntimeWarning) as caught:
+        loaded = reader(log)
+    assert [str(w.message) for w in caught] == [
+        f"{log}:2: skipped a torn last line ({len(torn)} bytes, no trailing newline)"]
+    assert _record_count(loaded) == 1
+
+
+@READERS
+@pytest.mark.parametrize("corrupt", [_missing_field, _wrong_types],
+                         ids=["missing_field", "wrong_types"])
+def test_unterminated_last_line_that_is_json_is_no_torn_line(tmp_path, reader, line, cls,
+                                                            corrupt):
+    """Only a line that is no JSON document counts as torn: a whole document
+    that is no record still raises, newline or not, and a whole record
+    lacking only its newline is read."""
+    log = tmp_path / "log.jsonl"
+    log.write_bytes(_encode(line(1)) + b"\n" + corrupt(line(2)))
+    with pytest.raises(RiskforgeError, match=re.escape(f"{log}:2: not a {cls} record: ")):
+        reader(log)
+    log.write_bytes(_encode(line(1)) + b"\n" + _encode(line(2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loaded = reader(log)
+    assert _record_count(loaded) == 2
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -587,6 +632,58 @@ def test_invalid_questionnaire_raises_before_any_stage(case_contracts, corpus,
     with pytest.raises(ProfileInvalid):
         execute_pipeline({"profile_id": "x"}, config(), "multi_agent",
                          specific_gateway, corpus, case_contracts)
+
+
+def test_check_profile_passes_its_own_questionnaire_through(health_profile,
+                                                           case_contracts):
+    questionnaire = check_profile(health_profile, case_contracts)
+    assert questionnaire == (health_profile, canonical_json(health_profile),
+                             case_contracts.checker(QUESTIONNAIRE_SCHEMA))
+    assert check_profile(questionnaire, case_contracts) is questionnaire
+    # another ContractSet's checker did not pass it, so that one checks it again
+    again = check_profile(questionnaire, ContractSet(schema_mode="case_study"))
+    assert again is not questionnaire and again.text == questionnaire.text
+
+
+def test_questionnaire_from_another_contract_set_is_checked_again(
+        health_profile, case_contracts, corpus, specific_gateway, tmp_path):
+    """A Questionnaire carries the checker that passed it. A ContractSet
+    whose questionnaire schema is stricter rejects it before any file is
+    written."""
+    schemas = tmp_path / "schemas"
+    shutil.copytree(DATA_DIR / "schemas", schemas)
+    doc = json.loads((schemas / QUESTIONNAIRE_SCHEMA).read_text(encoding="utf-8"))
+    doc["properties"]["employee_count"]["minimum"] = 1000
+    (schemas / QUESTIONNAIRE_SCHEMA).write_text(json.dumps(doc), encoding="utf-8")
+    strict = ContractSet(schemas_dir=schemas, schema_mode="case_study")
+    questionnaire = check_profile(health_profile, case_contracts)
+    out = tmp_path / "out"
+    with pytest.raises(ProfileInvalid, match="^questionnaire invalid: 15 is less than "
+                                             "the minimum of 1000$"):
+        execute_pipeline(questionnaire, config(), "multi_agent", specific_gateway, corpus,
+                         strict, out_dir=out)
+    assert not out.exists()
+
+
+def test_non_ascii_stub_candidate_is_appended_as_the_same_payload(
+        health_profile, cross_contracts, corpus, tmp_path):
+    """The stub replies with ASCII-escaped JSON, which parses back to the
+    candidate it scripted, so the report entry holds that candidate."""
+    script = json.loads((STUB / "specific" / "single_agent.json").read_text(
+        encoding="utf-8"))
+    candidate = script["profiles"]["health_15"][0]
+    candidate["threats"][0]["title"] = "Données de santé non chiffrées — S3 ✓"
+    script_dir = tmp_path / "stub" / "accented"
+    script_dir.mkdir(parents=True)
+    (script_dir / "single_agent.json").write_text(
+        json.dumps({"default": [candidate]}, ensure_ascii=False), encoding="utf-8")
+    gateway = StubGateway(script_dir)
+    assert gateway.stub_complete("single_agent", "p", 0).isascii()
+    record, report = execute_pipeline(health_profile, config(window=4096), "single_agent",
+                                      gateway, corpus, cross_contracts)
+    assert record.completed
+    assert report.payload == candidate
+    assert record.unique_threat_titles[0] == "Données de santé non chiffrées — S3 ✓"
 
 
 @pytest.mark.parametrize("edit, message", [
