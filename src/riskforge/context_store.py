@@ -6,12 +6,14 @@ key. An entry's canonical text and token estimate are derived when first
 read, not at append: an entry that nothing reads (the single-agent report
 of an unlogged run) is never serialized. Persistence is a JSON Lines
 append log, one entry per line, so a session can be inspected with
-standard tools and replayed losslessly; writing a line reads the token
-estimate.
+standard tools and replayed losslessly. A line is written around the
+entry's canonical text (ContextEntry.log_line), so its payload is the
+text every prompt quotes, and a logged entry is serialized once.
 """
 
 from __future__ import annotations
 
+import json
 import threading
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -21,8 +23,10 @@ from typing import Any, Iterable, Optional
 
 from .errors import RiskforgeError
 from .grounding import parse_identifiers
-from .records import append_line, decode, load_appended
+from .records import append_text, decode, load_appended
 from .tokens import canonical_json, estimate_tokens
+
+_encode = json.JSONEncoder(ensure_ascii=False).encode
 
 
 @dataclass(frozen=True)
@@ -56,6 +60,14 @@ class ContextEntry:
                 "created_at": self.created_at, "payload": self.payload,
                 "token_estimate": self.token_estimate}
 
+    def log_line(self) -> str:
+        """to_json() as one line: its fields in order, separated by ", "
+        and ": " as json.dumps writes them, with the payload written as
+        canonical_text, which is not serialized again."""
+        return (f'{{"key": {_encode(self.key)}, "agent_id": {_encode(self.agent_id)}, '
+                f'"revision": {self.revision}, "created_at": {_encode(self.created_at)}, '
+                f'"payload": {self.canonical_text}, "token_estimate": {self.token_estimate}}}')
+
     @classmethod
     def from_json(cls, doc: dict) -> "ContextEntry":
         """Rebuild an entry from its to_json() line; every key is required."""
@@ -73,7 +85,8 @@ class ContextStore:
     revision assignment, the in-memory append, and the log write, so
     concurrent appenders during the parallel stage cannot interleave and
     readers always see a consistent prefix. Each log write opens, writes
-    and closes the file (append_line), so the store holds no open file.
+    and closes the file (records.append_text), so the store holds no open
+    file.
     """
 
     def __init__(self, registered_keys: Iterable[str], log_path: Optional[Path] = None):
@@ -107,7 +120,7 @@ class ContextStore:
                 payload=payload,
             )
             if self._log_path is not None:
-                append_line(self._log_path, entry.to_json())
+                append_text(self._log_path, entry.log_line())
             history.append(entry)
         return entry
 

@@ -9,10 +9,11 @@ here: build_prompt, for both topologies, injects the serialized read
 entries or the questionnaire, the retrieved framework excerpts verbatim,
 and a citation policy restricting the agent to those excerpts. Output
 validation extracts the first JSON object from the raw text (models wrap
-output in prose) and checks it against the role's schema; schema failures, and output the
-provider reports as truncated, trigger a bounded re-prompt: the role's
-prompt plus the latest violation list, so a retry prompt does not grow
-from attempt to attempt. run_agent raises ContextOverflow, carrying a
+output in prose) and checks it against the role's schema; schema failures,
+a document holding an unpaired surrogate, and output the provider reports
+as truncated trigger a bounded re-prompt: the role's prompt plus the
+latest violation list, so a retry prompt does not grow from attempt to
+attempt. run_agent raises ContextOverflow, carrying a
 gateway.BudgetDecision, for any attempt's prompt that does not fit, so
 a provider only completes. The single-agent baseline is one more contract,
 SINGLE_AGENT, run by the same loop; it is no part of the six-agent plan.
@@ -37,6 +38,7 @@ from .context_store import ContextEntry, ContextStore
 from .errors import AgentFailed, ContextOverflow, RiskforgeError, Unparseable
 from .gateway import RETRY_MARKER, BudgetDecision, CompletionRequest, ModelConfig
 from .grounding import Corpus, FrameworkExcerpt
+from .tokens import canonical_json
 
 MAX_ATTEMPTS = 3  # initial attempt plus two validation re-prompts
 
@@ -46,6 +48,11 @@ SINGLE_AGENT_ROLE = "single_agent"
 # The violation reported for an output the provider cut off: a prefix can
 # still hold a schema-valid object, so it is never validated.
 TRUNCATED_VIOLATION = ("$", "output truncated by the provider")
+# The violation reported for an output whose document holds a surrogate
+# code point that pairs with none: no UTF-8 text holds it, so it could not
+# be logged or quoted in a prompt (I-JSON, RFC 7493 section 2.1).
+SURROGATE_VIOLATION = ("$", "output holds an unpaired UTF-16 surrogate")
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")  # decodes to a surrogate
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -195,6 +202,24 @@ def extract_json_object(raw: str) -> dict:
         except json.JSONDecodeError:
             start = raw.find("{", start + 1)
     raise Unparseable("no balanced JSON object found in output")
+
+
+def _may_hold_surrogate(raw: str) -> bool:
+    """Whether a document decoded from raw can hold a surrogate: raw holds
+    a \\uD800-\\uDFFF escape, which needs a backslash (found faster than the
+    pattern), or a raw surrogate, which an HTTP reply's outer decode can
+    leave and only non-ASCII text holds."""
+    return ("\\" in raw and _SURROGATE_ESCAPE.search(raw) is not None
+            or not (raw.isascii() or _encodes(raw)))
+
+
+def _encodes(text: str) -> bool:
+    """Whether text encodes as UTF-8: it holds no unpaired surrogate."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 # -- compiled schema check ---------------------------------------------------
@@ -630,10 +655,14 @@ class ContractSet:
 
     def validate_output(self, role: str, raw: str) -> tuple[Violations, dict]:
         """Parse and schema-check raw model output: (violations, doc), with
-        violations () when doc is valid. Raises Unparseable when no
+        violations () when doc is valid. A doc that holds an unpaired
+        surrogate adds SURROGATE_VIOLATION. Raises Unparseable when no
         balanced object exists."""
         doc = extract_json_object(raw)
-        return self.checker(self.contract(role).schema_name)(doc), doc
+        violations = self.checker(self.contract(role).schema_name)(doc)
+        if _may_hold_surrogate(raw) and not _encodes(canonical_json(doc)):
+            violations = tuple(sorted(violations + (SURROGATE_VIOLATION,)))
+        return violations, doc
 
     def validate_single_output(self, raw: str) -> tuple[Violations, dict]:
         """Validate the combined 3/3/3 document from a single-agent run."""

@@ -34,7 +34,6 @@ count them; any other exception propagates out of execute_pipeline.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import time
@@ -267,12 +266,16 @@ def _structure_check(snapshot: dict[str, ContextEntry]) -> tuple[bool, list[str]
 
 def _write_outputs(snapshot: dict[str, ContextEntry], corpus: Corpus,
                    record: RunRecord, run_dir: Path) -> None:
+    """Write report.json, the report document as one canonical_json line,
+    and for a multi-agent run report.md, rendered from that document. A
+    single-agent run's document is its report entry's payload, whose
+    canonical text the session log already holds, so it is not serialized
+    again."""
     if record.mode == "single_agent":
-        doc = snapshot["report"].payload
+        text = snapshot["report"].canonical_text
     else:
         from . import report as report_mod  # loaded by the first report rendered
         doc = report_mod.report_document(snapshot, corpus, record)
         (run_dir / "report.md").write_text(report_mod.render_report(doc), encoding="utf-8")
-    (run_dir / "report.json").write_text(
-        json.dumps(doc, indent=2, ensure_ascii=False, sort_keys=True) + "\n",
-        encoding="utf-8")
+        text = canonical_json(doc)
+    (run_dir / "report.json").write_text(text + "\n", encoding="utf-8")

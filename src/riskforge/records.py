@@ -1,11 +1,12 @@
 """JSON Lines, the format of every line-oriented file: session logs, run
 ledgers, corpora and annotations. append_line writes a document as one
-line; load_records reads one typed record per non-blank line through
+line, and append_text a document its caller serialized (a session-log
+line); load_records reads one typed record per non-blank line through
 decode, which checks a JSON document against a type. Every record that
 riskforge reads from a file passes through decode.
 
 A writer killed mid-append, a short write or a full disk can leave the
-last line of a file that append_line writes (a run ledger, a session log)
+last line of a file that append_text writes (a run ledger, a session log)
 torn: no trailing newline, and no JSON document. load_appended skips such
 a line with a RuntimeWarning, as the record it held never completed, and
 mend_tail cuts it off before the next append, which would otherwise glue
@@ -29,11 +30,17 @@ from .errors import RiskforgeError
 
 
 def append_line(path: Path, doc: dict) -> None:
-    """Append doc to a JSON Lines file as one line, written by one write()
-    on an O_APPEND descriptor that is closed at once: lines from concurrent
-    threads or processes never interleave, and nothing stays open or
-    buffered between appends."""
-    line = (json.dumps(doc, ensure_ascii=False) + "\n").encode("utf-8")
+    """Append doc to a JSON Lines file as one line (append_text)."""
+    append_text(path, json.dumps(doc, ensure_ascii=False))
+
+
+def append_text(path: Path, text: str) -> None:
+    """Append text, one JSON document serialized by the caller, to a JSON
+    Lines file as one line, written by one write() on an O_APPEND
+    descriptor that is closed at once: lines from concurrent threads or
+    processes never interleave, and nothing stays open or buffered between
+    appends."""
+    line = (text + "\n").encode("utf-8")
     try:
         fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
         try:
@@ -155,7 +162,7 @@ def load_records(path: Path, cls: type) -> list:
 
 
 def load_appended(path: Path, cls: type) -> list:
-    """load_records for a file that append_line writes, except that a torn
+    """load_records for a file that append_text writes, except that a torn
     last line (no trailing newline, no JSON document) is skipped with a
     RuntimeWarning naming path:lineno."""
     return _load(path, cls, appended=True)
@@ -199,7 +206,7 @@ def _load(path: Path, cls: type, appended: bool) -> list:
 
 
 def mend_tail(path: Path) -> None:
-    """Make a file that append_line writes end in a newline before the next
+    """Make a file that append_text writes end in a newline before the next
     append: a last line without one is cut back to the newline before it,
     with a RuntimeWarning naming path:lineno, if it is torn (the line
     load_appended skips), and ended with a newline if it is a whole JSON

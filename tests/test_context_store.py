@@ -155,6 +155,45 @@ def test_entry_json_round_trip():
         ContextEntry.from_json({k: v for k, v in line.items() if k != "token_estimate"})
 
 
+# Text with what a JSON encoder must escape or may pass through: quotes,
+# backslashes, control and non-ASCII characters (no lone surrogate, which
+# no UTF-8 line holds).
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",))
+                | st.sampled_from('"\\\n\x00é✓'), max_size=8)
+_PAYLOADS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | _TEXT,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(_TEXT, children,
+                                                                       max_size=4),
+    max_leaves=12)
+
+
+@given(key=_TEXT, agent_id=_TEXT, revision=st.integers(1, 10**6), created_at=_TEXT,
+       payload=_PAYLOADS)
+def test_log_line_is_to_json_around_the_canonical_text(key, agent_id, revision,
+                                                       created_at, payload):
+    entry = ContextEntry(key=key, agent_id=agent_id, revision=revision,
+                         created_at=created_at, payload=payload)
+    line = entry.log_line()
+    assert "\n" not in line
+    assert json.loads(line) == entry.to_json()
+    # json.dumps's header, with the payload written as the canonical text
+    header = json.dumps({**entry.to_json(), "payload": None}, ensure_ascii=False)
+    assert line == header.replace('"payload": null',
+                                  f'"payload": {entry.canonical_text}', 1)
+    assert ContextEntry.from_json(json.loads(line)).log_line() == line
+
+
+def test_session_log_holds_each_entry_log_line(tmp_path):
+    log = tmp_path / "session.jsonl"
+    store = ContextStore(ENTRY_KINDS, log_path=log)
+    entries = [store.append_entry("org_profile", "risk_intake",
+                                  {"b": [1.5, "é"], "a": None}),
+               store.append_entry("report", "report_synthesis", {"q": 'say "hi"\\'})]
+    assert log.read_text(encoding="utf-8") == "".join(e.log_line() + "\n" for e in entries)
+    assert entries[0].log_line().endswith(
+        '"payload": {"a":null,"b":[1.5,"é"]}, "token_estimate": 6}')
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("agent_id", 5, "agent_id must be str, not int"),
     ("revision", "1", "revision must be int, not str"),

@@ -10,8 +10,8 @@ from hypothesis import given, strategies as st
 from riskforge import gateway as gateway_mod
 from riskforge.context_store import ContextStore
 from riskforge.contracts import (CONTRACTS, ENTRY_KINDS, MAX_ATTEMPTS, PLANS, ROLES,
-                                 SINGLE_AGENT, STAGES, AgentContract, ContractSet,
-                                 extract_json_object, stage_plan)
+                                 SINGLE_AGENT, STAGES, SURROGATE_VIOLATION, AgentContract,
+                                 ContractSet, extract_json_object, stage_plan)
 from riskforge.errors import AgentFailed, ContextOverflow, RiskforgeError, Unparseable
 from riskforge.gateway import HttpGateway, ModelConfig, StubGateway
 from riskforge.grounding import Corpus
@@ -109,6 +109,36 @@ def test_invalid_enum_reported_with_path(cross_contracts):
     violations, _ = cross_contracts.validate_output("threat_modeling", json.dumps(doc))
     assert violations
     assert any(path.startswith("$.threats[1]") for path, _ in violations)
+
+
+@pytest.mark.parametrize("title, valid", [
+    (r'"\ud800 alone"', False),
+    (r'"low \uDC00 alone"', False),
+    (r'"\ud83d\u0041"', False),          # a high surrogate before no low one
+    (r'"\ude00\ud83d"', False),          # a pair in the wrong order
+    ('"raw \ud800"', False),              # a raw one an outer decode left
+    (r'"\ud83d\ude00 paired"', True),
+    (r'"\\ud800 an escaped backslash"', True),
+    ('"plain"', True),
+], ids=["high", "low", "high_then_ascii", "reversed", "raw", "paired", "backslash",
+        "plain"])
+@pytest.mark.parametrize("prose", ["", "note \ud800: "], ids=["bare", "after_prose"])
+def test_unpaired_surrogate_is_a_violation(cross_contracts, title, valid, prose):
+    """I-JSON (RFC 7493 section 2.1): no string holds an unpaired surrogate,
+    which could not be written as UTF-8 to a log or a prompt. One in the
+    prose around the object is not in the document."""
+    raw = prose + json.dumps(valid_threats(3)).replace('"Threat 0"', title)
+    violations, doc = cross_contracts.validate_output("threat_modeling", raw)
+    assert violations == (() if valid else (SURROGATE_VIOLATION,))
+    assert doc["threats"][0]["title"] == json.loads(title)
+
+
+def test_unpaired_surrogate_joins_the_schema_violations(cross_contracts):
+    doc = valid_threats(2)
+    doc["threats"][0]["title"] = "\ud800"
+    violations, _ = cross_contracts.validate_output("threat_modeling", json.dumps(doc))
+    assert violations == (SURROGATE_VIOLATION,
+                          ("$.threats", "2 items, fewer than minItems 3"))
 
 
 # -- prompt assembly ---------------------------------------------------------
@@ -219,6 +249,15 @@ def test_run_agent_recovers_from_unparseable_output(cross_contracts, seeded_stor
     })
     _, attempts = run_threat_modeling(cross_contracts, seeded_store, gateway)
     assert attempts == 2
+
+
+def test_run_agent_retries_an_unpaired_surrogate(cross_contracts, seeded_store,
+                                                 tmp_path):
+    spoiled = json.dumps(valid_threats(3)).replace('"Threat 0"', r'"\udfff"')
+    gateway = scripted(tmp_path, {"default": [spoiled], "on_retry": [valid_threats(3)]})
+    entry, attempts = run_threat_modeling(cross_contracts, seeded_store, gateway)
+    assert attempts == 2
+    assert entry.payload == valid_threats(3)
 
 
 def test_run_agent_fails_after_max_attempts(cross_contracts, seeded_store, tmp_path):

@@ -95,6 +95,23 @@ class ProseGateway(TruncatingGateway):
         return result
 
 
+class SurrogateGateway(TruncatingGateway):
+    """As TruncatingGateway, but the spoiled calls come back untruncated,
+    with `insert` put at the start of the reply's first string value."""
+
+    def __init__(self, inner, role, truncate, insert=r"\ud800"):
+        super().__init__(inner, role, truncate)
+        self.insert = insert
+
+    def complete(self, request):
+        result = super().complete(request)
+        if result.truncated:
+            return dataclasses.replace(
+                result, truncated=False,
+                text=result.text.replace('": "', '": "' + self.insert, 1))
+        return result
+
+
 # -- budget decision ---------------------------------------------------------
 
 def test_budget_deficit_arithmetic():
@@ -627,6 +644,89 @@ def test_unlogged_single_agent_run_never_serializes_its_report(profiles, cross_c
     assert serialized == [profile, profile, report.payload]
 
 
+@pytest.fixture
+def kept_stores(monkeypatch):
+    """Every ContextStore that execute_pipeline makes, so a test can read
+    the store of a run, which execute_pipeline does not return."""
+    made = []
+
+    def make(*args, **kwargs):
+        made.append(ContextStore(*args, **kwargs))
+        return made[-1]
+    monkeypatch.setattr(orchestrator, "ContextStore", make)
+    return made
+
+
+BUNDLED_PROFILES = sorted(p.stem for p in (DATA_DIR / "profiles").glob("*.json"))
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("mode", ["multi_agent", "single_agent"])
+@pytest.mark.parametrize("profile_id", BUNDLED_PROFILES)
+def test_run_artifacts_are_canonical_and_replay(profiles, case_contracts, corpus,
+                                                kept_stores, tmp_path, profile_id, mode,
+                                                seed):
+    """Each session-log line is its entry's log_line() and the log reloads
+    to the run's final context; report.json is one canonical line, from
+    which report.md re-renders."""
+    from riskforge.report import render_report
+    record, report = execute_pipeline(profiles[profile_id], config(seed=seed), mode,
+                                      StubGateway(STUB / "specific"), corpus,
+                                      case_contracts, out_dir=tmp_path)
+    assert record.completed
+    run_dir = tmp_path / record.run_id
+    lines = (run_dir / "session.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [ContextEntry.from_json(json.loads(line)).log_line() for line in lines] == lines
+    [store] = kept_stores
+    final = store.snapshot()
+    loaded = ContextStore.load(run_dir / "session.jsonl", ENTRY_KINDS).snapshot()
+    assert list(loaded) == list(final)
+    assert [e.to_json() for e in loaded.values()] == [e.to_json() for e in final.values()]
+    text = (run_dir / "report.json").read_text(encoding="utf-8")
+    doc = json.loads(text)
+    assert text == canonical_json(doc) + "\n"
+    if mode == "single_agent":
+        assert text == report.canonical_text + "\n"
+        assert not (run_dir / "report.md").exists()
+    else:
+        assert render_report(doc) == (run_dir / "report.md").read_text(encoding="utf-8")
+
+
+def test_logged_multi_agent_run_serializes_each_payload_once(health_profile,
+                                                             case_contracts, corpus,
+                                                             kept_stores, monkeypatch,
+                                                             tmp_path):
+    """Each entry's payload is serialized once, for its canonical text,
+    which its log line and the prompts that quote it share; the report
+    document is serialized once, for report.json."""
+    def containers(doc):
+        """doc and every object and array nested in it."""
+        items = doc.values() if type(doc) is dict else doc if type(doc) is list else None
+        if items is None:
+            return []
+        return [doc] + [c for item in items for c in containers(item)]
+
+    dumped = []  # what each json.dumps call serialized, at any depth
+    original = json.dumps
+    monkeypatch.setattr(json, "dumps", lambda doc, **kwargs: dumped.append(containers(doc))
+                        or original(doc, **kwargs))
+    record, _ = execute_pipeline(health_profile, config(), "multi_agent",
+                                 StubGateway(STUB / "specific"), corpus, case_contracts,
+                                 out_dir=tmp_path)
+    assert record.completed
+    documents = [walked[0] for walked in dumped
+                 if walked and type(walked[0]) is dict and "run_metadata" in walked[0]]
+    assert len(documents) == 1
+    # the report document quotes the intake profile; every other serialization
+    # that reaches a payload is that payload's canonical text
+    others = [walked for walked in dumped if not walked or walked[0] is not documents[0]]
+    [store] = kept_stores
+    assert [sum(any(c is entry.payload for c in walked) for walked in others)
+            for entry in store.snapshot().values()] == [1] * 6
+    assert json.loads((tmp_path / record.run_id / "report.json").read_text(
+        encoding="utf-8")) == documents[0]
+
+
 def test_invalid_questionnaire_raises_before_any_stage(case_contracts, corpus,
                                                        specific_gateway):
     with pytest.raises(ProfileInvalid):
@@ -784,6 +884,59 @@ def test_output_truncated_on_every_attempt_fails_the_agent(profiles, cross_contr
     assert (record.failed_stage, record.failure_kind) == (role, "agent_failed")
     assert len(gateway.prompts[role]) == MAX_ATTEMPTS
     assert report is None
+
+
+SURROGATE_RETRY = ("\n\n=== PREVIOUS OUTPUT FAILED VALIDATION ===\n"
+                   "Your previous output did not satisfy the schema:\n"
+                   "- $: output holds an unpaired UTF-16 surrogate\n"
+                   "Emit a corrected JSON object.")
+
+
+@pytest.mark.parametrize("insert", [r"\ud800", "\ud800"], ids=["escaped", "raw"])
+@pytest.mark.parametrize("mode, role", [("multi_agent", "risk_intake"),
+                                        ("single_agent", "single_agent")])
+@pytest.mark.parametrize("logged", [False, True], ids=["unlogged", "logged"])
+def test_unpaired_surrogate_is_retried(profiles, case_contracts, corpus, tmp_path, mode,
+                                       role, insert, logged):
+    gateway = SurrogateGateway(StubGateway(STUB / "specific"), role, 1, insert)
+    record, report = execute_pipeline(profiles["saas_25"], config(), mode, gateway, corpus,
+                                      case_contracts, out_dir=tmp_path if logged else None)
+    assert record.completed
+    first, retry = gateway.prompts[role]
+    assert retry == first + SURROGATE_RETRY
+    if logged:
+        assert report.log_line() in (tmp_path / record.run_id / "session.jsonl").read_text(
+            encoding="utf-8")
+
+
+@pytest.mark.parametrize("mode, role", [("multi_agent", "risk_intake"),
+                                        ("single_agent", "single_agent")])
+@pytest.mark.parametrize("logged", [False, True], ids=["unlogged", "logged"])
+def test_unpaired_surrogate_on_every_attempt_fails_the_agent(profiles, case_contracts,
+                                                             corpus, tmp_path, mode, role,
+                                                             logged):
+    """The run ends as a record, not as a UnicodeEncodeError from the log
+    write or from the next prompt's hash."""
+    gateway = SurrogateGateway(StubGateway(STUB / "specific"), role, MAX_ATTEMPTS)
+    record, report = execute_pipeline(profiles["saas_25"], config(), mode, gateway, corpus,
+                                      case_contracts, out_dir=tmp_path if logged else None)
+    assert (record.failed_stage, record.failure_kind) == (role, "agent_failed")
+    assert len(gateway.prompts[role]) == MAX_ATTEMPTS
+    assert report is None
+    if logged:
+        assert (tmp_path / record.run_id / "session.jsonl").read_bytes() == b""
+
+
+def test_paired_surrogate_escape_is_accepted(profiles, case_contracts, corpus, tmp_path):
+    gateway = SurrogateGateway(StubGateway(STUB / "specific"), "single_agent", 1,
+                               r"\ud83d\ude00 ")
+    record, report = execute_pipeline(profiles["saas_25"], config(), "single_agent",
+                                      gateway, corpus, case_contracts, out_dir=tmp_path)
+    assert record.completed
+    assert len(gateway.prompts["single_agent"]) == 1
+    assert record.unique_threat_titles[0].startswith("\U0001F600 ")
+    assert (tmp_path / record.run_id / "report.json").read_text(
+        encoding="utf-8") == report.canonical_text + "\n"
 
 
 def test_unknown_mode_rejected(health_profile, case_contracts, corpus,
