@@ -210,10 +210,10 @@ def _may_hold_surrogate(raw: str) -> bool:
     pattern), or a raw surrogate, which an HTTP reply's outer decode can
     leave and only non-ASCII text holds."""
     return ("\\" in raw and _SURROGATE_ESCAPE.search(raw) is not None
-            or not (raw.isascii() or _encodes(raw)))
+            or not (raw.isascii() or encodes_utf8(raw)))
 
 
-def _encodes(text: str) -> bool:
+def encodes_utf8(text: str) -> bool:
     """Whether text encodes as UTF-8: it holds no unpaired surrogate."""
     try:
         text.encode("utf-8")
@@ -510,6 +510,8 @@ class ContractSet:
         self._schemas: dict[str, dict] = {}
         self._checkers: dict[str, Callable[[Any], Violations]] = {}
         self._combined_tasks: Optional[str] = None
+        # (role, corpus, questionnaire) -> the prompt of a role that reads no context
+        self._context_free: dict[tuple[str, Corpus, str], str] = {}
 
     def contract(self, role: str) -> AgentContract:
         if role == SINGLE_AGENT_ROLE:
@@ -620,7 +622,22 @@ class ContractSet:
     def build_prompt(self, role: str, snapshot: dict[str, ContextEntry],
                      corpus: Corpus, questionnaire: str) -> str:
         """The role's full prompt over a snapshot, for either topology;
-        questionnaire is the profile's canonical_json."""
+        questionnaire is the profile's canonical_json. The prompt of a
+        role that reads no context (single_agent, risk_intake) depends on
+        (role, corpus, questionnaire) alone, so it is built once per
+        ContractSet and every later call returns that same str; a role
+        that reads context is built on every call."""
+        if self.contract(role).reads:
+            return self._new_prompt(role, snapshot, corpus, questionnaire)
+        key = (role, corpus, questionnaire)
+        prompt = self._context_free.get(key)
+        if prompt is None:  # threads that miss together store equal prompts
+            prompt = self._context_free[key] = self._new_prompt(
+                role, snapshot, corpus, questionnaire)
+        return prompt
+
+    def _new_prompt(self, role: str, snapshot: dict[str, ContextEntry],
+                    corpus: Corpus, questionnaire: str) -> str:
         if role == SINGLE_AGENT_ROLE:
             return self._single_prompt(corpus, questionnaire)
         grounding = self.gather_grounding(role, snapshot, corpus)
@@ -660,7 +677,7 @@ class ContractSet:
         balanced object exists."""
         doc = extract_json_object(raw)
         violations = self.checker(self.contract(role).schema_name)(doc)
-        if _may_hold_surrogate(raw) and not _encodes(canonical_json(doc)):
+        if _may_hold_surrogate(raw) and not encodes_utf8(canonical_json(doc)):
             violations = tuple(sorted(violations + (SURROGATE_VIOLATION,)))
         return violations, doc
 

@@ -113,12 +113,20 @@ class StubGateway:
     prompt carries the validation-retry marker, which keeps the stub
     stateless while still letting tests script fail-then-succeed
     sequences.
+
+    The reply stays a pure function of (role, prompt, seed). Per role the
+    stub keeps its last pick, (prompt, pool, prompt hash): a call with an
+    equal prompt, such as the next seed of one sweep cell, reuses the pool
+    and the hash, and only the seed's offset and the reply's serialization
+    run again. One entry per role keeps memory flat, and a call that
+    raises stores nothing.
     """
 
     def __init__(self, script_dir: Path, sleep_seconds: float = 0.0):
         self.script_dir = Path(script_dir)
         self.sleep_seconds = sleep_seconds
         self._scripts: dict[str, tuple[Path, dict]] = {}  # role -> (file, script)
+        self._last: dict[str, tuple[str, list, int]] = {}  # role -> (prompt, pool, hash)
 
     @property
     def waits_on_io(self) -> bool:
@@ -140,7 +148,7 @@ class StubGateway:
 
     def _select_pool(self, role: str, prompt: str) -> list:
         path, script = self._script_for(role)
-        if RETRY_MARKER in prompt and "on_retry" in script:
+        if "on_retry" in script and RETRY_MARKER in prompt:
             return script["on_retry"]
         profiles = script.get("profiles", {})
         for profile_id, pool in profiles.items():
@@ -153,10 +161,17 @@ class StubGateway:
         return script["default"]
 
     def stub_complete(self, role: str, prompt: str, seed: int) -> str:
-        pool = self._select_pool(role, prompt)
-        if not pool:
-            raise RiskforgeError(f"empty response pool for role {role!r}")
-        candidate = pool[(prompt_hash(prompt) + seed) % len(pool)]
+        last = self._last.get(role)
+        if last is not None and last[0] == prompt:  # an identity check for a cached prompt
+            _, pool, digest = last
+        else:
+            pool = self._select_pool(role, prompt)
+            if not pool:
+                raise RiskforgeError(f"empty response pool for role {role!r}")
+            digest = prompt_hash(prompt)
+            # one tuple, stored at once, so a worker thread reads a whole pick
+            self._last[role] = (prompt, pool, digest)
+        candidate = pool[(digest + seed) % len(pool)]
         if isinstance(candidate, str):
             return candidate
         # ASCII-escaped, the encoder's fast default: the reply parses to candidate

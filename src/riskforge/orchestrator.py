@@ -43,7 +43,8 @@ from pathlib import Path
 from typing import Any, Callable, NamedTuple, Optional, Union
 
 from .context_store import ContextEntry, ContextStore
-from .contracts import ENTRY_KINDS, PLANS, QUESTIONNAIRE_SCHEMA, ContractSet, Violations
+from .contracts import (ENTRY_KINDS, PLANS, QUESTIONNAIRE_SCHEMA, ContractSet, Violations,
+                        encodes_utf8)
 from .errors import ContextOverflow, ProfileInvalid, RiskforgeError, StageError
 from .gateway import BudgetDecision, ModelConfig
 from .grounding import Corpus, normalize_title
@@ -135,10 +136,12 @@ class Questionnaire(NamedTuple):
 def check_profile(profile: Union[dict, Questionnaire],
                   contracts: ContractSet) -> Questionnaire:
     """profile as a Questionnaire if it is a valid questionnaire, else raise
-    ProfileInvalid naming its first violation in (path, message) order. A
-    Questionnaire that this ContractSet's checker passed comes back as it
-    is, so a profile checked once is neither checked nor serialized again;
-    one that another ContractSet's checker passed is checked afresh."""
+    ProfileInvalid naming its first violation in (path, message) order, or
+    else the field holding an unpaired UTF-16 surrogate, which no UTF-8
+    prompt can quote. A Questionnaire that this ContractSet's checker
+    passed comes back as it is, so a profile checked once is neither
+    checked nor serialized again; one that another ContractSet's checker
+    passed is checked afresh."""
     checker = contracts.checker(QUESTIONNAIRE_SCHEMA)
     if isinstance(profile, Questionnaire):
         if profile.checker is checker:
@@ -147,7 +150,14 @@ def check_profile(profile: Union[dict, Questionnaire],
     violations = checker(profile)
     if violations:
         raise ProfileInvalid(f"questionnaire invalid: {violations[0][1]}")
-    return Questionnaire(profile, canonical_json(profile), checker)
+    text = canonical_json(profile)
+    if not (text.isascii() or encodes_utf8(text)):
+        field = next(key for key, value in profile.items()
+                     if not encodes_utf8(canonical_json({key: value})))
+        # repr escapes a surrogate, so the message itself encodes
+        raise ProfileInvalid(f"questionnaire invalid: {field!r} holds an unpaired "
+                             f"UTF-16 surrogate")
+    return Questionnaire(profile, text, checker)
 
 
 def execute_pipeline(profile: Union[dict, Questionnaire], config: ModelConfig, mode: str,

@@ -12,6 +12,7 @@ import pytest
 
 from riskforge.cli import main
 from riskforge.contracts import DATA_DIR
+from riskforge.gateway import StubGateway
 from riskforge.orchestrator import RunRecord, record_run
 
 FIXTURES = DATA_DIR / "fixtures"
@@ -128,6 +129,33 @@ def test_assess_rejects_unreadable_profile(runner, tmp_path):
     result = runner.invoke(main, ["assess", "--profile", str(bad)])
     assert result.exit_code != 0
     assert "cannot read profile" in result.output
+
+
+@pytest.mark.parametrize("verb", ["assess", "ablate"])
+def test_questionnaire_with_an_unpaired_surrogate_is_a_one_line_error(
+        runner, tmp_path, monkeypatch, verb):
+    """assess --profile and ablate --profiles reject a questionnaire string
+    holding an unpaired surrogate as an invalid questionnaire: one Error
+    line, exit 1, no provider call, no ledger line."""
+    doc = json.loads(PROFILE.read_text(encoding="utf-8"))
+    doc["industry"] = "health\ud800"
+    profiles = tmp_path / "profiles"
+    profiles.mkdir()
+    path = profiles / "health_15.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")  # the JSON escape \ud800
+    calls = []
+    monkeypatch.setattr(StubGateway, "complete", lambda self, request: calls.append(request))
+    out = tmp_path / "out"
+    args = (["assess", "--profile", str(path), "--out", str(out)] if verb == "assess" else
+            ["ablate", "--profiles", str(profiles), "--out", str(out / "ledger.jsonl")])
+    result = runner.invoke(main, args)
+    invalid = "questionnaire invalid: 'industry' holds an unpaired UTF-16 surrogate"
+    assert (result.exit_code, result.output) == (1, "Error: " + (
+        invalid if verb == "assess"
+        else f"cannot read profile {path}: ProfileInvalid: {invalid}") + "\n")
+    assert isinstance(result.exception, SystemExit)
+    assert calls == []
+    assert not out.exists()
 
 
 def test_eval_fixture_table(runner):

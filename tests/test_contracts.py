@@ -10,8 +10,8 @@ from hypothesis import given, strategies as st
 from riskforge import gateway as gateway_mod
 from riskforge.context_store import ContextStore
 from riskforge.contracts import (CONTRACTS, ENTRY_KINDS, MAX_ATTEMPTS, PLANS, ROLES,
-                                 SINGLE_AGENT, STAGES, SURROGATE_VIOLATION, AgentContract,
-                                 ContractSet, extract_json_object, stage_plan)
+                                 SINGLE_AGENT, SINGLE_AGENT_ROLE, STAGES, SURROGATE_VIOLATION,
+                                 AgentContract, ContractSet, extract_json_object, stage_plan)
 from riskforge.errors import AgentFailed, ContextOverflow, RiskforgeError, Unparseable
 from riskforge.gateway import HttpGateway, ModelConfig, StubGateway
 from riskforge.grounding import Corpus
@@ -199,6 +199,41 @@ def test_grounding_without_corpus_is_empty(case_contracts):
     store.append_entry("org_profile", "risk_intake", {"summary": "PR.AC-1"})
     assert case_contracts.gather_grounding("threat_modeling",
                                            store.snapshot(), Corpus([])) == []
+
+
+@pytest.mark.parametrize("role", ["risk_intake", SINGLE_AGENT_ROLE])
+def test_context_free_prompt_is_built_once_per_contract_set(case_contracts, corpus,
+                                                             health_profile, role):
+    """A role that reads no context gets the same str for an equal
+    (corpus, questionnaire), and a new one for another questionnaire,
+    another corpus or another ContractSet."""
+    snapshot = ContextStore(ENTRY_KINDS).snapshot()
+    questionnaire = canonical_json(health_profile)
+    first = case_contracts.build_prompt(role, snapshot, corpus, questionnaire)
+    equal_copy = questionnaire[:1] + questionnaire[1:]
+    assert equal_copy is not questionnaire
+    assert case_contracts.build_prompt(role, snapshot, corpus, equal_copy) is first
+    other = canonical_json({**health_profile, "employee_count": 16})
+    assert case_contracts.build_prompt(role, snapshot, corpus, other) != first
+    rebuilt = [case_contracts.build_prompt(role, snapshot, Corpus(corpus.excerpts),
+                                           questionnaire),
+               ContractSet(schema_mode="case_study").build_prompt(role, snapshot, corpus,
+                                                                  questionnaire)]
+    assert rebuilt == [first, first]
+    assert all(prompt is not first for prompt in rebuilt)
+
+
+def test_prompt_that_reads_context_is_built_on_every_call(case_contracts, corpus,
+                                                          seeded_store, monkeypatch):
+    assembled = []
+    assemble = ContractSet.assemble_prompt
+    monkeypatch.setattr(ContractSet, "assemble_prompt",
+                        lambda self, role, *args, **kwargs: assembled.append(role)
+                        or assemble(self, role, *args, **kwargs))
+    prompts = [case_contracts.build_prompt("threat_modeling", seeded_store.snapshot(),
+                                           corpus, "{}") for _ in range(2)]
+    assert assembled == ["threat_modeling"] * 2
+    assert prompts[0] == prompts[1] and prompts[0] is not prompts[1]
 
 
 # -- run_agent retry behavior ------------------------------------------------

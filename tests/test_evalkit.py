@@ -10,13 +10,14 @@ from pathlib import Path
 
 import pytest
 
-from riskforge import context_store, orchestrator
+from riskforge import context_store, gateway, orchestrator
 from riskforge.contracts import DATA_DIR, QUESTIONNAIRE_SCHEMA, ContractSet
 from riskforge.errors import ProfileInvalid, RiskforgeError
 from riskforge.evalkit import (AliasMap, ModelSpec, PractitionerAnnotation,
                                compute_metrics, coverage, load_annotations,
                                run_ablation, severity_agreement)
 from riskforge.gateway import ModelConfig, StubGateway
+from riskforge.grounding import Corpus
 from riskforge.orchestrator import RunRecord, execute_pipeline, load_ledger
 from riskforge.records import decode
 from riskforge.risk_model import RiskItem
@@ -416,6 +417,27 @@ def test_sweep_checks_and_serializes_each_profile_once(profiles, corpus, model_s
                         tmp_path / "ledger.jsonl", contracts, corpus,
                         DATA_DIR / "stub") == 30
     assert checked == serialized == list(profiles.values())
+
+
+def test_sweep_builds_and_hashes_each_single_agent_prompt_once_per_profile(
+        profiles, corpus, model_specs, tmp_path, monkeypatch):
+    """The single-agent prompt depends on the profile alone: the bundled
+    sweep builds it (and retrieves its excerpts) once per profile, and each
+    model's stub hashes it once, as the seeds of a cell reuse the pick."""
+    counts = Counter()
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args: counts.update([name])
+                            or original(*args))
+
+    counting(ContractSet, "_single_prompt")
+    counting(Corpus, "retrieve")
+    counting(gateway, "prompt_hash")
+    assert run_ablation(list(profiles.values()), model_specs, 3, "single_agent",
+                        tmp_path / "ledger.jsonl", ContractSet(schema_mode="cross_sector"),
+                        corpus, DATA_DIR / "stub") == 30
+    assert counts == {"_single_prompt": 5, "retrieve": 5, "prompt_hash": 10}
 
 
 def test_sweep_resumes_a_ledger_torn_anywhere_in_its_last_two_lines(profiles, corpus,

@@ -2,10 +2,12 @@
 
 import json
 import re
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+from hypothesis import given, strategies as st
 
 from riskforge import gateway
 from riskforge.contracts import DATA_DIR, SINGLE_AGENT_ROLE, STAGES
@@ -138,6 +140,84 @@ def test_bundled_script_sets_cover_every_role_without_copies():
         for path in (stub_root / name).iterdir():
             shared = stub_root / path.name
             assert not (shared.is_file() and shared.read_bytes() == path.read_bytes()), path
+
+
+@pytest.fixture(scope="module")
+def pick_scripts(tmp_path_factory):
+    """Scripts whose pools cover each way a pick goes: a profile pool, a
+    retry pool, a default, a JSON candidate, an empty pool, no pool."""
+    root = tmp_path_factory.mktemp("picks")
+    write_script(root, "echo", {"default": ["alpha", "beta", "gamma"],
+                                "profiles": {"health_15": ["health-only"],
+                                             "saas_25": [{"b": 2}, "s2"]},
+                                "on_retry": ["retried"]})
+    write_script(root, "no_retry", {"default": [{"a": 1}, "x"],
+                                    "profiles": {"health_15": ["h"]}})
+    write_script(root, "empty", {"default": [], "profiles": {"health_15": ["h"]}})
+    write_script(root, "strict", {"profiles": {"health_15": ["h1", "h2"]}})
+    return root
+
+
+PICK_PROMPTS = ("plain", "health_15 here", "saas_25 then health_15",
+                f"health_15\n=== {RETRY_MARKER} ===\nfix it", '{"profile_id":"clinic_9"}')
+
+
+def _reply(gw, role, prompt, seed):
+    """The stub's reply, or the message of the error it raised."""
+    try:
+        return "reply", gw.stub_complete(role, prompt, seed)
+    except RiskforgeError as exc:
+        return "error", str(exc)
+
+
+@given(st.lists(st.tuples(st.sampled_from(["echo", "no_retry", "empty", "strict"]),
+                          st.sampled_from(range(len(PICK_PROMPTS))), st.booleans(),
+                          st.integers(0, 5)), max_size=12))
+def test_a_long_lived_stub_replies_as_a_fresh_one(pick_scripts, calls):
+    """The per-role last pick is invisible: each call of one long-lived
+    stub returns, or raises, what a fresh stub does for that call, for a
+    repeated prompt (the same str or an equal copy) or a new one."""
+    gw = StubGateway(pick_scripts)
+    for role, index, copy, seed in calls:
+        prompt = "".join(list(PICK_PROMPTS[index])) if copy else PICK_PROMPTS[index]
+        assert _reply(gw, role, prompt, seed) == _reply(StubGateway(pick_scripts), role,
+                                                         prompt, seed)
+
+
+def test_threads_sharing_a_stub_get_a_fresh_stubs_replies(pick_scripts):
+    """The worker threads of one sweep share a stub. With more threads than
+    cores and a short switch interval, every reply is a fresh stub's."""
+    calls = [(role, prompt, seed) for role in ("echo", "no_retry")
+             for prompt in PICK_PROMPTS[:4] for seed in range(3)]
+    expected = {call: StubGateway(pick_scripts).stub_complete(*call) for call in calls}
+    gw = StubGateway(pick_scripts)
+    wrong = []
+
+    def work(offset):
+        for i in range(300):
+            call = calls[(offset + 7 * i) % len(calls)]
+            if gw.stub_complete(*call) != expected[call]:
+                wrong.append(call)
+
+    threads = [threading.Thread(target=work, args=(n,)) for n in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+
+
+def test_an_unscripted_retry_prompt_takes_its_profile_pool(pick_scripts):
+    """A script with no on_retry pool never scans for the retry marker: a
+    retry prompt picks from its profile pool as a first prompt does."""
+    gw = StubGateway(pick_scripts)
+    assert gw.stub_complete("no_retry", f"health_15\n=== {RETRY_MARKER} ===", 0) == "h"
 
 
 def test_stub_result_metadata(script_dir):

@@ -803,6 +803,35 @@ def test_invalid_questionnaire_message_names_the_first_violation(
     assert str(exc.value) == f"questionnaire invalid: {message}"
 
 
+@pytest.mark.parametrize("edit, field", [
+    ({"industry": "health\ud800"}, "industry"),
+    ({"systems": ["EHR", "\udfffportal"]}, "systems"),
+    ({"free_text": "ok", "profile_id": "health\udc00_15"}, "profile_id"),
+])
+def test_questionnaire_with_an_unpaired_surrogate_is_invalid(
+        health_profile, case_contracts, corpus, tmp_path, edit, field):
+    """A questionnaire string holding an unpaired surrogate, which no UTF-8
+    prompt can quote, is rejected before any provider call or file write;
+    the message escapes the field's name, so it can be printed."""
+    gateway = RecordingGateway(STUB / "specific")
+    with pytest.raises(ProfileInvalid) as exc:
+        execute_pipeline({**health_profile, **edit}, config(), "multi_agent", gateway,
+                         corpus, case_contracts, out_dir=tmp_path / "out")
+    assert str(exc.value) == (f"questionnaire invalid: {field!r} holds an unpaired "
+                              f"UTF-16 surrogate")
+    assert gateway.calls == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_questionnaire_with_a_paired_surrogate_runs(health_profile, case_contracts,
+                                                    corpus, specific_gateway):
+    """\ud83d\ude00 in a JSON file decodes to one character, which encodes."""
+    profile = json.loads(json.dumps({**health_profile, "free_text": "\U0001f600"}))
+    record, _ = execute_pipeline(profile, config(), "multi_agent", specific_gateway,
+                                 corpus, case_contracts)
+    assert record.completed
+
+
 def test_integral_float_questionnaire_counts_are_accepted(health_profile, case_contracts,
                                                          corpus, specific_gateway):
     profile = {**health_profile, "self_rated_maturity": 10.0}
