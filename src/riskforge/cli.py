@@ -18,7 +18,7 @@ import sys
 import warnings
 from pathlib import Path
 
-from .contracts import DATA_DIR, ContractSet
+from .contracts import DATA_DIR, SCHEMA_MODES, ContractSet
 from .errors import ProfileInvalid, RiskforgeError
 from .gateway import HttpGateway, ModelConfig, StubGateway
 from .grounding import Corpus
@@ -27,6 +27,7 @@ from .records import decode, mend_tail
 
 BUNDLED_CORPUS = DATA_DIR / "corpus" / "mini_csf.jsonl"
 STUB_ROOT = DATA_DIR / "stub"
+RUN_MODES = {"multi": "multi_agent", "single": "single_agent"}  # --mode -> RunRecord.mode
 
 
 def _read_json(path, what: str, build=None):
@@ -79,11 +80,10 @@ def assess(profile_path, mode, provider, script, model_id, window, seed,
         config = ModelConfig(model_id=model_id, context_window_tokens=window, seed=seed)
     except ValueError as exc:
         raise RiskforgeError(f"--window {window}: {exc}")
-    run_mode = "multi_agent" if mode == "multi" else "single_agent"
     if out_dir:
         _check_out(out_dir, Path(out_dir))
 
-    record, _ = execute_pipeline(profile, config, run_mode, gateway, corpus, contracts,
+    record, _ = execute_pipeline(profile, config, RUN_MODES[mode], gateway, corpus, contracts,
                                  out_dir=Path(out_dir) if out_dir else None)
     if out_dir:
         ledger = Path(out_dir) / "ledger.jsonl"
@@ -150,9 +150,8 @@ def ablate(profiles_dir, models_path, runs_per_cell, mode, schema_mode,
         for entry in decode(list[ModelsFileEntry], docs)])
 
     corpus = _load_corpus(corpus_path)
-    run_mode = "multi_agent" if mode == "multi" else "single_agent"
     _check_out(ledger_path, Path(ledger_path).parent)
-    executed = run_ablation(profiles, specs, runs_per_cell, run_mode, Path(ledger_path),
+    executed = run_ablation(profiles, specs, runs_per_cell, RUN_MODES[mode], Path(ledger_path),
                             contracts, corpus, STUB_ROOT, workers=workers)
     total = len(profiles) * len(specs) * runs_per_cell
     print(f"executed {executed} new runs ({total - executed} already in ledger)")
@@ -189,13 +188,13 @@ def _parser() -> argparse.ArgumentParser:
 
     option = verb("assess", assess)
     option("--profile", dest="profile_path", required=True, help="Questionnaire JSON file.")
-    option("--mode", choices=["multi", "single"], default="multi", help="Pipeline topology.")
+    option("--mode", choices=RUN_MODES, default="multi", help="Pipeline topology.")
     option("--provider", choices=["stub", "http"], default="stub")
     option("--script", default="specific", help="Stub script set (stub provider only).")
     option("--model", dest="model_id", default="stub-model")
     option("--window", type=int, default=131072, help="Context window in tokens.")
     option("--seed", type=int, default=0)
-    option("--schema-mode", choices=["case_study", "cross_sector"], default="case_study")
+    option("--schema-mode", choices=SCHEMA_MODES, default="case_study")
     option("--corpus", dest="corpus_path", default=str(BUNDLED_CORPUS),
            help="Framework corpus JSONL (default: the bundled corpus).")
     option("--out", dest="out_dir",
@@ -217,8 +216,8 @@ def _parser() -> argparse.ArgumentParser:
     option("--models", dest="models_path", default=str(DATA_DIR / "ablation_models.json"))
     option("--runs", dest="runs_per_cell", type=_run_count, default=3,
            help="Seeds per profile x model cell.")
-    option("--mode", choices=["multi", "single"], default="single")
-    option("--schema-mode", choices=["case_study", "cross_sector"], default="cross_sector")
+    option("--mode", choices=RUN_MODES, default="single")
+    option("--schema-mode", choices=SCHEMA_MODES, default="cross_sector")
     option("--corpus", dest="corpus_path", default=str(BUNDLED_CORPUS))
     option("--out", dest="ledger_path", required=True,
            help="Run ledger to append to (resumable).")

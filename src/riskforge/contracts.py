@@ -44,6 +44,7 @@ MAX_ATTEMPTS = 3  # initial attempt plus two validation re-prompts
 
 QUESTIONNAIRE_SCHEMA = "questionnaire.json"
 SINGLE_AGENT_ROLE = "single_agent"
+SCHEMA_MODES = ("case_study", "cross_sector")  # see ContractSet
 
 # The violation reported for an output the provider cut off: a prefix can
 # still hold a schema-valid object, so it is never validated.
@@ -502,14 +503,13 @@ class ContractSet:
 
     def __init__(self, schemas_dir: Optional[Path] = None,
                  schema_mode: str = "case_study"):
-        if schema_mode not in ("case_study", "cross_sector"):
+        if schema_mode not in SCHEMA_MODES:
             raise ValueError(f"unknown schema mode {schema_mode!r}")
         self.schema_mode = schema_mode
         self.schemas_dir = Path(schemas_dir or DATA_DIR / "schemas")
         self._templates: dict[str, str] = {}
         self._schemas: dict[str, dict] = {}
         self._checkers: dict[str, Callable[[Any], Violations]] = {}
-        self._combined_tasks: Optional[str] = None
         # (role, corpus, questionnaire) -> the prompt of a role that reads no context
         self._context_free: dict[tuple[str, Corpus, str], str] = {}
 
@@ -724,11 +724,8 @@ class ContractSet:
 
     def combined_task_text(self, questionnaire_json: str) -> str:
         """Concatenated task instructions of all six roles, for the
-        single-agent ablation baseline. The blocks are joined once per
-        ContractSet; each call fills in the questionnaire."""
-        if self._combined_tasks is None:
-            self._combined_tasks = "\n\n".join(
-                f"## Stage: {role}\n"
-                f"{self.template_text(self.contract(role).template_name).strip()}"
-                for role in ROLES)
-        return self._combined_tasks.replace("{{questionnaire}}", questionnaire_json)
+        single-agent ablation baseline, with the questionnaire filled in."""
+        return "\n\n".join(
+            f"## Stage: {role}\n"
+            f"{self.template_text(self.contract(role).template_name).strip()}"
+            for role in ROLES).replace("{{questionnaire}}", questionnaire_json)

@@ -280,12 +280,21 @@ def _write_outputs(snapshot: dict[str, ContextEntry], corpus: Corpus,
     and for a multi-agent run report.md, rendered from that document. A
     single-agent run's document is its report entry's payload, whose
     canonical text the session log already holds, so it is not serialized
-    again."""
+    again. Each file is whole or absent (_replace_with)."""
     if record.mode == "single_agent":
         text = snapshot["report"].canonical_text
     else:
         from . import report as report_mod  # loaded by the first report rendered
         doc = report_mod.report_document(snapshot, corpus, record)
-        (run_dir / "report.md").write_text(report_mod.render_report(doc), encoding="utf-8")
+        _replace_with(run_dir / "report.md", report_mod.render_report(doc))
         text = canonical_json(doc)
-    (run_dir / "report.json").write_text(text + "\n", encoding="utf-8")
+    _replace_with(run_dir / "report.json", text + "\n")
+
+
+def _replace_with(path: Path, text: str) -> None:
+    """Write text to a temporary name beside path, then rename it onto path,
+    so a process killed mid-write leaves path whole or absent. No fsync:
+    after a power loss the file may still be torn."""
+    temporary = path.with_name(f".{path.name}.tmp")
+    temporary.write_text(text, encoding="utf-8")
+    os.replace(temporary, path)

@@ -103,6 +103,24 @@ def test_criterion_3_metrics_fixture_exactness():
              f"agreement {agree.display()}, coverage {cover.display()}")
 
 
+def test_criterion_3_register_is_the_pipeline_output(health_profile, case_contracts, corpus,
+                                                    specific_gateway, tmp_path):
+    """The register criterion 3 scores is what the multi-agent stub pipeline's
+    risk_register stage writes for health_15, at each stub seed."""
+    fixture = json.loads((FIXTURES / "case_study_register.json").read_text())["risks"]
+    registers = []
+    for seed in range(3):
+        record, _ = execute_pipeline(
+            health_profile,
+            ModelConfig(model_id="stub-model", context_window_tokens=131072, seed=seed),
+            "multi_agent", specific_gateway, corpus, case_contracts, out_dir=tmp_path)
+        store = ContextStore.load(tmp_path / record.run_id / "session.jsonl", ENTRY_KINDS)
+        registers.append(store.snapshot()["risk_register"].payload["risks"])
+    conclude(3, "case-study register from the pipeline",
+             registers == [fixture] * 3,
+             f"{len(fixture)} risks equal the fixture's at stub seeds 0, 1 and 2")
+
+
 def test_criterion_4_citation_verification(corpus):
     seeded = corpus.verify_citations(
         (FIXTURES / "seeded_report.md").read_text(encoding="utf-8"))

@@ -19,15 +19,28 @@ FIXTURES = DATA_DIR / "fixtures"
 PROFILE = DATA_DIR / "profiles" / "health_15.json"
 
 
+class _Tee(io.StringIO):
+    """A stream that also writes what it is given to another one."""
+
+    def __init__(self, other):
+        super().__init__()
+        self.other = other
+
+    def write(self, text):
+        self.other.write(text)
+        return super().write(text)
+
+
 class Runner:
     """Calls a CLI entry point in this process. The result's output holds
-    stdout and stderr together; exit_code is the SystemExit code, or 1 for
-    any other exception, which is kept as exception (as is a SystemExit
-    with a non-zero code)."""
+    stdout and stderr together, and its stderr stderr alone; exit_code is
+    the SystemExit code, or 1 for any other exception, which is kept as
+    exception (as is a SystemExit with a non-zero code)."""
 
     def invoke(self, entry, args):
         output, exit_code, exception = io.StringIO(), 0, None
-        with redirect_stdout(output), redirect_stderr(output):
+        stderr = _Tee(output)
+        with redirect_stdout(output), redirect_stderr(stderr):
             try:
                 entry(args)
             except SystemExit as exc:
@@ -36,7 +49,7 @@ class Runner:
             except Exception as exc:
                 exit_code, exception = 1, exc
         return SimpleNamespace(exit_code=exit_code, output=output.getvalue(),
-                               exception=exception)
+                               stderr=stderr.getvalue(), exception=exception)
 
 
 @pytest.fixture
@@ -95,14 +108,15 @@ def test_assess_multi_small_window_exits_2_but_records(runner, tmp_path):
 
 
 def test_assess_single_small_window_completes(runner, tmp_path):
-    result = runner.invoke(main, [
-        "assess", "--profile", str(PROFILE), "--mode", "single",
-        "--window", "4096", "--schema-mode", "cross_sector",
-        "--out", str(tmp_path)])
-    assert result.exit_code == 0, result.output
-    record = json.loads(result.output)
-    assert record["completed"] is True
-    assert record["structural_ok"] is True
+    for schema_mode in ("cross_sector", "case_study"):
+        result = runner.invoke(main, [
+            "assess", "--profile", str(PROFILE), "--mode", "single",
+            "--window", "4096", "--schema-mode", schema_mode,
+            "--out", str(tmp_path / schema_mode)])
+        assert result.exit_code == 0, result.output
+        record = json.loads(result.output)
+        assert record["completed"] is True
+        assert record["structural_ok"] is True
 
 
 def test_assess_window_within_reserved_output_is_a_one_line_error(runner, tmp_path):
@@ -131,14 +145,22 @@ def test_assess_rejects_unreadable_profile(runner, tmp_path):
     assert "cannot read profile" in result.output
 
 
-@pytest.mark.parametrize("verb", ["assess", "ablate"])
+SURROGATE_INVALID = "'industry' holds an unpaired UTF-16 surrogate"
+
+
+@pytest.mark.parametrize("verb, field, value, invalid", [
+    ("assess", "industry", "health\ud800", SURROGATE_INVALID),
+    ("ablate", "industry", "health\ud800", SURROGATE_INVALID),
+    ("assess", "employee_count", 0, "0 is less than the minimum of 1"),
+], ids=["assess", "ablate", "assess_employee_count_0"])
 def test_questionnaire_with_an_unpaired_surrogate_is_a_one_line_error(
-        runner, tmp_path, monkeypatch, verb):
+        runner, tmp_path, monkeypatch, verb, field, value, invalid):
     """assess --profile and ablate --profiles reject a questionnaire string
-    holding an unpaired surrogate as an invalid questionnaire: one Error
-    line, exit 1, no provider call, no ledger line."""
+    holding an unpaired surrogate as an invalid questionnaire, as assess
+    does a count below its minimum: one Error line, exit 1, no provider
+    call, no ledger line."""
     doc = json.loads(PROFILE.read_text(encoding="utf-8"))
-    doc["industry"] = "health\ud800"
+    doc[field] = value
     profiles = tmp_path / "profiles"
     profiles.mkdir()
     path = profiles / "health_15.json"
@@ -149,7 +171,7 @@ def test_questionnaire_with_an_unpaired_surrogate_is_a_one_line_error(
     args = (["assess", "--profile", str(path), "--out", str(out)] if verb == "assess" else
             ["ablate", "--profiles", str(profiles), "--out", str(out / "ledger.jsonl")])
     result = runner.invoke(main, args)
-    invalid = "questionnaire invalid: 'industry' holds an unpaired UTF-16 surrogate"
+    invalid = "questionnaire invalid: " + invalid
     assert (result.exit_code, result.output) == (1, "Error: " + (
         invalid if verb == "assess"
         else f"cannot read profile {path}: ProfileInvalid: {invalid}") + "\n")
@@ -419,25 +441,51 @@ def test_ablate_requires_profiles(runner, tmp_path):
     assert "no profile JSON files" in result.output
 
 
+def run_verbs(verbs, report, package_env):
+    """Run each argv of verbs through main in one fresh interpreter without
+    site-packages (python -S), so an import of any third-party package
+    fails; report, the source of a function that prints one line, runs
+    at start-up and after each verb. Returns the process's stdout."""
+    code = (f"from riskforge.cli import main\n{report}\nreport()\n"
+            f"for argv in {verbs!r}:\n    main(argv)\n    report()\n")
+    return subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, env=package_env, timeout=60, check=True).stdout
+
+
 def test_cli_import_and_stub_run_leave_unneeded_modules_unloaded(tmp_path, package_env):
-    """A CLI start-up loads no third-party package, no HTTP client and no
-    secrets module, and neither does a stub run; jsonschema is never
-    imported outside the tests."""
-    code = (
-        "import sys\n"
-        "from riskforge.cli import main\n"
-        "unwanted = ('click', 'requests', 'urllib.request', 'http.client', 'secrets',\n"
-        "            'jsonschema')\n"
-        "print(sorted(m for m in unwanted if m in sys.modules))\n"
-        f"main(['assess', '--profile', {str(PROFILE)!r}, '--out', {str(tmp_path)!r}])\n"
-        "print(sorted(m for m in unwanted if m in sys.modules))\n"
+    """Every verb runs on the standard library alone: where jsonschema
+    cannot be imported, a CLI start-up and each verb (assess --out in both
+    modes, ablate, eval of its ledger and of the case-study fixtures,
+    index-corpus) complete, and none loads a third-party package, an HTTP
+    client or a secrets module."""
+    ledger = str(tmp_path / "ledger.jsonl")
+    report = (
+        "def report():\n"
+        "    import sys\n"
+        "    unwanted = ('click', 'requests', 'urllib.request', 'http.client', 'secrets',\n"
+        "                'jsonschema')\n"
+        "    print('unwanted:', sorted(m for m in unwanted if m in sys.modules))\n"
+        "    try:\n"
+        "        import jsonschema\n"
+        "    except ModuleNotFoundError:\n"
+        "        print('jsonschema: ModuleNotFoundError')\n"
     )
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=package_env, timeout=60, check=True)
-    lines = done.stdout.splitlines()
-    assert lines[0] == "[]"
-    assert json.loads("\n".join(lines[1:-1]))["completed"] is True
-    assert lines[-1] == "[]"
+    stdout = run_verbs([
+        ["assess", "--profile", str(PROFILE), "--out", str(tmp_path)],
+        ["assess", "--mode", "single", "--profile", str(PROFILE), "--out", str(tmp_path)],
+        ["ablate", "--out", ledger],
+        ["eval", "--ledger", ledger, "--json", "--select", "mode=single_agent"],
+        ["eval", "--register", REGISTER, "--annotations", ANNOTATIONS,
+         "--aliases", str(FIXTURES / "aliases.json")],
+        ["index-corpus"],
+    ], report, package_env)
+    lines = stdout.splitlines()
+    assert [line for line in lines if line.startswith(("unwanted: ", "jsonschema: "))] == [
+        "unwanted: []", "jsonschema: ModuleNotFoundError"] * 7
+    assert stdout.count('"completed": true') == 2
+    assert "executed 30 new runs (0 already in ledger)" in lines
+    assert "18/21 (0.857)" in stdout
+    assert "  total: 17 excerpts" in lines
 
 
 def test_cli_start_up_defers_modules_until_a_verb_uses_them(tmp_path, package_env):
@@ -446,31 +494,32 @@ def test_cli_start_up_defers_modules_until_a_verb_uses_them(tmp_path, package_en
     verb uses them: neither a CLI start-up nor a single-agent assess loads
     any of them, the bundled sweep loads the evaluation kit alone, and a
     multi-agent assess with --out loads the renderer but, with a stub that
-    does not wait on I/O, no executor."""
-    code = (
-        "import sys\n"
-        "from riskforge.cli import main\n"
-        "lazy = ('concurrent.futures', 'logging', 'fractions', 'decimal',\n"
-        "        'riskforge.evalkit', 'riskforge.report', 'riskforge.risk_model')\n"
-        "def loaded():\n"
+    does not wait on I/O, no executor, and no evaluation kit before a sweep."""
+    report = (
+        "def report():\n"
+        "    import sys\n"
+        "    lazy = ('concurrent.futures', 'logging', 'fractions', 'decimal',\n"
+        "            'riskforge.evalkit', 'riskforge.report', 'riskforge.risk_model')\n"
         "    print('loaded:', sorted(m for m in lazy if m in sys.modules))\n"
-        "loaded()\n"
-        f"main(['assess', '--mode', 'single', '--profile', {str(PROFILE)!r}, "
-        f"'--out', {str(tmp_path / 'single')!r}])\n"
-        "loaded()\n"
-        f"main(['ablate', '--out', {str(tmp_path / 'ledger.jsonl')!r}])\n"
-        "loaded()\n"
-        f"main(['assess', '--profile', {str(PROFILE)!r}, '--out', {str(tmp_path / 'run')!r}])\n"
-        "loaded()\n"
     )
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=package_env, timeout=60, check=True)
-    loaded = [line for line in done.stdout.splitlines() if line.startswith("loaded: ")]
-    assert loaded == ["loaded: []", "loaded: []", "loaded: ['riskforge.evalkit']",
-                      "loaded: ['riskforge.evalkit', 'riskforge.report', "
-                      "'riskforge.risk_model']"]
-    assert "executed 30 new runs" in done.stdout
-    assert [path.name for path in (tmp_path / "run").glob("*/report.md")] == ["report.md"]
+    renderer = "'riskforge.report', 'riskforge.risk_model'"
+    for order, loaded in [
+        (["single", "ablate", "multi"],
+         ["[]", "[]", "['riskforge.evalkit']", f"['riskforge.evalkit', {renderer}]"]),
+        (["multi", "ablate"], ["[]", f"[{renderer}]", f"['riskforge.evalkit', {renderer}]"]),
+    ]:
+        root = tmp_path / "-".join(order)
+        verbs = {
+            "single": ["assess", "--mode", "single", "--profile", str(PROFILE),
+                       "--out", str(root / "single")],
+            "ablate": ["ablate", "--out", str(root / "ledger.jsonl")],
+            "multi": ["assess", "--profile", str(PROFILE), "--out", str(root / "run")],
+        }
+        stdout = run_verbs([verbs[name] for name in order], report, package_env)
+        assert [line for line in stdout.splitlines() if line.startswith("loaded: ")] == [
+            f"loaded: {modules}" for modules in loaded]
+        assert "executed 30 new runs" in stdout
+        assert [path.name for path in (root / "run").glob("*/report.md")] == ["report.md"]
 
 
 def test_torn_last_ledger_line_is_one_warning_and_its_cell_runs_again(runner, tmp_path):
@@ -484,9 +533,8 @@ def test_torn_last_ledger_line_is_one_warning_and_its_cell_runs_again(runner, tm
     tail = len(whole.splitlines(keepends=True)[-1]) - 40
     result = runner.invoke(main, ["eval", "--ledger", str(ledger)])
     assert result.exit_code == 0, result.output
-    assert [line for line in result.output.splitlines() if "Warning" in line] == [
-        f"Warning: {ledger}:30: skipped a torn last line ({tail} bytes, no trailing "
-        f"newline)"]
+    assert result.stderr == (f"Warning: {ledger}:30: skipped a torn last line ({tail} "
+                             f"bytes, no trailing newline)\n")
     assert "over 29 runs" in result.output
     result = runner.invoke(main, ["ablate", "--out", str(ledger)])
     assert result.exit_code == 0, result.output
@@ -495,7 +543,7 @@ def test_torn_last_ledger_line_is_one_warning_and_its_cell_runs_again(runner, tm
                              f"executed 1 new runs (29 already in ledger)\n")
     result = runner.invoke(main, ["eval", "--ledger", str(ledger)])
     assert result.exit_code == 0, result.output
-    assert "Warning" not in result.output
+    assert result.stderr == ""
     assert "over 30 runs" in result.output
 
 

@@ -12,6 +12,7 @@ import threading
 import time
 import warnings
 from collections import defaultdict
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -690,6 +691,60 @@ def test_run_artifacts_are_canonical_and_replay(profiles, case_contracts, corpus
         assert not (run_dir / "report.md").exists()
     else:
         assert render_report(doc) == (run_dir / "report.md").read_text(encoding="utf-8")
+
+
+class Killed(BaseException):
+    """Stands for a kill: no `except Exception` stops it."""
+
+
+def test_reports_are_whole_or_absent_when_a_write_is_cut_short(health_profile,
+                                                               case_contracts, corpus,
+                                                               monkeypatch, tmp_path):
+    """For N = 1, 2, ...: the Nth write call of a logged multi-agent run
+    (os.write, Path.write_text or os.replace) writes half of its text, if it
+    takes one, and raises. report.md and report.json are each absent or
+    byte-equal to an uninterrupted run's."""
+    monkeypatch.setattr(orchestrator, "_new_run_id", lambda: "run")
+    monkeypatch.setattr(orchestrator, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+    reports = ("report.md", "report.json")
+
+    def run(out):
+        execute_pipeline(health_profile, config(), "multi_agent",
+                         StubGateway(STUB / "specific"), corpus, case_contracts, out_dir=out)
+        return out / "run"
+
+    whole_dir = run(tmp_path / "whole")
+    whole = {name: (whole_dir / name).read_bytes() for name in reports}
+    calls, cut_at = 0, 0
+
+    def cut(write, halve):
+        def interrupted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            if calls == cut_at:
+                if halve:
+                    write(*args[:-1], args[-1][:len(args[-1]) // 2], **kwargs)
+                raise Killed
+            return write(*args, **kwargs)
+        return interrupted
+
+    monkeypatch.setattr(os, "write", cut(os.write, halve=True))
+    monkeypatch.setattr(Path, "write_text", cut(Path.write_text, halve=True))
+    monkeypatch.setattr(os, "replace", cut(os.replace, halve=False))
+    while True:
+        calls, cut_at = 0, cut_at + 1
+        out = tmp_path / str(cut_at)
+        try:
+            run_dir = run(out)
+        except Killed:
+            for name in reports:
+                path = out / "run" / name
+                assert not path.exists() or path.read_bytes() == whole[name], (cut_at, name)
+        else:
+            break
+    assert {name: (run_dir / name).read_bytes() for name in reports} == whole
+    # six session-log lines, then a write and a rename per report
+    assert cut_at == 6 + 2 * 2 + 1
 
 
 def test_logged_multi_agent_run_serializes_each_payload_once(health_profile,
