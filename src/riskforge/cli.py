@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Four verbs: assess runs one assessment end to end, eval computes metrics
-from a run ledger and/or case-study fixtures, ablate sweeps profiles x
-models x seeds into a ledger, and index-corpus validates a framework
-corpus file. Exit codes: 0 success, 1 an input error (one "Error:" line),
+from a run ledger and/or a risk register such as a run's report.json, ablate
+sweeps profiles x models x seeds into a ledger, and index-corpus validates a
+framework corpus file. Exit codes: 0 success, 1 an input error (one "Error:" line),
 2 a usage error or a run that executed but did not complete (the run
 record is still written). A warning, such as a torn last ledger line
 skipped, is one "Warning:" line on stderr and leaves the exit code as it is.
@@ -63,7 +63,8 @@ def _load_corpus(corpus_path) -> Corpus:
 def assess(profile_path, mode, provider, script, model_id, window, seed,
            schema_mode, corpus_path, out_dir):
     """Run one risk assessment against a questionnaire."""
-    profile = _read_json(profile_path, "profile")
+    contracts = ContractSet(schema_mode=schema_mode)
+    profile = _read_json(profile_path, "profile", lambda doc: check_profile(doc, contracts))
 
     if provider == "stub":
         gateway = StubGateway(STUB_ROOT / script)
@@ -75,7 +76,6 @@ def assess(profile_path, mode, provider, script, model_id, window, seed,
         gateway = HttpGateway(base_url)
 
     corpus = _load_corpus(corpus_path)
-    contracts = ContractSet(schema_mode=schema_mode)
     try:
         config = ModelConfig(model_id=model_id, context_window_tokens=window, seed=seed)
     except ValueError as exc:
@@ -120,9 +120,8 @@ def eval_cmd(ledger_path, annotations_path, aliases_path, register_path,
     system = annotations = None
     aliases = AliasMap()
     if register_path:
-        from .risk_model import RiskItem
-        system = _read_json(register_path, "register",
-                            lambda doc: decode(list[RiskItem], doc["risks"], "risks"))
+        from .risk_model import read_register
+        system = _read_json(register_path, "register", read_register)
         annotations = load_annotations(Path(annotations_path))
         if aliases_path:
             aliases = _read_json(aliases_path, "aliases", lambda doc: AliasMap(

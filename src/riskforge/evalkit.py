@@ -7,7 +7,7 @@ lists only the profile/model cells that have a completed run.
 Risk matching between system output and practitioner annotations was a
 human judgment in the original study, so it is encoded here as explicit
 alias data: a pair (a, b) declares two titles equivalent after
-normalization. That keeps the bundled case-study fixtures exactly
+normalization. That keeps the case-study metrics of a stub run exactly
 reproducible without any semantic matching. Ratios are computed with
 exact rational arithmetic and only rounded for display; an undefined
 ratio renders as n/a, never as 0 or 1.
@@ -225,15 +225,11 @@ class MetricsReport:
         }
 
     def render_table(self) -> str:
-        lines = ["metric        value", "------        -----"]
-        lines.append("agreement     "
-                     + (self.agreement.display() if self.agreement else "n/a"))
-        lines.append("coverage      "
-                     + (self.coverage.display() if self.coverage else "n/a"))
-        if self.stability is None:
-            lines.append("stability     n/a")
-        else:
-            lines.append(f"stability     {float(self.stability):.3f}")
+        lines = ["metric        value", "------        -----",
+                 "agreement     " + (self.agreement.display() if self.agreement else "n/a"),
+                 "coverage      " + (self.coverage.display() if self.coverage else "n/a"),
+                 "stability     " + ("n/a" if self.stability is None
+                                     else f"{float(self.stability):.3f}")]
         for key in sorted(self.variability):
             lines.append(f"variability   {key}: {self.variability[key]} unique titles")
         if self.latency is not None:

@@ -149,7 +149,7 @@ def check_profile(profile: Union[dict, Questionnaire],
         profile = profile.profile
     violations = checker(profile)
     if violations:
-        raise ProfileInvalid(f"questionnaire invalid: {violations[0][1]}")
+        raise ProfileInvalid(f"questionnaire invalid: {': '.join(violations[0])}")
     text = canonical_json(profile)
     if not (text.isascii() or encodes_utf8(text)):
         field = next(key for key, value in profile.items()

@@ -8,11 +8,12 @@ the risk register against the recommendation links.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import astuple, dataclass, field, fields
+from typing import Iterable, Optional
 
 from .errors import RiskforgeError
 from .grounding import normalize_title
+from .records import decode
 
 ORDINALS = {"low": 1, "medium": 2, "high": 3}
 CSF_FUNCTIONS = ("Identify", "Protect", "Detect", "Respond", "Recover")
@@ -67,6 +68,25 @@ class RiskItem:
     @property
     def severity(self) -> SeverityScore:
         return derive_severity(self.likelihood, self.impact)
+
+
+@dataclass
+class _ReportedRisk(RiskItem):
+    """A report.json risk: a RiskItem and report_document's severity of it."""
+
+    severity_value: Optional[int] = None
+    severity_band: Optional[str] = None
+
+
+def read_register(doc: dict) -> list[RiskItem]:
+    """The risks of a bare {"risks": [...]} register or of a report.json,
+    where a severity_value or severity_band must be derive_severity's."""
+    risks = decode(list[_ReportedRisk], doc["risks"], "risks")
+    for index, (risk, raw) in enumerate(zip(risks, doc["risks"])):
+        for name, derived in zip(("severity_value", "severity_band"), astuple(risk.severity)):
+            if raw.get(name, derived) != derived:  # decode has checked its type
+                raise ValueError(f"risks[{index}].{name} is {raw[name]!r}, not {derived!r}")
+    return [RiskItem(*(getattr(risk, f.name) for f in fields(RiskItem))) for risk in risks]
 
 
 def rank_risks(register: Iterable[RiskItem]) -> list[RiskItem]:

@@ -6,8 +6,11 @@ import pytest
 
 import riskforge
 from riskforge.contracts import DATA_DIR, ContractSet
-from riskforge.gateway import StubGateway
+from riskforge.evalkit import ModelsFileEntry, ModelSpec
+from riskforge.gateway import ModelConfig, StubGateway
 from riskforge.grounding import Corpus
+from riskforge.orchestrator import execute_pipeline
+from riskforge.records import decode
 
 PROFILE_IDS = ["health_15", "fintech_30", "mfg_40", "retail_20", "saas_25"]
 
@@ -60,5 +63,25 @@ def generic_gateway():
 
 
 @pytest.fixture(scope="session")
-def fixtures_dir():
-    return DATA_DIR / "fixtures"
+def model_specs():
+    """The bundled ablation models, read as ablate --models reads them."""
+    entries = decode(list[ModelsFileEntry], json.loads(
+        (DATA_DIR / "ablation_models.json").read_text(encoding="utf-8")))
+    return [ModelSpec(label=entry.label, script=entry.script,
+                      context_window_tokens=entry.window) for entry in entries]
+
+
+@pytest.fixture(scope="session")
+def case_study_run(profiles, corpus, tmp_path_factory):
+    """The directory of one case-study run, as assess --profile health_15.json
+    --out writes it: multi-agent, case_study schema mode, the specific stub
+    script, seed 0. Its report.json is the register the case-study metrics
+    score; its session.jsonl holds the risk_register stage's own order."""
+    out = tmp_path_factory.mktemp("case_study")
+    record, _ = execute_pipeline(
+        profiles["health_15"],
+        ModelConfig(model_id="stub-model", context_window_tokens=131072, seed=0),
+        "multi_agent", StubGateway(DATA_DIR / "stub" / "specific"), corpus,
+        ContractSet(schema_mode="case_study"), out_dir=out)
+    assert record.completed
+    return out / record.run_id

@@ -9,12 +9,13 @@ import pytest
 
 from riskforge.context_store import ContextStore
 from riskforge.contracts import DATA_DIR, ENTRY_KINDS, ContractSet
-from riskforge.evalkit import (AliasMap, ModelSpec, compute_metrics, coverage,
-                               load_annotations, run_ablation, severity_agreement)
+from riskforge.evalkit import (AliasMap, compute_metrics, coverage, load_annotations,
+                               run_ablation, severity_agreement)
 from riskforge.gateway import ModelConfig, StubGateway
 from riskforge.orchestrator import execute_pipeline, load_ledger
 from riskforge.records import decode
-from riskforge.risk_model import RiskItem, derive_severity, parse_level, rank_risks
+from riskforge.risk_model import (RiskItem, derive_severity, parse_level, rank_risks,
+                                  read_register)
 
 FIXTURES = DATA_DIR / "fixtures"
 STUB = DATA_DIR / "stub"
@@ -27,21 +28,21 @@ def conclude(number, label, ok, detail=""):
     assert ok, f"criterion {number} ({label}) failed{suffix}"
 
 
-def model_specs():
-    return [ModelSpec(label=doc["label"], script=doc["script"],
-                      context_window_tokens=doc.get("window", 4096))
-            for doc in json.loads((DATA_DIR / "ablation_models.json").read_text())]
+def stage_register(run_dir):
+    """The risk_register stage's risks, in its own order, from a run's session log."""
+    store = ContextStore.load(run_dir / "session.jsonl", ENTRY_KINDS)
+    return store.snapshot()["risk_register"].payload["risks"]
 
 
 @pytest.fixture(scope="module")
-def ablation(profiles, corpus, tmp_path_factory):
+def ablation(profiles, corpus, model_specs, tmp_path_factory):
     """The bundled 5-profile x 2-model x 3-seed sweep, both modes."""
     root = tmp_path_factory.mktemp("ablation")
     contracts = ContractSet(schema_mode="cross_sector")
     ledgers = {}
     for mode in ("single_agent", "multi_agent"):
         ledger = root / f"{mode}.jsonl"
-        run_ablation(list(profiles.values()), model_specs(), 3, mode, ledger,
+        run_ablation(list(profiles.values()), model_specs, 3, mode, ledger,
                      contracts, corpus, STUB)
         ledgers[mode] = load_ledger(ledger)
     return ledgers
@@ -87,38 +88,33 @@ def test_criterion_2_context_budget_reproduction(ablation):
              f"single {sum(r.completed for r in single)}/30 completed")
 
 
-def test_criterion_3_metrics_fixture_exactness():
-    system = decode(list[RiskItem], json.loads(
-        (FIXTURES / "case_study_register.json").read_text())["risks"])
+def test_criterion_3_case_study_metrics_from_a_pipeline_run(
+        case_study_run, health_profile, case_contracts, corpus, specific_gateway, tmp_path):
+    """The case-study metrics score the report.json that the multi-agent stub
+    pipeline writes for health_15, whose risk_register stage writes the same
+    register at stub seeds 0, 1 and 2."""
+    registers = [stage_register(case_study_run)]
+    for seed in (1, 2):
+        record, _ = execute_pipeline(
+            health_profile,
+            ModelConfig(model_id="stub-model", context_window_tokens=131072, seed=seed),
+            "multi_agent", specific_gateway, corpus, case_contracts, out_dir=tmp_path)
+        registers.append(stage_register(tmp_path / record.run_id))
+    system = read_register(json.loads((case_study_run / "report.json").read_text()))
     annotations = load_annotations(FIXTURES / "annotations.jsonl")
     aliases = AliasMap(decode(list[tuple[str, str]],
                               json.loads((FIXTURES / "aliases.json").read_text())))
     agree = severity_agreement(system, annotations, aliases)
     cover = coverage(system, annotations, aliases)
-    conclude(3, "metrics fixture exactness",
-             (agree.matched, agree.total) == (18, 21)
+    conclude(3, "case-study metrics from a pipeline run",
+             len(registers[0]) == 7
+             and registers == [registers[0]] * 3
+             and (agree.matched, agree.total) == (18, 21)
              and abs(float(agree.ratio) - 0.857) < 0.001
              and (cover.matched, cover.total) == (12, 13)
              and abs(float(cover.ratio) - 0.923) < 0.001,
+             f"{len(registers[0])} risks equal at stub seeds 0, 1 and 2; "
              f"agreement {agree.display()}, coverage {cover.display()}")
-
-
-def test_criterion_3_register_is_the_pipeline_output(health_profile, case_contracts, corpus,
-                                                    specific_gateway, tmp_path):
-    """The register criterion 3 scores is what the multi-agent stub pipeline's
-    risk_register stage writes for health_15, at each stub seed."""
-    fixture = json.loads((FIXTURES / "case_study_register.json").read_text())["risks"]
-    registers = []
-    for seed in range(3):
-        record, _ = execute_pipeline(
-            health_profile,
-            ModelConfig(model_id="stub-model", context_window_tokens=131072, seed=seed),
-            "multi_agent", specific_gateway, corpus, case_contracts, out_dir=tmp_path)
-        store = ContextStore.load(tmp_path / record.run_id / "session.jsonl", ENTRY_KINDS)
-        registers.append(store.snapshot()["risk_register"].payload["risks"])
-    conclude(3, "case-study register from the pipeline",
-             registers == [fixture] * 3,
-             f"{len(fixture)} risks equal the fixture's at stub seeds 0, 1 and 2")
 
 
 def test_criterion_4_citation_verification(corpus):
@@ -175,7 +171,7 @@ def test_criterion_6_title_variability(ablation, profiles):
                        for pid, (s, g) in observed.items()))
 
 
-def test_criterion_7_severity_and_ranking():
+def test_criterion_7_severity_and_ranking(case_study_run):
     rng = random.Random(7)
     levels = ["Low", "Medium", "High"]
     property_ok = True
@@ -196,12 +192,10 @@ def test_criterion_7_severity_and_ranking():
             property_ok = False
             break
 
-    register = decode(list[RiskItem], json.loads(
-        (FIXTURES / "case_study_register.json").read_text())["risks"])
-    ranked = rank_risks(register)
-    fixture_ok = (all(r.severity.value >= 6 for r in ranked[:6])
-                  and ranked[6].likelihood == ranked[6].impact == "Medium")
-    conclude(7, "severity and ranking", property_ok and fixture_ok,
+    ranked = rank_risks(decode(list[RiskItem], stage_register(case_study_run)))
+    register_ok = (all(r.severity.value >= 6 for r in ranked[:6])
+                   and ranked[6].likelihood == ranked[6].impact == "Medium")
+    conclude(7, "severity and ranking", property_ok and register_ok,
              "1000 property cases; four severity>=6 items above Medium/Medium")
 
 

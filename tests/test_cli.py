@@ -17,6 +17,8 @@ from riskforge.orchestrator import RunRecord, record_run
 
 FIXTURES = DATA_DIR / "fixtures"
 PROFILE = DATA_DIR / "profiles" / "health_15.json"
+ANNOTATIONS = str(FIXTURES / "annotations.jsonl")
+ALIASES = str(FIXTURES / "aliases.json")
 
 
 class _Tee(io.StringIO):
@@ -151,14 +153,14 @@ SURROGATE_INVALID = "'industry' holds an unpaired UTF-16 surrogate"
 @pytest.mark.parametrize("verb, field, value, invalid", [
     ("assess", "industry", "health\ud800", SURROGATE_INVALID),
     ("ablate", "industry", "health\ud800", SURROGATE_INVALID),
-    ("assess", "employee_count", 0, "0 is less than the minimum of 1"),
+    ("assess", "employee_count", 0, "$.employee_count: 0 is less than the minimum of 1"),
 ], ids=["assess", "ablate", "assess_employee_count_0"])
 def test_questionnaire_with_an_unpaired_surrogate_is_a_one_line_error(
         runner, tmp_path, monkeypatch, verb, field, value, invalid):
     """assess --profile and ablate --profiles reject a questionnaire string
     holding an unpaired surrogate as an invalid questionnaire, as assess
-    does a count below its minimum: one Error line, exit 1, no provider
-    call, no ledger line."""
+    does a count below its minimum: one Error line naming the file, exit 1,
+    no provider call, no ledger line."""
     doc = json.loads(PROFILE.read_text(encoding="utf-8"))
     doc[field] = value
     profiles = tmp_path / "profiles"
@@ -171,30 +173,50 @@ def test_questionnaire_with_an_unpaired_surrogate_is_a_one_line_error(
     args = (["assess", "--profile", str(path), "--out", str(out)] if verb == "assess" else
             ["ablate", "--profiles", str(profiles), "--out", str(out / "ledger.jsonl")])
     result = runner.invoke(main, args)
-    invalid = "questionnaire invalid: " + invalid
-    assert (result.exit_code, result.output) == (1, "Error: " + (
-        invalid if verb == "assess"
-        else f"cannot read profile {path}: ProfileInvalid: {invalid}") + "\n")
+    assert (result.exit_code, result.output) == (
+        1, f"Error: cannot read profile {path}: ProfileInvalid: questionnaire invalid: "
+           f"{invalid}\n")
     assert isinstance(result.exception, SystemExit)
     assert calls == []
     assert not out.exists()
 
 
-def test_eval_fixture_table(runner):
-    result = runner.invoke(main, [
-        "eval", "--register", str(FIXTURES / "case_study_register.json"),
-        "--annotations", str(FIXTURES / "annotations.jsonl"),
-        "--aliases", str(FIXTURES / "aliases.json")])
-    assert result.exit_code == 0, result.output
-    assert "18/21 (0.857)" in result.output
-    assert "12/13 (0.923)" in result.output
+def test_eval_fixture_table(runner, case_study_run, tmp_path):
+    """eval --register scores the report.json that assess --out writes, and a
+    bare register of the same risks the same."""
+    report, bare = case_study_run / "report.json", tmp_path / "register.json"
+    bare.write_text(json.dumps({"risks": [
+        {key: value for key, value in risk.items() if not key.startswith("severity_")}
+        for risk in json.loads(report.read_text(encoding="utf-8"))["risks"]]}))
+    results = [runner.invoke(main, ["eval", "--register", str(register), "--annotations",
+                                    ANNOTATIONS, "--aliases", ALIASES])
+               for register in (report, bare)]
+    assert [result.exit_code for result in results] == [0, 0], results[0].output
+    assert "18/21 (0.857)" in results[0].output
+    assert "12/13 (0.923)" in results[0].output
+    assert results[1].output == results[0].output
 
 
-def test_eval_json_output(runner):
+@pytest.mark.parametrize("name, edit", [("severity_value", 4), ("severity_band", "low")])
+def test_eval_register_with_an_edited_severity_is_a_one_line_error(
+        runner, case_study_run, tmp_path, name, edit):
+    doc = json.loads((case_study_run / "report.json").read_text(encoding="utf-8"))
+    derived = doc["risks"][2][name]
+    doc["risks"][2][name] = edit
+    register = tmp_path / "report.json"
+    register.write_text(json.dumps(doc), encoding="utf-8")
+    result = runner.invoke(main, ["eval", "--register", str(register),
+                                  "--annotations", ANNOTATIONS])
+    assert (result.exit_code, result.output) == (
+        1, f"Error: cannot read register {register}: ValueError: risks[2].{name} is "
+           f"{edit!r}, not {derived!r}\n")
+    assert isinstance(result.exception, SystemExit)
+
+
+def test_eval_json_output(runner, case_study_run):
     result = runner.invoke(main, [
-        "eval", "--register", str(FIXTURES / "case_study_register.json"),
-        "--annotations", str(FIXTURES / "annotations.jsonl"),
-        "--aliases", str(FIXTURES / "aliases.json"), "--json"])
+        "eval", "--register", str(case_study_run / "report.json"),
+        "--annotations", ANNOTATIONS, "--aliases", ALIASES, "--json"])
     assert result.exit_code == 0
     doc = json.loads(result.output)
     assert doc["agreement"] == {"matched": 18, "total": 21, "ratio": 0.857143}
@@ -312,12 +334,10 @@ def test_corrupt_ledger_line_is_a_clean_error(runner, tmp_path, verb, corrupt):
     assert "Traceback" not in result.output
 
 
-REGISTER = str(FIXTURES / "case_study_register.json")
-ANNOTATIONS = str(FIXTURES / "annotations.jsonl")
 ANNOTATION = '{"assessor_id": "a1", "risk_title": "Phishing", "severity": "High"}\n'
 
 
-EVAL_ALIASES = ["eval", "--register", REGISTER, "--annotations", ANNOTATIONS,
+EVAL_ALIASES = ["eval", "--register", "{register}", "--annotations", ANNOTATIONS,
                 "--aliases", "{file}"]
 ABLATE_MODELS = ["ablate", "--models", "{file}", "--out", "{ledger}"]
 CORPUS_LINE = '{"framework": "nist_csf", "identifier": "ID.AM-1", "title": "t", "body": "b"}\n'
@@ -338,16 +358,16 @@ CORPUS_ERROR = "cannot ingest corpus: {file}:1: not a FrameworkExcerpt record: "
      ["eval", "--register", "{file}", "--annotations", ANNOTATIONS],
      "cannot read register {file}: ValueError: not an ordinal level: 'Extreme'"),
     ("annotations.jsonl", ANNOTATION * 2,
-     ["eval", "--register", REGISTER, "--annotations", "{file}"],
+     ["eval", "--register", "{register}", "--annotations", "{file}"],
      "{file}: duplicate annotation for ('a1', 'phishing')"),
     ("annotations.jsonl", ANNOTATION + ANNOTATION[:20],
-     ["eval", "--register", REGISTER, "--annotations", "{file}"],
+     ["eval", "--register", "{register}", "--annotations", "{file}"],
      "{file}:2: not a PractitionerAnnotation record: "),
     ("annotations.jsonl", '{"assessor_id": "a", "risk_title": 5, "severity": "High"}\n',
-     ["eval", "--register", REGISTER, "--annotations", "{file}"],
+     ["eval", "--register", "{register}", "--annotations", "{file}"],
      "{file}:1: not a PractitionerAnnotation record: risk_title must be str, not int"),
     ("annotations.jsonl", '{"assessor_id": "a", "risk_title": "T", "severity": "Extreme"}\n',
-     ["eval", "--register", REGISTER, "--annotations", "{file}"],
+     ["eval", "--register", "{register}", "--annotations", "{file}"],
      "{file}:1: not a PractitionerAnnotation record: severity must be one of Low, "
      "Medium, High, not 'Extreme'"),
     ("aliases.json", '[["a", "b", "c"]]', EVAL_ALIASES,
@@ -394,12 +414,14 @@ CORPUS_ERROR = "cannot ingest corpus: {file}:1: not a FrameworkExcerpt record: "
         "models_script_not_string", "models_window_not_int", "corpus_title_not_string",
         "corpus_identifier_not_string", "corpus_line_not_an_object",
         "corpus_not_utf8", "corpus_unknown_key"])
-def test_bad_input_file_is_a_one_line_error(runner, tmp_path, name, text, args, error):
+def test_bad_input_file_is_a_one_line_error(runner, tmp_path, case_study_run, name, text,
+                                           args, error):
     path = tmp_path / name
     path.parent.mkdir(exist_ok=True)
     path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     result = runner.invoke(main, [arg.format(file=path, dir=path.parent,
-                                             ledger=tmp_path / "ledger.jsonl")
+                                             ledger=tmp_path / "ledger.jsonl",
+                                             register=case_study_run / "report.json")
                                   for arg in args])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
@@ -452,10 +474,11 @@ def run_verbs(verbs, report, package_env):
                           text=True, env=package_env, timeout=60, check=True).stdout
 
 
-def test_cli_import_and_stub_run_leave_unneeded_modules_unloaded(tmp_path, package_env):
+def test_cli_import_and_stub_run_leave_unneeded_modules_unloaded(tmp_path, package_env,
+                                                                 case_study_run):
     """Every verb runs on the standard library alone: where jsonschema
     cannot be imported, a CLI start-up and each verb (assess --out in both
-    modes, ablate, eval of its ledger and of the case-study fixtures,
+    modes, ablate, eval of its ledger and of a case-study run's report.json,
     index-corpus) complete, and none loads a third-party package, an HTTP
     client or a secrets module."""
     ledger = str(tmp_path / "ledger.jsonl")
@@ -475,8 +498,8 @@ def test_cli_import_and_stub_run_leave_unneeded_modules_unloaded(tmp_path, packa
         ["assess", "--mode", "single", "--profile", str(PROFILE), "--out", str(tmp_path)],
         ["ablate", "--out", ledger],
         ["eval", "--ledger", ledger, "--json", "--select", "mode=single_agent"],
-        ["eval", "--register", REGISTER, "--annotations", ANNOTATIONS,
-         "--aliases", str(FIXTURES / "aliases.json")],
+        ["eval", "--register", str(case_study_run / "report.json"),
+         "--annotations", ANNOTATIONS, "--aliases", ALIASES],
         ["index-corpus"],
     ], report, package_env)
     lines = stdout.splitlines()
@@ -484,7 +507,8 @@ def test_cli_import_and_stub_run_leave_unneeded_modules_unloaded(tmp_path, packa
         "unwanted: []", "jsonschema: ModuleNotFoundError"] * 7
     assert stdout.count('"completed": true') == 2
     assert "executed 30 new runs (0 already in ledger)" in lines
-    assert "18/21 (0.857)" in stdout
+    assert "agreement     18/21 (0.857)" in lines
+    assert "coverage      12/13 (0.923)" in lines
     assert "  total: 17 excerpts" in lines
 
 
@@ -567,19 +591,21 @@ def test_assess_out_cuts_a_torn_last_ledger_line_before_appending(runner, tmp_pa
 @pytest.mark.parametrize("args", [
     ["assess", "--profile", "{missing}"],
     ["eval", "--ledger", "{missing}"],
-    ["eval", "--register", REGISTER, "--annotations", "{missing}"],
+    ["eval", "--register", "{register}", "--annotations", "{missing}"],
     ["eval", "--register", "{missing}", "--annotations", ANNOTATIONS],
-    ["eval", "--register", REGISTER, "--annotations", ANNOTATIONS, "--aliases", "{missing}"],
+    ["eval", "--register", "{register}", "--annotations", ANNOTATIONS, "--aliases",
+     "{missing}"],
     ["ablate", "--models", "{missing}", "--out", "{ledger}"],
     ["index-corpus", "--corpus", "{missing}"],
     ["assess", "--profile", str(PROFILE), "--out", "{file}"],
 ], ids=["profile", "ledger", "annotations", "register", "aliases", "models", "corpus",
         "out_is_a_file"])
-def test_missing_input_file_is_a_one_line_error(runner, tmp_path, args):
+def test_missing_input_file_is_a_one_line_error(runner, tmp_path, case_study_run, args):
     missing, file = tmp_path / "missing.json", tmp_path / "file.txt"
     file.write_text("", encoding="utf-8")
     result = runner.invoke(main, [arg.format(missing=missing, file=file,
-                                             ledger=tmp_path / "ledger.jsonl")
+                                             ledger=tmp_path / "ledger.jsonl",
+                                             register=case_study_run / "report.json")
                                   for arg in args])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)

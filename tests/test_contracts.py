@@ -399,7 +399,7 @@ def test_validation_needs_no_jsonschema(tmp_path, package_env):
                           timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == [
-        "questionnaire invalid: 0 is less than the minimum of 1", "2 3"]
+        "questionnaire invalid: $.employee_count: 0 is less than the minimum of 1", "2 3"]
 
 
 def test_violations_are_sorted_path_message_pairs(cross_contracts):

@@ -1,4 +1,4 @@
-"""Evaluation kit: fixture-exact metrics, generative oracles, ablation sweep."""
+"""Evaluation kit: case-study metrics of a run, generative oracles, ablation sweep."""
 
 import json
 import random
@@ -13,21 +13,22 @@ import pytest
 from riskforge import context_store, gateway, orchestrator
 from riskforge.contracts import DATA_DIR, QUESTIONNAIRE_SCHEMA, ContractSet
 from riskforge.errors import ProfileInvalid, RiskforgeError
-from riskforge.evalkit import (AliasMap, ModelSpec, PractitionerAnnotation,
-                               compute_metrics, coverage, load_annotations,
-                               run_ablation, severity_agreement)
+from riskforge.evalkit import (AliasMap, PractitionerAnnotation, compute_metrics,
+                               coverage, load_annotations, run_ablation,
+                               severity_agreement)
 from riskforge.gateway import ModelConfig, StubGateway
 from riskforge.grounding import Corpus
 from riskforge.orchestrator import RunRecord, execute_pipeline, load_ledger
 from riskforge.records import decode
-from riskforge.risk_model import RiskItem
+from riskforge.risk_model import RiskItem, read_register
 
 FIXTURES = DATA_DIR / "fixtures"
 
 
-def fixture_register():
-    doc = json.loads((FIXTURES / "case_study_register.json").read_text())
-    return decode(list[RiskItem], doc["risks"])
+@pytest.fixture
+def case_study_system(case_study_run):
+    """The case-study run's report.json, read as eval --register reads it."""
+    return read_register(json.loads((case_study_run / "report.json").read_text()))
 
 
 def fixture_aliases():
@@ -43,18 +44,18 @@ def run_record(**kw):
     return RunRecord(**base)
 
 
-# -- fixture-exact metrics ---------------------------------------------------
+# -- case-study metrics of a pipeline run ------------------------------------
 
-def test_case_study_agreement_is_18_of_21():
-    stat = severity_agreement(fixture_register(),
+def test_case_study_agreement_is_18_of_21(case_study_system):
+    stat = severity_agreement(case_study_system,
                               load_annotations(FIXTURES / "annotations.jsonl"),
                               fixture_aliases())
     assert (stat.matched, stat.total) == (18, 21)
     assert abs(float(stat.ratio) - 0.857) < 0.001
 
 
-def test_case_study_coverage_is_12_of_13():
-    stat = coverage(fixture_register(),
+def test_case_study_coverage_is_12_of_13(case_study_system):
+    stat = coverage(case_study_system,
                     load_annotations(FIXTURES / "annotations.jsonl"),
                     fixture_aliases())
     assert (stat.matched, stat.total) == (12, 13)
@@ -115,8 +116,8 @@ def test_alias_title_must_be_a_string(pair):
     assert str(exc.value) == f"[0][{index}] must be str, not {type(title).__name__}"
 
 
-def test_empty_annotations_give_undefined_ratio():
-    stat = severity_agreement(fixture_register(), [], AliasMap())
+def test_empty_annotations_give_undefined_ratio(case_study_system):
+    stat = severity_agreement(case_study_system, [], AliasMap())
     assert stat.ratio is None
     assert stat.display() == "n/a"
 
@@ -278,10 +279,10 @@ def test_unknown_selector_key_is_rejected(records):
         compute_metrics(records=records, selector={"colour": "blue"})
 
 
-def test_metrics_report_rendering():
+def test_metrics_report_rendering(case_study_system):
     report = compute_metrics(
         records=[run_record()],
-        system=fixture_register(),
+        system=case_study_system,
         annotations=load_annotations(FIXTURES / "annotations.jsonl"),
         aliases=fixture_aliases())
     table = report.render_table()
@@ -294,15 +295,6 @@ def test_metrics_report_rendering():
 
 
 # -- ablation sweep ----------------------------------------------------------
-
-@pytest.fixture(scope="module")
-def model_specs():
-    specs = []
-    for doc in json.loads((DATA_DIR / "ablation_models.json").read_text()):
-        specs.append(ModelSpec(label=doc["label"], script=doc["script"],
-                               context_window_tokens=doc.get("window", 4096)))
-    return specs
-
 
 def test_ablation_runs_and_resumes(profiles, corpus, model_specs, tmp_path):
     ledger = tmp_path / "ledger.jsonl"

@@ -126,10 +126,9 @@ def test_script_set_falls_back_to_the_shared_scripts(tmp_path):
     assert gw.stub_complete("own", "p", 0) == "from set"
 
 
-def test_bundled_script_sets_cover_every_role_without_copies():
+def test_bundled_script_sets_cover_every_role_without_copies(model_specs):
     stub_root = DATA_DIR / "stub"
-    models = json.loads((DATA_DIR / "ablation_models.json").read_text(encoding="utf-8"))
-    sets = {"specific"} | {model["script"] for model in models}
+    sets = {"specific"} | {spec.script for spec in model_specs}
     profile_ids = [path.stem for path in (DATA_DIR / "profiles").glob("*.json")]
     roles = [role for stage in STAGES for role in stage] + [SINGLE_AGENT_ROLE]
     for name in sorted(sets):

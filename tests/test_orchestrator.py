@@ -813,8 +813,8 @@ def test_questionnaire_from_another_contract_set_is_checked_again(
     strict = ContractSet(schemas_dir=schemas, schema_mode="case_study")
     questionnaire = check_profile(health_profile, case_contracts)
     out = tmp_path / "out"
-    with pytest.raises(ProfileInvalid, match="^questionnaire invalid: 15 is less than "
-                                             "the minimum of 1000$"):
+    with pytest.raises(ProfileInvalid, match=r"^questionnaire invalid: \$\.employee_count: "
+                                             "15 is less than the minimum of 1000$"):
         execute_pipeline(questionnaire, config(), "multi_agent", specific_gateway, corpus,
                          strict, out_dir=out)
     assert not out.exists()
@@ -841,21 +841,21 @@ def test_non_ascii_stub_candidate_is_appended_as_the_same_payload(
     assert record.unique_threat_titles[0] == "Données de santé non chiffrées — S3 ✓"
 
 
-@pytest.mark.parametrize("edit, message", [
-    ({"industry": None}, "'industry' is a required property"),
-    ({"employee_count": True}, "True is not of type 'integer'"),
-    ({"employee_count": 0}, "0 is less than the minimum of 1"),
-    ({"extra": 1}, "Additional properties are not allowed ('extra' was unexpected)"),
-    ({"systems": ["a", 3]}, "3 is not of type 'string'"),
+@pytest.mark.parametrize("edit, message, path", [
+    ({"industry": None}, "'industry' is a required property", "$"),
+    ({"employee_count": True}, "True is not of type 'integer'", "$.employee_count"),
+    ({"employee_count": 0}, "0 is less than the minimum of 1", "$.employee_count"),
+    ({"extra": 1}, "Additional properties are not allowed ('extra' was unexpected)", "$"),
+    ({"systems": ["a", 3]}, "3 is not of type 'string'", "$.systems[1]"),
 ])
 def test_invalid_questionnaire_message_names_the_first_violation(
-        health_profile, case_contracts, corpus, specific_gateway, edit, message):
+        health_profile, case_contracts, corpus, specific_gateway, edit, message, path):
     profile = {**health_profile, **edit}
     profile = {key: value for key, value in profile.items() if value is not None}
     with pytest.raises(ProfileInvalid) as exc:
         execute_pipeline(profile, config(), "multi_agent", specific_gateway, corpus,
                          case_contracts)
-    assert str(exc.value) == f"questionnaire invalid: {message}"
+    assert str(exc.value) == f"questionnaire invalid: {path}: {message}"
 
 
 @pytest.mark.parametrize("edit, field", [

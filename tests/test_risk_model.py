@@ -1,22 +1,23 @@
 """Severity arithmetic, ranking, compliance rollup, contradiction checks."""
 
 import itertools
-import json
 import random
 import re
 
 import pytest
 from hypothesis import given, strategies as st
 
-from riskforge.contracts import DATA_DIR
+from riskforge.context_store import ContextStore
+from riskforge.contracts import DATA_DIR, ENTRY_KINDS
 from riskforge.errors import RiskforgeError
+from riskforge.evalkit import SEVERITY_LABELS
 from riskforge.records import decode
 from riskforge.risk_model import (CSF_FUNCTIONS, RiskItem, check_contradictions,
                                   compliance_rollup, derive_severity,
-                                  normalize_title, parse_level, rank_risks)
+                                  normalize_title, parse_level, rank_risks,
+                                  read_register)
 
 LEVELS = ["Low", "Medium", "High"]
-FIXTURES = DATA_DIR / "fixtures"
 
 
 def risk(title, likelihood, impact, **kw):
@@ -46,6 +47,13 @@ def test_severity_full_mapping_table():
 def test_severity_label_capitalized():
     assert derive_severity("High", "Medium").label == "High"
     assert derive_severity("Low", "Low").label == "Low"
+
+
+def test_annotation_labels_are_the_severity_labels():
+    # evalkit keeps its own copy, as it must not load risk_model at start-up
+    labels = {derive_severity(likelihood, impact).label
+              for likelihood, impact in itertools.product(LEVELS, repeat=2)}
+    assert set(SEVERITY_LABELS) == labels
 
 
 def test_parse_level_case_insensitive_and_strict():
@@ -121,9 +129,10 @@ def test_rank_tie_breaks_alphabetical():
     assert [r.title for r in rank_risks(items)] == ["alpha", "zeta"]
 
 
-def test_case_study_register_ranking():
-    doc = json.loads((FIXTURES / "case_study_register.json").read_text())
-    items = decode(list[RiskItem], doc["risks"])
+def test_case_study_run_ranking(case_study_run):
+    # the risk_register stage's own order, as the run's session log holds it
+    store = ContextStore.load(case_study_run / "session.jsonl", ENTRY_KINDS)
+    items = decode(list[RiskItem], store.snapshot()["risk_register"].payload["risks"])
     ranked = rank_risks(items)
     # the three 9s first, then the 6s (Medium/High before High/Medium by
     # impact, then alphabetical), then the lone 4
@@ -164,6 +173,35 @@ def test_rank_total_order_invariant(specs):
 
 def parse_levels(item):
     return parse_level(item.impact)
+
+
+# -- register reader ---------------------------------------------------------
+
+@given(st.lists(st.tuples(st.sampled_from(LEVELS), st.sampled_from(LEVELS)),
+                min_size=1, max_size=8), st.data())
+def test_report_register_reads_as_its_bare_register(levels, data):
+    """A report.json's risks, which carry the severity report_document
+    derives, read as the same risks without it; changing one risk's
+    severity_value or severity_band is an error naming that field."""
+    bare = [{"title": f"r{n}", "likelihood": likelihood, "impact": impact,
+             "reasoning": "why", "linked_threat_titles": ["t"], "linked_control_gaps": []}
+            for n, (likelihood, impact) in enumerate(levels)]
+    report = [dict(risk, severity_value=severity.value, severity_band=severity.band)
+              for risk, severity in zip(bare, (derive_severity(*pair) for pair in levels))]
+    # a list of RiskItems: a dataclass equals only an instance of its own class
+    assert (read_register({"risks": report}) == read_register({"risks": bare})
+            == decode(list[RiskItem], bare))
+
+    index = data.draw(st.integers(0, len(report) - 1))
+    name = data.draw(st.sampled_from(["severity_value", "severity_band"]))
+    stated = report[index][name]
+    report[index][name] = data.draw(
+        (st.integers(1, 9) if name == "severity_value" else st.sampled_from(
+            ["low", "medium", "high"])).filter(lambda wrong: wrong != stated))
+    with pytest.raises(ValueError) as exc:
+        read_register({"risks": report})
+    assert str(exc.value) == (f"risks[{index}].{name} is {report[index][name]!r}, "
+                              f"not {stated!r}")
 
 
 # -- compliance rollup -------------------------------------------------------
