@@ -82,13 +82,13 @@ def assess(profile_path, mode, provider, script, model_id, window, seed,
         raise RiskforgeError(f"--window {window}: {exc}")
     if out_dir:
         _check_out(out_dir, Path(out_dir))
+        ledger = Path(out_dir) / "ledger.jsonl"
+        if ledger.exists():  # mended before the run, so a ledger it cannot mend runs nothing
+            mend_tail(ledger)
 
     record, _ = execute_pipeline(profile, config, RUN_MODES[mode], gateway, corpus, contracts,
                                  out_dir=Path(out_dir) if out_dir else None)
     if out_dir:
-        ledger = Path(out_dir) / "ledger.jsonl"
-        if ledger.exists():
-            mend_tail(ledger)
         record_run(record, ledger)
     print(json.dumps(record.to_json(), indent=2))
     if not record.completed:
@@ -138,15 +138,13 @@ def eval_cmd(ledger_path, annotations_path, aliases_path, register_path,
 def ablate(profiles_dir, models_path, runs_per_cell, mode, schema_mode,
            corpus_path, ledger_path, workers):
     """Sweep profiles x models x seeds and append run records to a ledger."""
-    from .evalkit import ModelsFileEntry, ModelSpec, run_ablation
+    from .evalkit import read_models, run_ablation
     contracts = ContractSet(schema_mode=schema_mode)
     profiles = [_read_json(path, "profile", lambda doc: check_profile(doc, contracts))
                 for path in sorted(Path(profiles_dir).glob("*.json"))]
     if not profiles:
         raise RiskforgeError(f"no profile JSON files in {profiles_dir}")
-    specs = _read_json(models_path, "models", lambda docs: [
-        ModelSpec(label=entry.label, script=entry.script, context_window_tokens=entry.window)
-        for entry in decode(list[ModelsFileEntry], docs)])
+    specs = _read_json(models_path, "models", read_models)
 
     corpus = _load_corpus(corpus_path)
     _check_out(ledger_path, Path(ledger_path).parent)

@@ -232,16 +232,13 @@ Violations = tuple[tuple[str, str], ...]  # sorted (json_path, message) pairs
 _Node = Callable[[Any, Any, list], None]  # node(instance, place, out) appends to out
 
 _ANNOTATIONS = frozenset({"$schema", "$defs", "title"})
-_ANY_TYPE_KEYWORDS = frozenset({"type", "enum", "$ref"})
+_FORMS = ("type", "enum", "$ref")  # a schema holds exactly one
 # Keywords that constrain one type, allowed only beside that "type".
 _TYPE_KEYWORDS = {
     "object": frozenset({"properties", "required", "additionalProperties"}),
     "array": frozenset({"items", "minItems", "maxItems"}),
     "string": frozenset({"minLength"}),
     "integer": frozenset({"minimum", "maximum"}),
-    "number": frozenset({"minimum", "maximum"}),
-    "boolean": frozenset(),
-    "null": frozenset(),
 }
 _DEF_PREFIX = "#/$defs/"
 _PLAIN_KEY = re.compile("^[a-zA-Z][a-zA-Z0-9_]*$")  # jsonschema's json_path rule
@@ -282,16 +279,6 @@ def _is_number(x: Any) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _all_of(checks: list[_Node]) -> _Node:
-    if len(checks) == 1:
-        return checks[0]
-
-    def check(x, path, out):
-        for each in checks:
-            each(x, path, out)
-    return check
-
-
 class _SchemaCompiler:
     def __init__(self, schema: Any, source: str):
         self.source = source
@@ -307,25 +294,21 @@ class _SchemaCompiler:
         if not isinstance(schema, dict):
             self.fail(pointer, f"unsupported schema form {schema!r} (objects only)")
         declared = schema.get("type")
-        if declared is not None and (not isinstance(declared, str)
-                                     or declared not in _TYPE_KEYWORDS):
+        if "type" in schema and not (isinstance(declared, str) and declared in _TYPE_KEYWORDS):
             self.fail(pointer, f"unsupported type {declared!r}")
-        allowed = _ANNOTATIONS | _ANY_TYPE_KEYWORDS | _TYPE_KEYWORDS.get(declared, frozenset())
+        allowed = _ANNOTATIONS.union(_FORMS, _TYPE_KEYWORDS.get(declared, ()))
         for keyword in schema:
             if keyword not in allowed:
                 self.fail(pointer, f"unsupported keyword {keyword!r} beside type {declared!r}")
-        checks = []
-        if declared in ("integer", "number"):
-            checks.append(self.numeric(schema, pointer, declared))
-        elif declared in ("string", "boolean", "null"):
-            checks.append(self.scalar(schema, pointer, declared))
-        elif declared is not None:
-            checks.append(getattr(self, declared)(schema, pointer))
+        forms = [form for form in _FORMS if form in schema]
+        if len(forms) != 1:
+            found = " beside ".join(map(repr, forms)) or "none of 'type', 'enum' and '$ref'"
+            self.fail(pointer, f"unsupported schema form: {found} (exactly one per schema)")
+        if declared is not None:
+            return getattr(self, declared)(schema, pointer)
         if "enum" in schema:
-            checks.append(self.enum(schema["enum"], pointer + "/enum"))
-        if "$ref" in schema:
-            checks.append(self.ref(schema["$ref"], pointer + "/$ref"))
-        return _all_of(checks)
+            return self.enum(schema["enum"], pointer + "/enum")
+        return self.ref(schema["$ref"], pointer + "/$ref")
 
     def ref(self, target: Any, pointer: str) -> _Node:
         name = None
@@ -335,12 +318,11 @@ class _SchemaCompiler:
             self.fail(pointer, f"unsupported $ref {target!r} (only #/$defs/<name> "
                                f"of this schema)")
         if name not in self.refs:
-            self.refs[name] = None  # in progress: a recursive ref binds at call time
+            self.refs[name] = None  # in progress: the name met again now is recursive
             self.refs[name] = self.node(self.defs[name], _DEF_PREFIX + name)
-        compiled = self.refs[name]
-        if compiled is None:
-            return lambda x, path, out: self.refs[name](x, path, out)
-        return compiled
+        if self.refs[name] is None:
+            self.fail(pointer, f"unsupported recursive $ref {target!r}")
+        return self.refs[name]
 
     def count(self, schema: dict, keyword: str, pointer: str) -> Optional[int]:
         if keyword not in schema:
@@ -406,29 +388,27 @@ class _SchemaCompiler:
                     item(value, (path, index), out)
         return check
 
-    def scalar(self, schema: dict, pointer: str, declared: str) -> _Node:
-        kind = {"string": str, "boolean": bool, "null": type(None)}[declared]
-        low = self.count(schema, "minLength", pointer) or 0  # 0 beside boolean and null
+    def string(self, schema: dict, pointer: str) -> _Node:
+        low = self.count(schema, "minLength", pointer) or 0
         short = "should be non-empty" if low == 1 else "is too short"
 
         def check(x, path, out):
-            if not isinstance(x, kind):
-                out.append((path, f"{_shown(x)} is not of type {declared!r}"))
-            elif low and len(x) < low:
+            if not isinstance(x, str):
+                out.append((path, f"{_shown(x)} is not of type 'string'"))
+            elif len(x) < low:
                 out.append((path, f"{_shown(x)} {short}"))
         return check
 
-    def numeric(self, schema: dict, pointer: str, declared: str) -> _Node:
-        is_type = _is_integer if declared == "integer" else _is_number
+    def integer(self, schema: dict, pointer: str) -> _Node:
         for keyword in ("minimum", "maximum"):
             if keyword in schema and not _is_number(schema[keyword]):
                 self.fail(pointer, f"{keyword} must be a number")
         low, high = schema.get("minimum"), schema.get("maximum")
 
         def check(x, path, out):
-            if not is_type(x):
-                out.append((path, f"{_shown(x)} is not of type {declared!r}"))
-                if not _is_number(x):  # the bounds still apply to 2.5 against "integer"
+            if not _is_integer(x):
+                out.append((path, f"{_shown(x)} is not of type 'integer'"))
+                if not _is_number(x):  # the bounds still apply to 2.5
                     return
             # "x < low", not "x >= low": NaN passes, as in jsonschema
             if low is not None and x < low:
@@ -440,29 +420,19 @@ class _SchemaCompiler:
     def enum(self, values: Any, pointer: str) -> _Node:
         if not isinstance(values, list):
             self.fail(pointer, "enum must be a list")
-        strings, numbers, bools, null = set(), set(), set(), False
+        strings, numbers = set(), set()
         for value in values:
             if isinstance(value, str):
                 strings.add(value)
-            elif isinstance(value, bool):
-                bools.add(value)
             elif _is_number(value):
                 numbers.add(value)
-            elif value is None:
-                null = True
             else:
-                self.fail(pointer, f"unsupported enum value {value!r} (scalars only)")
+                self.fail(pointer, f"unsupported enum value {value!r} "
+                                   f"(strings and numbers only)")
 
         def check(x, path, out):
-            # A bool never equals a number here, and 30 equals 30.0.
-            if isinstance(x, str):
-                found = x in strings
-            elif isinstance(x, bool):
-                found = x in bools
-            elif _is_number(x):
-                found = x in numbers
-            else:
-                found = null and x is None
+            # A bool is no number here, and 30 equals 30.0.
+            found = x in strings if isinstance(x, str) else _is_number(x) and x in numbers
             if not found:
                 out.append((path, f"{_shown(x)} is not one of {values!r}"))
         return check
@@ -476,12 +446,13 @@ def compile_schema(schema: dict, source: str) -> Callable[[Any], Violations]:
     reports. Messages use jsonschema's wording for a short scalar and name
     anything else by its size ("4 items, more than maxItems 3"). Types
     follow jsonschema (a bool is no number, 1.0 is an integer), except
-    that a value no JSON type, such as a Decimal, is rejected. Supported:
-    type, properties, required, additionalProperties false, items,
-    minItems, maxItems, minLength, minimum, maximum, enum, a local $ref to
-    #/$defs/..., and the annotations $schema, $defs and title, with each
-    type-specific keyword beside its "type". Anything else raises
-    ValueError naming the keyword and source.
+    that a value no JSON type, such as a Decimal, is rejected. Supported,
+    what the bundled schemas use: exactly one of type, enum or $ref per
+    schema; the types object (properties, required, additionalProperties
+    false), array (items, minItems, maxItems), string (minLength) and
+    integer (minimum, maximum); an enum of strings and numbers; a $ref to
+    #/$defs/<name> that does not recur; and the annotations $schema, $defs
+    and title. Anything else raises ValueError naming the form and source.
     """
     walk = _SchemaCompiler(schema, source).node(schema, "#")
 

@@ -30,14 +30,9 @@ class ContextOverflow(StageError):
         super().__init__(f"context overflow for {decision.describe()}")
 
 
-class ProviderUnreachable(StageError):
-    """The model provider could not be reached after retries."""
-
-    kind = "provider_error"
-
-
 class ProviderError(StageError):
-    """The model provider returned a non-success response."""
+    """The model provider returned a non-success response, or could not
+    be reached after retries."""
 
     kind = "provider_error"
 

@@ -17,14 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Optional, Union
+from typing import TYPE_CHECKING, Any, Iterable, Optional, Union
 
 from .errors import RiskforgeError
 from .gateway import ModelConfig, StubGateway
 from .grounding import normalize_title
 from .orchestrator import (Questionnaire, RunRecord, check_profile, execute_pipeline,
                            load_ledger, record_run)
-from .records import load_records, mend_tail
+from .records import decode, load_records, mend_tail
 
 if TYPE_CHECKING:  # annotations only: neither loads at CLI start-up
     from fractions import Fraction
@@ -307,6 +307,13 @@ class ModelsFileEntry:
     label: str
     script: str
     window: int = ModelSpec.context_window_tokens
+
+
+def read_models(doc: Any) -> list[ModelSpec]:
+    """The ModelSpecs of an ablate --models document: a list of
+    ModelsFileEntry objects."""
+    return [ModelSpec(label=entry.label, script=entry.script, context_window_tokens=entry.window)
+            for entry in decode(list[ModelsFileEntry], doc)]
 
 
 def run_ablation(profiles: list[Union[dict, Questionnaire]], models: list[ModelSpec],

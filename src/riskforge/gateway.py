@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .errors import ProviderError, ProviderUnreachable, RiskforgeError
+from .errors import ProviderError, RiskforgeError
 from .tokens import estimate_tokens, prompt_hash
 
 # Marker appended to re-prompts after a validation failure. The stub keys
@@ -221,7 +221,7 @@ class HttpGateway:
                 last_exc = exc
                 if attempt < HTTP_RETRIES:
                     time.sleep(HTTP_BACKOFF_SECONDS)
-        raise ProviderUnreachable(f"cannot reach {url}: {last_exc}")
+        raise ProviderError(f"cannot reach {url}: {last_exc}")
 
     def complete(self, request: CompletionRequest) -> CompletionResult:
         cfg = request.config

@@ -18,10 +18,12 @@ from .records import load_records
 
 # Identifier grammars. NIST CSF: two uppercase letters, dot, two or three
 # uppercase letters, hyphen, one or two digits. CIS: literal prefix plus a
-# number with optional .sub component. Each lookbehind follows the first
-# character, so the regex engine can scan for that character first.
+# number with optional .sub component, followed by no digit and no dot
+# before a digit (a sentence's closing period may follow). Each lookbehind
+# follows the first character, so the regex engine can scan for that
+# character first.
 NIST_CSF_RE = re.compile(r"[A-Z](?<![A-Z0-9.][A-Z])[A-Z]\.[A-Z]{2,3}-\d{1,2}(?!\d)")
-CIS_RE = re.compile(r"C(?<![A-Za-z]C)IS Control (\d+(?:\.\d+)?)(?![\d.])")
+CIS_RE = re.compile(r"C(?<![A-Za-z]C)IS Control (\d+(?:\.\d+)?)(?!\.?\d)")
 CIS_NUMBER_RE = re.compile(r"\d+(?:\.\d+)?")
 WORD_RE = re.compile("[0-9a-z]+")  # a word of lower-cased text (tokenize, normalize_title)
 
@@ -59,7 +61,6 @@ class FrameworkCitation:
     raw: str
     framework: str
     identifier: str
-    span: tuple[int, int]
     verified: bool
 
 
@@ -163,7 +164,6 @@ class Corpus:
                 raw=item["raw"],
                 framework=item["framework"],
                 identifier=item["identifier"],
-                span=item["span"],
                 verified=verified,
             ))
         return citations

@@ -27,9 +27,9 @@ threaded stage: ThreadPoolExecutor is a module attribute that imports
 concurrent.futures (and with it logging) on first access, so a run that
 never overlaps a pair never imports them.
 A failure that is an errors.StageError (ContextOverflow, AgentFailed,
-ProviderError, ProviderUnreachable) lands in the RunRecord as its kind
-(context_overflow, agent_failed, provider_error), so ablation sweeps can
-count them; any other exception propagates out of execute_pipeline.
+ProviderError) lands in the RunRecord as its kind (context_overflow,
+agent_failed, provider_error), so ablation sweeps can count them; any
+other exception propagates out of execute_pipeline.
 """
 
 from __future__ import annotations

@@ -14,8 +14,8 @@ from .context_store import ContextEntry
 from .contracts import ENTRY_KINDS
 from .errors import RiskforgeError
 from .grounding import Corpus, normalize_title
-from .risk_model import (CSF_FUNCTIONS, ContradictionFlag, RiskItem,
-                         check_contradictions, compliance_rollup, rank_risks)
+from .risk_model import (CSF_FUNCTIONS, RiskItem, check_contradictions, compliance_rollup,
+                         rank_risks)
 
 if TYPE_CHECKING:
     from .orchestrator import RunRecord
@@ -29,7 +29,7 @@ def register_items(snapshot: dict[str, ContextEntry]) -> list[RiskItem]:
     return [RiskItem(**r) for r in snapshot["risk_register"].payload.get("risks", [])]
 
 
-def contradiction_flags(snapshot: dict[str, ContextEntry]) -> list[ContradictionFlag]:
+def contradiction_flags(snapshot: dict[str, ContextEntry]) -> list[dict]:
     return check_contradictions(register_items(snapshot),
                                 snapshot["recommendations"].payload)
 
@@ -81,7 +81,6 @@ def report_document(snapshot: dict[str, ContextEntry], corpus: Corpus,
     for key in ENTRY_KINDS:
         if key not in snapshot:
             raise RiskforgeError(f"context is missing entry kind {key!r}")
-    rollup = compliance_rollup(snapshot["control_assessment"].payload)
     return {
         "exec_summary": snapshot["report"].payload.get("exec_summary", ""),
         "profile": snapshot["org_profile"].payload,
@@ -98,7 +97,7 @@ def report_document(snapshot: dict[str, ContextEntry], corpus: Corpus,
             }
             for r in rank_risks(register_items(snapshot))
         ],
-        "compliance": {"status": rollup.status, "evidence": rollup.evidence},
+        "compliance": compliance_rollup(snapshot["control_assessment"].payload),
         "roadmap": snapshot["recommendations"].payload.get("recommendations", []),
         "citations": [
             {
@@ -109,10 +108,7 @@ def report_document(snapshot: dict[str, ContextEntry], corpus: Corpus,
             }
             for c in corpus.verify_citations(citation_source_text(snapshot))
         ],
-        "contradiction_flags": [
-            {"kind": f.kind, "title": f.title, "detail": f.detail}
-            for f in contradiction_flags(snapshot)
-        ],
+        "contradiction_flags": contradiction_flags(snapshot),
         "run_metadata": {
             "run_id": record.run_id,
             "model_id": record.model_id,

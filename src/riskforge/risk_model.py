@@ -97,15 +97,10 @@ def rank_risks(register: Iterable[RiskItem]) -> list[RiskItem]:
     )
 
 
-@dataclass(frozen=True)
-class ComplianceRollup:
-    """Control findings rolled up to a status per CSF function."""
-
-    status: dict  # function -> Compliant | PartiallyCompliant | NotCompliant
-    evidence: dict  # function -> list of finding strings
-
-
-def compliance_rollup(control_assessment: dict) -> ComplianceRollup:
+def compliance_rollup(control_assessment: dict) -> dict:
+    """{"status": ..., "evidence": ...}, each keyed by CSF function: its
+    Compliant, PartiallyCompliant or NotCompliant status and its finding
+    strings."""
     functions = control_assessment.get("functions", {})
     status = {}
     evidence = {}
@@ -121,19 +116,13 @@ def compliance_rollup(control_assessment: dict) -> ComplianceRollup:
         else:
             status[function] = "PartiallyCompliant"
         evidence[function] = [f["finding"] for f in findings]
-    return ComplianceRollup(status=status, evidence=evidence)
+    return {"status": status, "evidence": evidence}
 
 
-@dataclass(frozen=True)
-class ContradictionFlag:
-    """One disagreement between the risk register and the recommendations."""
-
-    kind: str  # unaddressed_high_risk | dangling_reference
-    title: str
-    detail: str
-
-
-def check_contradictions(register: list[RiskItem], recommendations: dict) -> list[ContradictionFlag]:
+def check_contradictions(register: list[RiskItem], recommendations: dict) -> list[dict]:
+    """The disagreements between the register and the recommendations, as
+    {"kind", "title", "detail"} dicts: kind is dangling_reference or
+    unaddressed_high_risk."""
     recs = recommendations.get("recommendations", [])
     linked = set()
     flags = []
@@ -143,17 +132,17 @@ def check_contradictions(register: list[RiskItem], recommendations: dict) -> lis
             norm = normalize_title(title)
             linked.add(norm)
             if norm not in register_titles:
-                flags.append(ContradictionFlag(
-                    kind="dangling_reference",
-                    title=title,
-                    detail=f"recommendation {rec.get('action', '')!r} references a risk "
-                           f"absent from the register",
-                ))
+                flags.append({
+                    "kind": "dangling_reference",
+                    "title": title,
+                    "detail": f"recommendation {rec.get('action', '')!r} references a risk "
+                              f"absent from the register",
+                })
     for risk in register:
         if risk.severity.band == "high" and normalize_title(risk.title) not in linked:
-            flags.append(ContradictionFlag(
-                kind="unaddressed_high_risk",
-                title=risk.title,
-                detail="high-severity risk has no linked recommendation",
-            ))
+            flags.append({
+                "kind": "unaddressed_high_risk",
+                "title": risk.title,
+                "detail": "high-severity risk has no linked recommendation",
+            })
     return flags

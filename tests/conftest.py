@@ -6,11 +6,10 @@ import pytest
 
 import riskforge
 from riskforge.contracts import DATA_DIR, ContractSet
-from riskforge.evalkit import ModelsFileEntry, ModelSpec
+from riskforge.evalkit import read_models
 from riskforge.gateway import ModelConfig, StubGateway
 from riskforge.grounding import Corpus
 from riskforge.orchestrator import execute_pipeline
-from riskforge.records import decode
 
 PROFILE_IDS = ["health_15", "fintech_30", "mfg_40", "retail_20", "saas_25"]
 
@@ -65,10 +64,8 @@ def generic_gateway():
 @pytest.fixture(scope="session")
 def model_specs():
     """The bundled ablation models, read as ablate --models reads them."""
-    entries = decode(list[ModelsFileEntry], json.loads(
+    return read_models(json.loads(
         (DATA_DIR / "ablation_models.json").read_text(encoding="utf-8")))
-    return [ModelSpec(label=entry.label, script=entry.script,
-                      context_window_tokens=entry.window) for entry in entries]
 
 
 @pytest.fixture(scope="session")

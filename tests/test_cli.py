@@ -109,6 +109,19 @@ def test_assess_multi_small_window_exits_2_but_records(runner, tmp_path):
     assert record["failure_kind"] == "context_overflow"
 
 
+def test_assess_ledger_it_cannot_mend_is_an_error_before_the_run(runner, tmp_path):
+    """assess --out mends the ledger before the run: a ledger.jsonl it
+    cannot mend, here a directory, is one Error line and no run directory."""
+    ledger = tmp_path / "ledger.jsonl"
+    ledger.mkdir()
+    result = runner.invoke(main, ["assess", "--profile", str(PROFILE), "--out", str(tmp_path)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert re.fullmatch(f"Error: cannot mend {re.escape(str(ledger))}: .*Is a directory.*\n",
+                        result.output)
+    assert list(tmp_path.iterdir()) == [ledger]
+
+
 def test_assess_single_small_window_completes(runner, tmp_path):
     for schema_mode in ("cross_sector", "case_study"):
         result = runner.invoke(main, [

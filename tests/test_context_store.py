@@ -250,6 +250,15 @@ def test_load_keeps_the_rules_of_append_entry(tmp_path, lines, message):
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
                     reason="needs /proc/self/fd to count open descriptors")
+def test_session_log_it_cannot_create_is_an_error(tmp_path):
+    blocker = tmp_path / "run"
+    blocker.write_text("", encoding="utf-8")  # a file where the log's directory goes
+    log = blocker / "session.jsonl"
+    with pytest.raises(RiskforgeError,
+                       match=f"^cannot create session log {re.escape(str(log))}: "):
+        ContextStore(ENTRY_KINDS, log_path=log)
+
+
 def test_logged_store_holds_no_open_file(tmp_path):
     before = len(os.listdir("/proc/self/fd"))
     store = ContextStore(ENTRY_KINDS, log_path=tmp_path / "session.jsonl")

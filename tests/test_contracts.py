@@ -353,7 +353,7 @@ def test_run_agent_checks_window_before_provider(cross_contracts, seeded_store, 
 def test_run_agent_window_check_precedes_network(cross_contracts, seeded_store,
                                                 monkeypatch):
     # An unreachable server is never contacted when the prompt cannot fit:
-    # contacting it would raise ProviderUnreachable instead.
+    # contacting it would raise ProviderError instead.
     monkeypatch.setattr(gateway_mod, "HTTP_TIMEOUT_SECONDS", 0.2)
     monkeypatch.setattr(gateway_mod, "HTTP_RETRIES", 0)
     gateway = HttpGateway("http://127.0.0.1:1")

@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 
 from riskforge import gateway
 from riskforge.contracts import DATA_DIR, SINGLE_AGENT_ROLE, STAGES
-from riskforge.errors import ProviderError, RiskforgeError, ProviderUnreachable
+from riskforge.errors import ProviderError, RiskforgeError
 from riskforge.gateway import (RETRY_MARKER, CompletionRequest, HttpGateway,
                                ModelConfig, StubGateway)
 from riskforge.orchestrator import execute_pipeline
@@ -342,7 +342,8 @@ def test_http_unreachable_after_retries(monkeypatch):
     sleeps = []
     monkeypatch.setattr(gateway.time, "sleep", sleeps.append)
     gw = HttpGateway("http://127.0.0.1:1")
-    with pytest.raises(ProviderUnreachable):
+    with pytest.raises(ProviderError,
+                       match=r"^cannot reach http://127\.0\.0\.1:1/api/generate: "):
         gw.complete(CompletionRequest(role="r", prompt="p", config=cfg()))
     assert sleeps == [gateway.HTTP_BACKOFF_SECONDS] * gateway.HTTP_RETRIES
 

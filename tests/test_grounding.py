@@ -112,6 +112,21 @@ def test_parse_rejects_boundary_violations():
     assert parse_identifiers("CIS Control 5.2.1.9") == []
 
 
+@given(number=st.from_regex(r"[0-9]{1,2}(\.[0-9]{1,2})?", fullmatch=True),
+       terminator=st.sampled_from(["", ".", ",", ";", ")", "'s", " and more"]),
+       digit=st.integers(0, 9))
+def test_cis_citation_ends_before_punctuation_but_not_a_further_part(number, terminator,
+                                                                    digit):
+    def identifiers(text):
+        return [f["identifier"] for f in parse_identifiers(text)]
+
+    text = f"hygiene follows CIS Control {number}"
+    assert identifiers(text + terminator) == [number]
+    # ".digit" makes N the number N.digit, and N.M a three-part number, no identifier
+    assert identifiers(f"{text}.{digit}{terminator}") == (
+        [] if "." in number else [f"{number}.{digit}"])
+
+
 def test_parse_three_letter_category():
     found = parse_identifiers("see ID.SCM-4 for suppliers")
     assert [f["identifier"] for f in found] == ["ID.SCM-4"]
@@ -194,7 +209,9 @@ def test_seeded_fixture_flags_exactly_seven_fabricated(corpus):
 def test_grounded_fixture_has_zero_false_flags(corpus):
     text = (FIXTURES / "grounded_report.md").read_text(encoding="utf-8")
     citations = corpus.verify_citations(text)
-    assert citations  # the fixture does cite
+    # the last one ends the fixture's closing sentence
+    assert [c.raw for c in citations] == ["PR.AC-1", "PR.AC-7", "ID.AM-1", "DE.CM-1",
+                                          "RS.RP-1", "CIS Control 5.2"]
     assert all(c.verified for c in citations)
 
 

@@ -23,7 +23,7 @@ from riskforge.context_store import ContextEntry, ContextStore
 from riskforge.contracts import (DATA_DIR, ENTRY_KINDS, MAX_ATTEMPTS, QUESTIONNAIRE_SCHEMA,
                                  SINGLE_AGENT, STAGES, ContractSet, excerpt_lines)
 from riskforge.errors import (AgentFailed, ContextOverflow, ProfileInvalid, ProviderError,
-                              ProviderUnreachable, RiskforgeError)
+                              RiskforgeError)
 from riskforge.gateway import (RESERVED_OUTPUT_TOKENS, BudgetDecision, ModelConfig,
                                StubGateway)
 from riskforge.grounding import Corpus
@@ -1156,10 +1156,10 @@ modes = pytest.mark.parametrize("mode, first_role", [("multi_agent", "risk_intak
 @modes
 @pytest.mark.parametrize("error, kind", [
     (ProviderError("provider returned status 503: overloaded"), "provider_error"),
-    (ProviderUnreachable("cannot reach the model server"), "provider_error"),
+    (ProviderError("cannot reach the model server"), "provider_error"),
     (ContextOverflow(BudgetDecision("risk_intake", 5000, 4096)), "context_overflow"),
     (AgentFailed("agent 'risk_intake' failed after retries: []"), "agent_failed"),
-], ids=["ProviderError", "ProviderUnreachable", "ContextOverflow", "AgentFailed"])
+], ids=["ProviderError", "ProviderError-unreachable", "ContextOverflow", "AgentFailed"])
 def test_provider_side_failures_land_in_the_record(health_profile, case_contracts,
                                                    corpus, mode, first_role, error, kind):
     record, report = execute_pipeline(health_profile, config(), mode,

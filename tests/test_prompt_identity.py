@@ -23,6 +23,7 @@ from collections import defaultdict
 from pathlib import Path
 
 from riskforge.contracts import DATA_DIR, ROLES, ContractSet
+from riskforge.evalkit import read_models
 from riskforge.gateway import ModelConfig, StubGateway
 from riskforge.grounding import Corpus
 from riskforge.orchestrator import execute_pipeline
@@ -61,7 +62,8 @@ def _run(profile, mode, script, window, seed, contracts, corpus, model="stub-mod
 def record_digests() -> dict:
     corpus = Corpus.ingest(DATA_DIR / "corpus" / "mini_csf.jsonl")
     profiles = _profiles()
-    specs = json.loads((DATA_DIR / "ablation_models.json").read_text(encoding="utf-8"))
+    specs = read_models(json.loads(
+        (DATA_DIR / "ablation_models.json").read_text(encoding="utf-8")))
     doc = {"assess_multi": {}, "sweep_single_agent": {}, "sweep_multi_agent": {}}
     case_study = ContractSet(schema_mode="case_study")
     for pid, profile in profiles.items():
@@ -73,9 +75,9 @@ def record_digests() -> dict:
         for pid, profile in profiles.items():
             for spec in specs:
                 for seed in range(3):
-                    doc[f"sweep_{mode}"][f"{pid}/{spec['label']}/{seed}"] = _run(
-                        profile, mode, spec["script"], spec.get("window", 4096), seed,
-                        cross_sector, corpus, model=spec["label"])
+                    doc[f"sweep_{mode}"][f"{pid}/{spec.label}/{seed}"] = _run(
+                        profile, mode, spec.script, spec.context_window_tokens, seed,
+                        cross_sector, corpus, model=spec.label)
     return doc
 
 

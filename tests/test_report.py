@@ -122,7 +122,7 @@ def test_contradiction_flags_render(corpus):
         {"action": "patch", "phase_days": 30, "cost_range": "$1K",
          "linked_risk_titles": ["Ghost Risk"]}]})
     flags = contradiction_flags(store.snapshot())
-    kinds = {f.kind for f in flags}
+    kinds = {f["kind"] for f in flags}
     assert kinds == {"dangling_reference", "unaddressed_high_risk"}
     text = render_report(report_document(store.snapshot(), corpus, RECORD))
     assert "[dangling_reference] Ghost Risk" in text

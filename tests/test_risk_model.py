@@ -221,11 +221,11 @@ def test_rollup_statuses():
         Protect=["present", "gap"],
         Detect=["present", "present"],
     ))
-    assert rollup.status["Identify"] == "NotCompliant"
-    assert rollup.status["Protect"] == "PartiallyCompliant"
-    assert rollup.status["Detect"] == "Compliant"
-    assert rollup.status["Respond"] == "Compliant"
-    assert rollup.evidence["Identify"] == ["Identify finding 0", "Identify finding 1"]
+    assert rollup["status"]["Identify"] == "NotCompliant"
+    assert rollup["status"]["Protect"] == "PartiallyCompliant"
+    assert rollup["status"]["Detect"] == "Compliant"
+    assert rollup["status"]["Respond"] == "Compliant"
+    assert rollup["evidence"]["Identify"] == ["Identify finding 0", "Identify finding 1"]
 
 
 def test_rollup_requires_all_five_functions():
@@ -240,7 +240,7 @@ def test_case_study_control_rollup():
     stub = _json.loads((DATA_DIR / "stub" /
                         "control_assessment.json").read_text())
     rollup = compliance_rollup(stub["profiles"]["health_15"][0])
-    assert rollup.status == {
+    assert rollup["status"] == {
         "Identify": "NotCompliant",
         "Protect": "PartiallyCompliant",
         "Detect": "NotCompliant",
@@ -258,9 +258,9 @@ def test_dangling_reference_flagged():
          "linked_risk_titles": ["Real Risk", "Phantom Risk"]},
     ]}
     flags = check_contradictions(register, recs)
-    kinds = {f.kind for f in flags}
+    kinds = {f["kind"] for f in flags}
     assert "dangling_reference" in kinds
-    assert any(f.title == "Phantom Risk" for f in flags)
+    assert any(f["title"] == "Phantom Risk" for f in flags)
 
 
 def test_unaddressed_high_risk_flagged():
@@ -270,7 +270,7 @@ def test_unaddressed_high_risk_flagged():
         {"action": "fix covered", "phase_days": 30, "linked_risk_titles": ["Covered"]},
     ]}
     flags = check_contradictions(register, recs)
-    assert [f.title for f in flags if f.kind == "unaddressed_high_risk"] == ["Orphan"]
+    assert [f["title"] for f in flags if f["kind"] == "unaddressed_high_risk"] == ["Orphan"]
 
 
 def test_title_matching_tolerates_formatting():

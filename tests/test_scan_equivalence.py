@@ -22,7 +22,7 @@ from riskforge.grounding import CIS_RE, NIST_CSF_RE, parse_identifiers
 from riskforge.tokens import canonical_json, estimate_tokens
 
 OLD_NIST_CSF_RE = re.compile(r"(?<![A-Z0-9.])[A-Z]{2}\.[A-Z]{2,3}-\d{1,2}(?!\d)")
-OLD_CIS_RE = re.compile(r"(?<![A-Za-z])CIS Control (\d+(?:\.\d+)?)(?![\d.])")
+OLD_CIS_RE = re.compile(r"(?<![A-Za-z])CIS Control (\d+(?:\.\d+)?)(?!\.?\d)")
 
 
 def old_extract_json_object(raw: str) -> dict:
