@@ -253,6 +253,8 @@ def test_every_single_edit_of_a_base_document_gets_the_same_verdict(mode):
     {"type": "integer", "minimum": 1.5, "maximum": 30},
     {"enum": [1, "x", 30.0]},
     {"enum": [0.0, "beyond"]},
+    {"enum": ["Low", "Medium", "High"]},
+    {"type": "array", "items": {"type": "integer", "maximum": 10}},
     {"type": "string", "minLength": 1},
     {"type": "array", "minItems": 1, "maxItems": 1},
 ])
