@@ -21,7 +21,9 @@ from .records import load_records
 # number with optional .sub component, followed by no digit and no dot
 # before a digit (a sentence's closing period may follow). Each lookbehind
 # follows the first character, so the regex engine can scan for that
-# character first.
+# character first. That is also why they stay two scans: one alternation of
+# both with named groups finds the same identifiers in the golden report x3
+# (40 KB) but took 1.5 ms against 0.4 ms (Python 3.11.7, 2 vCPU).
 NIST_CSF_RE = re.compile(r"[A-Z](?<![A-Z0-9.][A-Z])[A-Z]\.[A-Z]{2,3}-\d{1,2}(?!\d)")
 CIS_RE = re.compile(r"C(?<![A-Za-z]C)IS Control (\d+(?:\.\d+)?)(?!\.?\d)")
 CIS_NUMBER_RE = re.compile(r"\d+(?:\.\d+)?")

@@ -26,10 +26,10 @@ first failure in stage order is reported. The executor loads on the first
 threaded stage: ThreadPoolExecutor is a module attribute that imports
 concurrent.futures (and with it logging) on first access, so a run that
 never overlaps a pair never imports them.
-A failure that is an errors.StageError (ContextOverflow, AgentFailed,
-ProviderError) lands in the RunRecord as its kind (context_overflow,
-agent_failed, provider_error), so ablation sweeps can count them; any
-other exception propagates out of execute_pipeline.
+A RiskforgeError raised while a role runs lands in the RunRecord as its
+kind (context_overflow, agent_failed, provider_error, else internal_error),
+so ablation sweeps can count them; any other exception propagates out of
+execute_pipeline.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from __future__ import annotations
 import os
 import sys
 import time
+import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -45,7 +46,7 @@ from typing import Any, Callable, NamedTuple, Optional, Union
 from .context_store import ContextEntry, ContextStore
 from .contracts import (ENTRY_KINDS, PLANS, QUESTIONNAIRE_SCHEMA, ContractSet, Violations,
                         encodes_utf8)
-from .errors import ContextOverflow, ProfileInvalid, RiskforgeError, StageError
+from .errors import ContextOverflow, ProfileInvalid, RiskforgeError
 from .gateway import BudgetDecision, ModelConfig
 from .grounding import Corpus, normalize_title
 from .records import append_line, load_appended
@@ -73,7 +74,7 @@ class RunRecord:
     seed: int
     completed: bool
     failed_stage: Optional[str] = None
-    failure_kind: Optional[str] = None  # a StageError kind
+    failure_kind: Optional[str] = None  # a RiskforgeError kind
     wall_seconds: float = 0.0
     structural_ok: bool = False
     unique_threat_titles: list[str] = field(default_factory=list)
@@ -172,9 +173,9 @@ def execute_pipeline(profile: Union[dict, Questionnaire], config: ModelConfig, m
     and ValueError for an unknown mode or for a schema the mode validates
     against that compile_schema does not support; before any stage
     executes, RiskforgeError if the run's directory under out_dir already
-    exists. A StageError (a context overflow, a failed agent or a provider
-    error) lands in the record as failed_stage and failure_kind; any other
-    exception propagates."""
+    exists. A RiskforgeError raised while a role runs lands in the record
+    as failed_stage and failure_kind, an internal_error also as a
+    RuntimeWarning; any other exception propagates."""
     plan = PLANS.get(mode)
     if plan is None:
         raise ValueError(f"unknown mode {mode!r}")
@@ -211,6 +212,8 @@ def execute_pipeline(profile: Union[dict, Questionnaire], config: ModelConfig, m
     if failure is not None:
         record.failed_stage, error = failure
         record.failure_kind = error.kind
+        if error.kind == "internal_error":  # the record has no field for its message
+            warnings.warn(f"{record.failed_stage}: {error}", RuntimeWarning)
         return record, None
 
     record.completed = True
@@ -223,11 +226,11 @@ def execute_pipeline(profile: Union[dict, Questionnaire], config: ModelConfig, m
 
 def _run_stages(plan, questionnaire: str, corpus: Corpus, config: ModelConfig,
                 gateway, contracts: ContractSet,
-                store: ContextStore) -> Optional[tuple[str, StageError]]:
+                store: ContextStore) -> Optional[tuple[str, RiskforgeError]]:
     """Run the plan's stages in order. Returns None when all complete, else
     the first failure in stage order as (role, error). Every role of a
-    stage runs; an error that is no StageError is raised once the stage is
-    over, ahead of any StageError."""
+    stage runs; an error that is no RiskforgeError is raised once the stage
+    is over, ahead of any RiskforgeError."""
     # A gateway that does not say is assumed to wait on I/O.
     threaded = getattr(gateway, "waits_on_io", True)
     for stage in plan:
@@ -255,7 +258,7 @@ def _run_stages(plan, questionnaire: str, corpus: Corpus, config: ModelConfig,
             errors = [run(role) for role in prompts]
         failures = [(role, exc) for role, exc in zip(prompts, errors) if exc is not None]
         for _, exc in failures:
-            if not isinstance(exc, StageError):
+            if not isinstance(exc, RiskforgeError):
                 raise exc
         if failures:
             return failures[0]

@@ -1,5 +1,7 @@
 import json
 import os
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import pytest
@@ -82,3 +84,54 @@ def case_study_run(profiles, corpus, tmp_path_factory):
         ContractSet(schema_mode="case_study"), out_dir=out)
     assert record.completed
     return out / record.run_id
+
+
+class ModelHandler(BaseHTTPRequestHandler):
+    """Answers /api/generate in the shape of Ollama's non-streaming reply."""
+
+    captured = []
+    status = 200
+    done_reason = "stop"
+    reply = None  # bytes sent as a 200 reply's body in place of the generated one
+
+    def do_POST(self):
+        length = int(self.headers["Content-Length"])
+        body = json.loads(self.rfile.read(length))
+        ModelHandler.captured.append((self.path, body))
+        if ModelHandler.status != 200:
+            self.send_response(ModelHandler.status)
+            self.end_headers()
+            self.wfile.write(b"boom")
+            return
+        if ModelHandler.reply is not None:
+            self.send_response(200)
+            self.end_headers()
+            self.wfile.write(ModelHandler.reply)
+            return
+        payload = {"response": "generated text", "done": True,
+                   "done_reason": ModelHandler.done_reason}
+        data = json.dumps(payload).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def http_server():
+    ModelHandler.captured = []
+    ModelHandler.status = 200
+    ModelHandler.done_reason = "stop"
+    ModelHandler.reply = None
+    server = HTTPServer(("127.0.0.1", 0), ModelHandler)
+    # shutdown() waits for the next poll, so poll often
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
+                              daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{server.server_port}"
+    server.shutdown()
+    thread.join()
+    server.server_close()

@@ -3,6 +3,7 @@
 import io
 import json
 import re
+import shutil
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -14,6 +15,8 @@ from riskforge.cli import main
 from riskforge.contracts import DATA_DIR
 from riskforge.gateway import StubGateway
 from riskforge.orchestrator import RunRecord, record_run
+
+from conftest import ModelHandler
 
 FIXTURES = DATA_DIR / "fixtures"
 PROFILE = DATA_DIR / "profiles" / "health_15.json"
@@ -150,6 +153,41 @@ def test_assess_http_provider_needs_url(runner, monkeypatch):
         "assess", "--profile", str(PROFILE), "--provider", "http"])
     assert result.exit_code != 0
     assert "RISKFORGE_MODEL_URL" in result.output
+
+
+def test_assess_http_provider_failure_exits_2_and_records(runner, tmp_path, monkeypatch,
+                                                        http_server):
+    ModelHandler.status = 503
+    monkeypatch.setenv("RISKFORGE_MODEL_URL", http_server)
+    result = runner.invoke(main, ["assess", "--profile", str(PROFILE), "--provider", "http",
+                                  "--out", str(tmp_path)])
+    assert result.exit_code == 2, result.output
+    assert result.stderr == "run failed at stage risk_intake (provider_error)\n"
+    record = json.loads((tmp_path / "ledger.jsonl").read_text())
+    assert (record["completed"], record["failed_stage"], record["failure_kind"]) == (
+        False, "risk_intake", "provider_error")
+    assert len(ModelHandler.captured) == 1
+
+
+def test_assess_with_a_missing_stub_script_exits_2_and_records(runner, tmp_path):
+    """An absolute --script replaces the bundled stub root. A set without
+    threat_modeling's script ends the run there as an internal_error, with
+    the missing script named in one warning."""
+    shutil.copytree(DATA_DIR / "stub", tmp_path / "stub")
+    scripts = tmp_path / "stub" / "specific"
+    (scripts / "threat_modeling.json").unlink()
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["assess", "--profile", str(PROFILE), "--script",
+                                  str(scripts), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert result.stderr == (
+        f"Warning: threat_modeling: no stub script for role 'threat_modeling' in "
+        f"{scripts} or {tmp_path / 'stub'}\n"
+        f"run failed at stage threat_modeling (internal_error)\n")
+    [line] = (out / "ledger.jsonl").read_text().splitlines()
+    record = json.loads(line)
+    assert (record["completed"], record["failed_stage"], record["failure_kind"]) == (
+        False, "threat_modeling", "internal_error")
 
 
 def test_assess_rejects_unreadable_profile(runner, tmp_path):
@@ -309,6 +347,35 @@ def test_ablate_runs_and_resumes(runner, tmp_path):
     result = runner.invoke(main, args)
     assert result.exit_code == 0
     assert "executed 0 new runs (10 already in ledger)" in result.output
+
+
+def test_ablate_records_a_profile_no_stub_pool_matches_and_goes_on(runner, tmp_path):
+    """A copy of saas_25 renamed zz_clinic_9 matches no pool of either
+    single-agent script: its 6 cells are recorded as internal_error, each
+    script set's message is warned once, and the sweep exits 0. On resume
+    those cells count as done, like any failed cell."""
+    profiles = tmp_path / "profiles"
+    shutil.copytree(DATA_DIR / "profiles", profiles)
+    saas = json.loads((profiles / "saas_25.json").read_text(encoding="utf-8"))
+    (profiles / "zz_clinic_9.json").write_text(
+        json.dumps({**saas, "profile_id": "zz_clinic_9"}), encoding="utf-8")
+    ledger = tmp_path / "ledger.jsonl"
+    result = runner.invoke(main, ["ablate", "--profiles", str(profiles), "--out", str(ledger)])
+    assert result.exit_code == 0, result.output
+    assert result.output.endswith("executed 36 new runs (0 already in ledger)\n")
+    assert result.stderr == "".join(
+        f"Warning: single_agent: stub script {DATA_DIR / 'stub' / script / 'single_agent.json'} "
+        f"for role 'single_agent' has no 'default' pool and no profile matched (profiles: "
+        f"health_15, fintech_30, mfg_40, retail_20, saas_25)\n"
+        for script in ("specific", "generic"))
+    records = [json.loads(line) for line in ledger.read_text().splitlines()]
+    assert len(records) == 36
+    failed = [r for r in records if not r["completed"]]
+    assert {(r["profile_id"], r["failed_stage"], r["failure_kind"]) for r in failed} == {
+        ("zz_clinic_9", "single_agent", "internal_error")}
+    assert len(failed) == 6
+    result = runner.invoke(main, ["ablate", "--profiles", str(profiles), "--out", str(ledger)])
+    assert result.output == "executed 0 new runs (36 already in ledger)\n"
 
 
 def test_ablate_creates_the_ledger_directory(runner, tmp_path):

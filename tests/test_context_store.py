@@ -4,6 +4,7 @@ import json
 import os
 import re
 import threading
+import warnings
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, strategies as st
 from riskforge.context_store import ContextEntry, ContextStore
 from riskforge.contracts import DATA_DIR, ENTRY_KINDS
 from riskforge.errors import RiskforgeError
+from riskforge.records import mend_tail
 from riskforge.tokens import canonical_json, estimate_tokens
 
 LOG_FIELDS = ["key", "agent_id", "revision", "created_at", "payload", "token_estimate"]
@@ -279,6 +281,15 @@ def test_append_only_property(payloads):
         history = store.read_history("risk_register")
         assert [e.revision for e in history] == list(range(1, len(seen) + 1))
         assert [e.payload for e in history] == seen
+
+
+def test_mending_an_empty_file_leaves_it_empty(tmp_path):
+    log = tmp_path / "session.jsonl"
+    log.touch()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mend_tail(log)
+    assert log.read_bytes() == b""
 
 
 def test_concurrent_appends_assign_distinct_revisions():

@@ -67,6 +67,11 @@ def test_extract_raises_when_absent():
         extract_json_object("{never closed")
 
 
+def test_unknown_role_has_no_contract(case_contracts):
+    with pytest.raises(KeyError, match="unknown agent role 'auditor'"):
+        case_contracts.contract("auditor")
+
+
 # -- schema modes ------------------------------------------------------------
 
 def test_unknown_schema_mode_rejected():

@@ -111,5 +111,10 @@ def test_missing_and_unknown_keys_are_named_after_path():
                                  {"label": "b", "script": "s", "window": 4096}])
 
 
+def test_a_type_it_cannot_decode_is_named():
+    with pytest.raises(TypeError, match=r"^cannot decode set\[str\]$"):
+        decode(set[str], ["a"])
+
+
 def test_pairs_decode_as_tuples():
     assert decode(list[tuple[str, str]], [["a", "b"]]) == [("a", "b")]

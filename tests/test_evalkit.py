@@ -294,6 +294,13 @@ def test_metrics_report_rendering(case_study_system):
     assert doc["stability"] == 1.0
 
 
+def test_ledger_only_report_has_no_agreement_or_coverage():
+    doc = compute_metrics(records=[run_record(wall_seconds=2.0)]).to_json()
+    assert doc == {"agreement": None, "coverage": None, "stability": 1.0,
+                   "variability": {"p/m": 3},
+                   "latency": {"mean_s": 2.0, "min_s": 2.0, "max_s": 2.0, "runs": 1}}
+
+
 # -- ablation sweep ----------------------------------------------------------
 
 def test_ablation_runs_and_resumes(profiles, corpus, model_specs, tmp_path):

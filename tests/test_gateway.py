@@ -4,7 +4,6 @@ import json
 import re
 import sys
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +15,8 @@ from riskforge.gateway import (RETRY_MARKER, CompletionRequest, HttpGateway,
                                ModelConfig, StubGateway)
 from riskforge.orchestrator import execute_pipeline
 from riskforge.tokens import prompt_hash
+
+from conftest import ModelHandler
 
 
 def write_script(tmp_path, role, doc):
@@ -234,63 +235,12 @@ def test_waits_on_io_follows_the_provider(script_dir):
 
 # -- HTTP gateway ------------------------------------------------------------
 
-class _Handler(BaseHTTPRequestHandler):
-    """Answers /api/generate in the shape of Ollama's non-streaming reply."""
-
-    captured = []
-    status = 200
-    done_reason = "stop"
-    reply = None  # bytes sent as a 200 reply's body in place of the generated one
-
-    def do_POST(self):
-        length = int(self.headers["Content-Length"])
-        body = json.loads(self.rfile.read(length))
-        _Handler.captured.append((self.path, body))
-        if _Handler.status != 200:
-            self.send_response(_Handler.status)
-            self.end_headers()
-            self.wfile.write(b"boom")
-            return
-        if _Handler.reply is not None:
-            self.send_response(200)
-            self.end_headers()
-            self.wfile.write(_Handler.reply)
-            return
-        payload = {"response": "generated text", "done": True,
-                   "done_reason": _Handler.done_reason}
-        data = json.dumps(payload).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.end_headers()
-        self.wfile.write(data)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture
-def http_server():
-    _Handler.captured = []
-    _Handler.status = 200
-    _Handler.done_reason = "stop"
-    _Handler.reply = None
-    server = HTTPServer(("127.0.0.1", 0), _Handler)
-    # shutdown() waits for the next poll, so poll often
-    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
-                              daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_port}"
-    server.shutdown()
-    thread.join()
-    server.server_close()
-
-
 def test_http_generate_wire_format(http_server):
     gw = HttpGateway(http_server)
     config = cfg(seed=7, context_window_tokens=4096)
     result = gw.complete(CompletionRequest(role="r", prompt="hello", config=config))
     assert result.text == "generated text"
-    path, body = _Handler.captured[-1]
+    path, body = ModelHandler.captured[-1]
     assert path == "/api/generate"
     assert body == {
         "model": "m",
@@ -304,19 +254,19 @@ def test_http_request_sends_the_default_seed(http_server):
     """A config that leaves the seed unset runs with seed 0, and says so."""
     HttpGateway(http_server).complete(
         CompletionRequest(role="r", prompt="hello", config=ModelConfig(model_id="m")))
-    assert _Handler.captured[-1][1]["options"]["seed"] == 0
+    assert ModelHandler.captured[-1][1]["options"]["seed"] == 0
 
 
 @pytest.mark.parametrize("done_reason, truncated", [("length", True), ("stop", False)])
 def test_http_truncation_follows_done_reason(http_server, done_reason, truncated):
-    _Handler.done_reason = done_reason
+    ModelHandler.done_reason = done_reason
     gw = HttpGateway(http_server)
     result = gw.complete(CompletionRequest(role="r", prompt="p", config=cfg()))
     assert result.truncated is truncated
 
 
 def test_http_non_success_raises_provider_error(http_server):
-    _Handler.status = 500
+    ModelHandler.status = 500
     gw = HttpGateway(http_server)
     with pytest.raises(ProviderError, match=r"^provider returned status 500: boom$"):
         gw.complete(CompletionRequest(role="r", prompt="p", config=cfg()))
@@ -328,13 +278,13 @@ def test_http_non_success_raises_provider_error(http_server):
 ], ids=["html", "not_utf8", "array", "no_response", "response_not_a_string"])
 def test_http_reply_without_a_response_string_lands_in_the_record(
         http_server, reply, health_profile, corpus, case_contracts):
-    _Handler.reply = reply
+    ModelHandler.reply = reply
     record, report = execute_pipeline(health_profile, cfg(), "multi_agent",
                                       HttpGateway(http_server), corpus, case_contracts)
     assert (record.completed, record.failed_stage, record.failure_kind) == (
         False, "risk_intake", "provider_error")
     assert report is None
-    assert len(_Handler.captured) == 1
+    assert len(ModelHandler.captured) == 1
 
 
 def test_http_unreachable_after_retries(monkeypatch):
@@ -356,4 +306,4 @@ def test_providers_leave_the_window_to_run_agent(script_dir, http_server):
     assert request.prompt_tokens == 4000  # + 1024 reserved > 4096
     assert StubGateway(script_dir).complete(request).text
     assert HttpGateway(http_server).complete(request).text == "generated text"
-    assert _Handler.captured[-1][1]["prompt"] == request.prompt
+    assert ModelHandler.captured[-1][1]["prompt"] == request.prompt

@@ -32,6 +32,8 @@ from riskforge.orchestrator import (RunRecord, check_profile, enforce_budget,
 from riskforge.records import decode
 from riskforge.tokens import canonical_json, estimate_tokens
 
+from conftest import PROFILE_IDS
+
 STUB = DATA_DIR / "stub"
 
 
@@ -895,20 +897,54 @@ def test_integral_float_questionnaire_counts_are_accepted(health_profile, case_c
     assert record.completed
 
 
-def test_session_log_kept_when_an_unclassified_error_escapes(
+def test_session_log_kept_when_a_role_raises_an_internal_error(
         health_profile, case_contracts, corpus, tmp_path):
     scripts = tmp_path / "scripts"
     scripts.mkdir()
-    # only the intake script: stage 2 finds no script, an error that is no
-    # StageError and so escapes execute_pipeline
+    # only the intake script: both stage-2 roles find no script, a
+    # RiskforgeError of no narrower kind, and the first in stage order is kept
     shutil.copy(STUB / "risk_intake.json", scripts)
-    with pytest.raises(RiskforgeError, match=re.escape(
-            f"no stub script for role 'threat_modeling' in {scripts} or {tmp_path}") + "$"):
-        execute_pipeline(health_profile, config(), "multi_agent", StubGateway(scripts),
-                         corpus, case_contracts, out_dir=tmp_path / "out")
+    message = f"no stub script for role 'threat_modeling' in {scripts} or {tmp_path}"
+    with pytest.warns(RuntimeWarning) as warned:
+        record, report = execute_pipeline(health_profile, config(), "multi_agent",
+                                          StubGateway(scripts), corpus, case_contracts,
+                                          out_dir=tmp_path / "out")
+    assert (record.completed, record.failed_stage, record.failure_kind) == (
+        False, "threat_modeling", "internal_error")
+    assert report is None
+    assert [str(w.message) for w in warned] == [f"threat_modeling: {message}"]
     [log] = (tmp_path / "out").glob("*/session.jsonl")
+    assert log.parent.name == record.run_id
     session = log.read_text(encoding="utf-8").splitlines()
     assert [json.loads(line)["key"] for line in session] == ["org_profile"]
+
+
+def test_session_log_append_failing_mid_run_is_recorded_at_its_role(
+        health_profile, case_contracts, corpus, specific_gateway, tmp_path, monkeypatch):
+    """The second log append, threat_modeling's, is aimed at the run
+    directory itself, so the write fails as a full disk's would."""
+    append_text = context_store.append_text
+    calls = []
+
+    def second_append_fails(path, text):
+        calls.append(path)
+        append_text(path.parent if len(calls) == 2 else path, text)
+
+    monkeypatch.setattr(context_store, "append_text", second_append_fails)
+    with pytest.warns(RuntimeWarning) as warned:
+        record, report = execute_pipeline(health_profile, config(), "multi_agent",
+                                          specific_gateway, corpus, case_contracts,
+                                          out_dir=tmp_path)
+    assert (record.completed, record.failed_stage, record.failure_kind) == (
+        False, "threat_modeling", "internal_error")
+    assert report is None
+    run_dir = tmp_path / record.run_id
+    [message] = [str(w.message) for w in warned]
+    assert message.startswith(f"threat_modeling: cannot append to {run_dir}: ")
+    session = (run_dir / "session.jsonl").read_text(encoding="utf-8").splitlines()
+    # control_assessment, the stage's other role, still ran and logged
+    assert [json.loads(line)["key"] for line in session] == ["org_profile",
+                                                             "control_assessment"]
 
 
 @pytest.mark.parametrize("mode, schema", [("multi_agent", "threat_model.json"),
@@ -1123,28 +1159,56 @@ def test_first_failure_in_stage_order_is_recorded(health_profile, case_contracts
 
 
 @pytest.mark.parametrize("sleep_seconds", [0.0, 0.01], ids=["inline", "threaded"])
-def test_unclassified_error_outranks_stage_failure(health_profile, case_contracts,
-                                                   corpus, tmp_path, sleep_seconds):
+def test_riskforge_errors_of_one_stage_record_the_first_in_stage_order(
+        health_profile, case_contracts, corpus, tmp_path, sleep_seconds):
     shutil.copytree(STUB, tmp_path / "stub")
     # threat_modeling fails first in stage order; control_assessment then
-    # finds no script, an error of no recorded kind
+    # finds no script, an internal_error that comes second and is not kept
     (tmp_path / "stub" / "specific" / "threat_modeling.json").write_text(
         json.dumps({"default": [{"threats": []}]}), encoding="utf-8")
     (tmp_path / "stub" / "control_assessment.json").unlink()
     gateway = StubGateway(tmp_path / "stub" / "specific", sleep_seconds=sleep_seconds)
-    with pytest.raises(RiskforgeError,
-                       match=r"^no stub script for role 'control_assessment' in "):
-        execute_pipeline(health_profile, config(), "multi_agent", gateway, corpus,
-                         case_contracts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # only an internal_error recorded is warned
+        record, report = execute_pipeline(health_profile, config(), "multi_agent",
+                                          gateway, corpus, case_contracts)
+    assert (record.failed_stage, record.failure_kind) == ("threat_modeling",
+                                                          "agent_failed")
+    assert report is None
 
 
 class RaisingGateway:
-    def __init__(self, error):
+    """Delegates to another gateway, except that every call for role raises
+    error."""
+
+    def __init__(self, inner, role, error):
+        self.inner = inner
+        self.role = role
         self.error = error
-        self.waits_on_io = False
+        self.waits_on_io = inner.waits_on_io
 
     def complete(self, request):
-        raise self.error
+        if request.role == self.role:
+            raise self.error
+        return self.inner.complete(request)
+
+
+@pytest.mark.parametrize("sleep_seconds", [0.0, 0.01], ids=["inline", "threaded"])
+def test_unclassified_error_outranks_stage_failure(health_profile, case_contracts,
+                                                   corpus, tmp_path, sleep_seconds):
+    shutil.copytree(STUB, tmp_path / "stub")
+    # threat_modeling fails first in stage order; control_assessment then
+    # raises an error from outside riskforge, which has no recorded kind
+    (tmp_path / "stub" / "specific" / "threat_modeling.json").write_text(
+        json.dumps({"default": [{"threats": []}]}), encoding="utf-8")
+    error = KeyError("response")
+    gateway = RaisingGateway(
+        StubGateway(tmp_path / "stub" / "specific", sleep_seconds=sleep_seconds),
+        "control_assessment", error)
+    with pytest.raises(KeyError) as raised:
+        execute_pipeline(health_profile, config(), "multi_agent", gateway, corpus,
+                         case_contracts)
+    assert raised.value is error
 
 
 # each mode with the role of its first stage
@@ -1159,26 +1223,101 @@ modes = pytest.mark.parametrize("mode, first_role", [("multi_agent", "risk_intak
     (ProviderError("cannot reach the model server"), "provider_error"),
     (ContextOverflow(BudgetDecision("risk_intake", 5000, 4096)), "context_overflow"),
     (AgentFailed("agent 'risk_intake' failed after retries: []"), "agent_failed"),
-], ids=["ProviderError", "ProviderError-unreachable", "ContextOverflow", "AgentFailed"])
+    (RiskforgeError("no stub script"), "internal_error"),
+], ids=["ProviderError", "ProviderError-unreachable", "ContextOverflow", "AgentFailed",
+        "RiskforgeError"])
 def test_provider_side_failures_land_in_the_record(health_profile, case_contracts,
-                                                   corpus, mode, first_role, error, kind):
-    record, report = execute_pipeline(health_profile, config(), mode,
-                                      RaisingGateway(error), corpus, case_contracts)
+                                                   corpus, specific_gateway, mode,
+                                                   first_role, error, kind):
+    gateway = RaisingGateway(specific_gateway, first_role, error)
+    with warnings.catch_warnings(record=True) as warned:
+        warnings.simplefilter("always")
+        record, report = execute_pipeline(health_profile, config(), mode, gateway, corpus,
+                                          case_contracts)
     assert not record.completed
     assert (record.failed_stage, record.failure_kind) == (first_role, kind)
     assert report is None
+    # only an internal_error is warned, as the record holds no message
+    assert [(w.category, str(w.message)) for w in warned] == (
+        [(RuntimeWarning, f"{first_role}: {error}")] if kind == "internal_error" else [])
 
 
 @modes
-@pytest.mark.parametrize("error", [RiskforgeError("no stub script"), KeyError("response")],
-                         ids=["RiskforgeError", "KeyError"])
+@pytest.mark.parametrize("error", [KeyError("response")], ids=["KeyError"])
 def test_errors_that_are_no_stage_error_propagate_unchanged(
-        health_profile, case_contracts, corpus, mode, first_role, error):
-    # raised, so execute_pipeline returns no record
+        health_profile, case_contracts, corpus, specific_gateway, mode, first_role, error):
+    # an error from outside riskforge is raised, so execute_pipeline returns
+    # no record
+    gateway = RaisingGateway(specific_gateway, first_role, error)
     with pytest.raises(type(error)) as exc:
-        execute_pipeline(health_profile, config(), mode, RaisingGateway(error), corpus,
-                         case_contracts)
+        execute_pipeline(health_profile, config(), mode, gateway, corpus, case_contracts)
     assert exc.value is error
+
+
+class NthCallRaisingGateway:
+    """Delegates to the bundled specific stub, except that its nth complete
+    call, counting from 1, raises error; raised_role is that call's role."""
+
+    def __init__(self, n, error, waits_on_io):
+        self.inner = StubGateway(STUB / "specific")
+        self.n, self.error, self.waits_on_io = n, error, waits_on_io
+        self.calls = 0
+        self.raised_role = None
+        self._lock = threading.Lock()
+
+    def complete(self, request):
+        with self._lock:  # the pair's calls may come from two threads
+            self.calls += 1
+            nth = self.calls == self.n
+        if nth:
+            self.raised_role = request.role
+            raise self.error
+        return self.inner.complete(request)
+
+
+DRAWN_ERRORS = [
+    lambda: ProviderError("provider returned status 503: overloaded"),
+    lambda: AgentFailed("agent failed after retries: []"),
+    lambda: ContextOverflow(BudgetDecision("risk_intake", 5000, 4096)),
+    lambda: RiskforgeError("no stub script"),
+    lambda: KeyError("response"),
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(mode=st.sampled_from(["multi_agent", "single_agent"]), waits_on_io=st.booleans(),
+       profile_id=st.sampled_from(PROFILE_IDS), n=st.integers(1, 9),
+       make_error=st.sampled_from(DRAWN_ERRORS))
+def test_an_error_on_any_provider_call_is_recorded_or_propagates(
+        profiles, corpus, mode, waits_on_io, profile_id, n, make_error):
+    """A RiskforgeError from the nth provider call, whichever role makes it,
+    ends the run in its record as its kind; only an internal_error is also
+    warned. A KeyError propagates as itself. With no raise, as when n lies
+    past the run's last call, the run completes."""
+    error = make_error()
+    gateway = NthCallRaisingGateway(n, error, waits_on_io)
+    with warnings.catch_warnings(record=True) as warned:
+        warnings.simplefilter("always")
+        try:
+            record, report = execute_pipeline(profiles[profile_id], config(), mode,
+                                              gateway, corpus,
+                                              ContractSet(schema_mode="case_study"))
+        except KeyError as exc:
+            assert exc is error
+            assert gateway.raised_role is not None
+            return
+    runtime = [str(w.message) for w in warned if w.category is RuntimeWarning]
+    assert record.completed == (record.failure_kind is None)
+    if gateway.raised_role is None:
+        assert record.completed
+        assert report is not None
+        assert runtime == []
+        return
+    assert isinstance(error, RiskforgeError)
+    assert (record.failed_stage, record.failure_kind, report) == (gateway.raised_role,
+                                                                  error.kind, None)
+    expected = [f"{gateway.raised_role}: {error}"] if error.kind == "internal_error" else []
+    assert runtime == expected
 
 
 def test_same_seed_runs_are_reproducible(health_profile, case_contracts, corpus,
