@@ -19,29 +19,15 @@ import warnings
 from pathlib import Path
 
 from .contracts import DATA_DIR, SCHEMA_MODES, ContractSet
-from .errors import ProfileInvalid, RiskforgeError
+from .errors import RiskforgeError
 from .gateway import HttpGateway, ModelConfig, StubGateway
 from .grounding import Corpus
 from .orchestrator import check_profile, execute_pipeline, load_ledger, record_run
-from .records import decode, mend_tail
+from .records import decode, mend_tail, read_json
 
 BUNDLED_CORPUS = DATA_DIR / "corpus" / "mini_csf.jsonl"
 STUB_ROOT = DATA_DIR / "stub"
 RUN_MODES = {"multi": "multi_agent", "single": "single_agent"}  # --mode -> RunRecord.mode
-
-
-def _read_json(path, what: str, build=None):
-    """The JSON document at path, passed through build when given. A file
-    that cannot be read, is not JSON, or whose document build rejects
-    (KeyError, TypeError, ValueError, ProfileInvalid) is a one-line error
-    naming it."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        return build(doc) if build else doc
-    except OSError as exc:  # its own message names path again
-        raise RiskforgeError(f"cannot read {what} {path}: {exc.strerror}")
-    except (KeyError, TypeError, ValueError, ProfileInvalid) as exc:
-        raise RiskforgeError(f"cannot read {what} {path}: {type(exc).__name__}: {exc}")
 
 
 def _check_out(out: str, directory: Path) -> None:
@@ -64,7 +50,7 @@ def assess(profile_path, mode, provider, script, model_id, window, seed,
            schema_mode, corpus_path, out_dir):
     """Run one risk assessment against a questionnaire."""
     contracts = ContractSet(schema_mode=schema_mode)
-    profile = _read_json(profile_path, "profile", lambda doc: check_profile(doc, contracts))
+    profile = read_json(profile_path, "profile", lambda doc: check_profile(doc, contracts))
 
     if provider == "stub":
         gateway = StubGateway(STUB_ROOT / script)
@@ -121,10 +107,10 @@ def eval_cmd(ledger_path, annotations_path, aliases_path, register_path,
     aliases = AliasMap()
     if register_path:
         from .risk_model import read_register
-        system = _read_json(register_path, "register", read_register)
+        system = read_json(register_path, "register", read_register)
         annotations = load_annotations(Path(annotations_path))
         if aliases_path:
-            aliases = _read_json(aliases_path, "aliases", lambda doc: AliasMap(
+            aliases = read_json(aliases_path, "aliases", lambda doc: AliasMap(
                 decode(list[tuple[str, str]], doc)))
     records = load_ledger(Path(ledger_path)) if ledger_path else None
     report = compute_metrics(records=records, system=system, annotations=annotations,
@@ -140,11 +126,11 @@ def ablate(profiles_dir, models_path, runs_per_cell, mode, schema_mode,
     """Sweep profiles x models x seeds and append run records to a ledger."""
     from .evalkit import read_models, run_ablation
     contracts = ContractSet(schema_mode=schema_mode)
-    profiles = [_read_json(path, "profile", lambda doc: check_profile(doc, contracts))
+    profiles = [read_json(path, "profile", lambda doc: check_profile(doc, contracts))
                 for path in sorted(Path(profiles_dir).glob("*.json"))]
     if not profiles:
         raise RiskforgeError(f"no profile JSON files in {profiles_dir}")
-    specs = _read_json(models_path, "models", read_models)
+    specs = read_json(models_path, "models", read_models)
 
     corpus = _load_corpus(corpus_path)
     _check_out(ledger_path, Path(ledger_path).parent)

@@ -38,6 +38,7 @@ from .context_store import ContextEntry, ContextStore
 from .errors import AgentFailed, ContextOverflow, RiskforgeError, Unparseable
 from .gateway import RETRY_MARKER, BudgetDecision, CompletionRequest, ModelConfig
 from .grounding import Corpus, FrameworkExcerpt
+from .records import read_json
 from .tokens import canonical_json
 
 MAX_ATTEMPTS = 3  # initial attempt plus two validation re-prompts
@@ -479,7 +480,6 @@ class ContractSet:
         self.schema_mode = schema_mode
         self.schemas_dir = Path(schemas_dir or DATA_DIR / "schemas")
         self._templates: dict[str, str] = {}
-        self._schemas: dict[str, dict] = {}
         self._checkers: dict[str, Callable[[Any], Violations]] = {}
         # (role, corpus, questionnaire) -> the prompt of a role that reads no context
         self._context_free: dict[tuple[str, Corpus, str], str] = {}
@@ -497,10 +497,8 @@ class ContractSet:
         return self._templates[name]
 
     def schema(self, name: str) -> dict:
-        if name not in self._schemas:
-            doc = json.loads((self.schemas_dir / name).read_text(encoding="utf-8"))
-            self._schemas[name] = self._apply_mode(name, doc)
-        return self._schemas[name]
+        """The named schema, read afresh and adjusted for schema_mode."""
+        return self._apply_mode(name, read_json(self.schemas_dir / name, "schema"))
 
     def _apply_mode(self, name: str, schema: dict) -> dict:
         """Adjust a freshly parsed schema in place for case_study mode."""
@@ -524,19 +522,11 @@ class ContractSet:
     # -- prompt assembly ---------------------------------------------------
 
     def assemble_prompt(self, role: str, snapshot: dict[str, ContextEntry],
-                        grounding: list[FrameworkExcerpt],
-                        extra: Optional[dict[str, str]] = None) -> str:
+                        grounding: list[FrameworkExcerpt], questionnaire: str) -> str:
         contract = self.contract(role)
         for key in contract.reads:
             if snapshot.get(key) is None:
                 raise RiskforgeError(f"role {role!r} requires context key {key!r} which is absent")
-
-        task = self.template_text(contract.template_name)
-        for placeholder, value in (extra or {}).items():
-            task = task.replace("{{" + placeholder + "}}", value)
-        if "{{" in task and "}}" in task:
-            unfilled = task[task.index("{{"):task.index("}}") + 2]
-            raise ValueError(f"unfilled template placeholder {unfilled} for role {role!r}")
 
         parts = [
             f"You are the {role} agent in an automated cybersecurity risk "
@@ -564,7 +554,7 @@ class ContractSet:
         )
         parts.append("")
         parts.append("=== TASK ===")
-        parts.append(task.strip())
+        parts.append(self.task_text(role, questionnaire))
         parts.append("")
         parts.append("Respond with a single JSON object that satisfies the required "
                      "output schema for this role.")
@@ -598,22 +588,18 @@ class ContractSet:
         (role, corpus, questionnaire) alone, so it is built once per
         ContractSet and every later call returns that same str; a role
         that reads context is built on every call."""
-        if self.contract(role).reads:
-            return self._new_prompt(role, snapshot, corpus, questionnaire)
+        context_free = not self.contract(role).reads
         key = (role, corpus, questionnaire)
-        prompt = self._context_free.get(key)
-        if prompt is None:  # threads that miss together store equal prompts
-            prompt = self._context_free[key] = self._new_prompt(
-                role, snapshot, corpus, questionnaire)
-        return prompt
-
-    def _new_prompt(self, role: str, snapshot: dict[str, ContextEntry],
-                    corpus: Corpus, questionnaire: str) -> str:
+        if context_free and key in self._context_free:
+            return self._context_free[key]
         if role == SINGLE_AGENT_ROLE:
-            return self._single_prompt(corpus, questionnaire)
-        grounding = self.gather_grounding(role, snapshot, corpus)
-        return self.assemble_prompt(role, snapshot, grounding,
-                                    extra={"questionnaire": questionnaire})
+            prompt = self._single_prompt(corpus, questionnaire)
+        else:
+            grounding = self.gather_grounding(role, snapshot, corpus)
+            prompt = self.assemble_prompt(role, snapshot, grounding, questionnaire)
+        if context_free:  # threads that miss together store equal prompts
+            self._context_free[key] = prompt
+        return prompt
 
     def _single_prompt(self, corpus: Corpus, questionnaire: str) -> str:
         grounding = corpus.retrieve(SINGLE_AGENT.grounding_query, SINGLE_AGENT.grounding_k)
@@ -693,10 +679,14 @@ class ContractSet:
             )
         raise AgentFailed(f"agent {role!r} failed after retries: {list(last_violations)}")
 
+    def task_text(self, role: str, questionnaire: str) -> str:
+        """The role's template, stripped, with its one placeholder,
+        {{questionnaire}}, filled in."""
+        template = self.template_text(self.contract(role).template_name)
+        return template.strip().replace("{{questionnaire}}", questionnaire)
+
     def combined_task_text(self, questionnaire_json: str) -> str:
         """Concatenated task instructions of all six roles, for the
         single-agent ablation baseline, with the questionnaire filled in."""
-        return "\n\n".join(
-            f"## Stage: {role}\n"
-            f"{self.template_text(self.contract(role).template_name).strip()}"
-            for role in ROLES).replace("{{questionnaire}}", questionnaire_json)
+        return "\n\n".join(f"## Stage: {role}\n{self.task_text(role, questionnaire_json)}"
+                             for role in ROLES)

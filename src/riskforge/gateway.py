@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import ProviderError, RiskforgeError
+from .records import decode, read_json
 from .tokens import estimate_tokens, prompt_hash
 
 # Marker appended to re-prompts after a validation failure. The stub keys
@@ -143,7 +144,8 @@ class StubGateway:
             else:
                 raise RiskforgeError(f"no stub script for role {role!r} in "
                                      f"{self.script_dir} or {self.script_dir.parent}")
-            self._scripts[role] = (path, json.loads(path.read_text(encoding="utf-8")))
+            self._scripts[role] = (path, read_json(path, "stub script",
+                                                   lambda doc: decode(dict, doc)))
         return self._scripts[role]
 
     def _select_pool(self, role: str, prompt: str) -> list:

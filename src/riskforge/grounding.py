@@ -92,14 +92,12 @@ def parse_identifiers(text: str) -> list[dict]:
             "raw": match.group(0),
             "span": (match.start(), match.end()),
         })
+    # No match of one grammar can start inside a match of the other: a NIST
+    # id holds no space and ends in a digit, and a CIS one has a space as its
+    # fourth character and only lowercase letters, digits, spaces and dots
+    # after it. finditer's matches of one grammar never overlap.
     found.sort(key=lambda item: item["span"])
-    result = []
-    last_end = -1
-    for item in found:
-        if item["span"][0] >= last_end:
-            result.append(item)
-            last_end = item["span"][1]
-    return result
+    return found
 
 
 class Corpus:

@@ -1,9 +1,12 @@
-"""JSON Lines, the format of every line-oriented file: session logs, run
-ledgers, corpora and annotations. append_line writes a document as one
-line, and append_text a document its caller serialized (a session-log
-line); load_records reads one typed record per non-blank line through
-decode, which checks a JSON document against a type. Every record that
-riskforge reads from a file passes through decode.
+"""JSON files. read_json reads a file that holds one JSON document (a
+questionnaire, a models file, a register, a schema, a stub script) and names
+the file in any error it raises. JSON Lines is the format of every
+line-oriented file: session logs, run ledgers, corpora and annotations.
+append_line writes a document as one line, and append_text a document its
+caller serialized (a session-log line); load_records reads one typed record
+per non-blank line through decode, which checks a JSON document against a
+type. Every typed record that riskforge reads from a file passes through
+decode.
 
 A writer killed mid-append, a short write or a full disk can leave the
 last line of a file that append_text writes (a run ledger, a session log)
@@ -26,7 +29,21 @@ from functools import cache
 from pathlib import Path
 from typing import Any, Callable, Union, get_args, get_origin, get_type_hints
 
-from .errors import RiskforgeError
+from .errors import ProfileInvalid, RiskforgeError
+
+
+def read_json(path, what: str, build=None):
+    """The JSON document at path, passed through build when given. A file
+    that cannot be read, is not JSON, or whose document build rejects
+    (KeyError, TypeError, ValueError, ProfileInvalid) is a one-line error
+    naming it."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        return build(doc) if build else doc
+    except OSError as exc:  # its own message names path again
+        raise RiskforgeError(f"cannot read {what} {path}: {exc.strerror}")
+    except (KeyError, TypeError, ValueError, ProfileInvalid) as exc:
+        raise RiskforgeError(f"cannot read {what} {path}: {type(exc).__name__}: {exc}")
 
 
 def append_line(path: Path, doc: dict) -> None:
@@ -71,10 +88,11 @@ class _Misfit(Exception):
 
 def decode(tp, doc, path: str = ""):
     """doc, a JSON-decoded value, as type tp: a dataclass, list[X],
-    tuple[X, Y], Optional[X], Any or a scalar in _EXACT. A value that does
-    not fit, an unknown key or a missing required key is a TypeError that
-    names the dotted field after path, e.g. "risks[1].title must be str,
-    not int"; a dataclass's __post_init__ raises its own errors."""
+    tuple[X, Y], Any, a scalar in _EXACT or Optional of such a scalar. A
+    value that does not fit, an unknown key or a missing required key is a
+    TypeError that names the dotted field after path, e.g. "risks[1].title
+    must be str, not int"; a dataclass's __post_init__ raises its own
+    errors."""
     try:
         return _decoder(tp)(doc)
     except _Misfit as exc:
@@ -105,9 +123,6 @@ def _decoder(tp) -> Callable[[Any], Any]:
                 return value
             raise misfit(value)
         return decode_scalar
-    if origin is Union:  # Optional[X] of a compound X
-        decode_some = _decoder(args[0])
-        return lambda value: None if value is None else decode_some(value)
     if origin in (list, tuple):
         decoders = [_decoder(arg) for arg in args]
         # a tuple's items by the decoder at their index, a list's by its one

@@ -1,7 +1,9 @@
 """CLI verbs: assess, eval, ablate, index-corpus."""
 
+import errno
 import io
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -11,8 +13,9 @@ from types import SimpleNamespace
 
 import pytest
 
+from riskforge import orchestrator
 from riskforge.cli import main
-from riskforge.contracts import DATA_DIR
+from riskforge.contracts import DATA_DIR, ROLES
 from riskforge.gateway import StubGateway
 from riskforge.orchestrator import RunRecord, record_run
 
@@ -188,6 +191,64 @@ def test_assess_with_a_missing_stub_script_exits_2_and_records(runner, tmp_path)
     record = json.loads(line)
     assert (record["completed"], record["failed_stage"], record["failure_kind"]) == (
         False, "threat_modeling", "internal_error")
+
+
+TORN_SCRIPT = '{"profiles": \n'  # a stub script cut short mid-write
+TORN_PROBLEM = "JSONDecodeError: Expecting value: line 2 column 1 (char 14)"
+
+
+def stub_copy_with(tmp_path, text):
+    """The specific set of a copy of the bundled stub scripts, whose
+    threat_modeling script holds text."""
+    shutil.copytree(DATA_DIR / "stub", tmp_path / "stub")
+    scripts = tmp_path / "stub" / "specific"
+    (scripts / "threat_modeling.json").write_text(text, encoding="utf-8")
+    return scripts
+
+
+@pytest.mark.parametrize("text, problem", [
+    (TORN_SCRIPT, TORN_PROBLEM),
+    ("[]\n", "TypeError: document must be dict, not list"),
+], ids=["torn", "array"])
+def test_assess_with_an_unreadable_stub_script_exits_2_and_records(runner, tmp_path,
+                                                                   text, problem):
+    """A stub script that holds no JSON object ends the run at its role as
+    an internal_error, named in one warning, with no traceback."""
+    scripts = stub_copy_with(tmp_path, text)
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["assess", "--profile", str(PROFILE), "--script",
+                                  str(scripts), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert result.stderr == (
+        f"Warning: threat_modeling: cannot read stub script "
+        f"{scripts / 'threat_modeling.json'}: {problem}\n"
+        f"run failed at stage threat_modeling (internal_error)\n")
+    assert "Traceback" not in result.output
+    [line] = (out / "ledger.jsonl").read_text().splitlines()
+    record = json.loads(line)
+    assert (record["completed"], record["failed_stage"], record["failure_kind"]) == (
+        False, "threat_modeling", "internal_error")
+
+
+def test_assess_report_it_cannot_write_is_an_error_with_no_ledger_line(runner, tmp_path,
+                                                                       monkeypatch):
+    """A run is complete when its ledger line exists, and assess --out
+    appends it after both reports: a completed run whose report.md cannot
+    be written is one Error line naming it, exit 1, a whole session log and
+    no ledger."""
+    def disk_full(path, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+    monkeypatch.setattr(orchestrator, "_replace_with", disk_full)
+    result = runner.invoke(main, ["assess", "--profile", str(PROFILE), "--out", str(tmp_path)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    [run_dir] = tmp_path.iterdir()
+    assert result.output == (f"Error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: "
+                             f"'{run_dir / 'report.md'}'\n")
+    lines = (run_dir / "session.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    assert [json.loads(line)["agent_id"] for line in lines if line.endswith("\n")] == list(ROLES)
+    assert len(lines) == 6
+    assert not (tmp_path / "ledger.jsonl").exists()
 
 
 def test_assess_rejects_unreadable_profile(runner, tmp_path):
@@ -376,6 +437,28 @@ def test_ablate_records_a_profile_no_stub_pool_matches_and_goes_on(runner, tmp_p
     assert len(failed) == 6
     result = runner.invoke(main, ["ablate", "--profiles", str(profiles), "--out", str(ledger)])
     assert result.output == "executed 0 new runs (36 already in ledger)\n"
+
+
+def test_ablate_records_every_cell_of_an_unreadable_stub_script_and_goes_on(runner,
+                                                                           tmp_path):
+    """A models file naming a stub set whose threat_modeling script is torn:
+    the multi-agent sweep records all 15 cells as internal_error at that
+    role, warns once and exits 0."""
+    scripts = stub_copy_with(tmp_path, TORN_SCRIPT)
+    models = tmp_path / "models.json"
+    models.write_text(json.dumps([{"label": "torn", "script": str(scripts),
+                                   "window": 131072}]), encoding="utf-8")
+    ledger = tmp_path / "ledger.jsonl"
+    result = runner.invoke(main, ["ablate", "--mode", "multi", "--models", str(models),
+                                  "--out", str(ledger)])
+    assert result.exit_code == 0, result.output
+    assert result.stderr == (f"Warning: threat_modeling: cannot read stub script "
+                             f"{scripts / 'threat_modeling.json'}: {TORN_PROBLEM}\n")
+    assert result.output.endswith("executed 15 new runs (0 already in ledger)\n")
+    records = [json.loads(line) for line in ledger.read_text().splitlines()]
+    assert len(records) == 15
+    assert {(r["completed"], r["failed_stage"], r["failure_kind"]) for r in records} == {
+        (False, "threat_modeling", "internal_error")}
 
 
 def test_ablate_creates_the_ledger_directory(runner, tmp_path):

@@ -1,6 +1,7 @@
 """Agent contracts: JSON extraction, schema modes, prompts, retry loop."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -9,9 +10,10 @@ from hypothesis import given, strategies as st
 
 from riskforge import gateway as gateway_mod
 from riskforge.context_store import ContextStore
-from riskforge.contracts import (CONTRACTS, ENTRY_KINDS, MAX_ATTEMPTS, PLANS, ROLES,
-                                 SINGLE_AGENT, SINGLE_AGENT_ROLE, STAGES, SURROGATE_VIOLATION,
-                                 AgentContract, ContractSet, extract_json_object, stage_plan)
+from riskforge.contracts import (CONTRACTS, DATA_DIR, ENTRY_KINDS, MAX_ATTEMPTS, PLANS,
+                                 ROLES, SINGLE_AGENT, SINGLE_AGENT_ROLE, STAGES,
+                                 SURROGATE_VIOLATION, AgentContract, ContractSet,
+                                 extract_json_object, stage_plan)
 from riskforge.errors import AgentFailed, ContextOverflow, RiskforgeError, Unparseable
 from riskforge.gateway import HttpGateway, ModelConfig, StubGateway
 from riskforge.grounding import Corpus
@@ -152,7 +154,7 @@ def test_assemble_requires_declared_reads(case_contracts):
     store = ContextStore(ENTRY_KINDS)
     with pytest.raises(RiskforgeError, match=r"^role 'threat_modeling' requires context key "
                                              r"'org_profile' which is absent$"):
-        case_contracts.assemble_prompt("threat_modeling", store.snapshot(), [])
+        case_contracts.assemble_prompt("threat_modeling", store.snapshot(), [], "{}")
 
 
 def test_assemble_sections_and_context_payloads(case_contracts, corpus):
@@ -161,7 +163,7 @@ def test_assemble_sections_and_context_payloads(case_contracts, corpus):
     store.append_entry("org_profile", "risk_intake", payload)
     snapshot = store.snapshot()
     grounding = case_contracts.gather_grounding("threat_modeling", snapshot, corpus)
-    prompt = case_contracts.assemble_prompt("threat_modeling", snapshot, grounding)
+    prompt = case_contracts.assemble_prompt("threat_modeling", snapshot, grounding, "{}")
     for section in ("=== SHARED CONTEXT ===", "=== FRAMEWORK EXCERPTS ===",
                     "=== CITATION POLICY ===", "=== TASK ==="):
         assert section in prompt
@@ -172,17 +174,28 @@ def test_assemble_sections_and_context_payloads(case_contracts, corpus):
 def test_questionnaire_placeholder_filled(case_contracts, health_profile):
     store = ContextStore(ENTRY_KINDS)
     questionnaire = canonical_json(health_profile)
-    prompt = case_contracts.assemble_prompt(
-        "risk_intake", store.snapshot(), [],
-        extra={"questionnaire": questionnaire})
+    prompt = case_contracts.assemble_prompt("risk_intake", store.snapshot(), [],
+                                            questionnaire)
     assert questionnaire in prompt
     assert "{{" not in prompt
 
 
-def test_unfilled_placeholder_is_an_error(case_contracts):
-    store = ContextStore(ENTRY_KINDS)
-    with pytest.raises(ValueError, match="questionnaire"):
-        case_contracts.assemble_prompt("risk_intake", store.snapshot(), [])
+def test_every_template_placeholder_is_the_questionnaire(request, corpus, health_profile):
+    """The templates are bundled data, and build_prompt fills one
+    placeholder, {{questionnaire}}: each template holds no other, and no
+    prompt over a completed health_15 run keeps a "{{". The run is set up
+    after the templates are checked, as a wrong placeholder fails it."""
+    for path in sorted((DATA_DIR / "templates").glob("*.txt")):
+        text = path.read_text(encoding="utf-8")
+        placeholders = re.findall(r"\{\{(.*?)\}\}", text, re.DOTALL)
+        assert set(placeholders) <= {"questionnaire"}, path.name
+        assert text.count("{{") == len(placeholders), path.name
+    run_dir = request.getfixturevalue("case_study_run")
+    contracts = ContractSet(schema_mode="case_study")
+    snapshot = ContextStore.load(run_dir / "session.jsonl", ENTRY_KINDS).snapshot()
+    questionnaire = canonical_json(health_profile)
+    for role in (*ROLES, SINGLE_AGENT_ROLE):
+        assert "{{" not in contracts.build_prompt(role, snapshot, corpus, questionnaire), role
 
 
 def test_grounding_carries_forward_cited_identifiers(case_contracts, corpus):

@@ -3,7 +3,8 @@
 The reference forms below are the original implementations, kept here as
 oracles: a character-by-character brace matcher for JSON extraction, and
 the identifier regexes with their lookbehind in front of the first
-character. Per-entry derived text (canonical JSON and cited identifiers)
+character, and parse_identifiers with a pass that dropped a match starting
+inside an earlier one, which no text holds. Per-entry derived text (canonical JSON and cited identifiers)
 must equal what the free functions compute, for appended entries and for
 entries rebuilt from a session log.
 """
@@ -125,6 +126,51 @@ def test_identifier_regexes_match_lookbehind_first_forms(text):
     assert matches(NIST_CSF_RE, text) == matches(OLD_NIST_CSF_RE, text)
     assert matches(CIS_RE, text) == matches(OLD_CIS_RE, text)
     assert bool(NIST_CSF_RE.fullmatch(text)) == bool(OLD_NIST_CSF_RE.fullmatch(text))
+
+
+def old_parse_identifiers(text: str) -> list[dict]:
+    found = []
+    for match in NIST_CSF_RE.finditer(text):
+        found.append({
+            "framework": "nist_csf",
+            "identifier": match.group(0),
+            "raw": match.group(0),
+            "span": (match.start(), match.end()),
+        })
+    for match in CIS_RE.finditer(text):
+        found.append({
+            "framework": "cis",
+            "identifier": match.group(1),
+            "raw": match.group(0),
+            "span": (match.start(), match.end()),
+        })
+    found.sort(key=lambda item: item["span"])
+    result = []
+    last_end = -1
+    for item in found:
+        if item["span"][0] >= last_end:
+            result.append(item)
+            last_end = item["span"][1]
+    return result
+
+
+citation_text = st.lists(st.one_of(
+    st.builds("{}.{}-{}".format, st.sampled_from(["PR", "ID", "CI"]),  # NIST ids
+              st.sampled_from(["AC", "IP", "RPS"]), st.integers(0, 120)),
+    st.builds("CIS Control {}{}".format, st.integers(0, 20),
+              st.sampled_from(["", ".1", ".12"])),
+    st.sampled_from(list("-.0123456789 ,;:()/\n") + ["CIS", "Control", "CIS Control "]),
+    st.text("ABCSIPRabcon", min_size=1, max_size=3),  # letters
+), max_size=12).map("".join)
+
+
+@settings(deadline=None, max_examples=300)
+@given(citation_text)
+def test_parse_identifiers_matches_the_overlap_pass(text):
+    found = parse_identifiers(text)
+    assert found == old_parse_identifiers(text)
+    spans = [item["span"] for item in found]
+    assert all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
 
 
 # -- per-entry derived text ----------------------------------------------------
