@@ -101,7 +101,8 @@ def eval_cmd(ledger_path, annotations_path, aliases_path, register_path,
         if "=" not in item:
             raise RiskforgeError(f"bad selector {item!r}, expected key=value")
         key, value = item.split("=", 1)
-        selector[key] = value
+        # a ledger spells a mode as RunRecord.mode does; --mode's spelling maps to it
+        selector[key] = RUN_MODES.get(value, value) if key == "mode" else value
 
     system = annotations = None
     aliases = AliasMap()
@@ -191,7 +192,7 @@ def _parser() -> argparse.ArgumentParser:
     option("--register", dest="register_path",
            help="System risk register JSON for agreement/coverage.")
     option("--select", dest="selectors", action="append", default=[],
-           help="Filter runs, e.g. --select model=ft-cybersec --select mode=single_agent.")
+           help="Filter runs, e.g. --select model=ft-cybersec --select mode=single.")
     option("--json", dest="as_json", action="store_true", help="Emit JSON instead of a table.")
 
     option = verb("ablate", ablate)

@@ -57,6 +57,7 @@ SURROGATE_VIOLATION = ("$", "output holds an unpaired UTF-16 surrogate")
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")  # decodes to a surrogate
 
 DATA_DIR = Path(__file__).parent / "data"
+SCHEMAS_DIR = DATA_DIR / "schemas"
 
 
 @dataclass(frozen=True)
@@ -465,20 +466,19 @@ def compile_schema(schema: dict, source: str) -> Callable[[Any], Violations]:
 
 
 class ContractSet:
-    """Contracts plus their loaded templates and schemas.
+    """Contracts plus their loaded templates and bundled schemas.
 
     schema_mode selects output cardinality: "cross_sector" pins threats,
     risks, and recommendations to exactly three apiece (the structural
     stability criterion); "case_study" relaxes the register to 3..10 risks
-    and threats to 3..5.
+    and threats to 3..5. The questionnaire schema holds none of those
+    arrays, so it reads the same in both modes.
     """
 
-    def __init__(self, schemas_dir: Optional[Path] = None,
-                 schema_mode: str = "case_study"):
+    def __init__(self, schema_mode: str = "case_study"):
         if schema_mode not in SCHEMA_MODES:
             raise ValueError(f"unknown schema mode {schema_mode!r}")
         self.schema_mode = schema_mode
-        self.schemas_dir = Path(schemas_dir or DATA_DIR / "schemas")
         self._templates: dict[str, str] = {}
         self._checkers: dict[str, Callable[[Any], Violations]] = {}
         # (role, corpus, questionnaire) -> the prompt of a role that reads no context
@@ -497,26 +497,22 @@ class ContractSet:
         return self._templates[name]
 
     def schema(self, name: str) -> dict:
-        """The named schema, read afresh and adjusted for schema_mode."""
-        return self._apply_mode(name, read_json(self.schemas_dir / name, "schema"))
-
-    def _apply_mode(self, name: str, schema: dict) -> dict:
-        """Adjust a freshly parsed schema in place for case_study mode."""
-        if self.schema_mode == "cross_sector":
-            return schema
-        props = schema.get("properties", {})
-        bounds = {"threats": (3, 5), "risks": (3, 10), "recommendations": (3, 10)}
-        for field, (lo, hi) in bounds.items():
-            if field in props and props[field].get("type") == "array":
-                props[field]["minItems"] = lo
-                props[field]["maxItems"] = hi
+        """The named bundled schema, read afresh; in case_study mode its
+        threats, risks and recommendations arrays take that mode's bounds."""
+        schema = read_json(SCHEMAS_DIR / name, "schema")
+        if self.schema_mode == "case_study":
+            props = schema.get("properties", {})
+            bounds = {"threats": (3, 5), "risks": (3, 10), "recommendations": (3, 10)}
+            for field, (lo, hi) in bounds.items():
+                if field in props and props[field].get("type") == "array":
+                    props[field]["minItems"] = lo
+                    props[field]["maxItems"] = hi
         return schema
 
     def checker(self, name: str) -> Callable[[Any], Violations]:
         """The named schema compiled by compile_schema, once per ContractSet."""
         if name not in self._checkers:
-            self._checkers[name] = compile_schema(self.schema(name),
-                                                  str(self.schemas_dir / name))
+            self._checkers[name] = compile_schema(self.schema(name), str(SCHEMAS_DIR / name))
         return self._checkers[name]
 
     # -- prompt assembly ---------------------------------------------------

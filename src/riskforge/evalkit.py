@@ -69,33 +69,29 @@ class AliasMap:
     """Declared title equivalences, symmetric after normalization."""
 
     def __init__(self, pairs: Iterable[tuple[str, str]] = ()):
-        self._pairs: set[frozenset] = set()
+        self._partners: dict[str, set[str]] = {}  # normalized title -> its partners
         for a, b in pairs:
             self.add(a, b)
 
     def add(self, a: str, b: str) -> None:
         na, nb = normalize_title(a), normalize_title(b)
         if na != nb:
-            self._pairs.add(frozenset((na, nb)))
+            self._partners.setdefault(na, set()).add(nb)
+            self._partners.setdefault(nb, set()).add(na)
 
     def equivalent(self, a: str, b: str) -> bool:
         na, nb = normalize_title(a), normalize_title(b)
-        return na == nb or frozenset((na, nb)) in self._pairs
+        return na == nb or nb in self._partners.get(na, ())
 
     def partners(self, title: str) -> set[str]:
-        norm = normalize_title(title)
-        out = set()
-        for pair in self._pairs:
-            if norm in pair:
-                out |= pair - {norm}
-        return out
+        return set(self._partners.get(normalize_title(title), ()))
 
     def check_unambiguous(self, system_titles: Iterable[str]) -> None:
-        """No practitioner title may alias-match two distinct system titles."""
+        """No practitioner title may alias-match two distinct system titles;
+        the first such title in sorted order is named."""
         system_norms = {normalize_title(t) for t in system_titles}
-        candidates = {n for pair in self._pairs for n in pair} - system_norms
-        for cand in candidates:
-            hits = {n for n in self.partners(cand) if n in system_norms}
+        for cand in sorted(self._partners.keys() - system_norms):
+            hits = self._partners[cand] & system_norms
             if len(hits) > 1:
                 raise RiskforgeError(
                     f"title {cand!r} aliases to multiple system risks: {sorted(hits)}")

@@ -17,7 +17,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Any, Optional
 
 from .errors import ProviderError, RiskforgeError
 from .records import decode, read_json
@@ -102,6 +102,19 @@ class CompletionResult:
     truncated: bool = False
 
 
+def _stub_script(doc) -> dict:
+    """doc as a stub script: an object whose "default" and "on_retry", when
+    present, are arrays and whose "profiles" is an object of arrays. A
+    misfit is a TypeError naming the field (records.decode)."""
+    script = decode(dict, doc)
+    for key in ("default", "on_retry"):
+        if key in script:
+            decode(list[Any], script[key], key)
+    for profile_id, pool in decode(dict, script.get("profiles", {}), "profiles").items():
+        decode(list[Any], pool, f"profiles.{profile_id}")
+    return script
+
+
 class StubGateway:
     """Deterministic scripted replacement for the model server.
 
@@ -144,8 +157,7 @@ class StubGateway:
             else:
                 raise RiskforgeError(f"no stub script for role {role!r} in "
                                      f"{self.script_dir} or {self.script_dir.parent}")
-            self._scripts[role] = (path, read_json(path, "stub script",
-                                                   lambda doc: decode(dict, doc)))
+            self._scripts[role] = (path, read_json(path, "stub script", _stub_script))
         return self._scripts[role]
 
     def _select_pool(self, role: str, prompt: str) -> list:

@@ -41,11 +41,10 @@ import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .context_store import ContextEntry, ContextStore
-from .contracts import (ENTRY_KINDS, PLANS, QUESTIONNAIRE_SCHEMA, ContractSet, Violations,
-                        encodes_utf8)
+from .contracts import ENTRY_KINDS, PLANS, QUESTIONNAIRE_SCHEMA, ContractSet, encodes_utf8
 from .errors import ContextOverflow, ProfileInvalid, RiskforgeError
 from .gateway import BudgetDecision, ModelConfig
 from .grounding import Corpus, normalize_title
@@ -124,14 +123,15 @@ def _dedupe_titles(titles: list[str]) -> list[str]:
 
 
 class Questionnaire(NamedTuple):
-    """A profile that passed a ContractSet's questionnaire check: the
-    profile, its canonical_json text, which every prompt quotes, and the
-    compiled checker that passed it. A NamedTuple, not a frozen dataclass,
-    as the class is built at import and a NamedTuple builds faster."""
+    """A profile that passed check_profile: the profile and its
+    canonical_json text, which every prompt quotes. The questionnaire
+    schema is bundled and reads the same in every schema mode, so a
+    Questionnaire holds for every ContractSet. A NamedTuple, not a frozen
+    dataclass, as the class is built at import and a NamedTuple builds
+    faster."""
 
     profile: dict
     text: str
-    checker: Callable[[Any], Violations]
 
 
 def check_profile(profile: Union[dict, Questionnaire],
@@ -139,16 +139,11 @@ def check_profile(profile: Union[dict, Questionnaire],
     """profile as a Questionnaire if it is a valid questionnaire, else raise
     ProfileInvalid naming its first violation in (path, message) order, or
     else the field holding an unpaired UTF-16 surrogate, which no UTF-8
-    prompt can quote. A Questionnaire that this ContractSet's checker
-    passed comes back as it is, so a profile checked once is neither
-    checked nor serialized again; one that another ContractSet's checker
-    passed is checked afresh."""
-    checker = contracts.checker(QUESTIONNAIRE_SCHEMA)
+    prompt can quote. A Questionnaire comes back as it is, so a profile
+    checked once is neither checked nor serialized again."""
     if isinstance(profile, Questionnaire):
-        if profile.checker is checker:
-            return profile
-        profile = profile.profile
-    violations = checker(profile)
+        return profile
+    violations = contracts.checker(QUESTIONNAIRE_SCHEMA)(profile)
     if violations:
         raise ProfileInvalid(f"questionnaire invalid: {': '.join(violations[0])}")
     text = canonical_json(profile)
@@ -158,7 +153,7 @@ def check_profile(profile: Union[dict, Questionnaire],
         # repr escapes a surrogate, so the message itself encodes
         raise ProfileInvalid(f"questionnaire invalid: {field!r} holds an unpaired "
                              f"UTF-16 surrogate")
-    return Questionnaire(profile, text, checker)
+    return Questionnaire(profile, text)
 
 
 def execute_pipeline(profile: Union[dict, Questionnaire], config: ModelConfig, mode: str,
@@ -166,24 +161,18 @@ def execute_pipeline(profile: Union[dict, Questionnaire], config: ModelConfig, m
                      out_dir: Optional[Path] = None) -> tuple[RunRecord, Optional[ContextEntry]]:
     """Run one assessment of profile, a questionnaire dict or a
     Questionnaire from check_profile, which a sweep builds once per profile
-    and hands to every cell: this ContractSet's own is used as it is, any
-    other is checked afresh. Returns the run record and, when the run
+    and hands to every cell. Returns the run record and, when the run
     completed, the final report entry. Before any stage executes or any
     file is written, raises ProfileInvalid for an invalid questionnaire
-    and ValueError for an unknown mode or for a schema the mode validates
-    against that compile_schema does not support; before any stage
-    executes, RiskforgeError if the run's directory under out_dir already
-    exists. A RiskforgeError raised while a role runs lands in the record
-    as failed_stage and failure_kind, an internal_error also as a
+    and ValueError for an unknown mode; before any stage executes,
+    RiskforgeError if the run's directory under out_dir already exists. A
+    RiskforgeError raised while a role runs lands in the record as
+    failed_stage and failure_kind, an internal_error also as a
     RuntimeWarning; any other exception propagates."""
     plan = PLANS.get(mode)
     if plan is None:
         raise ValueError(f"unknown mode {mode!r}")
     questionnaire = check_profile(profile, contracts)
-    for stage in plan:
-        for role in stage:
-            # compiled now, so an unsupported schema fails first
-            contracts.checker(contracts.contract(role).schema_name)
 
     run_id = _new_run_id()
     run_dir = None

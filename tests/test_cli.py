@@ -209,11 +209,15 @@ def stub_copy_with(tmp_path, text):
 @pytest.mark.parametrize("text, problem", [
     (TORN_SCRIPT, TORN_PROBLEM),
     ("[]\n", "TypeError: document must be dict, not list"),
-], ids=["torn", "array"])
+    ('{"profiles": []}', "TypeError: profiles must be dict, not list"),
+    ('{"default": {"a": 1}}', "TypeError: default must be list[Any], not dict"),
+    ('{"default": "abc"}', "TypeError: default must be list[Any], not str"),
+], ids=["torn", "array", "profiles_array", "default_object", "default_string"])
 def test_assess_with_an_unreadable_stub_script_exits_2_and_records(runner, tmp_path,
                                                                    text, problem):
-    """A stub script that holds no JSON object ends the run at its role as
-    an internal_error, named in one warning, with no traceback."""
+    """A stub script that holds no JSON object, or whose pools are not
+    arrays, ends the run at its role as an internal_error, named in one
+    warning, with no traceback."""
     scripts = stub_copy_with(tmp_path, text)
     out = tmp_path / "out"
     result = runner.invoke(main, ["assess", "--profile", str(PROFILE), "--script",
@@ -395,6 +399,19 @@ def test_eval_ledger_with_selector(runner, tmp_path):
         "--select", "mode=single_agent"])
     assert result.exit_code == 0, result.output
     assert "stability     1.000" in result.output
+
+
+def test_eval_selects_a_mode_as_assess_and_ablate_spell_it(runner, tmp_path):
+    """--select mode=single picks the runs a ledger records as single_agent."""
+    ledger = str(tmp_path / "ledger.jsonl")
+    result = runner.invoke(main, ["ablate", "--runs", "1", "--out", ledger])
+    assert result.exit_code == 0, result.output
+    tables = [runner.invoke(main, ["eval", "--ledger", ledger, "--select", f"mode={mode}"])
+              for mode in ("single", "single_agent")]
+    assert [table.exit_code for table in tables] == [0, 0]
+    assert tables[0].output == tables[1].output
+    assert "stability     1.000" in tables[0].output
+    assert tables[0].output.endswith(" over 10 runs\n")
 
 
 def test_ablate_runs_and_resumes(runner, tmp_path):

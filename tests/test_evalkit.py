@@ -3,6 +3,8 @@
 import json
 import random
 import re
+import subprocess
+import sys
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -106,6 +108,30 @@ def test_ambiguous_alias_rejected():
               RiskItem(title="Sys B", likelihood="High", impact="High", reasoning="")]
     with pytest.raises(RiskforgeError):
         severity_agreement(system, [], aliases)
+
+
+AMBIGUOUS = """
+from riskforge.errors import RiskforgeError
+from riskforge.evalkit import AliasMap
+aliases = AliasMap([("beta", "Sys A"), ("beta", "Sys B"), ("alpha", "Sys A"),
+                    ("alpha", "Sys B")])
+try:
+    aliases.check_unambiguous(["Sys A", "Sys B"])
+except RiskforgeError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_ambiguous_alias_error_names_the_first_title_whatever_the_hash_seed(package_env,
+                                                                           hash_seed):
+    """Two practitioner titles are ambiguous; the error names the first in
+    sorted order under every string hash seed."""
+    result = subprocess.run([sys.executable, "-c", AMBIGUOUS], capture_output=True, text=True,
+                            env=dict(package_env, PYTHONHASHSEED=hash_seed), timeout=60,
+                            check=True)
+    assert result.stdout == ("title 'alpha' aliases to multiple system risks: "
+                             "['sys a', 'sys b']\n")
 
 
 @pytest.mark.parametrize("pair", [(5, "b"), ("a", None)])

@@ -792,34 +792,48 @@ def test_invalid_questionnaire_raises_before_any_stage(case_contracts, corpus,
 
 
 def test_check_profile_passes_its_own_questionnaire_through(health_profile,
-                                                           case_contracts):
+                                                           case_contracts, cross_contracts):
     questionnaire = check_profile(health_profile, case_contracts)
-    assert questionnaire == (health_profile, canonical_json(health_profile),
-                             case_contracts.checker(QUESTIONNAIRE_SCHEMA))
+    assert questionnaire == (health_profile, canonical_json(health_profile))
     assert check_profile(questionnaire, case_contracts) is questionnaire
-    # another ContractSet's checker did not pass it, so that one checks it again
-    again = check_profile(questionnaire, ContractSet(schema_mode="case_study"))
-    assert again is not questionnaire and again.text == questionnaire.text
+    assert check_profile(questionnaire, cross_contracts) is questionnaire
 
 
-def test_questionnaire_from_another_contract_set_is_checked_again(
-        health_profile, case_contracts, corpus, specific_gateway, tmp_path):
-    """A Questionnaire carries the checker that passed it. A ContractSet
-    whose questionnaire schema is stricter rejects it before any file is
-    written."""
-    schemas = tmp_path / "schemas"
-    shutil.copytree(DATA_DIR / "schemas", schemas)
-    doc = json.loads((schemas / QUESTIONNAIRE_SCHEMA).read_text(encoding="utf-8"))
-    doc["properties"]["employee_count"]["minimum"] = 1000
-    (schemas / QUESTIONNAIRE_SCHEMA).write_text(json.dumps(doc), encoding="utf-8")
-    strict = ContractSet(schemas_dir=schemas, schema_mode="case_study")
+def test_questionnaire_schema_reads_the_same_in_both_schema_modes():
+    """The invariant a Questionnaire's pass-through rests on: no schema
+    mode bounds a questionnaire field."""
+    assert (ContractSet(schema_mode="case_study").schema(QUESTIONNAIRE_SCHEMA)
+            == ContractSet(schema_mode="cross_sector").schema(QUESTIONNAIRE_SCHEMA))
+
+
+def test_questionnaire_from_another_schema_mode_runs_unchecked(health_profile,
+                                                              case_contracts, corpus,
+                                                              monkeypatch):
+    """A Questionnaire checked under case_study runs a single-agent cell
+    under cross_sector without that set's questionnaire checker, with the
+    prompt and the record the profile dict gets."""
     questionnaire = check_profile(health_profile, case_contracts)
-    out = tmp_path / "out"
-    with pytest.raises(ProfileInvalid, match=r"^questionnaire invalid: \$\.employee_count: "
-                                             "15 is less than the minimum of 1000$"):
-        execute_pipeline(questionnaire, config(), "multi_agent", specific_gateway, corpus,
-                         strict, out_dir=out)
-    assert not out.exists()
+    runs = []
+    for profile in (questionnaire, health_profile):
+        contracts = ContractSet(schema_mode="cross_sector")
+        check = contracts.checker(QUESTIONNAIRE_SCHEMA)
+        checked = []
+        monkeypatch.setattr(contracts, "checker",
+                            lambda name, contracts=contracts, check=check, checked=checked:
+                            (lambda doc: checked.append(doc) or check(doc))
+                            if name == QUESTIONNAIRE_SCHEMA
+                            else ContractSet.checker(contracts, name))
+        gateway = TruncatingGateway(StubGateway(STUB / "specific"), "single_agent",
+                                    truncate=0)
+        record, _ = execute_pipeline(profile, config(), "single_agent", gateway, corpus,
+                                     contracts)
+        assert record.completed
+        kept = {key: value for key, value in record.to_json().items()
+                if key not in ("run_id", "wall_seconds")}
+        runs.append((len(checked), dict(gateway.prompts), kept))
+    (unchecked, *first), (checked_once, *second) = runs
+    assert (unchecked, checked_once) == (0, 1)
+    assert first == second
 
 
 def test_non_ascii_stub_candidate_is_appended_as_the_same_payload(
@@ -945,23 +959,6 @@ def test_session_log_append_failing_mid_run_is_recorded_at_its_role(
     # control_assessment, the stage's other role, still ran and logged
     assert [json.loads(line)["key"] for line in session] == ["org_profile",
                                                              "control_assessment"]
-
-
-@pytest.mark.parametrize("mode, schema", [("multi_agent", "threat_model.json"),
-                                          ("single_agent", "single_agent.json")])
-def test_unsupported_schema_fails_before_the_run_starts(health_profile, corpus,
-                                                        specific_gateway, tmp_path,
-                                                        mode, schema):
-    schemas = tmp_path / "schemas"
-    shutil.copytree(DATA_DIR / "schemas", schemas)
-    doc = json.loads((schemas / schema).read_text(encoding="utf-8"))
-    doc["description"] = "an annotation compile_schema does not support"
-    (schemas / schema).write_text(json.dumps(doc), encoding="utf-8")
-    contracts = ContractSet(schemas_dir=schemas, schema_mode="case_study")
-    with pytest.raises(ValueError, match="unsupported keyword 'description'"):
-        execute_pipeline(health_profile, config(), mode, specific_gateway, corpus,
-                         contracts, out_dir=tmp_path / "out")
-    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("mode, role", [("multi_agent", "threat_modeling"),

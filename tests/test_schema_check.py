@@ -279,14 +279,13 @@ def test_paths_quote_property_names_as_jsonschema_does():
 DRAFT = "https://json-schema.org/draft/2020-12/schema"
 
 
-def _schema_dir(tmp_path, field_schema):
-    """A schemas directory whose threat_model.json has field_schema as its
-    threats property, or is field_schema when that names its $schema."""
+def _compile_threat_model(field_schema):
+    """compile_schema over a threat_model.json whose threats property is
+    field_schema, or that is field_schema when that names its $schema."""
     schema = field_schema if "$schema" in field_schema else {
         "$schema": DRAFT, "type": "object", "properties": {"threats": field_schema},
         "$defs": {"ok": {"type": "string"}}}
-    (tmp_path / "threat_model.json").write_text(json.dumps(schema), encoding="utf-8")
-    return ContractSet(schemas_dir=tmp_path, schema_mode="cross_sector")
+    return compile_schema(schema, "threat_model.json")
 
 
 @pytest.mark.parametrize("field_schema, keyword", [
@@ -318,11 +317,9 @@ def _schema_dir(tmp_path, field_schema):
     ({"type": "object", "required": ["a", 1]}, "required must be a list of strings"),
     ({"enum": "Low"}, "enum must be a list"),
 ])
-def test_unsupported_keyword_raises_naming_it_and_the_file(tmp_path, field_schema,
-                                                          keyword):
-    contracts = _schema_dir(tmp_path, field_schema)
+def test_unsupported_keyword_raises_naming_it_and_the_file(field_schema, keyword):
     with pytest.raises(ValueError) as exc:
-        contracts.validate_output("threat_modeling", '{"threats": []}')
+        _compile_threat_model(field_schema)
     assert keyword in str(exc.value)
     assert "threat_model.json" in str(exc.value)
 
@@ -335,15 +332,14 @@ def test_unsupported_keyword_raises_naming_it_and_the_file(tmp_path, field_schem
     "#/$defs/o~1k",
     "#/$defs/",
 ])
-def test_non_local_ref_raises(tmp_path, ref):
-    contracts = _schema_dir(tmp_path, {"$ref": ref})
+def test_non_local_ref_raises(ref):
     with pytest.raises(ValueError) as exc:
-        contracts.checker("threat_model.json")
+        _compile_threat_model({"$ref": ref})
     assert "$ref" in str(exc.value) and repr(ref) in str(exc.value)
     assert "threat_model.json" in str(exc.value)
 
 
-def test_local_ref_is_followed(tmp_path):
-    check = _schema_dir(tmp_path, {"$ref": "#/$defs/ok"}).checker("threat_model.json")
+def test_local_ref_is_followed():
+    check = _compile_threat_model({"$ref": "#/$defs/ok"})
     assert check({"threats": "x"}) == ()
     assert check({"threats": 3}) == (("$.threats", "3 is not of type 'string'"),)
