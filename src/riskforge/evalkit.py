@@ -245,11 +245,11 @@ def compute_metrics(records: Optional[list[RunRecord]] = None,
                     annotations: Optional[list[PractitionerAnnotation]] = None,
                     aliases: Optional[AliasMap] = None,
                     selector: Optional[dict] = None) -> MetricsReport:
-    """Agreement and coverage from system and annotations. The records
-    that match every selector key are picked once and read in one pass:
-    stability over all of them (a run that did not complete counts as a
-    failure), variability per profile/model cell with a completed run,
-    and latency. Raises RiskforgeError for a key outside SELECTOR_FIELDS."""
+    """Agreement and coverage from system and annotations; over the records
+    that match every selector key, in one pass, stability (a run that did
+    not complete counts as a failure), variability per profile/model cell
+    with a completed run, and latency. A selector that picks none warns.
+    Raises RiskforgeError for a key outside SELECTOR_FIELDS."""
     wanted = []
     for key, value in (selector or {}).items():
         if key not in SELECTOR_FIELDS:
@@ -263,6 +263,15 @@ def compute_metrics(records: Optional[list[RunRecord]] = None,
     selected = [r for r in records or ()
                 if all(getattr(r, name) == value for name, value in wanted)]
     if not selected:
+        if records:  # most likely a misspelled value
+            import warnings
+            parts = [f"--select picks none of the {len(records)} runs"]
+            for key, value in selector.items():
+                held = sorted({getattr(r, SELECTOR_FIELDS[key]) for r in records})
+                if value not in held:
+                    parts.append(f"no run has {key} {value!r} (the runs have "
+                                 f"{', '.join(held)})")
+            warnings.warn("; ".join(parts), RuntimeWarning)
         return report
     stable = 0
     walls = []
@@ -284,32 +293,23 @@ def compute_metrics(records: Optional[list[RunRecord]] = None,
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """One ablation column: a label plus how to run it."""
+    """One ablation column, an ablate --models entry: a label, the stub
+    script to run and the context window, whose JSON key is window."""
 
     label: str
     script: str  # stub script name, e.g. "specific" or "generic"
-    context_window_tokens: int = 4096
+    context_window_tokens: int = field(default=ModelConfig.context_window_tokens,
+                                       metadata={"key": "window"})
 
     def __post_init__(self):
         # raises ValueError for a window the reserved output tokens fill
         ModelConfig(model_id=self.label, context_window_tokens=self.context_window_tokens)
 
 
-@dataclass(frozen=True)
-class ModelsFileEntry:
-    """One entry of an ablate --models file, decoded under the file's own
-    keys so that an error names them."""
-
-    label: str
-    script: str
-    window: int = ModelSpec.context_window_tokens
-
-
 def read_models(doc: Any) -> list[ModelSpec]:
-    """The ModelSpecs of an ablate --models document: a list of
-    ModelsFileEntry objects."""
-    return [ModelSpec(label=entry.label, script=entry.script, context_window_tokens=entry.window)
-            for entry in decode(list[ModelsFileEntry], doc)]
+    """The ModelSpecs of an ablate --models document; an error names the
+    file's key, as in "[0].window must be int, not str"."""
+    return decode(list[ModelSpec], doc)
 
 
 def run_ablation(profiles: list[Union[dict, Questionnaire]], models: list[ModelSpec],

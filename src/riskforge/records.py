@@ -89,10 +89,11 @@ class _Misfit(Exception):
 def decode(tp, doc, path: str = ""):
     """doc, a JSON-decoded value, as type tp: a dataclass, list[X],
     tuple[X, Y], Any, a scalar in _EXACT or Optional of such a scalar. A
-    value that does not fit, an unknown key or a missing required key is a
-    TypeError that names the dotted field after path, e.g. "risks[1].title
-    must be str, not int"; a dataclass's __post_init__ raises its own
-    errors."""
+    dataclass field's JSON key is its name, unless the field's metadata
+    gives a "key". A value that does not fit, an unknown key or a missing
+    required key is a TypeError that names the dotted JSON key after path,
+    e.g. "risks[1].title must be str, not int"; a dataclass's __post_init__
+    raises its own errors."""
     try:
         return _decoder(tp)(doc)
     except _Misfit as exc:
@@ -144,8 +145,9 @@ def _decoder(tp) -> Callable[[Any], Any]:
         return decode_array
     if dataclasses.is_dataclass(tp):
         hints = get_type_hints(tp)
-        fields = {f.name: _decoder(hints[f.name]) for f in dataclasses.fields(tp)}
-        required = [f.name for f in dataclasses.fields(tp)
+        fields = {f.metadata.get("key", f.name): f for f in dataclasses.fields(tp)}  # by JSON key
+        decoders = {key: _decoder(hints[f.name]) for key, f in fields.items()}
+        required = [key for key, f in fields.items()
                     if f.default is dataclasses.MISSING is f.default_factory]
 
         def decode_dataclass(value):
@@ -156,9 +158,9 @@ def _decoder(tp) -> Callable[[Any], Any]:
                 for key, item in value.items():
                     if key not in fields:
                         raise _Misfit(f"is not a field of {name}")
-                    kwargs[key] = fields[key](item)
+                    kwargs[fields[key].name] = decoders[key](item)
                 for key in required:
-                    if key not in kwargs:
+                    if fields[key].name not in kwargs:
                         raise _Misfit("is missing")
             except _Misfit as exc:
                 exc.path.append(f".{key}")

@@ -8,8 +8,8 @@ the risk register against the recommendation links.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field, fields
-from typing import Iterable, Optional
+from dataclasses import astuple, dataclass, field
+from typing import Iterable
 
 from .errors import RiskforgeError
 from .grounding import normalize_title
@@ -70,23 +70,20 @@ class RiskItem:
         return derive_severity(self.likelihood, self.impact)
 
 
-@dataclass
-class _ReportedRisk(RiskItem):
-    """A report.json risk: a RiskItem and report_document's severity of it."""
-
-    severity_value: Optional[int] = None
-    severity_band: Optional[str] = None
-
-
 def read_register(doc: dict) -> list[RiskItem]:
-    """The risks of a bare {"risks": [...]} register or of a report.json,
-    where a severity_value or severity_band must be derive_severity's."""
-    risks = decode(list[_ReportedRisk], doc["risks"], "risks")
-    for index, (risk, raw) in enumerate(zip(risks, doc["risks"])):
-        for name, derived in zip(("severity_value", "severity_band"), astuple(risk.severity)):
-            if raw.get(name, derived) != derived:  # decode has checked its type
+    """The RiskItems of a bare {"risks": [...]} register or of a report.json,
+    whose severity_value (int) and severity_band (str), where present, must
+    be derive_severity's (ValueError "risks[2].severity_value is 4, not 9")."""
+    reported = {"severity_value": int, "severity_band": str}  # in SeverityScore's order
+    register = []
+    for index, raw in enumerate(decode(list[dict], doc["risks"], "risks")):
+        risk = decode(RiskItem, {key: value for key, value in raw.items()
+                                 if key not in reported}, f"risks[{index}]")
+        for (name, tp), derived in zip(reported.items(), astuple(risk.severity)):
+            if name in raw and decode(tp, raw[name], f"risks[{index}].{name}") != derived:
                 raise ValueError(f"risks[{index}].{name} is {raw[name]!r}, not {derived!r}")
-    return [RiskItem(*(getattr(risk, f.name) for f in fields(RiskItem))) for risk in risks]
+        register.append(risk)
+    return register
 
 
 def rank_risks(register: Iterable[RiskItem]) -> list[RiskItem]:

@@ -2,6 +2,7 @@
 
 import errno
 import io
+import itertools
 import json
 import os
 import re
@@ -414,6 +415,24 @@ def test_eval_selects_a_mode_as_assess_and_ablate_spell_it(runner, tmp_path):
     assert tables[0].output.endswith(" over 10 runs\n")
 
 
+def test_eval_select_that_picks_no_run_warns(runner, tmp_path):
+    """A selector value that no record of a ledger holds, most likely a
+    misspelling, is one warning naming the values the ledger does hold;
+    the exit code stays 0."""
+    ledger = str(tmp_path / "ledger.jsonl")
+    assert runner.invoke(main, ["ablate", "--runs", "1", "--out", ledger]).exit_code == 0
+    for selector, warning in [
+            ("mode=singel", "no run has mode 'singel' (the runs have single_agent)"),
+            ("model=ft-cybersek",
+             "no run has model 'ft-cybersek' (the runs have ft-cybersec, mistral-7b)"),
+            ("mode=single", None)]:
+        result = runner.invoke(main, ["eval", "--ledger", ledger, "--select", selector])
+        assert result.exit_code == 0, result.output
+        assert result.stderr == ("" if warning is None else
+                                 f"Warning: --select picks none of the 10 runs; {warning}\n")
+        assert ("stability     n/a" in result.output) == (warning is not None)
+
+
 def test_ablate_runs_and_resumes(runner, tmp_path):
     ledger = tmp_path / "ledger.jsonl"
     args = ["ablate", "--runs", "1", "--out", str(ledger)]
@@ -537,6 +556,18 @@ CORPUS_ERROR = "cannot ingest corpus: {file}:1: not a FrameworkExcerpt record: "
                       '"impact": "High", "reasoning": "r"}]}',
      ["eval", "--register", "{file}", "--annotations", ANNOTATIONS],
      "cannot read register {file}: ValueError: not an ordinal level: 'Extreme'"),
+    ("register.json", '{"risks": [{"title": "T", "likelihood": "High", "impact": "High", '
+                      '"reasoning": "r", "foo": 1}]}',
+     ["eval", "--register", "{file}", "--annotations", ANNOTATIONS],
+     "cannot read register {file}: TypeError: risks[0].foo is not a field of RiskItem"),
+    ("register.json", '{"risks": "T"}',
+     ["eval", "--register", "{file}", "--annotations", ANNOTATIONS],
+     "cannot read register {file}: TypeError: risks must be list[dict], not str"),
+    ("register.json", '{"risks": [{"title": "T", "likelihood": "High", "impact": "High", '
+                      '"reasoning": "r", "severity_value": true}]}',
+     ["eval", "--register", "{file}", "--annotations", ANNOTATIONS],
+     "cannot read register {file}: TypeError: risks[0].severity_value must be int, "
+     "not bool"),
     ("annotations.jsonl", ANNOTATION * 2,
      ["eval", "--register", "{register}", "--annotations", "{file}"],
      "{file}: duplicate annotation for ('a1', 'phishing')"),
@@ -576,6 +607,10 @@ CORPUS_ERROR = "cannot ingest corpus: {file}:1: not a FrameworkExcerpt record: "
      "cannot read models {file}: TypeError: [0].script must be str, not int"),
     ("models.json", '[{"label": "a", "script": "specific", "window": "big"}]', ABLATE_MODELS,
      "cannot read models {file}: TypeError: [0].window must be int, not str"),
+    ("models.json", '[{"label": "a", "script": "specific", "context_window_tokens": 4096}]',
+     ABLATE_MODELS,
+     "cannot read models {file}: TypeError: [0].context_window_tokens is not a field of "
+     "ModelSpec"),
     ("corpus.jsonl", CORPUS_LINE.replace('"t"', "5"), INDEX_CORPUS,
      CORPUS_ERROR + "title must be str, not int"),
     ("corpus.jsonl", CORPUS_LINE.replace('"ID.AM-1"', "5"), INDEX_CORPUS,
@@ -587,11 +622,13 @@ CORPUS_ERROR = "cannot ingest corpus: {file}:1: not a FrameworkExcerpt record: "
     ("corpus.jsonl", CORPUS_LINE.replace("}", ', "source": "s"}'), INDEX_CORPUS,
      CORPUS_ERROR + "source is not a field of FrameworkExcerpt"),
 ], ids=["register_torn", "register_title_not_string", "register_level_unknown",
+        "register_unknown_key", "register_risks_not_a_list", "register_severity_value_bool",
         "annotations_duplicate", "annotations_torn", "annotations_title_not_string",
         "annotations_severity_unknown", "aliases_triple", "aliases_title_not_string",
         "aliases_string_not_pair", "aliases_object", "profile_torn", "profile_invalid",
         "models_no_script", "models_window_too_small", "models_label_not_string",
-        "models_script_not_string", "models_window_not_int", "corpus_title_not_string",
+        "models_script_not_string", "models_window_not_int", "models_field_name_as_key",
+        "corpus_title_not_string",
         "corpus_identifier_not_string", "corpus_line_not_an_object",
         "corpus_not_utf8", "corpus_unknown_key"])
 def test_bad_input_file_is_a_one_line_error(runner, tmp_path, case_study_run, name, text,
@@ -643,14 +680,20 @@ def test_ablate_requires_profiles(runner, tmp_path):
     assert "no profile JSON files" in result.output
 
 
-def run_verbs(verbs, report, package_env):
-    """Run each argv of verbs through main in one fresh interpreter without
+# The interpreters run_verbs runs on: this one, and any that
+# RISKFORGE_TEST_PYTHONS names (paths joined by os.pathsep).
+PYTHONS = [sys.executable,
+           *filter(None, os.environ.get("RISKFORGE_TEST_PYTHONS", "").split(os.pathsep))]
+
+
+def run_verbs(python, verbs, report, package_env):
+    """Run each argv of verbs through main in one fresh python without
     site-packages (python -S), so an import of any third-party package
     fails; report, the source of a function that prints one line, runs
     at start-up and after each verb. Returns the process's stdout."""
     code = (f"from riskforge.cli import main\n{report}\nreport()\n"
             f"for argv in {verbs!r}:\n    main(argv)\n    report()\n")
-    return subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+    return subprocess.run([python, "-S", "-c", code], capture_output=True,
                           text=True, env=package_env, timeout=60, check=True).stdout
 
 
@@ -660,8 +703,7 @@ def test_cli_import_and_stub_run_leave_unneeded_modules_unloaded(tmp_path, packa
     cannot be imported, a CLI start-up and each verb (assess --out in both
     modes, ablate, eval of its ledger and of a case-study run's report.json,
     index-corpus) complete, and none loads a third-party package, an HTTP
-    client or a secrets module."""
-    ledger = str(tmp_path / "ledger.jsonl")
+    client or a secrets module, under each of PYTHONS."""
     report = (
         "def report():\n"
         "    import sys\n"
@@ -673,23 +715,26 @@ def test_cli_import_and_stub_run_leave_unneeded_modules_unloaded(tmp_path, packa
         "    except ModuleNotFoundError:\n"
         "        print('jsonschema: ModuleNotFoundError')\n"
     )
-    stdout = run_verbs([
-        ["assess", "--profile", str(PROFILE), "--out", str(tmp_path)],
-        ["assess", "--mode", "single", "--profile", str(PROFILE), "--out", str(tmp_path)],
-        ["ablate", "--out", ledger],
-        ["eval", "--ledger", ledger, "--json", "--select", "mode=single_agent"],
-        ["eval", "--register", str(case_study_run / "report.json"),
-         "--annotations", ANNOTATIONS, "--aliases", ALIASES],
-        ["index-corpus"],
-    ], report, package_env)
-    lines = stdout.splitlines()
-    assert [line for line in lines if line.startswith(("unwanted: ", "jsonschema: "))] == [
-        "unwanted: []", "jsonschema: ModuleNotFoundError"] * 7
-    assert stdout.count('"completed": true') == 2
-    assert "executed 30 new runs (0 already in ledger)" in lines
-    assert "agreement     18/21 (0.857)" in lines
-    assert "coverage      12/13 (0.923)" in lines
-    assert "  total: 17 excerpts" in lines
+    for index, python in enumerate(PYTHONS):
+        out = tmp_path / str(index)
+        ledger = str(out / "ledger.jsonl")
+        stdout = run_verbs(python, [
+            ["assess", "--profile", str(PROFILE), "--out", str(out)],
+            ["assess", "--mode", "single", "--profile", str(PROFILE), "--out", str(out)],
+            ["ablate", "--out", ledger],
+            ["eval", "--ledger", ledger, "--json", "--select", "mode=single_agent"],
+            ["eval", "--register", str(case_study_run / "report.json"),
+             "--annotations", ANNOTATIONS, "--aliases", ALIASES],
+            ["index-corpus"],
+        ], report, package_env)
+        lines = stdout.splitlines()
+        assert [line for line in lines if line.startswith(("unwanted: ", "jsonschema: "))] == [
+            "unwanted: []", "jsonschema: ModuleNotFoundError"] * 7, python
+        assert stdout.count('"completed": true') == 2, python
+        assert "executed 30 new runs (0 already in ledger)" in lines, python
+        assert "agreement     18/21 (0.857)" in lines, python
+        assert "coverage      12/13 (0.923)" in lines, python
+        assert "  total: 17 excerpts" in lines, python
 
 
 def test_cli_start_up_defers_modules_until_a_verb_uses_them(tmp_path, package_env):
@@ -698,7 +743,8 @@ def test_cli_start_up_defers_modules_until_a_verb_uses_them(tmp_path, package_en
     verb uses them: neither a CLI start-up nor a single-agent assess loads
     any of them, the bundled sweep loads the evaluation kit alone, and a
     multi-agent assess with --out loads the renderer but, with a stub that
-    does not wait on I/O, no executor, and no evaluation kit before a sweep."""
+    does not wait on I/O, no executor, and no evaluation kit before a sweep;
+    under each of PYTHONS."""
     report = (
         "def report():\n"
         "    import sys\n"
@@ -707,22 +753,22 @@ def test_cli_start_up_defers_modules_until_a_verb_uses_them(tmp_path, package_en
         "    print('loaded:', sorted(m for m in lazy if m in sys.modules))\n"
     )
     renderer = "'riskforge.report', 'riskforge.risk_model'"
-    for order, loaded in [
+    for (index, python), (order, loaded) in itertools.product(enumerate(PYTHONS), [
         (["single", "ablate", "multi"],
          ["[]", "[]", "['riskforge.evalkit']", f"['riskforge.evalkit', {renderer}]"]),
         (["multi", "ablate"], ["[]", f"[{renderer}]", f"['riskforge.evalkit', {renderer}]"]),
-    ]:
-        root = tmp_path / "-".join(order)
+    ]):
+        root = tmp_path / str(index) / "-".join(order)
         verbs = {
             "single": ["assess", "--mode", "single", "--profile", str(PROFILE),
                        "--out", str(root / "single")],
             "ablate": ["ablate", "--out", str(root / "ledger.jsonl")],
             "multi": ["assess", "--profile", str(PROFILE), "--out", str(root / "run")],
         }
-        stdout = run_verbs([verbs[name] for name in order], report, package_env)
+        stdout = run_verbs(python, [verbs[name] for name in order], report, package_env)
         assert [line for line in stdout.splitlines() if line.startswith("loaded: ")] == [
-            f"loaded: {modules}" for modules in loaded]
-        assert "executed 30 new runs" in stdout
+            f"loaded: {modules}" for modules in loaded], python
+        assert "executed 30 new runs" in stdout, python
         assert [path.name for path in (root / "run").glob("*/report.md")] == ["report.md"]
 
 

@@ -242,7 +242,9 @@ def test_stability_counts_failures_in_denominator():
     records.append(run_record(run_id="r29", completed=True, structural_ok=False))
     assert compute_metrics(records=records).stability == Fraction(28, 30)
     assert compute_metrics(records=[]).stability is None
-    assert compute_metrics(records=records, selector={"model": "absent"}).stability is None
+    with pytest.warns(RuntimeWarning, match=r"^--select picks none of the 30 runs; no run "
+                                            r"has model 'absent' \(the runs have m\)$"):
+        assert compute_metrics(records=records, selector={"model": "absent"}).stability is None
 
 
 def test_variability_unions_normalized_titles():
@@ -291,7 +293,12 @@ def test_every_selector_key_must_match():
             ({"model": "m1"}, "ab"), ({"profile": "p1"}, "ac"),
             ({"mode": "multi_agent"}, "c"), ({"model": "m1", "profile": "p1"}, "a"),
             ({"model": "m1", "mode": "multi_agent"}, "")]:
-        report = compute_metrics(records=records, selector=selector)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = compute_metrics(records=records, selector=selector)
+        # each value is held by some record, so the warning names none of them
+        assert [str(w.message) for w in caught] == (
+            [] if run_ids else ["--select picks none of the 3 runs"]), selector
         runs = report.latency.runs if report.latency else 0
         assert runs == len(run_ids), selector
         assert list(report.variability) == sorted(
@@ -380,6 +387,22 @@ def _comparable(record):
     doc = record.to_json()
     del doc["run_id"], doc["wall_seconds"]
     return doc
+
+
+def test_threaded_sweep_writes_the_records_of_a_serial_one(profiles, corpus, model_specs,
+                                                           tmp_path):
+    """The bundled single-agent sweep with workers=2 writes the records it
+    writes with workers=1, in some order."""
+    contracts = ContractSet(schema_mode="cross_sector")
+    ledgers = []
+    for workers in (1, 2):
+        ledger = tmp_path / f"workers{workers}.jsonl"
+        assert run_ablation(list(profiles.values()), model_specs, 3, "single_agent", ledger,
+                            contracts, corpus, DATA_DIR / "stub", workers=workers) == 30
+        ledgers.append(sorted((_comparable(r) for r in load_ledger(ledger)),
+                              key=lambda doc: (doc["profile_id"], doc["model_id"],
+                                               doc["seed"])))
+    assert ledgers[0] == ledgers[1]
 
 
 def test_sweep_parses_each_stub_script_once_per_spec(profiles, corpus, model_specs,
