@@ -19,8 +19,9 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Iterable, Optional
+from typing import Any, Optional
 
+from .contracts import ENTRY_KINDS
 from .errors import RiskforgeError
 from .grounding import parse_identifiers
 from .records import append_text, decode, load_appended
@@ -79,7 +80,8 @@ class ContextEntry:
 
 
 class ContextStore:
-    """Append-only store over a closed set of registered entry kinds.
+    """Append-only store over the entry kinds the contracts write
+    (contracts.ENTRY_KINDS); any other key is rejected.
 
     Appends are atomic and linearizable per key: the internal lock covers
     revision assignment, the in-memory append, and the log write, so
@@ -89,8 +91,7 @@ class ContextStore:
     file.
     """
 
-    def __init__(self, registered_keys: Iterable[str], log_path: Optional[Path] = None):
-        self._registered = list(dict.fromkeys(registered_keys))
+    def __init__(self, log_path: Optional[Path] = None):
         self._history: dict[str, list[ContextEntry]] = {}
         self._lock = threading.Lock()
         self._log_path = Path(log_path) if log_path is not None else None
@@ -104,9 +105,9 @@ class ContextStore:
 
     def _history_of(self, key: str, where: str = "") -> list[ContextEntry]:
         """key's revisions; an unregistered key raises RiskforgeError led by where."""
-        if key not in self._registered:
+        if key not in ENTRY_KINDS:
             raise RiskforgeError(f"{where}entry kind {key!r} is not registered "
-                                 f"(registered: {self._registered})")
+                                 f"(registered: {list(ENTRY_KINDS)})")
         return self._history.setdefault(key, [])
 
     def append_entry(self, key: str, agent_id: str, payload: Any) -> ContextEntry:
@@ -134,12 +135,12 @@ class ContextStore:
             return {key: history[-1] for key, history in self._history.items()}
 
     @classmethod
-    def load(cls, log_path: Path, registered_keys: Iterable[str]) -> "ContextStore":
+    def load(cls, log_path: Path) -> "ContextStore":
         """Rebuild a store from its session log without re-appending to it. A
         line that append_entry could not have written, its key unregistered
         or its revision not the next for its key, raises RiskforgeError; a
         torn last line is skipped with a warning (records.load_appended)."""
-        store = cls(registered_keys)
+        store = cls()
         for entry in load_appended(log_path, ContextEntry):
             history = store._history_of(entry.key, f"{log_path}: ")
             if entry.revision != len(history) + 1:

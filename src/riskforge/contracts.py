@@ -32,20 +32,28 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, NoReturn, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable, NoReturn, Optional
 
-from .context_store import ContextEntry, ContextStore
 from .errors import AgentFailed, ContextOverflow, RiskforgeError, Unparseable
 from .gateway import RETRY_MARKER, BudgetDecision, CompletionRequest, ModelConfig
 from .grounding import Corpus, FrameworkExcerpt
 from .records import read_json
 from .tokens import canonical_json
 
+if TYPE_CHECKING:
+    from .context_store import ContextEntry, ContextStore
+
 MAX_ATTEMPTS = 3  # initial attempt plus two validation re-prompts
 
 QUESTIONNAIRE_SCHEMA = "questionnaire.json"
 SINGLE_AGENT_ROLE = "single_agent"
-SCHEMA_MODES = ("case_study", "cross_sector")  # see ContractSet
+# Each schema mode's (minItems, maxItems) per top-level output array, which
+# no schema file states; cross_sector's 3/3 is the structural stability criterion.
+ITEM_BOUNDS = {
+    "case_study": {"threats": (3, 5), "risks": (3, 10), "recommendations": (3, 10)},
+    "cross_sector": {"threats": (3, 3), "risks": (3, 3), "recommendations": (3, 3)},
+}
+SCHEMA_MODES = tuple(ITEM_BOUNDS)
 
 # The violation reported for an output the provider cut off: a prefix can
 # still hold a schema-valid object, so it is never validated.
@@ -466,13 +474,9 @@ def compile_schema(schema: dict, source: str) -> Callable[[Any], Violations]:
 
 
 class ContractSet:
-    """Contracts plus their loaded templates and bundled schemas.
-
-    schema_mode selects output cardinality: "cross_sector" pins threats,
-    risks, and recommendations to exactly three apiece (the structural
-    stability criterion); "case_study" relaxes the register to 3..10 risks
-    and threats to 3..5. The questionnaire schema holds none of those
-    arrays, so it reads the same in both modes.
+    """Contracts plus their loaded templates and bundled schemas, whose
+    output cardinality is ITEM_BOUNDS[schema_mode]. The questionnaire
+    schema holds none of those arrays, so it reads the same in both modes.
     """
 
     def __init__(self, schema_mode: str = "case_study"):
@@ -497,16 +501,14 @@ class ContractSet:
         return self._templates[name]
 
     def schema(self, name: str) -> dict:
-        """The named bundled schema, read afresh; in case_study mode its
-        threats, risks and recommendations arrays take that mode's bounds."""
+        """The named bundled schema, read afresh, with its top-level
+        threats, risks and recommendations arrays bounded by
+        ITEM_BOUNDS[schema_mode]."""
         schema = read_json(SCHEMAS_DIR / name, "schema")
-        if self.schema_mode == "case_study":
-            props = schema.get("properties", {})
-            bounds = {"threats": (3, 5), "risks": (3, 10), "recommendations": (3, 10)}
-            for field, (lo, hi) in bounds.items():
-                if field in props and props[field].get("type") == "array":
-                    props[field]["minItems"] = lo
-                    props[field]["maxItems"] = hi
+        props = schema.get("properties", {})
+        for field, (lo, hi) in ITEM_BOUNDS[self.schema_mode].items():
+            if field in props:
+                props[field].update(minItems=lo, maxItems=hi)
         return schema
 
     def checker(self, name: str) -> Callable[[Any], Violations]:
@@ -635,7 +637,7 @@ class ContractSet:
         return violations, doc
 
     def validate_single_output(self, raw: str) -> tuple[Violations, dict]:
-        """Validate the combined 3/3/3 document from a single-agent run."""
+        """validate_output for the combined document of a single-agent run."""
         return self.validate_output(SINGLE_AGENT_ROLE, raw)
 
     # -- agent execution ---------------------------------------------------

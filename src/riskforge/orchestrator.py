@@ -44,7 +44,7 @@ from pathlib import Path
 from typing import NamedTuple, Optional, Union
 
 from .context_store import ContextEntry, ContextStore
-from .contracts import ENTRY_KINDS, PLANS, QUESTIONNAIRE_SCHEMA, ContractSet, encodes_utf8
+from .contracts import PLANS, QUESTIONNAIRE_SCHEMA, ContractSet, encodes_utf8
 from .errors import ContextOverflow, ProfileInvalid, RiskforgeError
 from .gateway import BudgetDecision, ModelConfig
 from .grounding import Corpus, normalize_title
@@ -182,8 +182,7 @@ def execute_pipeline(profile: Union[dict, Questionnaire], config: ModelConfig, m
             run_dir.mkdir(parents=True)
         except FileExistsError:
             raise RiskforgeError(f"run directory {run_dir} already exists") from None
-    store = ContextStore(ENTRY_KINDS,
-                         log_path=run_dir / "session.jsonl" if run_dir else None)
+    store = ContextStore(log_path=run_dir / "session.jsonl" if run_dir else None)
 
     record = RunRecord(
         run_id=run_id,

@@ -35,14 +35,13 @@ from .errors import ProfileInvalid, RiskforgeError
 def read_json(path, what: str, build=None):
     """The JSON document at path, passed through build when given. A file
     that cannot be read, is not JSON, or whose document build rejects
-    (KeyError, TypeError, ValueError, ProfileInvalid) is a one-line error
-    naming it."""
+    (TypeError, ValueError, ProfileInvalid) is a one-line error naming it."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
         return build(doc) if build else doc
     except OSError as exc:  # its own message names path again
         raise RiskforgeError(f"cannot read {what} {path}: {exc.strerror}")
-    except (KeyError, TypeError, ValueError, ProfileInvalid) as exc:
+    except (TypeError, ValueError, ProfileInvalid) as exc:
         raise RiskforgeError(f"cannot read {what} {path}: {type(exc).__name__}: {exc}")
 
 

@@ -76,38 +76,23 @@ def summarize_roadmap(recommendations: list[dict],
 
 def report_document(snapshot: dict[str, ContextEntry], corpus: Corpus,
                     record: RunRecord) -> dict:
-    """The final assessment from the post-synthesis snapshot. Raises
-    RiskforgeError naming the first entry kind the snapshot lacks."""
+    """The final assessment from the post-synthesis snapshot: each risk is
+    its RiskItem's fields plus severity_value and severity_band, and each
+    citation its FrameworkCitation's fields. Raises RiskforgeError naming
+    the first entry kind the snapshot lacks."""
     for key in ENTRY_KINDS:
         if key not in snapshot:
             raise RiskforgeError(f"context is missing entry kind {key!r}")
     return {
         "exec_summary": snapshot["report"].payload.get("exec_summary", ""),
         "profile": snapshot["org_profile"].payload,
-        "risks": [
-            {
-                "title": r.title,
-                "likelihood": r.likelihood,
-                "impact": r.impact,
-                "severity_value": r.severity.value,
-                "severity_band": r.severity.band,
-                "reasoning": r.reasoning,
-                "linked_threat_titles": r.linked_threat_titles,
-                "linked_control_gaps": r.linked_control_gaps,
-            }
-            for r in rank_risks(register_items(snapshot))
-        ],
+        "risks": [{**vars(r), "severity_value": r.severity.value,
+                   "severity_band": r.severity.band}
+                  for r in rank_risks(register_items(snapshot))],
         "compliance": compliance_rollup(snapshot["control_assessment"].payload),
         "roadmap": snapshot["recommendations"].payload.get("recommendations", []),
-        "citations": [
-            {
-                "raw": c.raw,
-                "framework": c.framework,
-                "identifier": c.identifier,
-                "verified": c.verified,
-            }
-            for c in corpus.verify_citations(citation_source_text(snapshot))
-        ],
+        "citations": [dict(vars(c))
+                      for c in corpus.verify_citations(citation_source_text(snapshot))],
         "contradiction_flags": contradiction_flags(snapshot),
         "run_metadata": {
             "run_id": record.run_id,

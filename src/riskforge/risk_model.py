@@ -9,7 +9,7 @@ the risk register against the recommendation links.
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass, field
-from typing import Iterable
+from typing import Any, Iterable
 
 from .errors import RiskforgeError
 from .grounding import normalize_title
@@ -70,10 +70,13 @@ class RiskItem:
         return derive_severity(self.likelihood, self.impact)
 
 
-def read_register(doc: dict) -> list[RiskItem]:
+def read_register(doc: Any) -> list[RiskItem]:
     """The RiskItems of a bare {"risks": [...]} register or of a report.json,
     whose severity_value (int) and severity_band (str), where present, must
-    be derive_severity's (ValueError "risks[2].severity_value is 4, not 9")."""
+    be derive_severity's (ValueError "risks[2].severity_value is 4, not 9").
+    A document of another shape is a TypeError worded as decode words one."""
+    if "risks" not in decode(dict, doc):
+        raise TypeError("risks is missing")
     reported = {"severity_value": int, "severity_band": str}  # in SeverityScore's order
     register = []
     for index, raw in enumerate(decode(list[dict], doc["risks"], "risks")):

@@ -30,7 +30,7 @@ def conclude(number, label, ok, detail=""):
 
 def stage_register(run_dir):
     """The risk_register stage's risks, in its own order, from a run's session log."""
-    store = ContextStore.load(run_dir / "session.jsonl", ENTRY_KINDS)
+    store = ContextStore.load(run_dir / "session.jsonl")
     return store.snapshot()["risk_register"].payload["risks"]
 
 
@@ -217,11 +217,11 @@ def test_criterion_8_determinism(health_profile, case_contracts, corpus,
             (tmp_path / sub / record.run_id / "report.md").read_bytes())
 
     log = tmp_path / "log.jsonl"
-    store = ContextStore(ENTRY_KINDS, log_path=log)
+    store = ContextStore(log_path=log)
     store.append_entry("org_profile", "risk_intake", {"x": [1, {"y": "z"}]})
     store.append_entry("org_profile", "risk_intake", {"x": 2})
     store.append_entry("report", "report_synthesis", {"exec_summary": "s"})
-    reloaded = ContextStore.load(log, ENTRY_KINDS)
+    reloaded = ContextStore.load(log)
     round_trip_ok = all(reloaded.read_history(key) == store.read_history(key)
                         for key in ENTRY_KINDS)
     conclude(8, "determinism",

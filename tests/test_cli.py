@@ -568,6 +568,12 @@ CORPUS_ERROR = "cannot ingest corpus: {file}:1: not a FrameworkExcerpt record: "
      ["eval", "--register", "{file}", "--annotations", ANNOTATIONS],
      "cannot read register {file}: TypeError: risks[0].severity_value must be int, "
      "not bool"),
+    ("register.json", '[]',
+     ["eval", "--register", "{file}", "--annotations", ANNOTATIONS],
+     "cannot read register {file}: TypeError: document must be dict, not list"),
+    ("register.json", '{}',
+     ["eval", "--register", "{file}", "--annotations", ANNOTATIONS],
+     "cannot read register {file}: TypeError: risks is missing"),
     ("annotations.jsonl", ANNOTATION * 2,
      ["eval", "--register", "{register}", "--annotations", "{file}"],
      "{file}: duplicate annotation for ('a1', 'phishing')"),
@@ -623,6 +629,7 @@ CORPUS_ERROR = "cannot ingest corpus: {file}:1: not a FrameworkExcerpt record: "
      CORPUS_ERROR + "source is not a field of FrameworkExcerpt"),
 ], ids=["register_torn", "register_title_not_string", "register_level_unknown",
         "register_unknown_key", "register_risks_not_a_list", "register_severity_value_bool",
+        "register_not_an_object", "register_without_risks",
         "annotations_duplicate", "annotations_torn", "annotations_title_not_string",
         "annotations_severity_unknown", "aliases_triple", "aliases_title_not_string",
         "aliases_string_not_pair", "aliases_object", "profile_torn", "profile_invalid",

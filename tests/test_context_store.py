@@ -48,7 +48,7 @@ def test_canonical_json_is_order_insensitive():
 
 def test_payload_token_estimate_uses_canonical_form():
     payload = {"title": "x" * 100, "a": [1, 2]}
-    entry = ContextStore(ENTRY_KINDS).append_entry("report", "report_synthesis", payload)
+    entry = ContextStore().append_entry("report", "report_synthesis", payload)
     assert entry.token_estimate == estimate_tokens(canonical_json(payload))
 
 
@@ -65,7 +65,7 @@ def test_frozen_questionnaire_token_count():
 # -- store semantics ---------------------------------------------------------
 
 def test_append_and_read_latest():
-    store = ContextStore(ENTRY_KINDS)
+    store = ContextStore()
     entry = store.append_entry("org_profile", "risk_intake", {"industry": "saas"})
     assert entry.revision == 1
     assert entry.agent_id == "risk_intake"
@@ -73,7 +73,7 @@ def test_append_and_read_latest():
 
 
 def test_revisions_increment_and_history_preserved():
-    store = ContextStore(ENTRY_KINDS)
+    store = ContextStore()
     store.append_entry("threat_model", "threat_modeling", {"threats": [1]})
     store.append_entry("threat_model", "threat_modeling", {"threats": [1, 2]})
     history = store.read_history("threat_model")
@@ -84,7 +84,7 @@ def test_revisions_increment_and_history_preserved():
 
 
 def test_unknown_key_rejected():
-    store = ContextStore(ENTRY_KINDS)
+    store = ContextStore()
     with pytest.raises(RiskforgeError, match=re.escape(
             f"entry kind 'scratchpad' is not registered (registered: {list(ENTRY_KINDS)})")
             + "$"):
@@ -92,14 +92,14 @@ def test_unknown_key_rejected():
 
 
 def test_absent_key_is_not_in_snapshot():
-    store = ContextStore(ENTRY_KINDS)
+    store = ContextStore()
     store.append_entry("org_profile", "risk_intake", {})
     assert list(store.snapshot()) == ["org_profile"]
     assert store.read_history("report") == []
 
 
 def test_created_at_is_rfc3339_utc():
-    store = ContextStore(ENTRY_KINDS)
+    store = ContextStore()
     entry = store.append_entry("report", "report_synthesis", {})
     from datetime import datetime
     parsed = datetime.fromisoformat(entry.created_at)
@@ -107,7 +107,7 @@ def test_created_at_is_rfc3339_utc():
 
 
 def test_snapshot_latest_per_key_and_totals():
-    store = ContextStore(ENTRY_KINDS)
+    store = ContextStore()
     store.append_entry("org_profile", "risk_intake", {"a": 1})
     store.append_entry("org_profile", "risk_intake", {"a": 2})
     store.append_entry("threat_model", "threat_modeling", {"b": 3})
@@ -122,7 +122,7 @@ def test_snapshot_latest_per_key_and_totals():
 
 def test_session_log_lines_have_exact_fields(tmp_path):
     log = tmp_path / "session.jsonl"
-    store = ContextStore(ENTRY_KINDS, log_path=log)
+    store = ContextStore(log_path=log)
     store.append_entry("org_profile", "risk_intake", {"industry": "retail"})
     store.append_entry("threat_model", "threat_modeling", {"threats": []})
     lines = [json.loads(l) for l in log.read_text().splitlines()]
@@ -133,13 +133,13 @@ def test_session_log_lines_have_exact_fields(tmp_path):
 
 def test_log_round_trip_lossless(tmp_path):
     log = tmp_path / "session.jsonl"
-    store = ContextStore(ENTRY_KINDS, log_path=log)
+    store = ContextStore(log_path=log)
     payloads = [{"n": i, "text": "é" * i} for i in range(5)]
     for p in payloads:
         store.append_entry("report", "report_synthesis", p)
     original = store.read_history("report")
 
-    loaded = ContextStore.load(log, ENTRY_KINDS)
+    loaded = ContextStore.load(log)
     replayed = loaded.read_history("report")
     assert [e.to_json() for e in replayed] == [e.to_json() for e in original]
 
@@ -187,7 +187,7 @@ def test_log_line_is_to_json_around_the_canonical_text(key, agent_id, revision,
 
 def test_session_log_holds_each_entry_log_line(tmp_path):
     log = tmp_path / "session.jsonl"
-    store = ContextStore(ENTRY_KINDS, log_path=log)
+    store = ContextStore(log_path=log)
     entries = [store.append_entry("org_profile", "risk_intake",
                                   {"b": [1.5, "é"], "a": None}),
                store.append_entry("report", "report_synthesis", {"q": 'say "hi"\\'})]
@@ -218,7 +218,7 @@ def test_load_gives_back_a_recorded_session_log_line_for_line():
     payload eagerly; loading it gives back each line byte for byte."""
     log = Path(__file__).parent / "data" / "session_health_15.jsonl"
     lines = log.read_text(encoding="utf-8").splitlines()
-    store = ContextStore.load(log, ENTRY_KINDS)
+    store = ContextStore.load(log)
     replayed = []
     for line in lines:
         doc = json.loads(line)
@@ -247,7 +247,7 @@ def test_load_keeps_the_rules_of_append_entry(tmp_path, lines, message):
     log.write_text("".join(_log_line(*line) + "\n" for line in lines), encoding="utf-8")
     with pytest.raises(RiskforgeError, match="^" + re.escape(
             f"{log}: " + message.format(kinds=list(ENTRY_KINDS))) + "$"):
-        ContextStore.load(log, ENTRY_KINDS)
+        ContextStore.load(log)
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
@@ -258,12 +258,12 @@ def test_session_log_it_cannot_create_is_an_error(tmp_path):
     log = blocker / "session.jsonl"
     with pytest.raises(RiskforgeError,
                        match=f"^cannot create session log {re.escape(str(log))}: "):
-        ContextStore(ENTRY_KINDS, log_path=log)
+        ContextStore(log_path=log)
 
 
 def test_logged_store_holds_no_open_file(tmp_path):
     before = len(os.listdir("/proc/self/fd"))
-    store = ContextStore(ENTRY_KINDS, log_path=tmp_path / "session.jsonl")
+    store = ContextStore(log_path=tmp_path / "session.jsonl")
     store.append_entry("org_profile", "risk_intake", {"a": 1})
     store.append_entry("org_profile", "risk_intake", {"a": 2})
     assert len(os.listdir("/proc/self/fd")) == before
@@ -273,7 +273,7 @@ def test_logged_store_holds_no_open_file(tmp_path):
                                 st.integers(), max_size=4), max_size=8))
 def test_append_only_property(payloads):
     """Appends never change earlier entries; revisions are 1..n in order."""
-    store = ContextStore(ENTRY_KINDS)
+    store = ContextStore()
     seen = []
     for payload in payloads:
         store.append_entry("risk_register", "risk_scoring", payload)
@@ -293,7 +293,7 @@ def test_mending_an_empty_file_leaves_it_empty(tmp_path):
 
 
 def test_concurrent_appends_assign_distinct_revisions():
-    store = ContextStore(ENTRY_KINDS)
+    store = ContextStore()
     n = 32
 
     def work(i):

@@ -10,8 +10,8 @@ from hypothesis import given, strategies as st
 
 from riskforge import gateway as gateway_mod
 from riskforge.context_store import ContextStore
-from riskforge.contracts import (CONTRACTS, DATA_DIR, ENTRY_KINDS, MAX_ATTEMPTS, PLANS,
-                                 ROLES, SINGLE_AGENT, SINGLE_AGENT_ROLE, STAGES,
+from riskforge.contracts import (CONTRACTS, DATA_DIR, ENTRY_KINDS, ITEM_BOUNDS, MAX_ATTEMPTS,
+                                 PLANS, ROLES, SINGLE_AGENT, SINGLE_AGENT_ROLE, STAGES,
                                  SURROGATE_VIOLATION, AgentContract, ContractSet,
                                  extract_json_object, stage_plan)
 from riskforge.errors import AgentFailed, ContextOverflow, RiskforgeError, Unparseable
@@ -92,22 +92,41 @@ def test_cross_sector_pins_cardinality(cross_contracts):
 
 
 def test_case_study_relaxes_register_bounds(case_contracts, cross_contracts):
-    def register(n):
-        return {"risks": [
-            {"title": f"R{i}", "likelihood": "High", "impact": "Medium",
-             "reasoning": "x", "linked_threat_titles": ["t"],
-             "linked_control_gaps": ["g"]}
-            for i in range(n)
-        ]}
+    def risks(n):
+        return [{"title": f"R{i}", "likelihood": "High", "impact": "Medium",
+                 "reasoning": "x"} for i in range(n)]
 
-    ok, _ = case_contracts.validate_output("risk_scoring", json.dumps(register(7)))
-    assert ok == ()
-    bad, _ = cross_contracts.validate_output("risk_scoring", json.dumps(register(7)))
-    assert bad == (("$.risks", "7 items, more than maxItems 3"),)
-    # both modes reject fewer than three
-    for contracts in (case_contracts, cross_contracts):
-        violations, _ = contracts.validate_output("risk_scoring", json.dumps(register(2)))
-        assert violations == (("$.risks", "2 items, fewer than minItems 3"),)
+    def register(n):
+        return {"risks": [{**risk, "linked_threat_titles": ["t"],
+                           "linked_control_gaps": ["g"]} for risk in risks(n)]}
+
+    def single_agent(n):  # three threats and three recommendations around n risks
+        return {"threats": [{"title": f"T{i}", "rationale": "r"} for i in range(3)],
+                "risks": risks(n),
+                "recommendations": [{"action": f"A{i}", "phase_days": 30, "cost_range": "low",
+                                     "linked_risk_titles": ["R0"]} for i in range(3)]}
+
+    for role, document in (("risk_scoring", register), (SINGLE_AGENT_ROLE, single_agent)):
+        ok, _ = case_contracts.validate_output(role, json.dumps(document(7)))
+        assert ok == ()
+        bad, _ = cross_contracts.validate_output(role, json.dumps(document(7)))
+        assert bad == (("$.risks", "7 items, more than maxItems 3"),)
+        # both modes reject fewer than three
+        for contracts in (case_contracts, cross_contracts):
+            violations, _ = contracts.validate_output(role, json.dumps(document(2)))
+            assert violations == (("$.risks", "2 items, fewer than minItems 3"),)
+
+
+def test_no_schema_file_states_the_item_bounds():
+    """Each mode's bounds on the top-level threats, risks and recommendations
+    arrays live in ITEM_BOUNDS alone, which names those three in every mode."""
+    arrays = ("threats", "risks", "recommendations")
+    assert all(tuple(bounds) == arrays for bounds in ITEM_BOUNDS.values())
+    for path in sorted((DATA_DIR / "schemas").glob("*.json")):
+        properties = json.loads(path.read_text(encoding="utf-8")).get("properties", {})
+        for name in arrays:
+            stated = sorted({"minItems", "maxItems"}.intersection(properties.get(name, {})))
+            assert not stated, f"{path.name}: {name} states {stated}"
 
 
 def test_invalid_enum_reported_with_path(cross_contracts):
@@ -150,15 +169,18 @@ def test_unpaired_surrogate_joins_the_schema_violations(cross_contracts):
 
 # -- prompt assembly ---------------------------------------------------------
 
-def test_assemble_requires_declared_reads(case_contracts):
-    store = ContextStore(ENTRY_KINDS)
-    with pytest.raises(RiskforgeError, match=r"^role 'threat_modeling' requires context key "
-                                             r"'org_profile' which is absent$"):
-        case_contracts.assemble_prompt("threat_modeling", store.snapshot(), [], "{}")
+def test_assemble_requires_declared_reads(case_contracts, corpus):
+    snapshot = ContextStore().snapshot()
+    absent = r"^role 'threat_modeling' requires context key 'org_profile' which is absent$"
+    with pytest.raises(RiskforgeError, match=absent):
+        case_contracts.assemble_prompt("threat_modeling", snapshot, [], "{}")
+    # build_prompt gathers grounding first, which skips the absent read
+    with pytest.raises(RiskforgeError, match=absent):
+        case_contracts.build_prompt("threat_modeling", snapshot, corpus, "{}")
 
 
 def test_assemble_sections_and_context_payloads(case_contracts, corpus):
-    store = ContextStore(ENTRY_KINDS)
+    store = ContextStore()
     payload = {"industry": "retail", "summary": "cites PR.IP-4 here"}
     store.append_entry("org_profile", "risk_intake", payload)
     snapshot = store.snapshot()
@@ -172,7 +194,7 @@ def test_assemble_sections_and_context_payloads(case_contracts, corpus):
 
 
 def test_questionnaire_placeholder_filled(case_contracts, health_profile):
-    store = ContextStore(ENTRY_KINDS)
+    store = ContextStore()
     questionnaire = canonical_json(health_profile)
     prompt = case_contracts.assemble_prompt("risk_intake", store.snapshot(), [],
                                             questionnaire)
@@ -192,14 +214,14 @@ def test_every_template_placeholder_is_the_questionnaire(request, corpus, health
         assert text.count("{{") == len(placeholders), path.name
     run_dir = request.getfixturevalue("case_study_run")
     contracts = ContractSet(schema_mode="case_study")
-    snapshot = ContextStore.load(run_dir / "session.jsonl", ENTRY_KINDS).snapshot()
+    snapshot = ContextStore.load(run_dir / "session.jsonl").snapshot()
     questionnaire = canonical_json(health_profile)
     for role in (*ROLES, SINGLE_AGENT_ROLE):
         assert "{{" not in contracts.build_prompt(role, snapshot, corpus, questionnaire), role
 
 
 def test_grounding_carries_forward_cited_identifiers(case_contracts, corpus):
-    store = ContextStore(ENTRY_KINDS)
+    store = ContextStore()
     store.append_entry("org_profile", "risk_intake",
                        {"summary": "prior work cited RC.RP-1 and CIS Control 8.2"})
     excerpts = case_contracts.gather_grounding(
@@ -213,7 +235,7 @@ def test_grounding_carries_forward_cited_identifiers(case_contracts, corpus):
 
 
 def test_grounding_without_corpus_is_empty(case_contracts):
-    store = ContextStore(ENTRY_KINDS)
+    store = ContextStore()
     store.append_entry("org_profile", "risk_intake", {"summary": "PR.AC-1"})
     assert case_contracts.gather_grounding("threat_modeling",
                                            store.snapshot(), Corpus([])) == []
@@ -225,7 +247,7 @@ def test_context_free_prompt_is_built_once_per_contract_set(case_contracts, corp
     """A role that reads no context gets the same str for an equal
     (corpus, questionnaire), and a new one for another questionnaire,
     another corpus or another ContractSet."""
-    snapshot = ContextStore(ENTRY_KINDS).snapshot()
+    snapshot = ContextStore().snapshot()
     questionnaire = canonical_json(health_profile)
     first = case_contracts.build_prompt(role, snapshot, corpus, questionnaire)
     equal_copy = questionnaire[:1] + questionnaire[1:]
@@ -263,7 +285,7 @@ def scripted(tmp_path, doc):
 
 @pytest.fixture
 def seeded_store():
-    store = ContextStore(ENTRY_KINDS)
+    store = ContextStore()
     store.append_entry("org_profile", "risk_intake", {"industry": "saas"})
     return store
 
@@ -387,7 +409,7 @@ _WITHOUT_JSONSCHEMA = """
 import json, sys
 sys.modules["jsonschema"] = None  # "import jsonschema" now raises ImportError
 from riskforge.context_store import ContextStore
-from riskforge.contracts import DATA_DIR, ENTRY_KINDS, ContractSet
+from riskforge.contracts import DATA_DIR, ContractSet
 from riskforge.errors import ProfileInvalid
 from riskforge.gateway import ModelConfig, StubGateway
 from riskforge.grounding import Corpus
@@ -399,7 +421,7 @@ try:
     check_profile({**profile, "employee_count": 0}, contracts)
 except ProfileInvalid as exc:
     print(exc)
-store = ContextStore(ENTRY_KINDS)
+store = ContextStore()
 store.append_entry("org_profile", "risk_intake", {"industry": "saas"})
 prompt = contracts.build_prompt("threat_modeling", store.snapshot(), Corpus([]), "{}")
 entry, attempts = contracts.run_agent("threat_modeling", prompt, store,

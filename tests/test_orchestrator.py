@@ -20,8 +20,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from riskforge import context_store, orchestrator, records
 from riskforge.context_store import ContextEntry, ContextStore
-from riskforge.contracts import (DATA_DIR, ENTRY_KINDS, MAX_ATTEMPTS, QUESTIONNAIRE_SCHEMA,
-                                 SINGLE_AGENT, STAGES, ContractSet, excerpt_lines)
+from riskforge.contracts import (DATA_DIR, MAX_ATTEMPTS, QUESTIONNAIRE_SCHEMA, SINGLE_AGENT,
+                                 STAGES, ContractSet, excerpt_lines)
 from riskforge.errors import (AgentFailed, ContextOverflow, ProfileInvalid, ProviderError,
                               RiskforgeError)
 from riskforge.gateway import (RESERVED_OUTPUT_TOKENS, BudgetDecision, ModelConfig,
@@ -134,7 +134,7 @@ def test_budget_fit_reports_zero_deficit():
 
 
 def test_budget_names_largest_context_entry():
-    store = ContextStore(ENTRY_KINDS)
+    store = ContextStore()
     store.append_entry("org_profile", "risk_intake", {"small": 1})
     store.append_entry("control_assessment", "control_assessment",
                        {"functions": {"Identify": ["x" * 400]}})
@@ -145,7 +145,7 @@ def test_budget_names_largest_context_entry():
 
 
 def test_context_overflow_carries_the_decision_and_its_text():
-    store = ContextStore(ENTRY_KINDS)
+    store = ContextStore()
     store.append_entry("control_assessment", "control_assessment",
                        {"functions": {"Identify": ["x" * 400]}})
     decision = enforce_budget(store.snapshot(), "risk_scoring",
@@ -180,7 +180,7 @@ def test_stage_check_and_agent_loop_agree_on_the_window(length, window):
     decision = enforce_budget(None, "threat_modeling", cfg, estimate_tokens(prompt))
     with pytest.raises((Sent, ContextOverflow)) as exc:
         ContractSet(schema_mode="cross_sector").run_agent(
-            "threat_modeling", prompt, ContextStore(ENTRY_KINDS), Provider(), cfg)
+            "threat_modeling", prompt, ContextStore(), Provider(), cfg)
     assert decision.ok == (sent == [prompt])
     if not decision.ok:
         raised = exc.value.decision
@@ -260,7 +260,7 @@ def _append_run(path):
 
 
 def _append_entry(path):
-    ContextStore(ENTRY_KINDS, log_path=path).append_entry("org_profile", "risk_intake", {})
+    ContextStore(log_path=path).append_entry("org_profile", "risk_intake", {})
 
 
 # both JSON Lines writers: the run ledger and the session log
@@ -319,7 +319,7 @@ def _wrong_types(doc):
 # the two readers of a file that append_line writes, with a line each reads
 READERS = pytest.mark.parametrize("reader, line, cls", [
     (load_ledger, lambda n: _record(f"r{n}").to_json(), "RunRecord"),
-    (lambda path: ContextStore.load(path, ENTRY_KINDS), _session_line, "ContextEntry"),
+    (lambda path: ContextStore.load(path), _session_line, "ContextEntry"),
 ], ids=["load_ledger", "ContextStore.load"])
 
 
@@ -477,7 +477,7 @@ def test_repeated_run_id_never_shares_a_run_directory(health_profile, case_contr
         execute_pipeline(health_profile, config(), "multi_agent", specific_gateway,
                          corpus, case_contracts, out_dir=tmp_path)
     assert {path.name: path.read_bytes() for path in run_dir.iterdir()} == before
-    store = ContextStore.load(run_dir / "session.jsonl", ENTRY_KINDS)
+    store = ContextStore.load(run_dir / "session.jsonl")
     assert len(store.snapshot()) == 6  # one revision of each entry
 
 
@@ -682,7 +682,7 @@ def test_run_artifacts_are_canonical_and_replay(profiles, case_contracts, corpus
     assert [ContextEntry.from_json(json.loads(line)).log_line() for line in lines] == lines
     [store] = kept_stores
     final = store.snapshot()
-    loaded = ContextStore.load(run_dir / "session.jsonl", ENTRY_KINDS).snapshot()
+    loaded = ContextStore.load(run_dir / "session.jsonl").snapshot()
     assert list(loaded) == list(final)
     assert [e.to_json() for e in loaded.values()] == [e.to_json() for e in final.values()]
     text = (run_dir / "report.json").read_text(encoding="utf-8")

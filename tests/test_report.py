@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from riskforge.context_store import ContextStore
-from riskforge.contracts import DATA_DIR, ENTRY_KINDS
+from riskforge.contracts import DATA_DIR
 from riskforge.errors import RiskforgeError
 from riskforge.gateway import ModelConfig
 from riskforge.orchestrator import RunRecord, execute_pipeline
@@ -81,7 +81,7 @@ def test_report_md_renders_from_report_json(profiles, case_contracts, corpus,
 # -- renderer requirements ---------------------------------------------------
 
 def full_store(register=None, recommendations=None):
-    store = ContextStore(ENTRY_KINDS)
+    store = ContextStore()
     store.append_entry("org_profile", "risk_intake",
                        {"industry": "saas", "employee_count": 10,
                         "regulatory_scope": [], "ambiguities": []})
@@ -103,7 +103,7 @@ def full_store(register=None, recommendations=None):
 
 
 def test_render_requires_every_entry_kind(corpus):
-    store = ContextStore(ENTRY_KINDS)
+    store = ContextStore()
     store.append_entry("org_profile", "risk_intake", {"industry": "x"})
     with pytest.raises(RiskforgeError, match=r"^context is missing entry kind 'threat_model'$"):
         report_document(store.snapshot(), corpus, RECORD)

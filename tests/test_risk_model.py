@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from riskforge.context_store import ContextStore
-from riskforge.contracts import DATA_DIR, ENTRY_KINDS
+from riskforge.contracts import DATA_DIR
 from riskforge.errors import RiskforgeError
 from riskforge.evalkit import SEVERITY_LABELS
 from riskforge.records import decode
@@ -131,7 +131,7 @@ def test_rank_tie_breaks_alphabetical():
 
 def test_case_study_run_ranking(case_study_run):
     # the risk_register stage's own order, as the run's session log holds it
-    store = ContextStore.load(case_study_run / "session.jsonl", ENTRY_KINDS)
+    store = ContextStore.load(case_study_run / "session.jsonl")
     items = decode(list[RiskItem], store.snapshot()["risk_register"].payload["risks"])
     ranked = rank_risks(items)
     # the three 9s first, then the 6s (Medium/High before High/Medium by

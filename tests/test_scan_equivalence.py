@@ -187,9 +187,9 @@ payloads = st.dictionaries(
 def test_entry_text_and_citations_match_free_functions(appends):
     with tempfile.TemporaryDirectory() as tmp:
         log = Path(tmp) / "session.jsonl"
-        store = ContextStore(ENTRY_KINDS, log_path=log)
+        store = ContextStore(log_path=log)
         appended = [store.append_entry(key, "agent", payload) for key, payload in appends]
-        loaded = ContextStore.load(log, ENTRY_KINDS)
+        loaded = ContextStore.load(log)
         reloaded = [entry for key in dict.fromkeys(k for k, _ in appends)
                     for entry in loaded.read_history(key)]
     assert len(reloaded) == len(appended)
