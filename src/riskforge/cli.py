@@ -18,7 +18,7 @@ import sys
 import warnings
 from pathlib import Path
 
-from .contracts import DATA_DIR, SCHEMA_MODES, ContractSet
+from .contracts import DATA_DIR, SCHEMA_MODES, ContractSet, encodes_utf8
 from .errors import RiskforgeError
 from .gateway import HttpGateway, ModelConfig, StubGateway
 from .grounding import Corpus
@@ -49,6 +49,8 @@ def _load_corpus(corpus_path) -> Corpus:
 def assess(profile_path, mode, provider, script, model_id, window, seed,
            schema_mode, corpus_path, out_dir):
     """Run one risk assessment against a questionnaire."""
+    if not encodes_utf8(model_id):  # argv decodes an undecodable byte to a lone surrogate
+        raise RiskforgeError(f"--model {model_id!r} does not encode to UTF-8")
     contracts = ContractSet(schema_mode=schema_mode)
     profile = read_json(profile_path, "profile", lambda doc: check_profile(doc, contracts))
 

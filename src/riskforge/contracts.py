@@ -8,12 +8,13 @@ plan, are derived from them at import (stage_plan). All prompt text lives
 here: build_prompt, for both topologies, injects the serialized read
 entries or the questionnaire, the retrieved framework excerpts verbatim,
 and a citation policy restricting the agent to those excerpts. Output
-validation extracts the first JSON object from the raw text (models wrap
-output in prose) and checks it against the role's schema; schema failures,
-a document holding an unpaired surrogate, and output the provider reports
-as truncated trigger a bounded re-prompt: the role's prompt plus the
-latest violation list, so a retry prompt does not grow from attempt to
-attempt. run_agent raises ContextOverflow, carrying a
+validation is the one gate: output the provider reports as truncated,
+text holding no JSON object (models wrap the object in prose), an unpaired
+surrogate and a failure of the role's schema are each a violation, which
+triggers a bounded re-prompt: the role's prompt plus the latest violation
+list, so a retry prompt does not grow from attempt to attempt. Code past
+the gate reads a payload as its schema states it. run_agent raises
+ContextOverflow, carrying a
 gateway.BudgetDecision, for any attempt's prompt that does not fit, so
 a provider only completes. The single-agent baseline is one more contract,
 SINGLE_AGENT, run by the same loop; it is no part of the six-agent plan.
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, NoReturn, Optional
 
-from .errors import AgentFailed, ContextOverflow, RiskforgeError, Unparseable
+from .errors import AgentFailed, ContextOverflow, RiskforgeError
 from .gateway import RETRY_MARKER, BudgetDecision, CompletionRequest, ModelConfig
 from .grounding import Corpus, FrameworkExcerpt
 from .records import read_json
@@ -58,6 +59,8 @@ SCHEMA_MODES = tuple(ITEM_BOUNDS)
 # The violation reported for an output the provider cut off: a prefix can
 # still hold a schema-valid object, so it is never validated.
 TRUNCATED_VIOLATION = ("$", "output truncated by the provider")
+# The violation reported for an output that holds no JSON object.
+NO_OBJECT_VIOLATION = ("$", "no balanced JSON object found in output")
 # The violation reported for an output whose document holds a surrogate
 # code point that pairs with none: no UTF-8 text holds it, so it could not
 # be logged or quoted in a prompt (I-JSON, RFC 7493 section 2.1).
@@ -199,8 +202,8 @@ def excerpt_lines(grounding: Iterable[FrameworkExcerpt]) -> list[str]:
 _DECODER = json.JSONDecoder()
 
 
-def extract_json_object(raw: str) -> dict:
-    """Return the first JSON object embedded in raw text.
+def extract_json_object(raw: str) -> Optional[dict]:
+    """Return the first JSON object embedded in raw text, else None.
 
     Decoding starts at each "{" in turn, so prose around the object (or
     braces inside its strings) does not break extraction; a candidate that
@@ -212,7 +215,7 @@ def extract_json_object(raw: str) -> dict:
             return _DECODER.raw_decode(raw, start)[0]
         except json.JSONDecodeError:
             start = raw.find("{", start + 1)
-    raise Unparseable("no balanced JSON object found in output")
+    return None
 
 
 def _may_hold_surrogate(raw: str) -> bool:
@@ -625,18 +628,20 @@ class ContractSet:
 
     # -- output validation -------------------------------------------------
 
-    def validate_output(self, role: str, raw: str) -> tuple[Violations, dict]:
+    def validate_output(self, role: str, raw: str) -> tuple[Violations, Optional[dict]]:
         """Parse and schema-check raw model output: (violations, doc), with
-        violations () when doc is valid. A doc that holds an unpaired
-        surrogate adds SURROGATE_VIOLATION. Raises Unparseable when no
-        balanced object exists."""
+        violations () exactly when doc is valid; never raises. Text holding
+        no object gives (NO_OBJECT_VIOLATION,) and doc None, and a doc that
+        holds an unpaired surrogate adds SURROGATE_VIOLATION."""
         doc = extract_json_object(raw)
+        if doc is None:
+            return (NO_OBJECT_VIOLATION,), None
         violations = self.checker(self.contract(role).schema_name)(doc)
         if _may_hold_surrogate(raw) and not encodes_utf8(canonical_json(doc)):
             violations = tuple(sorted(violations + (SURROGATE_VIOLATION,)))
         return violations, doc
 
-    def validate_single_output(self, raw: str) -> tuple[Violations, dict]:
+    def validate_single_output(self, raw: str) -> tuple[Violations, Optional[dict]]:
         """validate_output for the combined document of a single-agent run."""
         return self.validate_output(SINGLE_AGENT_ROLE, raw)
 
@@ -645,11 +650,12 @@ class ContractSet:
     def run_agent(self, role: str, prompt: str, store: ContextStore, gateway,
                   config: ModelConfig) -> tuple[ContextEntry, int]:
         """Complete, validate, retry, append, starting from the role's full
-        prompt (build_prompt's).
-        A retry sends that prompt plus the latest violation block only. A
-        prompt, first or retry, that does not fit the window raises
-        ContextOverflow with its BudgetDecision before the gateway sees
-        it. Returns the appended entry and the number of attempts used."""
+        prompt (build_prompt's). A truncated reply is TRUNCATED_VIOLATION,
+        any other passes validate_output, the one gate. A retry sends that
+        prompt plus the latest violation block only. A prompt, first or
+        retry, that does not fit the window raises ContextOverflow with its
+        BudgetDecision before the gateway sees it. Returns the appended
+        entry and the number of attempts used, else raises AgentFailed."""
         contract = self.contract(role)
         last_violations: Violations = ()
         request_prompt = prompt
@@ -662,13 +668,9 @@ class ContractSet:
             if result.truncated:
                 last_violations = (TRUNCATED_VIOLATION,)
             else:
-                try:
-                    last_violations, doc = self.validate_output(role, result.text)
-                except Unparseable as exc:
-                    last_violations = (("$", str(exc)),)
+                last_violations, doc = self.validate_output(role, result.text)
                 if not last_violations:
-                    entry = store.append_entry(contract.writes, role, doc)
-                    return entry, attempt
+                    return store.append_entry(contract.writes, role, doc), attempt
             violation_lines = "\n".join(f"- {path}: {msg}" for path, msg in last_violations)
             request_prompt = (
                 f"{prompt}\n\n=== {RETRY_MARKER} ===\n"

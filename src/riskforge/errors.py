@@ -3,7 +3,9 @@ caller handles it. A RiskforgeError a role raises ends the run, not the
 process: the run record's failure_kind is its kind. Raised before a run,
 it is an input error: one "Error:" line from the CLI, exit 1. Anything
 else is a programming error. A ContextOverflow does no arithmetic: it
-carries the gateway.BudgetDecision that raised it."""
+carries the gateway.BudgetDecision that raised it. A model reply that
+fails validation raises nothing: it is a violation, and the agent
+re-prompts until AgentFailed (contracts.run_agent)."""
 
 
 class RiskforgeError(Exception):
@@ -35,10 +37,6 @@ class AgentFailed(RiskforgeError):
     """An agent exhausted its validation retries."""
 
     kind = "agent_failed"
-
-
-class Unparseable(RiskforgeError):
-    """No balanced JSON object could be extracted from model output."""
 
 
 class ProfileInvalid(RiskforgeError):

@@ -44,7 +44,7 @@ from pathlib import Path
 from typing import NamedTuple, Optional, Union
 
 from .context_store import ContextEntry, ContextStore
-from .contracts import PLANS, QUESTIONNAIRE_SCHEMA, ContractSet, encodes_utf8
+from .contracts import ITEM_BOUNDS, PLANS, QUESTIONNAIRE_SCHEMA, ContractSet, encodes_utf8
 from .errors import ContextOverflow, ProfileInvalid, RiskforgeError
 from .gateway import BudgetDecision, ModelConfig
 from .grounding import Corpus, normalize_title
@@ -254,15 +254,15 @@ def _run_stages(plan, questionnaire: str, corpus: Corpus, config: ModelConfig,
 
 
 def _structure_check(snapshot: dict[str, ContextEntry]) -> tuple[bool, list[str]]:
-    """The 3/3/3 structural stability check plus threat title collection."""
-    report = snapshot["report"].payload  # the single agent's holds all three lists
-    threats, risks, recs = (
-        (snapshot[key].payload if key in snapshot else report).get(name, [])
-        for key, name in (("threat_model", "threats"), ("risk_register", "risks"),
-                          ("recommendations", "recommendations")))
-    titles = _dedupe_titles([t.get("title", "") for t in threats])
-    structural_ok = len(threats) == 3 and len(risks) == 3 and len(recs) == 3
-    return structural_ok, titles
+    """Structural stability, each output array within its
+    ITEM_BOUNDS["cross_sector"] bounds, plus the deduplicated threat titles.
+    A single-agent run's report entry holds all three arrays."""
+    bounds = ITEM_BOUNDS["cross_sector"]
+    arrays = {name: entry.payload[name] for entry in snapshot.values()
+              for name in bounds if name in entry.payload}
+    structural_ok = all(low <= len(arrays[name]) <= high
+                        for name, (low, high) in bounds.items())
+    return structural_ok, _dedupe_titles([t["title"] for t in arrays["threats"]])
 
 
 def _write_outputs(snapshot: dict[str, ContextEntry], corpus: Corpus,

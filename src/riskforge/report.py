@@ -26,7 +26,7 @@ PHASE_LABELS = {30: "Days 0-30", 60: "Days 31-60", 90: "Days 61-90",
 
 def register_items(snapshot: dict[str, ContextEntry]) -> list[RiskItem]:
     # the risk_register schema has checked each risk's fields
-    return [RiskItem(**r) for r in snapshot["risk_register"].payload.get("risks", [])]
+    return [RiskItem(**r) for r in snapshot["risk_register"].payload["risks"]]
 
 
 def contradiction_flags(snapshot: dict[str, ContextEntry]) -> list[dict]:
@@ -36,15 +36,12 @@ def contradiction_flags(snapshot: dict[str, ContextEntry]) -> list[dict]:
 
 def citation_source_text(snapshot: dict[str, ContextEntry]) -> str:
     """All free text a model could have salted with framework citations."""
-    parts = []
-    for risk in snapshot["risk_register"].payload.get("risks", []):
-        parts.append(risk.get("reasoning", ""))
-    for findings in snapshot["control_assessment"].payload.get("functions", {}).values():
-        for finding in findings:
-            parts.append(finding.get("finding", ""))
-    for rec in snapshot["recommendations"].payload.get("recommendations", []):
-        parts.append(rec.get("action", ""))
-    parts.append(snapshot["report"].payload.get("exec_summary", ""))
+    parts = [risk["reasoning"] for risk in snapshot["risk_register"].payload["risks"]]
+    parts += [finding["finding"] for findings in
+              snapshot["control_assessment"].payload["functions"].values()
+              for finding in findings]
+    parts += [rec["action"] for rec in snapshot["recommendations"].payload["recommendations"]]
+    parts.append(snapshot["report"].payload["exec_summary"])
     return "\n".join(parts)
 
 
@@ -63,7 +60,7 @@ def summarize_roadmap(recommendations: list[dict],
 
     def max_severity(rec: dict) -> int:
         linked = [severity_of.get(normalize_title(t), 0)
-                  for t in rec.get("linked_risk_titles", [])]
+                  for t in rec["linked_risk_titles"]]
         return max(linked, default=0)
 
     grouped = []
@@ -84,13 +81,13 @@ def report_document(snapshot: dict[str, ContextEntry], corpus: Corpus,
         if key not in snapshot:
             raise RiskforgeError(f"context is missing entry kind {key!r}")
     return {
-        "exec_summary": snapshot["report"].payload.get("exec_summary", ""),
+        "exec_summary": snapshot["report"].payload["exec_summary"],
         "profile": snapshot["org_profile"].payload,
         "risks": [{**vars(r), "severity_value": r.severity.value,
                    "severity_band": r.severity.band}
                   for r in rank_risks(register_items(snapshot))],
         "compliance": compliance_rollup(snapshot["control_assessment"].payload),
-        "roadmap": snapshot["recommendations"].payload.get("recommendations", []),
+        "roadmap": snapshot["recommendations"].payload["recommendations"],
         "citations": [dict(vars(c))
                       for c in corpus.verify_citations(citation_source_text(snapshot))],
         "contradiction_flags": contradiction_flags(snapshot),
@@ -115,14 +112,14 @@ def render_report(doc: dict) -> str:
     lines += ["## Executive Summary", "", doc["exec_summary"].strip(), ""]
 
     lines += ["## Organization Profile", ""]
-    lines.append(f"- Industry: {profile.get('industry', 'unknown')}")
-    lines.append(f"- Employees: {profile.get('employee_count', 'unknown')}")
-    scope = profile.get("regulatory_scope", [])
+    lines.append(f"- Industry: {profile['industry']}")
+    lines.append(f"- Employees: {profile['employee_count']}")
+    scope = profile["regulatory_scope"]
     lines.append(f"- Regulatory scope: {', '.join(scope) if scope else 'none identified'}")
     maturity = profile.get("self_rated_maturity")
     if maturity is not None:
         lines.append(f"- Self-rated maturity: {maturity}/10")
-    ambiguities = profile.get("ambiguities", [])
+    ambiguities = profile["ambiguities"]
     if ambiguities:
         lines.append("- Open questions from intake:")
         for item in ambiguities:
@@ -166,8 +163,8 @@ def render_report(doc: dict) -> str:
         lines.append(f"### {label}")
         lines.append("")
         for rec in members:
-            linked = ", ".join(rec.get("linked_risk_titles", []))
-            lines.append(f"- {rec['action']} (cost: {rec.get('cost_range', 'n/a')}; "
+            linked = ", ".join(rec["linked_risk_titles"])
+            lines.append(f"- {rec['action']} (cost: {rec['cost_range']}; "
                          f"addresses: {linked})")
         lines.append("")
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import astuple, dataclass, field
 from typing import Any, Iterable
 
-from .errors import RiskforgeError
 from .grounding import normalize_title
 from .records import decode
 
@@ -100,15 +99,14 @@ def rank_risks(register: Iterable[RiskItem]) -> list[RiskItem]:
 def compliance_rollup(control_assessment: dict) -> dict:
     """{"status": ..., "evidence": ...}, each keyed by CSF function: its
     Compliant, PartiallyCompliant or NotCompliant status and its finding
-    strings."""
-    functions = control_assessment.get("functions", {})
+    strings. control_assessment is valid under control_assessment.json,
+    which requires every CSF function."""
+    functions = control_assessment["functions"]
     status = {}
     evidence = {}
     for function in CSF_FUNCTIONS:
-        if function not in functions:
-            raise RiskforgeError(f"control assessment lacks function {function!r}")
         findings = functions[function]
-        gaps = [f for f in findings if f.get("status") == "gap"]
+        gaps = [f for f in findings if f["status"] == "gap"]
         if not gaps:
             status[function] = "Compliant"
         elif len(gaps) == len(findings):
@@ -123,19 +121,19 @@ def check_contradictions(register: list[RiskItem], recommendations: dict) -> lis
     """The disagreements between the register and the recommendations, as
     {"kind", "title", "detail"} dicts: kind is dangling_reference or
     unaddressed_high_risk."""
-    recs = recommendations.get("recommendations", [])
+    recs = recommendations["recommendations"]
     linked = set()
     flags = []
     register_titles = {normalize_title(r.title): r.title for r in register}
     for rec in recs:
-        for title in rec.get("linked_risk_titles", []):
+        for title in rec["linked_risk_titles"]:
             norm = normalize_title(title)
             linked.add(norm)
             if norm not in register_titles:
                 flags.append({
                     "kind": "dangling_reference",
                     "title": title,
-                    "detail": f"recommendation {rec.get('action', '')!r} references a risk "
+                    "detail": f"recommendation {rec['action']!r} references a risk "
                               f"absent from the register",
                 })
     for risk in register:

@@ -151,6 +151,19 @@ def test_assess_window_within_reserved_output_is_a_one_line_error(runner, tmp_pa
     assert list(tmp_path.iterdir()) == []
 
 
+def test_assess_model_that_does_not_encode_is_a_one_line_error(runner, tmp_path):
+    """A --model byte that is not UTF-8 reaches argv as a lone surrogate,
+    which no artifact can hold: one Error line naming it, exit 1, and no
+    file written."""
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["assess", "--profile", str(PROFILE), "--model", "\udc80",
+                                  "--out", str(out)])
+    assert (result.exit_code, result.output) == (
+        1, "Error: --model '\\udc80' does not encode to UTF-8\n")
+    assert isinstance(result.exception, SystemExit)
+    assert not out.exists()
+
+
 def test_assess_http_provider_needs_url(runner, monkeypatch):
     monkeypatch.delenv("RISKFORGE_MODEL_URL", raising=False)
     result = runner.invoke(main, [

@@ -11,10 +11,10 @@ from hypothesis import given, strategies as st
 from riskforge import gateway as gateway_mod
 from riskforge.context_store import ContextStore
 from riskforge.contracts import (CONTRACTS, DATA_DIR, ENTRY_KINDS, ITEM_BOUNDS, MAX_ATTEMPTS,
-                                 PLANS, ROLES, SINGLE_AGENT, SINGLE_AGENT_ROLE, STAGES,
-                                 SURROGATE_VIOLATION, AgentContract, ContractSet,
-                                 extract_json_object, stage_plan)
-from riskforge.errors import AgentFailed, ContextOverflow, RiskforgeError, Unparseable
+                                 NO_OBJECT_VIOLATION, PLANS, ROLES, SINGLE_AGENT,
+                                 SINGLE_AGENT_ROLE, STAGES, SURROGATE_VIOLATION, AgentContract,
+                                 ContractSet, extract_json_object, stage_plan)
+from riskforge.errors import AgentFailed, ContextOverflow, RiskforgeError
 from riskforge.gateway import HttpGateway, ModelConfig, StubGateway
 from riskforge.grounding import Corpus
 from riskforge.tokens import canonical_json
@@ -62,11 +62,11 @@ def test_extract_skips_invalid_candidates():
     assert extract_json_object(raw) == {"ok": 1}
 
 
-def test_extract_raises_when_absent():
-    with pytest.raises(Unparseable):
-        extract_json_object("no json here at all")
-    with pytest.raises(Unparseable):
-        extract_json_object("{never closed")
+def test_text_without_an_object_is_a_violation(case_contracts):
+    for raw in ["no json here at all", "{never closed", '["a list"]']:
+        assert extract_json_object(raw) is None
+        assert case_contracts.validate_output("threat_modeling", raw) == (
+            (NO_OBJECT_VIOLATION,), None)
 
 
 def test_unknown_role_has_no_contract(case_contracts):

@@ -10,8 +10,8 @@ from riskforge.contracts import DATA_DIR
 from riskforge.errors import RiskforgeError
 from riskforge.gateway import ModelConfig
 from riskforge.orchestrator import RunRecord, execute_pipeline
-from riskforge.report import (contradiction_flags, render_report, report_document,
-                              summarize_roadmap)
+from riskforge.report import (PHASE_LABELS, contradiction_flags, render_report,
+                              report_document, summarize_roadmap)
 
 GOLDEN = Path(__file__).parent / "data" / "golden_health_15.md"
 RECORD = RunRecord(run_id="r", profile_id="p", model_id="m", mode="multi_agent",
@@ -151,6 +151,12 @@ def test_roadmap_groups_ascending_and_orders_by_severity():
                                                "Beyond 90 days"]
     first_bucket = [r["action"] for r in grouped[0][1]]
     assert first_bucket == ["major now", "minor now"]
+
+
+def test_phase_labels_are_the_schema_phases(case_contracts):
+    for name in ("recommendations.json", "single_agent.json"):
+        rec = case_contracts.schema(name)["properties"]["recommendations"]["items"]
+        assert set(PHASE_LABELS) == set(rec["properties"]["phase_days"]["enum"])
 
 
 def test_roadmap_empty_buckets_omitted():

@@ -1,5 +1,6 @@
 """Severity arithmetic, ranking, compliance rollup, contradiction checks."""
 
+import dataclasses
 import itertools
 import random
 import re
@@ -8,16 +9,21 @@ import pytest
 from hypothesis import given, strategies as st
 
 from riskforge.context_store import ContextStore
-from riskforge.contracts import DATA_DIR
-from riskforge.errors import RiskforgeError
+from riskforge.contracts import DATA_DIR, SCHEMA_MODES, ContractSet
 from riskforge.evalkit import SEVERITY_LABELS
 from riskforge.records import decode
-from riskforge.risk_model import (CSF_FUNCTIONS, RiskItem, check_contradictions,
+from riskforge.risk_model import (CSF_FUNCTIONS, ORDINALS, RiskItem, check_contradictions,
                                   compliance_rollup, derive_severity,
                                   normalize_title, parse_level, rank_risks,
                                   read_register)
 
 LEVELS = ["Low", "Medium", "High"]
+SCHEMA = ContractSet().schema
+
+
+def schema_risk(name):
+    """The schema of one risk in the named output schema."""
+    return SCHEMA(name)["properties"]["risks"]["items"]
 
 
 def risk(title, likelihood, impact, **kw):
@@ -54,6 +60,20 @@ def test_annotation_labels_are_the_severity_labels():
     labels = {derive_severity(likelihood, impact).label
               for likelihood, impact in itertools.product(LEVELS, repeat=2)}
     assert set(SEVERITY_LABELS) == labels
+    # and the output schemas state them as each risk's levels, in ORDINALS' order
+    for name in ("risk_register.json", "single_agent.json"):
+        for level in ("likelihood", "impact"):
+            enum = schema_risk(name)["properties"][level]["enum"]
+            assert enum == list(SEVERITY_LABELS)
+            assert [value.lower() for value in enum] == list(ORDINALS)
+
+
+def test_risk_item_fields_are_the_register_schema_properties():
+    risk = schema_risk("risk_register.json")
+    fields = dataclasses.fields(RiskItem)
+    assert [f.name for f in fields] == list(risk["properties"])
+    assert [f.name for f in fields if f.default is dataclasses.MISSING
+            and f.default_factory is dataclasses.MISSING] == risk["required"]
 
 
 def test_parse_level_case_insensitive_and_strict():
@@ -229,10 +249,16 @@ def test_rollup_statuses():
 
 
 def test_rollup_requires_all_five_functions():
+    """The control assessment schema requires exactly CSF_FUNCTIONS, in
+    order, so its check, not the rollup, rejects a missing one."""
     doc = assessment()
     del doc["functions"]["Recover"]
-    with pytest.raises(RiskforgeError, match=r"^control assessment lacks function 'Recover'$"):
-        compliance_rollup(doc)
+    for mode in SCHEMA_MODES:
+        contracts = ContractSet(mode)
+        functions = contracts.schema("control_assessment.json")["properties"]["functions"]
+        assert functions["required"] == list(CSF_FUNCTIONS)
+        assert contracts.checker("control_assessment.json")(doc) == (
+            ("$.functions", "'Recover' is a required property"),)
 
 
 def test_case_study_control_rollup():

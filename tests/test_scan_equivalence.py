@@ -13,12 +13,12 @@ import json
 import re
 import tempfile
 from pathlib import Path
+from typing import Optional
 
 from hypothesis import given, settings, strategies as st
 
 from riskforge.context_store import ContextStore
 from riskforge.contracts import ENTRY_KINDS, extract_json_object
-from riskforge.errors import Unparseable
 from riskforge.grounding import CIS_RE, NIST_CSF_RE, parse_identifiers
 from riskforge.tokens import canonical_json, estimate_tokens
 
@@ -26,7 +26,7 @@ OLD_NIST_CSF_RE = re.compile(r"(?<![A-Z0-9.])[A-Z]{2}\.[A-Z]{2,3}-\d{1,2}(?!\d)"
 OLD_CIS_RE = re.compile(r"(?<![A-Za-z])CIS Control (\d+(?:\.\d+)?)(?!\.?\d)")
 
 
-def old_extract_json_object(raw: str) -> dict:
+def old_extract_json_object(raw: str) -> Optional[dict]:
     start = raw.find("{")
     while start != -1:
         depth = 0
@@ -56,14 +56,7 @@ def old_extract_json_object(raw: str) -> dict:
                         return doc
                     break
         start = raw.find("{", start + 1)
-    raise Unparseable("no balanced JSON object found in output")
-
-
-def outcome(extract, raw):
-    try:
-        return extract(raw)
-    except Unparseable:
-        return Unparseable
+    return None
 
 
 # -- JSON extraction -----------------------------------------------------------
@@ -94,7 +87,7 @@ fragments = st.one_of(
 @settings(deadline=None, max_examples=400)
 @given(st.lists(fragments, max_size=6).map("".join))
 def test_extract_matches_brace_matcher(raw):
-    assert outcome(extract_json_object, raw) == outcome(old_extract_json_object, raw)
+    assert extract_json_object(raw) == old_extract_json_object(raw)
 
 
 @settings(deadline=None)
@@ -103,9 +96,9 @@ def test_extract_matches_brace_matcher(raw):
        st.lists(fragments, max_size=3).map("".join))
 def test_extract_finds_object_after_prose(before, doc, after):
     raw = before + json.dumps(doc) + after
-    got = outcome(extract_json_object, raw)
-    assert got == outcome(old_extract_json_object, raw)
-    assert got is not Unparseable
+    got = extract_json_object(raw)
+    assert got == old_extract_json_object(raw)
+    assert got is not None
 
 
 # -- identifier regexes --------------------------------------------------------

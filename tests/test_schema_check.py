@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from riskforge.contracts import (CONTRACTS, DATA_DIR, QUESTIONNAIRE_SCHEMA,
                                  ContractSet, compile_schema, extract_json_object)
-from riskforge.errors import Unparseable
 
 MODES = ("case_study", "cross_sector")
 CONTRACT_SETS = {mode: ContractSet(schema_mode=mode) for mode in MODES}
@@ -34,11 +33,9 @@ def _script_docs(role: str) -> list:
                  *script.get("profiles", {}).values()]
         for candidate in (c for pool in pools for c in pool):
             if isinstance(candidate, str):
-                try:
-                    candidate = extract_json_object(candidate)
-                except Unparseable:
-                    continue
-            docs.append(candidate)
+                candidate = extract_json_object(candidate)
+            if candidate is not None:
+                docs.append(candidate)
     return docs
 
 
